@@ -88,6 +88,8 @@ def _read_graph_file(path: Path):
         raise DataError(f"cannot read graph file {path}: {exc}") from exc
     except json.JSONDecodeError as exc:
         raise DataError(f"graph file {path} is not valid JSON: {exc.msg}") from exc
+    if not isinstance(doc, dict):
+        raise DataError(f"graph file {path} does not hold a JSON object")
     for key in ("strategy", "graph"):
         if key not in doc:
             raise DataError(f"graph file {path} is missing the '{key}' entry")
@@ -95,6 +97,9 @@ def _read_graph_file(path: Path):
     partition = None
     if doc.get("partition") is not None:
         partition = partition_from_payload(graph, doc["partition"])
+    if doc["strategy"] != ("connected" if partition is None else partition.strategy):
+        raise DataError(f"graph file {path}: strategy {doc['strategy']!r} does not match "
+                        f"its partition")
     return graph, partition
 
 
@@ -322,26 +327,13 @@ def _cmd_analyze_graph(args) -> int:
     if partition is not None:
         groups = {label: partition.subgraphs[label].n
                   for label in partition.region_order}
-        parent = {}
-        if partition.strategy == "regional":
-            idx = graph.node_index()
-            for label in partition.region_order:
-                sub = partition.subgraphs[label]
-                for j, node in enumerate(sub.nodes):
-                    full = degree(graph, idx[node.site_id])
-                    parent.setdefault("violations", 0)
-                    if degree(sub, j) > full:
-                        parent["violations"] += 1
-        else:
-            parent["violations"] = sum(
-                1 for label in partition.region_order
-                for j in range(partition.subgraphs[label].n)
-                if degree(partition.subgraphs[label], j) > graph.n - 1)
+        # Loading checked the partition, so a degree-monotonicity violation
+        # never gets this far: the file is rejected with exit 3.
         doc["partition"] = {
             "strategy": partition.strategy,
             "groups": groups,
-            "degree_monotone": parent["violations"] == 0,
-            "violations": parent["violations"],
+            "degree_monotone": True,
+            "violations": 0,
         }
         doc["overlap_cost"][partition.strategy] = overlap_cost(partition, l_avg)
     text = json.dumps(doc, indent=2, sort_keys=True)

@@ -14,7 +14,7 @@ from __future__ import annotations
 import csv
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Mapping, Sequence
+from typing import Callable, Mapping, Sequence
 
 import numpy as np
 
@@ -153,9 +153,6 @@ class SiteGraph:
     def n(self) -> int:
         return len(self.nodes)
 
-    def node_index(self) -> dict[str, int]:
-        return {s.site_id: i for i, s in enumerate(self.nodes)}
-
 
 def _assemble_graph(nodes: Sequence[SiteMeta], edges: Sequence[tuple[int, int, float]],
                     threshold: float, kernel: str, sigma: float) -> SiteGraph:
@@ -225,10 +222,6 @@ class RegionalPartition:
     region_order: tuple[str, ...]
     node_indices: Mapping[str, np.ndarray] = field(repr=False)
 
-    @property
-    def n(self) -> int:
-        return sum(g.n for g in self.subgraphs.values())
-
 
 def _check_partition(parent: SiteGraph, part: RegionalPartition) -> None:
     all_ids: list[str] = []
@@ -238,13 +231,61 @@ def _check_partition(parent: SiteGraph, part: RegionalPartition) -> None:
     if sorted(all_ids) != sorted(parent_ids):
         raise DataError("partition: subgraph node sets are not a partition of the graph")
     if part.strategy == "regional":
+        parent_degrees = _degrees(parent)
         for label in part.region_order:
             sub = part.subgraphs[label]
-            idx = part.node_indices[label]
-            for k in range(sub.n):
-                if degree(sub, k) > degree(parent, int(idx[k])):
-                    raise DataError(
-                        f"partition: node {sub.nodes[k].site_id} gained degree in region {label}")
+            gained = np.flatnonzero(_degrees(sub) > parent_degrees[part.node_indices[label]])
+            if gained.size:
+                raise DataError(f"partition: node {sub.nodes[gained[0]].site_id} "
+                                f"gained degree in region {label}")
+
+
+def _build_partition(g: SiteGraph, strategy: str, assignment: Mapping[str, str],
+                     pair_miles: Callable[[SiteMeta, SiteMeta], float] | None = None
+                     ) -> RegionalPartition:
+    """The one path from a site-id to label mapping to a checked partition.
+
+    Labels are ordered by ``sorted``, the order a stored partition is read
+    back in. A regional subgraph keeps the parent's edges whose endpoints
+    share a label; a random subgraph is complete, with ``pair_miles``
+    giving each pair's distance (nodes in parent order).
+    """
+    if strategy not in ("regional", "random"):
+        raise ConfigError(f"partition strategy must be regional or random, got {strategy!r}")
+    missing = [s.site_id for s in g.nodes if s.site_id not in assignment]
+    if missing:
+        raise DataError(f"partition assignment missing sites {missing[:5]}")
+    if len(assignment) != g.n:
+        raise DataError("partition assignment names sites that are not in the graph")
+
+    label_of = [assignment[s.site_id] for s in g.nodes]
+    members: dict[str, list[int]] = {label: [] for label in sorted(set(label_of))}
+    local = []
+    for i, label in enumerate(label_of):
+        local.append(len(members[label]))
+        members[label].append(i)
+    sub_edges: dict[str, list] = {label: [] for label in members}
+    if strategy == "regional":
+        for i, j, miles in g.edges:
+            if label_of[i] == label_of[j]:
+                sub_edges[label_of[i]].append((local[i], local[j], miles))
+
+    subgraphs: dict[str, SiteGraph] = {}
+    for label, idx in members.items():
+        sub_nodes = [g.nodes[p] for p in idx]
+        if strategy == "random":
+            sub_edges[label] = [(a, b, float(pair_miles(sub_nodes[a], sub_nodes[b])))
+                                for a in range(len(idx)) for b in range(a + 1, len(idx))]
+        subgraphs[label] = _assemble_graph(sub_nodes, sub_edges[label], g.threshold_miles,
+                                           g.adjacency_weights, g.sigma_miles)
+
+    part = RegionalPartition(
+        strategy=strategy, region_of={s.site_id: label for s, label in zip(g.nodes, label_of)},
+        subgraphs=subgraphs, region_order=tuple(members),
+        node_indices={label: _freeze(np.array(idx, dtype=np.int64))
+                      for label, idx in members.items()})
+    _check_partition(g, part)
+    return part
 
 
 def decompose_regional(g: SiteGraph) -> RegionalPartition:
@@ -252,26 +293,7 @@ def decompose_regional(g: SiteGraph) -> RegionalPartition:
     for s in g.nodes:
         if not s.region:
             raise DataError(f"decompose_regional: site {s.site_id} has no region label")
-    labels = sorted({s.region for s in g.nodes})
-    subgraphs: dict[str, SiteGraph] = {}
-    node_indices: dict[str, np.ndarray] = {}
-    region_of: dict[str, str] = {s.site_id: s.region for s in g.nodes}
-
-    for label in labels:
-        idx = np.array([i for i, s in enumerate(g.nodes) if s.region == label], dtype=np.int64)
-        local = {int(p): k for k, p in enumerate(idx)}
-        sub_nodes = [g.nodes[int(p)] for p in idx]
-        sub_edges = [(local[i], local[j], miles) for i, j, miles in g.edges
-                     if i in local and j in local]
-        subgraphs[label] = _assemble_graph(sub_nodes, sub_edges, g.threshold_miles,
-                                           g.adjacency_weights, g.sigma_miles)
-        node_indices[label] = _freeze(idx)
-
-    part = RegionalPartition(strategy="regional", region_of=region_of,
-                             subgraphs=subgraphs, region_order=tuple(labels),
-                             node_indices=node_indices)
-    _check_partition(g, part)
-    return part
+    return _build_partition(g, "regional", {s.site_id: s.region for s in g.nodes})
 
 
 def decompose_random(g: SiteGraph, r: int, seed: int,
@@ -285,38 +307,11 @@ def decompose_random(g: SiteGraph, r: int, seed: int,
     n = g.n
     if not 1 <= r <= n:
         raise ConfigError(f"decompose_random: need 1 <= r <= {n}, got r={r}")
-    provider = provider or HaversineProvider()
-
     order = np.random.default_rng(seed).permutation(n)
     base, extra = divmod(n, r)
-    sizes = [base + (1 if k < extra else 0) for k in range(r)]
-
-    subgraphs: dict[str, SiteGraph] = {}
-    node_indices: dict[str, np.ndarray] = {}
-    region_of: dict[str, str] = {}
-    labels = []
-    start = 0
-    for k, size in enumerate(sizes):
-        label = f"group_{k}"
-        labels.append(label)
-        members = np.sort(order[start:start + size])
-        start += size
-        sub_nodes = [g.nodes[int(p)] for p in members]
-        sub_edges = []
-        for a in range(size):
-            for b in range(a + 1, size):
-                sub_edges.append((a, b, float(provider.miles(sub_nodes[a], sub_nodes[b]))))
-        subgraphs[label] = _assemble_graph(sub_nodes, sub_edges, g.threshold_miles,
-                                           g.adjacency_weights, g.sigma_miles)
-        node_indices[label] = _freeze(members.astype(np.int64))
-        for s in sub_nodes:
-            region_of[s.site_id] = label
-
-    part = RegionalPartition(strategy="random", region_of=region_of,
-                             subgraphs=subgraphs, region_order=tuple(labels),
-                             node_indices=node_indices)
-    _check_partition(g, part)
-    return part
+    group = np.repeat(np.arange(r), [base + (1 if k < extra else 0) for k in range(r)])
+    assignment = {g.nodes[int(p)].site_id: f"group_{k}" for p, k in zip(order, group)}
+    return _build_partition(g, "random", assignment, (provider or HaversineProvider()).miles)
 
 
 def partition_from_assignment(g: SiteGraph, assignment: Mapping[str, str],
@@ -329,36 +324,8 @@ def partition_from_assignment(g: SiteGraph, assignment: Mapping[str, str],
     reproduces a previously computed partition without its seed, e.g. when
     loading a stored model.
     """
-    if strategy not in ("regional", "random"):
-        raise ConfigError(f"partition strategy must be regional or random, got {strategy!r}")
-    missing = [s.site_id for s in g.nodes if s.site_id not in assignment]
-    if missing:
-        raise DataError(f"partition assignment missing sites {missing[:5]}")
-    provider = provider or HaversineProvider()
-
-    labels = sorted({assignment[s.site_id] for s in g.nodes})
-    subgraphs: dict[str, SiteGraph] = {}
-    node_indices: dict[str, np.ndarray] = {}
-    for label in labels:
-        idx = np.array([i for i, s in enumerate(g.nodes) if assignment[s.site_id] == label],
-                       dtype=np.int64)
-        local = {int(p): k for k, p in enumerate(idx)}
-        sub_nodes = [g.nodes[int(p)] for p in idx]
-        if strategy == "regional":
-            sub_edges = [(local[i], local[j], miles) for i, j, miles in g.edges
-                         if i in local and j in local]
-        else:
-            sub_edges = [(a, b, float(provider.miles(sub_nodes[a], sub_nodes[b])))
-                         for a in range(len(sub_nodes)) for b in range(a + 1, len(sub_nodes))]
-        subgraphs[label] = _assemble_graph(sub_nodes, sub_edges, g.threshold_miles,
-                                           g.adjacency_weights, g.sigma_miles)
-        node_indices[label] = _freeze(idx)
-
-    part = RegionalPartition(strategy=strategy, region_of=dict(assignment),
-                             subgraphs=subgraphs, region_order=tuple(labels),
-                             node_indices=node_indices)
-    _check_partition(g, part)
-    return part
+    return _build_partition(g, strategy, assignment,
+                            (provider or HaversineProvider()).miles)
 
 
 def degree(g: SiteGraph, i: int) -> int:
@@ -367,6 +334,12 @@ def degree(g: SiteGraph, i: int) -> int:
         raise IndexError(f"degree: node index {i} out of range for {g.n} nodes")
     row = g.adjacency[i]
     return int(np.count_nonzero(row > 0)) - (1 if row[i] > 0 else 0)
+
+
+def _degrees(g: SiteGraph) -> np.ndarray:
+    """``degree`` of every node at once."""
+    linked = g.adjacency > 0
+    return linked.sum(axis=1) - linked.diagonal()
 
 
 def overlap_cost(obj: SiteGraph | RegionalPartition, l_avg: float) -> float:

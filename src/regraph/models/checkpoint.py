@@ -12,11 +12,11 @@ bytes.
 
 from __future__ import annotations
 
+import contextlib
 import json
 import struct
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Mapping
 
 import numpy as np
 
@@ -26,7 +26,7 @@ from ..graph.build import (
     SiteGraph,
     SiteMeta,
     _assemble_graph,
-    _freeze,
+    _build_partition,
 )
 from .architectures import ForecastModel, ModelSpec, build_model
 
@@ -57,11 +57,23 @@ def graph_payload(g: SiteGraph) -> dict:
     }
 
 
+@contextlib.contextmanager
+def _stored(what: str):
+    """Report a stored document that lacks the expected layout as a DataError."""
+    try:
+        yield
+    except DataError:
+        raise
+    except (AttributeError, LookupError, TypeError, ValueError) as exc:
+        raise DataError(f"malformed {what}: {type(exc).__name__}: {exc}") from exc
+
+
 def graph_from_payload(d: dict) -> SiteGraph:
-    nodes = [_site_from_row(row) for row in d["sites"]]
-    edges = [(int(i), int(j), float(m)) for i, j, m in d["edges"]]
-    return _assemble_graph(nodes, edges, d["threshold_miles"],
-                           d["adjacency_weights"], d["sigma_miles"])
+    with _stored("graph"):
+        nodes = [_site_from_row(row) for row in d["sites"]]
+        edges = [(int(i), int(j), float(m)) for i, j, m in d["edges"]]
+        return _assemble_graph(nodes, edges, d["threshold_miles"],
+                               d["adjacency_weights"], d["sigma_miles"])
 
 
 def partition_payload(p: RegionalPartition) -> dict:
@@ -77,27 +89,20 @@ def partition_payload(p: RegionalPartition) -> dict:
 
 
 def partition_from_payload(g: SiteGraph, d: dict) -> RegionalPartition:
-    assignment = d["region_of"]
-    labels = sorted({assignment[s.site_id] for s in g.nodes})
-    subgraphs: dict[str, SiteGraph] = {}
-    node_indices: dict[str, np.ndarray] = {}
-    for label in labels:
-        idx = np.array([i for i, s in enumerate(g.nodes)
-                        if assignment[s.site_id] == label], dtype=np.int64)
-        sub_nodes = [g.nodes[int(p)] for p in idx]
-        local = {s.site_id: k for k, s in enumerate(sub_nodes)}
-        sub_edges = []
-        for a, b, miles in d["subgraph_edges"].get(label, []):
-            i, j = local[a], local[b]
-            if i > j:
-                i, j = j, i
-            sub_edges.append((i, j, float(miles)))
-        subgraphs[label] = _assemble_graph(sub_nodes, sub_edges, g.threshold_miles,
-                                           g.adjacency_weights, g.sigma_miles)
-        node_indices[label] = _freeze(idx)
-    return RegionalPartition(strategy=d["strategy"], region_of=dict(assignment),
-                             subgraphs=subgraphs, region_order=tuple(labels),
-                             node_indices=node_indices)
+    """Rebuild a stored partition; its stored sub-edges must be the rebuilt ones.
+
+    Random subgraphs take their distances from the stored edges, since the
+    provider that measured them may not be at hand when loading.
+    """
+    with _stored("partition"):
+        stored = d["subgraph_edges"]
+        miles = {(a, b): float(m) for edges in stored.values() for a, b, m in edges}
+        part = _build_partition(g, d["strategy"], d["region_of"],
+                                lambda a, b: miles[a.site_id, b.site_id])
+    if partition_payload(part)["subgraph_edges"] != stored:
+        raise DataError(f"partition: stored {part.strategy} sub-edges do not match "
+                        f"the ones rebuilt from region_of")
+    return part
 
 
 @dataclass(frozen=True)
@@ -162,47 +167,50 @@ def load_checkpoint(path: str | Path) -> CheckpointBundle:
         header = json.loads(raw[start:start + header_len].decode("utf-8"))
     except (UnicodeDecodeError, json.JSONDecodeError) as exc:
         raise DataError(f"{path}: corrupt checkpoint header: {exc}") from exc
+    if not isinstance(header, dict):
+        raise DataError(f"{path}: corrupt checkpoint header: not a JSON object")
     if header.get("format_version") != FORMAT_VERSION:
         raise ConfigError(
             f"{path}: unsupported checkpoint format {header.get('format_version')}")
 
-    hp = header["hyperparams"]
-    spec = ModelSpec(
-        architecture=header["architecture"],
-        hidden=hp["hidden"],
-        k=hp["k"],
-        horizons=tuple(hp["horizons"]),
-        connectivity=hp["connectivity"],
-        region_count=hp["region_count"],
-        seed=hp["seed"],
-    )
-    graph = graph_from_payload(header["graph"])
-    partition = (partition_from_payload(graph, header["partition"])
-                 if header["partition"] is not None else None)
+    with _stored(f"checkpoint header in {path}"):
+        hp = header["hyperparams"]
+        spec = ModelSpec(
+            architecture=header["architecture"],
+            hidden=hp["hidden"],
+            k=hp["k"],
+            horizons=tuple(hp["horizons"]),
+            connectivity=hp["connectivity"],
+            region_count=hp["region_count"],
+            seed=hp["seed"],
+        )
+        graph = graph_from_payload(header["graph"])
+        partition = (partition_from_payload(graph, header["partition"])
+                     if header["partition"] is not None else None)
 
-    weights: dict = {}
-    offset = start + header_len
-    for entry in header["weights"]:
-        shape = tuple(entry["shape"])
-        count = int(np.prod(shape)) if shape else 1
-        end = offset + count * 8
-        if end > len(raw):
-            raise DataError(f"{path}: truncated checkpoint at weight {entry['name']}")
-        arr = np.frombuffer(raw[offset:end], dtype="<f8").reshape(shape).copy()
-        weights[entry["name"]] = arr
-        offset = end
-    if offset != len(raw):
-        raise DataError(f"{path}: {len(raw) - offset} trailing bytes after weights")
+        weights: dict = {}
+        offset = start + header_len
+        for entry in header["weights"]:
+            shape = tuple(entry["shape"])
+            count = int(np.prod(shape)) if shape else 1
+            end = offset + count * 8
+            if end > len(raw):
+                raise DataError(f"{path}: truncated checkpoint at weight {entry['name']}")
+            arr = np.frombuffer(raw[offset:end], dtype="<f8").reshape(shape).copy()
+            weights[entry["name"]] = arr
+            offset = end
+        if offset != len(raw):
+            raise DataError(f"{path}: {len(raw) - offset} trailing bytes after weights")
 
-    return CheckpointBundle(
-        spec=spec,
-        weights=weights,
-        scaling_lo=np.array(header["scaling"]["lo"]),
-        scaling_hi=np.array(header["scaling"]["hi"]),
-        train_weeks=header["train_weeks"],
-        graph=graph,
-        partition=partition,
-    )
+        return CheckpointBundle(
+            spec=spec,
+            weights=weights,
+            scaling_lo=np.array(header["scaling"]["lo"]),
+            scaling_hi=np.array(header["scaling"]["hi"]),
+            train_weeks=header["train_weeks"],
+            graph=graph,
+            partition=partition,
+        )
 
 
 def restore_model(bundle: CheckpointBundle) -> ForecastModel:

@@ -14,7 +14,7 @@ for no benefit at the graph sizes this package targets.
 from __future__ import annotations
 
 import contextlib
-from typing import Callable, Iterable, Sequence
+from typing import Callable, Sequence
 
 import numpy as np
 
@@ -22,7 +22,6 @@ from ..errors import NumericError, ShapeError
 
 __all__ = [
     "DiffTensor",
-    "ComputationTape",
     "add",
     "backward",
     "clear_tape",
@@ -66,28 +65,6 @@ class DiffTensor:
     def __repr__(self) -> str:
         return f"DiffTensor(shape={self.values.shape}, requires_grad={self.requires_grad})"
 
-    # Arithmetic sugar; the module-level functions do the real work.
-    def __add__(self, other):
-        return add(self, other)
-
-    def __radd__(self, other):
-        return add(other, self)
-
-    def __sub__(self, other):
-        return sub(self, other)
-
-    def __rsub__(self, other):
-        return sub(other, self)
-
-    def __mul__(self, other):
-        return mul(self, other)
-
-    def __rmul__(self, other):
-        return mul(other, self)
-
-    def __matmul__(self, other):
-        return matmul(self, other)
-
 
 def parameter(values, requires_grad: bool = True) -> DiffTensor:
     return DiffTensor(np.array(values, dtype=np.float64, copy=True), requires_grad=requires_grad)
@@ -106,30 +83,10 @@ class _TapeEntry:
         self.grad_fn = grad_fn
 
 
-class ComputationTape:
-    """Ordered record of differentiable operations.
-
-    Operations are appended in execution order, so the tape is already
-    topologically sorted: an entry's inputs were produced by earlier
-    entries (or are leaves). Reverse replay therefore visits each recorded
-    node exactly once.
-    """
-
-    def __init__(self):
-        self._entries: list[_TapeEntry] = []
-
-    def record(self, inputs: tuple[DiffTensor, ...], output: DiffTensor,
-               grad_fn: Callable[[np.ndarray], tuple]) -> None:
-        self._entries.append(_TapeEntry(inputs, output, grad_fn))
-
-    def clear(self) -> None:
-        self._entries.clear()
-
-    def __len__(self) -> int:
-        return len(self._entries)
-
-
-_TAPE = ComputationTape()
+# The forward pass appends in execution order, so the tape is already
+# topologically sorted: an entry's inputs were produced by earlier entries
+# (or are leaves), and reverse replay visits each recorded node once.
+_TAPE: list[_TapeEntry] = []
 _RECORDING = True
 
 
@@ -158,7 +115,7 @@ def _record(inputs: tuple[DiffTensor, ...], output: DiffTensor,
             grad_fn: Callable[[np.ndarray], tuple]) -> None:
     if _RECORDING and any(t.requires_grad for t in inputs):
         output.requires_grad = True
-        _TAPE.record(inputs, output, grad_fn)
+        _TAPE.append(_TapeEntry(inputs, output, grad_fn))
 
 
 def _as_tensor(x) -> DiffTensor:
@@ -364,7 +321,7 @@ def backward(loss: DiffTensor) -> None:
 
     seed = np.ones(loss.values.shape)
     loss.grad = seed if loss.grad is None else loss.grad + seed
-    for entry in reversed(_TAPE._entries):
+    for entry in reversed(_TAPE):
         g_out = entry.output.grad
         if g_out is None:
             continue
@@ -375,8 +332,3 @@ def backward(loss: DiffTensor) -> None:
             # Never mutate in place: grad arrays may alias tape outputs.
             t.grad = g if t.grad is None else t.grad + g
     _TAPE.clear()
-
-
-def zero_grads(params: Iterable[DiffTensor]) -> None:
-    for p in params:
-        p.grad = None

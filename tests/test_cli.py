@@ -172,6 +172,35 @@ def test_analyze_graph_reports_overlap(tmp_path, capsys):
     assert json.loads(out_file.read_text()) == doc
 
 
+@pytest.mark.parametrize("tamper", [
+    lambda doc: doc["partition"]["region_of"].pop(doc["graph"]["sites"][0][0]),
+    lambda doc: next(iter(doc["partition"]["subgraph_edges"].values())).append(
+        ["ghost", doc["graph"]["sites"][0][0], 1.0]),
+    lambda doc: doc["graph"].pop("edges"),
+    lambda doc: doc["partition"].update(strategy="bogus"),
+    lambda doc: doc.update(strategy="random"),
+], ids=["unlabelled_site", "unknown_site_in_sub_edge", "no_edges", "bogus_strategy",
+        "strategy_differs_from_partition"])
+def test_analyze_graph_malformed_file_exits_3(tmp_path, capsys, tamper):
+    data = make_dataset(tmp_path)
+    graph_file = tmp_path / "reg.json"
+    assert main(["build-graph", "--sites", str(data / "sites.csv"),
+                 "--strategy", "regional", "--out", str(graph_file)]) == 0
+    doc = json.loads(graph_file.read_text())
+    tamper(doc)
+    graph_file.write_text(json.dumps(doc))
+    capsys.readouterr()
+    assert main(["analyze-graph", "--graph", str(graph_file)]) == 3
+    assert "data error:" in capsys.readouterr().err
+
+
+def test_analyze_graph_non_object_file_exits_3(tmp_path, capsys):
+    graph_file = tmp_path / "null.json"
+    graph_file.write_text("null\n")
+    assert main(["analyze-graph", "--graph", str(graph_file)]) == 3
+    assert "data error:" in capsys.readouterr().err
+
+
 # ---------------------------------------------------------------- pipeline
 
 PIPELINE_DATA = {

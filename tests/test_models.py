@@ -1,5 +1,8 @@
 """Unit tests for layers, architectures, and checkpoints."""
 
+import json
+import struct
+
 import numpy as np
 import pytest
 
@@ -447,6 +450,13 @@ def test_checkpoint_rejects_garbage(tmp_path):
         load_checkpoint(path)
 
 
+def test_checkpoint_rejects_header_that_is_not_an_object(tmp_path):
+    path = tmp_path / "list.ckpt"
+    path.write_bytes(b"RGCKPT01" + struct.pack("<Q", 2) + b"[]")
+    with pytest.raises(DataError):
+        load_checkpoint(path)
+
+
 def test_checkpoint_rejects_truncation(tmp_path):
     g = two_region_graph()
     model = build_model(ModelSpec("TGCN", 6, 3, (1,), "connected"), g)
@@ -462,6 +472,46 @@ def test_load_state_mismatch(tmp_path):
     model = build_model(ModelSpec("TGCN", 6, 3, (1,), "connected"), g)
     with pytest.raises(ConfigError):
         model.load_state({"nope": np.zeros(3)})
+
+
+def test_random_partition_with_twelve_groups_reloads_identically(tmp_path):
+    # group_10 sorts before group_2: building and reading back must agree.
+    sites = [site(f"s{i:02d}", lat=43.0 + 0.05 * i) for i in range(24)]
+    g = build_connected(sites)
+    part = decompose_random(g, r=12, seed=5)
+    spec = ModelSpec("RanTGCN", 4, 3, (1,), "random", region_count=12, seed=2)
+    first, second = tmp_path / "a.ckpt", tmp_path / "b.ckpt"
+    save_checkpoint(first, build_model(spec, g, part), np.zeros(8), np.ones(8), [1])
+    bundle = load_checkpoint(first)
+    assert bundle.partition.region_order == part.region_order
+    save_checkpoint(second, restore_model(bundle), np.zeros(8), np.ones(8), [1])
+    assert second.read_bytes() == first.read_bytes()
+
+
+def _rewrite_header(path, edit):
+    raw = path.read_bytes()
+    (length,) = struct.unpack_from("<Q", raw, 8)
+    header = json.loads(raw[16:16 + length])
+    edit(header)
+    blob = json.dumps(header).encode()
+    path.write_bytes(raw[:8] + struct.pack("<Q", len(blob)) + blob + raw[16 + length:])
+
+
+@pytest.mark.parametrize("edit", [
+    lambda h: h.pop("hyperparams"),
+    lambda h: h["graph"]["sites"][0].pop(),
+    lambda h: h["partition"]["subgraph_edges"]["WI"].clear(),
+    lambda h: h["partition"]["region_of"].update(ghost="WI"),
+], ids=["no_hyperparams", "short_site_row", "regional_edge_dropped", "unknown_site_label"])
+def test_checkpoint_malformed_header_is_data_error(tmp_path, edit):
+    g = two_region_graph()
+    spec = ModelSpec("RegTGCN", 6, 3, (1,), "regional", seed=1)
+    path = tmp_path / "model.ckpt"
+    save_checkpoint(path, build_model(spec, g, decompose_regional(g)),
+                    np.zeros(8), np.ones(8), [1])
+    _rewrite_header(path, edit)
+    with pytest.raises(DataError):
+        load_checkpoint(path)
 
 
 def test_checkpoint_random_partition_round_trip(tmp_path):
