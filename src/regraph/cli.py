@@ -39,6 +39,7 @@ from regraph.evaluation import (
     write_metrics_csv,
     write_timeseries,
 )
+from regraph.files import atomic_open
 from regraph.graph import (
     build_connected,
     decompose_random,
@@ -68,17 +69,21 @@ def _now() -> str:
     return datetime.now().isoformat(timespec="seconds")
 
 
+def _write_json(path, doc) -> None:
+    with atomic_open(path) as fh:
+        fh.write(json.dumps(doc, indent=2, sort_keys=True) + "\n")
+
+
 def _write_meta(out_dir: Path, command: str, started: str, extra=None) -> None:
     meta = {"command": command, "started": started, "finished": _now()}
     if extra:
         meta.update(extra)
-    (out_dir / META_FILE).write_text(json.dumps(meta, indent=2, sort_keys=True) + "\n")
+    _write_json(out_dir / META_FILE, meta)
 
 
 def _echo_config(out_dir: Path, resolved: dict, args: dict) -> None:
     doc = {"args": args, "config": resolved}
-    (out_dir / RESOLVED_CONFIG).write_text(
-        json.dumps(doc, indent=2, sort_keys=True) + "\n")
+    _write_json(out_dir / RESOLVED_CONFIG, doc)
 
 
 def _read_graph_file(path: Path):
@@ -158,7 +163,7 @@ def _cmd_build_graph(args) -> int:
     out = Path(args.out)
     if out.parent != Path(""):
         out.parent.mkdir(parents=True, exist_ok=True)
-    out.write_text(json.dumps(doc, indent=2, sort_keys=True) + "\n")
+    _write_json(out, doc)
     return 0
 
 
@@ -224,7 +229,8 @@ def _cmd_predict(args) -> int:
     out = Path(args.out)
     if out.parent != Path(""):
         out.parent.mkdir(parents=True, exist_ok=True)
-    out.write_text("\n".join(lines) + "\n")
+    with atomic_open(out) as fh:
+        fh.write("\n".join(lines) + "\n")
     return 0
 
 
@@ -307,8 +313,7 @@ def _cmd_evaluate(args) -> int:
         write_comparison_json(out / "comparison.json", rows,
                               overlap_costs=overlap_costs,
                               literal_headline=literal)
-    (out / "evaluation.json").write_text(
-        json.dumps(summaries, indent=2, sort_keys=True) + "\n")
+    _write_json(out / "evaluation.json", summaries)
     _write_meta(out, "evaluate", started)
     return 0
 
@@ -339,7 +344,8 @@ def _cmd_analyze_graph(args) -> int:
     text = json.dumps(doc, indent=2, sort_keys=True)
     print(text)
     if args.out:
-        Path(args.out).write_text(text + "\n")
+        with atomic_open(args.out) as fh:
+            fh.write(text + "\n")
     return 0
 
 

@@ -25,6 +25,7 @@ from pathlib import Path
 import numpy as np
 
 from ..errors import ConfigError
+from ..files import atomic_open
 from ..graph.build import SITES_HEADER
 from .ingest import RECORDS_HEADER
 
@@ -169,7 +170,7 @@ def generate_synthetic(cfg: SyntheticConfig, out_dir: str | Path) -> tuple[Path,
     available = np.rint(capacity[:, None] * (1.0 - occupancy)).astype(np.int64)
 
     sites_path = out_dir / "sites.csv"
-    with open(sites_path, "w", newline="", encoding="utf-8") as fh:
+    with atomic_open(sites_path, newline="", encoding="utf-8") as fh:
         writer = csv.writer(fh)
         writer.writerow(SITES_HEADER)
         for i in range(n):
@@ -181,7 +182,7 @@ def generate_synthetic(cfg: SyntheticConfig, out_dir: str | Path) -> tuple[Path,
             ])
 
     records_path = out_dir / "records.csv"
-    with open(records_path, "w", newline="", encoding="utf-8") as fh:
+    with atomic_open(records_path, newline="", encoding="utf-8") as fh:
         writer = csv.writer(fh)
         writer.writerow(RECORDS_HEADER)
         for k, t in enumerate(times):
@@ -206,7 +207,7 @@ def generate_synthetic(cfg: SyntheticConfig, out_dir: str | Path) -> tuple[Path,
             for i in range(n)
         ],
     }
-    with open(sidecar_path, "w", encoding="utf-8") as fh:
+    with atomic_open(sidecar_path, encoding="utf-8") as fh:
         json.dump(payload, fh, indent=2, sort_keys=True)
         fh.write("\n")
 

@@ -12,6 +12,7 @@ import numpy as np
 from regraph.data import apply_scaling
 from regraph.errors import ConfigError, ShapeError
 from regraph.evaluation.metrics import MetricSet, compute_metrics, q95_table
+from regraph.files import atomic_open
 from regraph.models import restore_model
 from regraph.training import week_label
 
@@ -120,7 +121,8 @@ def write_metrics_csv(path, rows) -> None:
             value = row[col]
             cells.append(repr(value) if isinstance(value, float) else str(value))
         lines.append(",".join(cells))
-    path.write_text("\n".join(lines) + "\n")
+    with atomic_open(path) as fh:
+        fh.write("\n".join(lines) + "\n")
 
 
 def aggregate_comparison(rows) -> dict:
@@ -155,7 +157,8 @@ def write_comparison_json(path, rows, overlap_costs=None,
     }
     if overlap_costs is not None:
         doc["overlap_cost"] = overlap_costs
-    path.write_text(json.dumps(doc, indent=2, sort_keys=True) + "\n")
+    with atomic_open(path) as fh:
+        fh.write(json.dumps(doc, indent=2, sort_keys=True) + "\n")
 
 
 def write_timeseries(path, samples, preds, site_ids,
@@ -189,4 +192,5 @@ def write_timeseries(path, samples, preds, site_ids,
         row += [repr(table[(sid, t)][h]) if h in table[(sid, t)] else ""
                 for h in horizons]
         lines.append(",".join(row))
-    path.write_text("\n".join(lines) + "\n")
+    with atomic_open(path) as fh:
+        fh.write("\n".join(lines) + "\n")

@@ -212,8 +212,8 @@ class RegionalPartition:
     """A split of a graph into disjoint subgraphs, one per group label.
 
     ``node_indices`` maps each label to the parent-graph indices of its
-    nodes (in parent order), which lets model code gather and scatter
-    between the full node list and per-group blocks.
+    nodes (in parent order): the rows model code takes out of a full
+    node-feature matrix to form that group's block.
     """
 
     strategy: str

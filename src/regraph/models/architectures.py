@@ -13,11 +13,12 @@ Architectures:
     RanTGCN     TGCN plus a per-group embedding path (random partition)
     RegTGCN     TGCN plus a per-region embedding path (state partition)
 
-The partition path ("gamma"): each subgraph runs its own graph conv, the
-per-group embeddings are scattered back into global node order, and one
-shared per-node affine mixes them. The GRU of the partition models consumes
-the feature concatenation of the full-graph conv and gamma, and its hidden
-state starts from the oldest lag's gamma rather than zeros.
+The partition path ("gamma"): each subgraph runs its own graph conv on its
+nodes' rows, the per-group embeddings are stacked and permuted back into
+global node order, and one shared per-node affine mixes them. The GRU of
+the partition models consumes the feature concatenation of the full-graph
+conv and gamma, and its hidden state starts from the oldest lag's gamma
+rather than zeros.
 """
 
 from __future__ import annotations
@@ -29,7 +30,7 @@ import numpy as np
 from ..data.frames import FEATURE_COLUMNS
 from ..errors import ConfigError, ShapeError
 from ..graph.build import RegionalPartition, SiteGraph
-from ..numerics import DiffTensor, add, concat, constant, matmul, no_grad
+from ..numerics import DiffTensor, concat, constant, no_grad, take_rows
 from .layers import (
     AttentionAggregator,
     Decoder,
@@ -114,8 +115,9 @@ class GraphContext:
 
     Holds the full graph's normalized operator and binary neighbor matrix,
     and, when a partition is attached, each subgraph's normalized operator
-    plus the gather/scatter selection matrices between local and global
-    node order.
+    and ``unpermute``: the row order that takes the subgraphs' rows,
+    stacked in region order, back to global node order. Each subgraph's
+    rows in global order are the partition's ``node_indices``.
     """
 
     def __init__(self, graph: SiteGraph, partition: RegionalPartition | None = None):
@@ -129,22 +131,16 @@ class GraphContext:
 
         self.region_order: tuple[str, ...] = ()
         self.sub_normalized: dict[str, DiffTensor] = {}
-        self.gather: dict[str, DiffTensor] = {}
-        self.scatter: dict[str, DiffTensor] = {}
+        self.unpermute: np.ndarray | None = None
         if partition is not None:
-            covered = sorted(int(i) for label in partition.region_order
-                             for i in partition.node_indices[label])
-            if covered != list(range(graph.n)):
-                raise ConfigError("partition does not cover the graph's nodes exactly")
             self.region_order = tuple(partition.region_order)
-            for label in partition.region_order:
-                idx = partition.node_indices[label]
-                sub = partition.subgraphs[label]
-                sel = np.zeros((graph.n, len(idx)))
-                sel[idx, np.arange(len(idx))] = 1.0
-                self.sub_normalized[label] = constant(sub.normalized)
-                self.scatter[label] = constant(sel)
-                self.gather[label] = constant(sel.T.copy())
+            stacked = np.concatenate([partition.node_indices[label]
+                                      for label in self.region_order])
+            if not np.array_equal(np.sort(stacked), np.arange(graph.n)):
+                raise ConfigError("partition does not cover the graph's nodes exactly")
+            self.unpermute = np.argsort(stacked)
+            self.sub_normalized = {label: constant(partition.subgraphs[label].normalized)
+                                   for label in self.region_order}
 
 
 class ForecastModel:
@@ -327,14 +323,13 @@ class PartitionedTGcn(ForecastModel):
         self._register("decoder", self.decoder)
 
     def regional_embedding(self, x: DiffTensor) -> DiffTensor:
-        """Per-group conv, scatter to global order, shared affine mix."""
-        scattered: DiffTensor | None = None
-        for label in self.ctx.region_order:
-            local = matmul(self.ctx.gather[label], x)
-            emb = gcn_forward(self.region_layers[label], self.ctx.sub_normalized[label], local)
-            placed = matmul(self.ctx.scatter[label], emb)
-            scattered = placed if scattered is None else add(scattered, placed)
-        return affine(scattered, self.mixer_w, self.mixer_b)
+        """Per-group conv, unpermute to global order, shared affine mix."""
+        rows = self.ctx.partition.node_indices
+        embs = [gcn_forward(self.region_layers[label], self.ctx.sub_normalized[label],
+                            take_rows(x, rows[label]))
+                for label in self.ctx.region_order]
+        placed = take_rows(concat(embs, axis=0), self.ctx.unpermute)
+        return affine(placed, self.mixer_w, self.mixer_b)
 
     def forward(self, inputs: np.ndarray) -> DiffTensor:
         inputs = self._check_window(inputs)

@@ -21,6 +21,7 @@ from pathlib import Path
 import numpy as np
 
 from ..errors import ConfigError, DataError
+from ..files import atomic_open
 from ..graph.build import (
     RegionalPartition,
     SiteGraph,
@@ -145,7 +146,7 @@ def save_checkpoint(path: str | Path, model: ForecastModel,
         "weights": weight_index,
     }
     blob = json.dumps(header, sort_keys=True, separators=(",", ":")).encode("utf-8")
-    with open(path, "wb") as fh:
+    with atomic_open(path, "wb") as fh:
         fh.write(MAGIC)
         fh.write(struct.pack("<Q", len(blob)))
         fh.write(blob)

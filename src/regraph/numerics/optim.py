@@ -1,11 +1,14 @@
-"""RMSProp with decoupled L2 weight decay.
+"""RMSProp with L2 weight decay folded into the gradient.
 
-Update per parameter:
-    acc  <- decay_rate * acc + (1 - decay_rate) * grad^2
-    p    <- p - lr * (grad + weight_decay * p) / (sqrt(acc) + smoothing)
+Update per parameter, the PyTorch RMSprop convention:
+    g    <- grad + weight_decay * p
+    acc  <- decay_rate * acc + (1 - decay_rate) * g^2
+    p    <- p - lr * g / (sqrt(acc) + smoothing)
 
-The squared-gradient accumulator sees the raw gradient only; weight decay
-enters the numerator of the step. Grads are cleared after the step.
+The accumulator sees the decayed gradient, so no step exceeds
+lr / sqrt(1 - decay_rate), not even the pure decay of a parameter whose
+gradient is always zero. With weight_decay 0 the term is skipped, so the
+step is exactly the plain RMSProp step. Grads are cleared after the step.
 """
 
 from __future__ import annotations
@@ -35,11 +38,12 @@ class RmsProp:
             if p.grad is None:
                 raise ValueError(f"rmsprop step: parameter {i} has no gradient")
             g = p.grad
+            if self.weight_decay:
+                g = g + self.weight_decay * p.values
             acc = self.sq_avg[i]
             acc *= self.decay_rate
             acc += (1.0 - self.decay_rate) * g * g
-            step = (g + self.weight_decay * p.values) / (np.sqrt(acc) + self.smoothing)
-            p.values -= self.learning_rate * step
+            p.values -= self.learning_rate * (g / (np.sqrt(acc) + self.smoothing))
             p.grad = None
 
     def zero_grad(self) -> None:

@@ -38,6 +38,7 @@ __all__ = [
     "softmax",
     "sub",
     "sum_all",
+    "take_rows",
     "tanh",
     "tape_length",
 ]
@@ -257,6 +258,24 @@ def concat(tensors: Sequence[DiffTensor], axis: int = 0) -> DiffTensor:
         return tuple(p if t.requires_grad else None for p, t in zip(pieces, tensors))
 
     _record(tuple(tensors), out, grad_fn)
+    return out
+
+
+def take_rows(x, index) -> DiffTensor:
+    """Rows ``x.values[index]``; the gradient adds each output row onto its source."""
+    x = _as_tensor(x)
+    index = np.asarray(index, dtype=np.intp)
+    if x.values.ndim != 2 or index.ndim != 1:
+        raise ShapeError(f"take_rows: expected a matrix and a 1-D index, "
+                         f"got shapes {x.values.shape} and {index.shape}")
+    out = DiffTensor(x.values[index])
+
+    def grad_fn(g):
+        gx = np.zeros_like(x.values)
+        np.add.at(gx, index, g)
+        return (gx,)
+
+    _record((x,), out, grad_fn)
     return out
 
 

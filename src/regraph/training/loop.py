@@ -13,6 +13,7 @@ import numpy as np
 
 from regraph.data import apply_scaling, compute_scaling
 from regraph.errors import ConfigError, DataError, NumericError
+from regraph.files import atomic_open
 from regraph.models import save_checkpoint, load_checkpoint
 from regraph.numerics import RmsProp, backward, constant, mean_all, mul, sub
 
@@ -172,7 +173,8 @@ def _write_trace(path, report: TrainReport) -> None:
         if report.has_validation:
             row += [repr(v) for v in report.val_rmse[i]]
         lines.append(",".join(row))
-    path.write_text("\n".join(lines) + "\n")
+    with atomic_open(path) as fh:
+        fh.write("\n".join(lines) + "\n")
 
 
 def _save(path, model, lo, hi, weeks) -> None:
@@ -292,8 +294,8 @@ def train(model, samples, cfg: TrainConfig, out_dir):
         checkpoint_name=BEST_CHECKPOINT,
         train_weeks=train_weeks,
     )
-    (out_dir / REPORT_FILE).write_text(
-        json.dumps(report.to_json_dict(), indent=2, sort_keys=True) + "\n")
+    with atomic_open(out_dir / REPORT_FILE) as fh:
+        fh.write(json.dumps(report.to_json_dict(), indent=2, sort_keys=True) + "\n")
     _write_trace(out_dir / LOSS_TRACE, report)
 
     bundle = load_checkpoint(best_path)

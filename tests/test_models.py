@@ -7,13 +7,20 @@ import numpy as np
 import pytest
 
 from regraph.errors import ConfigError, DataError, ShapeError
-from regraph.graph import SiteMeta, build_connected, decompose_random, decompose_regional
+from regraph.graph import (
+    SiteMeta,
+    build_connected,
+    decompose_random,
+    decompose_regional,
+    partition_from_assignment,
+)
 from regraph.models import (
     AttentionAggregator,
     GcnGruCell,
     GcnLayer,
     ModelSpec,
     StructuralConv,
+    affine,
     attention_aggregate,
     build_model,
     gcn_forward,
@@ -24,7 +31,8 @@ from regraph.models import (
     structural_conv,
 )
 from regraph.models.architectures import CstGcn, GraphContext, TGcn
-from regraph.numerics import backward, constant, parameter, sum_all
+from regraph.numerics import add, backward, constant, matmul, mul, parameter, sum_all
+from regraph.numerics import tensor as tensor_core
 
 RNG = np.random.default_rng
 
@@ -374,6 +382,89 @@ def test_regional_embedding_cross_region_isolation():
     assert not np.allclose(base[2:4], moved[2:4])
 
 
+INTERLEAVED = {"s0": "A", "s1": "B", "s2": "A", "s3": "C", "s4": "B"}
+
+
+def interleaved_model(arch):
+    """RegTGCN or RanTGCN whose three groups interleave in node order."""
+    sites = [site(sid, label) for sid, label in INTERLEAVED.items()]
+    provider = FakeProvider({("s0", "s2"): 10.0, ("s1", "s4"): 12.0, ("s0", "s1"): 20.0})
+    g = build_connected(sites, provider)
+    if arch == "RegTGCN":
+        part, spec = decompose_regional(g), ModelSpec(arch, 6, 3, (1, 3), "regional", seed=2)
+    else:
+        part = partition_from_assignment(g, INTERLEAVED, "random", provider)
+        spec = ModelSpec(arch, 6, 3, (1, 3), "random", region_count=3, seed=2)
+    return build_model(spec, g, part)
+
+
+def dense_regional_embedding(model, x):
+    """The gamma path through dense 0/1 gather and scatter matrices."""
+    ctx = model.ctx
+    total = None
+    for label in ctx.region_order:
+        idx = ctx.partition.node_indices[label]
+        scatter = np.zeros((ctx.n, len(idx)))
+        scatter[idx, np.arange(len(idx))] = 1.0
+        local = matmul(constant(scatter.T.copy()), x)
+        emb = gcn_forward(model.region_layers[label], ctx.sub_normalized[label], local)
+        placed = matmul(constant(scatter), emb)
+        total = placed if total is None else add(total, placed)
+    return affine(total, model.mixer_w, model.mixer_b)
+
+
+def _grads_after(model, run):
+    for p in model.params():
+        p.grad = None
+    out = run()
+    backward(sum_all(mul(out, out)))
+    grads = {name: p.grad for name, p in model.named_params().items() if p.grad is not None}
+    for p in model.params():
+        p.grad = None
+    return out.values, grads
+
+
+@pytest.mark.parametrize("arch", ["RegTGCN", "RanTGCN"])
+def test_regional_embedding_is_bit_identical_to_dense_selection(arch):
+    model = interleaved_model(arch)
+    x_vals = RNG(12).normal(size=(5, 8))
+
+    x = parameter(x_vals)
+    got, got_grads = _grads_after(model, lambda: model.regional_embedding(x))
+    got_x = x.grad
+    x = parameter(x_vals)
+    ref, ref_grads = _grads_after(model, lambda: dense_regional_embedding(model, x))
+    np.testing.assert_array_equal(got, ref)
+    np.testing.assert_array_equal(got_x, x.grad)
+    assert got_grads.keys() == ref_grads.keys()
+    for name, grad in ref_grads.items():
+        np.testing.assert_array_equal(got_grads[name], grad, err_msg=name)
+
+    w = window(3, 5, seed=4)
+    got, got_grads = _grads_after(model, lambda: model.forward(w))
+    model.regional_embedding = lambda frame: dense_regional_embedding(model, frame)
+    ref, ref_grads = _grads_after(model, lambda: model.forward(w))
+    np.testing.assert_array_equal(got, ref)
+    assert got_grads.keys() == ref_grads.keys() == model.named_params().keys()
+    for name, grad in ref_grads.items():
+        np.testing.assert_array_equal(got_grads[name], grad, err_msg=name)
+
+
+@pytest.mark.parametrize("arch", ["RegTGCN", "RanTGCN"])
+def test_regional_embedding_works_on_region_sized_rows(arch):
+    model = interleaved_model(arch)
+    n = model.ctx.n
+    assert len(model.ctx.region_order) > 1
+    before = tensor_core.tape_length()
+    model.regional_embedding(constant(RNG(5).normal(size=(n, 8))))
+    entries = tensor_core._TAPE[before:]
+    full = [e.grad_fn.__qualname__.split(".")[0] for e in entries
+            if e.output.shape[0] == n]
+    # only the stacked embeddings, the unpermute and the mixer's affine
+    assert full == ["concat", "take_rows", "matmul", "matmul", "add"]
+    assert len(entries) > len(full)
+
+
 def test_zero_mixer_zeroes_gamma():
     g = two_region_graph()
     part = decompose_regional(g)
@@ -441,6 +532,22 @@ def test_checkpoint_saves_identical_bytes(tmp_path):
     save_checkpoint(p1, model, np.zeros(8), np.ones(8), [1])
     save_checkpoint(p2, model, np.zeros(8), np.ones(8), [1])
     assert p1.read_bytes() == p2.read_bytes()
+
+
+def test_failed_checkpoint_save_keeps_the_previous_file(tmp_path):
+    g = two_region_graph()
+    model = build_model(ModelSpec("TGCN", 6, 3, (1,), "connected", seed=1), g)
+    path = tmp_path / "model.ckpt"
+    save_checkpoint(path, model, np.zeros(8), np.ones(8), [1])
+    before = path.read_bytes()
+    # the last weight cannot be written as float64: the save fails after
+    # the header and the earlier weights have gone out
+    last = model.params()[-1]
+    last.values = np.full(last.values.shape, "x", dtype=object)
+    with pytest.raises(ValueError):
+        save_checkpoint(path, model, np.zeros(8), np.ones(8), [1])
+    assert path.read_bytes() == before
+    assert [p.name for p in tmp_path.iterdir()] == ["model.ckpt"]
 
 
 def test_checkpoint_rejects_garbage(tmp_path):

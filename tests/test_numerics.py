@@ -21,6 +21,7 @@ from regraph.numerics import (
     softmax,
     sub,
     sum_all,
+    take_rows,
     tanh,
     tape_length,
 )
@@ -167,6 +168,51 @@ def test_concat_errors():
         concat([], axis=0)
     with pytest.raises(ShapeError):
         concat([constant(np.zeros((2, 3))), constant(np.zeros((3, 3)))], axis=1)
+
+
+# ------------------------------------------------------------- take_rows
+
+def test_take_rows_values():
+    x = constant(np.arange(12, dtype=np.float64).reshape(4, 3))
+    np.testing.assert_array_equal(take_rows(x, [2, 0, 3, 1]).values,
+                                  x.values[[2, 0, 3, 1]])
+    np.testing.assert_array_equal(take_rows(x, [1, 1, 3]).values,
+                                  [[3.0, 4.0, 5.0], [3.0, 4.0, 5.0], [9.0, 10.0, 11.0]])
+    empty = take_rows(x, np.array([], dtype=np.int64))
+    assert empty.shape == (0, 3)
+
+
+def test_take_rows_gradient_accumulates_repeated_rows():
+    rng = np.random.default_rng(23)
+    x_vals = rng.normal(size=(4, 3))
+    index = np.array([2, 0, 2, 2, 3, 0])
+    weights = rng.normal(size=(6, 3))
+    x = parameter(x_vals)
+    out = take_rows(x, index)
+    backward(sum_all(mul(mul(out, out), constant(weights))))
+
+    def f(v):
+        return float(np.sum(v[index] ** 2 * weights))
+
+    fd = finite_diff_grad(f, x_vals.copy())
+    assert rel_err(x.grad, fd) < 1e-8
+    assert np.all(x.grad[1] == 0.0)  # row 1 is never taken
+
+
+def test_take_rows_records_nothing_for_constants_or_under_no_grad():
+    before = tape_length()
+    take_rows(constant(np.ones((3, 2))), [0, 2])
+    with no_grad():
+        out = take_rows(parameter(np.ones((3, 2))), [0, 2])
+    assert tape_length() == before
+    assert not out.requires_grad
+
+
+def test_take_rows_shape_errors():
+    with pytest.raises(ShapeError):
+        take_rows(constant(np.ones(3)), [0])
+    with pytest.raises(ShapeError):
+        take_rows(constant(np.ones((3, 2))), [[0]])
 
 
 # --------------------------------------------------------------- softmax
@@ -365,6 +411,39 @@ def test_rmsprop_weight_decay_shrinks_param_vs_undecayed_twin():
         opt_d.step()
         opt_p.step()
     assert abs(decayed.values[0]) < abs(plain.values[0])
+
+
+def test_rmsprop_weight_decay_on_a_dead_parameter_stays_bounded():
+    # Only the decay moves a parameter whose gradient is always zero: it must
+    # shrink the parameter in bounded steps, never blow it up.
+    lr, rho = 1e-3, 0.99
+    start = np.array([-2.0, -0.5, -0.05, 0.05, 0.5, 2.0])
+    p = parameter(start)
+    opt = RmsProp([p], learning_rate=lr, weight_decay=1e-4, decay_rate=rho)
+    previous = np.abs(start)
+    for _ in range(200):
+        p.grad = np.zeros_like(start)
+        opt.step()
+        assert np.all(np.isfinite(p.values))
+        assert np.all(np.abs(p.values) <= previous)
+        # RMSProp's step bound: |g| / sqrt(acc) <= 1 / sqrt(1 - rho)
+        assert np.all(previous - np.abs(p.values) <= lr / np.sqrt(1.0 - rho) * (1 + 1e-12))
+        previous = np.abs(p.values)
+
+
+def test_rmsprop_without_weight_decay_is_the_plain_step():
+    rng = np.random.default_rng(8)
+    p = parameter(rng.normal(size=5))
+    opt = RmsProp([p], learning_rate=1e-2, weight_decay=0.0)
+    values = p.values.copy()
+    acc = np.zeros(5)
+    for _ in range(10):
+        g = rng.normal(size=5)
+        p.grad = g.copy()
+        opt.step()
+        acc = acc * 0.99 + (1.0 - 0.99) * g * g
+        values = values - 1e-2 * (g / (np.sqrt(acc) + 1e-8))
+        np.testing.assert_array_equal(p.values, values)
 
 
 def test_rmsprop_missing_grad_errors():

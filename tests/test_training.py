@@ -5,9 +5,17 @@ from datetime import datetime, timedelta
 import numpy as np
 import pytest
 
-from regraph.data import WindowSample
+from regraph.data import (
+    SyntheticConfig,
+    WindowSample,
+    generate_synthetic,
+    interpolate_to_grid,
+    load_records,
+    make_windows,
+    split_by_weeks,
+)
 from regraph.errors import ConfigError, NumericError
-from regraph.graph import SiteMeta, build_connected, decompose_regional
+from regraph.graph import SiteMeta, build_connected, decompose_regional, load_sites
 from regraph.models import ModelSpec, build_model, load_checkpoint, restore_model
 from regraph.numerics import constant
 from regraph.training import (
@@ -285,3 +293,20 @@ def test_gradient_clipping_rescales_global_norm():
     c.grad = np.array([0.1, 0.1])
     _clip_gradients([c], 5.0)
     np.testing.assert_array_equal(c.grad, [0.1, 0.1])
+
+
+def test_default_weight_decay_trains_with_a_constant_input_column(tmp_path):
+    # One train week makes the week-id column constant, so its weights get a
+    # zero gradient and only the weight decay moves them.
+    data = tmp_path / "data"
+    generate_synthetic(SyntheticConfig(n_sites=24, n_regions=3, days=14, seed=1), data)
+    g = build_connected(load_sites(data / "sites.csv"))
+    frames = interpolate_to_grid(load_records(data / "records.csv"), g.nodes, 10, 6)
+    horizons = (1, 3, 12, 36)
+    windows = make_windows(frames, 6, horizons, 10)
+    train_s, _, _ = split_by_weeks(windows, ["2024-W01"], ["2024-W02"])
+    model = build_model(ModelSpec("RegTGCN", 16, 6, horizons, "regional"),
+                        g, decompose_regional(g))
+    cfg = TrainConfig(epochs=3, horizons=horizons, weight_decay=1e-4)
+    _, report = train(model, train_s[:60], cfg, tmp_path / "run")
+    assert all(np.isfinite(loss) and loss < 1.0 for loss in report.train_loss)
