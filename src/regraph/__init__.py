@@ -3,7 +3,7 @@
 Subpackages:
     numerics    autodiff tensors and the optimizer
     graph       site graphs, distance kernels, regional decomposition
-    data        ingestion, feature frames, windowing, synthetic generator
+    data        ingestion, feature grid, windowing, synthetic generator
     models      forecasting architectures and checkpoints
     training    the training loop
     evaluation  metrics and report writers

@@ -108,8 +108,8 @@ def _read_graph_file(path: Path):
     return graph, partition
 
 
-def _frames_for_nodes(data_dir: Path, nodes, grid_step_min: int, max_gap: int):
-    """Build feature frames with columns ordered like the model's node list."""
+def _grid_for_nodes(data_dir: Path, nodes, grid_step_min: int, max_gap: int):
+    """Build the feature grid with sites ordered like the model's node list."""
     sites = load_sites(data_dir / "sites.csv")
     by_id = {s.site_id: s for s in sites}
     wanted = [n.site_id for n in nodes]
@@ -167,9 +167,9 @@ def _cmd_build_graph(args) -> int:
     return 0
 
 
-def _split_from_config(resolved: dict, frames):
+def _split_from_config(resolved: dict, grid):
     data_cfg = resolved["data"]
-    samples = make_windows(frames, data_cfg["k"], tuple(data_cfg["horizons"]),
+    samples = make_windows(grid, data_cfg["k"], tuple(data_cfg["horizons"]),
                            data_cfg["grid_step_min"])
     return split_by_weeks(samples, data_cfg["train_weeks"],
                           data_cfg["test_weeks"], data_cfg["generality_weeks"])
@@ -180,10 +180,10 @@ def _cmd_train(args) -> int:
     resolved = load_config(args.config)
     graph, partition = _read_graph_file(Path(args.graph))
     data_cfg = resolved["data"]
-    frames = _frames_for_nodes(Path(args.data), graph.nodes,
-                               data_cfg["grid_step_min"],
-                               data_cfg["max_gap_steps"])
-    train_samples, _, _ = _split_from_config(resolved, frames)
+    grid = _grid_for_nodes(Path(args.data), graph.nodes,
+                           data_cfg["grid_step_min"],
+                           data_cfg["max_gap_steps"])
+    train_samples, _, _ = _split_from_config(resolved, grid)
     if not train_samples:
         raise DataError("no training samples fall inside train_weeks")
 
@@ -210,9 +210,9 @@ def _cmd_predict(args) -> int:
     bundle = load_checkpoint(Path(args.checkpoint))
     model = restore_model(bundle)
     spec = bundle.spec
-    frames = _frames_for_nodes(Path(args.data), bundle.graph.nodes,
-                               args.grid_step_min, args.max_gap_steps)
-    samples = make_windows(frames, spec.k, spec.horizons, args.grid_step_min)
+    grid = _grid_for_nodes(Path(args.data), bundle.graph.nodes,
+                           args.grid_step_min, args.max_gap_steps)
+    samples = make_windows(grid, spec.k, spec.horizons, args.grid_step_min)
     if not samples:
         raise DataError(f"no usable prediction windows in {args.data}")
     preds, _ = predict_samples(model, samples, bundle.scaling_lo,
@@ -261,10 +261,10 @@ def _cmd_evaluate(args) -> int:
         bundle = load_checkpoint(ckpt_path)
         model = restore_model(bundle)
         data_cfg = resolved["data"]
-        frames = _frames_for_nodes(Path(run_args["data"]), bundle.graph.nodes,
-                                   data_cfg["grid_step_min"],
-                                   data_cfg["max_gap_steps"])
-        train_s, test_s, gen_s = _split_from_config(resolved, frames)
+        grid = _grid_for_nodes(Path(run_args["data"]), bundle.graph.nodes,
+                               data_cfg["grid_step_min"],
+                               data_cfg["max_gap_steps"])
+        train_s, test_s, gen_s = _split_from_config(resolved, grid)
         if not test_s:
             raise DataError(f"run {run}: no samples fall inside test_weeks")
 
@@ -274,9 +274,7 @@ def _cmd_evaluate(args) -> int:
         rows += metric_rows(bundle.spec.architecture, bundle.spec.connectivity,
                             seed, report)
 
-        preds, _ = predict_samples(model, test_s, bundle.scaling_lo,
-                                   bundle.scaling_hi)
-        write_timeseries(out / f"timeseries_{name}.csv", test_s, preds,
+        write_timeseries(out / f"timeseries_{name}.csv", test_s, report.predictions,
                          report.site_ids, data_cfg["grid_step_min"])
 
         summary = {"status": "ok", "architecture": bundle.spec.architecture,

@@ -1,10 +1,10 @@
-"""Record ingestion, feature frames, windowing, and the synthetic generator."""
+"""Record ingestion, the feature grid, windowing, and the synthetic generator."""
 
 from regraph.data.frames import (
     FEATURE_COLUMNS,
     OCCUPANCY_COL,
     SCALED_COLUMNS,
-    FeatureFrame,
+    FeatureGrid,
     interpolate_to_grid,
     occupancy_rate,
 )
@@ -23,7 +23,7 @@ __all__ = [
     "OCCUPANCY_COL",
     "RECORDS_HEADER",
     "SCALED_COLUMNS",
-    "FeatureFrame",
+    "FeatureGrid",
     "SiteRecord",
     "SyntheticConfig",
     "WindowSample",

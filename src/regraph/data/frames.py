@@ -1,13 +1,13 @@
-"""Feature frames on a uniform time grid.
+"""Features of every site on a uniform time grid.
 
-Each frame is one grid timestamp with an n x 8 feature matrix, columns
-[week_id, day_id, hour_id, travel_time, owner, amenity, capacity,
-occupancy_rate]. Occupancy is (capacity - available) / capacity; values
-above 1 are over-capacity and kept as-is. Missing grid points between two
-known neighbors are filled with their average; runs longer than ``max_gap``
-grid steps invalidate the affected frames instead of fabricating a bridge.
-Calendar ids are recomputed from the grid timestamp, not copied from the
-nearest record.
+The grid is one read-only (T, n, 8) tensor: one n x 8 feature matrix per
+grid step, columns [week_id, day_id, hour_id, travel_time, owner, amenity,
+capacity, occupancy_rate]. Occupancy is (capacity - available) / capacity;
+values above 1 are over-capacity and kept as-is. Missing grid points between
+two known neighbors are filled with their average; runs longer than
+``max_gap`` grid steps invalidate the affected steps instead of fabricating
+a bridge. Calendar ids are recomputed from the grid timestamp, not copied
+from the nearest record.
 """
 
 from __future__ import annotations
@@ -22,7 +22,7 @@ from ..errors import DataError
 from ..graph.build import SiteMeta
 from .ingest import SiteRecord
 
-__all__ = ["FEATURE_COLUMNS", "FeatureFrame", "interpolate_to_grid", "occupancy_rate"]
+__all__ = ["FEATURE_COLUMNS", "FeatureGrid", "interpolate_to_grid", "occupancy_rate"]
 
 FEATURE_COLUMNS = ["week_id", "day_id", "hour_id", "travel_time",
                    "owner", "amenity", "capacity", "occupancy_rate"]
@@ -31,49 +31,63 @@ OCCUPANCY_COL = 7
 SCALED_COLUMNS = (0, 1, 2, 3, 5, 6)  # owner is already 0/1, occupancy stays raw
 
 
-def occupancy_rate(capacity: int, available: int) -> float:
-    """Fraction of capacity in use; above 1 when a site has overflowed."""
+def occupancy_rate(capacity, available):
+    """Fraction of capacity in use; above 1 when a site has overflowed.
+
+    Works elementwise on arrays as well as on scalars.
+    """
+    capacity, available = np.broadcast_arrays(capacity, available)
     rate = (capacity - available) / capacity
-    if rate < 0:
-        raise DataError(f"occupancy below zero: capacity={capacity}, available={available}")
+    below = np.flatnonzero(rate < 0)
+    if below.size:
+        i = below[0]
+        raise DataError(f"occupancy below zero: capacity={capacity.flat[i]}, "
+                        f"available={available.flat[i]}")
     return rate
 
 
 @dataclass(frozen=True)
-class FeatureFrame:
-    time: datetime
-    X: np.ndarray = field(repr=False)
-    valid: bool = True
+class FeatureGrid:
+    """Every site's features at every grid step from ``start`` on.
+
+    ``X[t]`` is the n x 8 feature matrix of step ``t``, taken at
+    ``time(t)``. ``valid[t]`` is true when every site has a known or
+    fillable occupancy there; windowing skips the other steps. Both arrays
+    are read-only.
+    """
+
+    start: datetime
+    step_min: int
+    X: np.ndarray = field(repr=False)      # T x n x 8
+    valid: np.ndarray = field(repr=False)  # T
 
     def __post_init__(self):
-        if self.X.ndim != 2 or self.X.shape[1] != len(FEATURE_COLUMNS):
+        if self.X.ndim != 3 or self.X.shape[2] != len(FEATURE_COLUMNS) \
+                or self.valid.shape != self.X.shape[:1]:
             raise DataError(
-                f"feature frame at {self.time}: expected n x {len(FEATURE_COLUMNS)} "
-                f"matrix, got {self.X.shape}")
+                f"feature grid: expected T x n x {len(FEATURE_COLUMNS)} features and "
+                f"T validity flags, got {self.X.shape} and {self.valid.shape}")
         self.X.flags.writeable = False
+        self.valid.flags.writeable = False
+
+    def time(self, cell: int) -> datetime:
+        return self.start + cell * timedelta(minutes=self.step_min)
 
 
 _EPOCH = datetime(1970, 1, 1)
 
 
-def _grid_cell(ts: datetime, step: timedelta) -> int:
-    return (ts - _EPOCH) // step
-
-
-def _cell_time(cell: int, step: timedelta) -> datetime:
-    return _EPOCH + cell * step
-
-
 def interpolate_to_grid(records: Mapping[str, Sequence[SiteRecord]],
                         sites: Sequence[SiteMeta],
                         grid_step_min: int = 10,
-                        max_gap: int = 6) -> list[FeatureFrame]:
+                        max_gap: int = 6) -> FeatureGrid:
     """Resample per-site record streams onto a shared uniform grid.
 
-    Returns one frame per grid timestamp spanning the data. A frame is
-    valid only when every site has a known or fillable occupancy there;
-    frames inside gaps wider than ``max_gap`` steps, or outside a site's
-    observed range, come back with ``valid=False`` so windowing skips them.
+    The grid spans the data. A step is valid only when every site has a
+    known or fillable occupancy there; steps inside gaps wider than
+    ``max_gap`` steps, or outside a site's observed range, are marked
+    invalid so windowing skips them. When several records of a site fall
+    in one grid step, the last one in stream order wins.
     """
     if grid_step_min <= 0:
         raise DataError(f"grid_step_min must be positive, got {grid_step_min}")
@@ -84,49 +98,41 @@ def interpolate_to_grid(records: Mapping[str, Sequence[SiteRecord]],
         if site_id not in known_ids:
             raise DataError(f"records reference site {site_id} absent from site metadata")
 
-    # Last observation within each grid cell wins.
-    per_site: list[dict[int, float]] = []
+    site_cells, rates = [], []
     for s in sites:
         stream = records.get(s.site_id, ())
         if len(stream) < 2:
             raise DataError(f"site {s.site_id}: need at least 2 records, got {len(stream)}")
-        cells: dict[int, float] = {}
-        for rec in stream:
-            cells[_grid_cell(rec.timestamp, step)] = occupancy_rate(s.capacity, rec.available)
-        per_site.append(cells)
+        site_cells.append(np.array([(rec.timestamp - _EPOCH) // step for rec in stream]))
+        rates.append(occupancy_rate(s.capacity, np.array([rec.available for rec in stream])))
 
-    first_cell = min(min(c) for c in per_site)
-    last_cell = max(max(c) for c in per_site)
-    n_cells = last_cell - first_cell + 1
     n = len(sites)
+    first_cell = min(int(c.min()) for c in site_cells)
+    n_cells = max(int(c.max()) for c in site_cells) - first_cell + 1
 
-    occ = np.full((n, n_cells), np.nan)
-    ok = np.zeros((n, n_cells), dtype=bool)
-    for i, cells in enumerate(per_site):
-        known = sorted(cells)
-        for c in known:
-            occ[i, c - first_cell] = cells[c]
-            ok[i, c - first_cell] = True
-        # Fill interior gaps no wider than max_gap with the flanking average.
-        for left, right in zip(known, known[1:]):
-            gap = right - left - 1
-            if 0 < gap <= max_gap:
-                fill = (cells[left] + cells[right]) / 2.0
-                occ[i, left + 1 - first_cell:right - first_cell] = fill
-                ok[i, left + 1 - first_cell:right - first_cell] = True
+    # Flat (cell, site) positions in stream order; keep each position's last record.
+    flat = np.concatenate([(c - first_cell) * n + i for i, c in enumerate(site_cells)])
+    _, from_end = np.unique(flat[::-1], return_index=True)
+    last = flat.size - 1 - from_end
+    occ = np.zeros((n_cells, n))
+    known = np.zeros((n_cells, n), dtype=bool)
+    occ.flat[flat[last]] = np.concatenate(rates)[last]
+    known.flat[flat[last]] = True
 
-    static = np.array([[s.travel_time, float(s.owner), float(s.amenity_count),
-                        float(s.capacity)] for s in sites])
+    # Fill interior gaps no wider than max_gap with the flanking average.
+    steps = np.arange(n_cells)[:, None]
+    left = np.maximum.accumulate(np.where(known, steps, -1), axis=0)
+    right = np.minimum.accumulate(np.where(known, steps, n_cells)[::-1], axis=0)[::-1]
+    fill = ~known & (left >= 0) & (right < n_cells) & (right - left - 1 <= max_gap)
+    cell, site = np.nonzero(fill)
+    occ[cell, site] = (occ[left[cell, site], site] + occ[right[cell, site], site]) / 2.0
 
-    frames: list[FeatureFrame] = []
-    for c in range(n_cells):
-        t = _cell_time(first_cell + c, step)
-        valid = bool(np.all(ok[:, c]))
-        x = np.zeros((n, len(FEATURE_COLUMNS)))
-        x[:, 0] = float(t.isocalendar()[1])
-        x[:, 1] = float(t.weekday())
-        x[:, 2] = float(t.hour)
-        x[:, 3:7] = static
-        x[:, OCCUPANCY_COL] = np.where(ok[:, c], occ[:, c], 0.0)
-        frames.append(FeatureFrame(time=t, X=x, valid=valid))
-    return frames
+    grid_start = _EPOCH + first_cell * step
+    times = [grid_start + c * step for c in range(n_cells)]
+    X = np.empty((n_cells, n, len(FEATURE_COLUMNS)))
+    X[:, :, :3] = np.array([[ts.isocalendar()[1], ts.weekday(), ts.hour]
+                            for ts in times], dtype=float)[:, None, :]
+    X[:, :, 3:7] = [[s.travel_time, s.owner, s.amenity_count, s.capacity] for s in sites]
+    X[:, :, OCCUPANCY_COL] = occ
+    return FeatureGrid(start=grid_start, step_min=grid_step_min, X=X,
+                       valid=np.all(known | fill, axis=1))

@@ -8,9 +8,9 @@ occupancy rate derived downstream is then legitimately above 1.
 from __future__ import annotations
 
 import csv
-from dataclasses import dataclass
 from datetime import datetime, timezone
 from pathlib import Path
+from typing import NamedTuple
 
 from ..errors import DataError
 
@@ -19,17 +19,10 @@ __all__ = ["RECORDS_HEADER", "SiteRecord", "load_records"]
 RECORDS_HEADER = ["site_id", "timestamp_iso8601", "available"]
 
 
-@dataclass(frozen=True, order=True)
-class SiteRecord:
+class SiteRecord(NamedTuple):
     site_id: str
-    timestamp: datetime
+    timestamp: datetime  # naive UTC
     available: int
-
-    def __post_init__(self):
-        if not self.site_id:
-            raise DataError("record: empty site_id")
-        if self.timestamp.tzinfo is not None:
-            raise DataError(f"record {self.site_id}: timestamps must be naive UTC")
 
 
 def _parse_timestamp(raw: str) -> datetime:
@@ -44,33 +37,38 @@ def load_records(path: str | Path) -> dict[str, list[SiteRecord]]:
 
     Streams come back sorted by timestamp with duplicates collapsed (the
     last row read for a given site and timestamp wins), so timestamps are
-    strictly increasing per site.
+    strictly increasing per site. Blank lines are skipped; any other row
+    must have exactly the three header fields.
     """
     path = Path(path)
     try:
         fh = open(path, newline="", encoding="utf-8")
     except OSError as exc:
         raise DataError(f"cannot open records file {path}: {exc}") from exc
+    latest: dict[str, dict[datetime, int]] = {}
     with fh:
-        reader = csv.DictReader(fh)
-        if reader.fieldnames is None or list(reader.fieldnames) != RECORDS_HEADER:
-            raise DataError(
-                f"records file {path}: expected header {','.join(RECORDS_HEADER)}, "
-                f"got {reader.fieldnames}"
-            )
-        latest: dict[str, dict[datetime, int]] = {}
-        for lineno, row in enumerate(reader, start=2):
-            try:
-                site_id = row["site_id"]
-                ts = _parse_timestamp(row["timestamp_iso8601"])
-                available = int(row["available"])
-            except (TypeError, ValueError) as exc:
-                raise DataError(f"records file {path} line {lineno}: {exc}") from exc
-            if not site_id:
-                raise DataError(f"records file {path} line {lineno}: empty site_id")
-            latest.setdefault(site_id, {})[ts] = available
+        reader = csv.reader(fh)
+        try:
+            header = next(reader, None)
+            if header != RECORDS_HEADER:
+                raise DataError(
+                    f"records file {path}: expected header {','.join(RECORDS_HEADER)}, "
+                    f"got {header}")
+            for row in reader:
+                if not row:
+                    continue
+                try:
+                    site_id, raw_ts, raw_available = row  # exactly three fields
+                    ts = _parse_timestamp(raw_ts)
+                    available = int(raw_available)
+                except ValueError as exc:
+                    raise DataError(f"records file {path} line {reader.line_num}: {exc}") from exc
+                if not site_id:
+                    raise DataError(f"records file {path} line {reader.line_num}: empty site_id")
+                latest.setdefault(site_id, {})[ts] = available
+        except (csv.Error, UnicodeDecodeError) as exc:
+            raise DataError(f"records file {path}: {exc}") from exc
 
-    streams: dict[str, list[SiteRecord]] = {}
-    for site_id, by_time in latest.items():
-        streams[site_id] = [SiteRecord(site_id, ts, by_time[ts]) for ts in sorted(by_time)]
-    return streams
+    return {site_id: [SiteRecord(site_id, ts, available)
+                      for ts, available in sorted(by_time.items())]
+            for site_id, by_time in latest.items()}

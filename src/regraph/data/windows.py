@@ -1,16 +1,17 @@
-"""Sliding windows over feature frames, week-based splits, and scaling."""
+"""Sliding windows over the feature grid, week-based splits, and scaling."""
 
 from __future__ import annotations
 
+import dataclasses
 import warnings
 from dataclasses import dataclass, field
-from datetime import datetime, timedelta
+from datetime import datetime
 from typing import Iterable, Sequence
 
 import numpy as np
 
 from ..errors import ConfigError, DataError
-from .frames import FEATURE_COLUMNS, OCCUPANCY_COL, SCALED_COLUMNS, FeatureFrame
+from .frames import FEATURE_COLUMNS, OCCUPANCY_COL, SCALED_COLUMNS, FeatureGrid
 
 __all__ = [
     "WindowSample",
@@ -23,10 +24,10 @@ __all__ = [
 
 @dataclass(frozen=True)
 class WindowSample:
-    """K input frames and the occupancy targets at each requested horizon.
+    """K input grid steps and the occupancy targets at each requested horizon.
 
-    ``weeks`` holds the ISO (year, week) labels of every frame the sample
-    touches, inputs and targets alike, so split logic can keep whole
+    ``weeks`` holds the ISO (year, week) labels of every grid step the
+    sample touches, inputs and targets alike, so split logic can keep whole
     windows on one side of a boundary.
     """
 
@@ -42,64 +43,45 @@ class WindowSample:
         self.targets.flags.writeable = False
 
 
-def _iso_week(t: datetime) -> tuple[int, int]:
-    iso = t.isocalendar()
-    return (iso[0], iso[1])
-
-
-def make_windows(frames: Sequence[FeatureFrame], k: int, horizons: Sequence[int],
+def make_windows(grid: FeatureGrid, k: int, horizons: Sequence[int],
                  grid_step_min: int = 10) -> list[WindowSample]:
-    """Stride-1 windows over maximal runs of contiguous valid frames.
+    """Stride-1 windows over maximal runs of valid grid steps.
 
-    A run of F frames yields F - k - max(horizons) + 1 samples; no window
-    spans an invalid frame or a hole in the grid.
+    A run of F steps yields F - k - max(horizons) + 1 samples; no window
+    spans an invalid step. Each sample's inputs are a read-only view into
+    ``grid.X``. ``grid_step_min`` must equal the grid's own step.
     """
     if k < 1:
         raise ConfigError(f"window length k must be >= 1, got {k}")
     horizons = tuple(sorted(set(int(h) for h in horizons)))
     if not horizons or horizons[0] < 1:
         raise ConfigError(f"horizons must be positive steps, got {horizons}")
+    if grid_step_min != grid.step_min:
+        raise ConfigError(f"windows asked for a {grid_step_min}-minute step, "
+                          f"but the grid has {grid.step_min}-minute steps")
     max_h = horizons[-1]
-    step = timedelta(minutes=grid_step_min)
 
-    ordered = sorted(frames, key=lambda f: f.time)
-    runs: list[list[FeatureFrame]] = []
-    current: list[FeatureFrame] = []
-    for f in ordered:
-        if not f.valid:
-            if current:
-                runs.append(current)
-                current = []
-            continue
-        if current and f.time - current[-1].time != step:
-            runs.append(current)
-            current = []
-        current.append(f)
-    if current:
-        runs.append(current)
-
+    times = [grid.time(c) for c in range(len(grid.valid))]
+    weeks = [t.isocalendar()[:2] for t in times]
+    occupancy = np.ascontiguousarray(grid.X[:, :, OCCUPANCY_COL].T)  # n x T
+    offsets = np.array(horizons)
+    edges = np.diff(grid.valid.astype(np.int8), prepend=0, append=0)
     samples: list[WindowSample] = []
-    for run in runs:
-        count = len(run) - k - max_h + 1
-        for s in range(max(0, count)):
-            window = run[s:s + k]
-            inputs = np.stack([f.X for f in window])
-            anchor = window[-1]
-            target_frames = [run[s + k - 1 + h] for h in horizons]
-            targets = np.column_stack([tf.X[:, OCCUPANCY_COL] for tf in target_frames])
-            weeks = frozenset(_iso_week(f.time) for f in window) | \
-                frozenset(_iso_week(tf.time) for tf in target_frames)
+    for first, stop in zip(np.flatnonzero(edges == 1), np.flatnonzero(edges == -1)):
+        for s in range(first, stop - k - max_h + 1):
+            anchor = s + k - 1
+            target_cells = anchor + offsets
             samples.append(WindowSample(
-                inputs=inputs,
-                targets=targets,
-                anchor_time=anchor.time,
-                target_times=tuple(tf.time for tf in target_frames),
+                inputs=grid.X[s:s + k],
+                targets=occupancy.take(target_cells, axis=1),
+                anchor_time=times[anchor],
+                target_times=tuple(times[c] for c in target_cells),
                 horizons=horizons,
-                weeks=weeks,
+                weeks=frozenset(weeks[s:s + k]) | frozenset(weeks[c] for c in target_cells),
             ))
     if not samples:
         warnings.warn(
-            f"no windows: need at least {k + max_h} contiguous valid frames",
+            f"no windows: need at least {k + max_h} contiguous valid grid steps",
             stacklevel=2)
     return samples
 
@@ -167,7 +149,7 @@ def split_by_weeks(samples: Iterable[WindowSample],
 
 
 def compute_scaling(samples: Sequence[WindowSample]) -> tuple[np.ndarray, np.ndarray]:
-    """Per-column min and max over every input frame of the given samples.
+    """Per-column min and max over every input step of the given samples.
 
     Only the calendar/static columns are ever rescaled; the returned
     arrays still cover all 8 columns, with identity bounds (0, 1) on the
@@ -178,15 +160,17 @@ def compute_scaling(samples: Sequence[WindowSample]) -> tuple[np.ndarray, np.nda
     n_cols = len(FEATURE_COLUMNS)
     lo = np.zeros(n_cols)
     hi = np.ones(n_cols)
-    stacked = np.concatenate([s.inputs.reshape(-1, n_cols) for s in samples])
-    for c in SCALED_COLUMNS:
-        lo[c] = float(np.min(stacked[:, c]))
-        hi[c] = float(np.max(stacked[:, c]))
+    cols = list(SCALED_COLUMNS)
+    lo[cols] = np.min([s.inputs.min(axis=(0, 1)) for s in samples], axis=0)[cols]
+    hi[cols] = np.max([s.inputs.max(axis=(0, 1)) for s in samples], axis=0)[cols]
     return lo, hi
 
 
 def apply_scaling(sample: WindowSample, lo: np.ndarray, hi: np.ndarray) -> WindowSample:
-    """Min-max scale the input features of one sample; targets stay raw."""
+    """Min-max scale the input features of one sample into a new array.
+
+    Targets stay raw and are shared with ``sample``: both are read-only.
+    """
     scaled = np.array(sample.inputs, copy=True)
     for c in SCALED_COLUMNS:
         span = hi[c] - lo[c]
@@ -194,11 +178,4 @@ def apply_scaling(sample: WindowSample, lo: np.ndarray, hi: np.ndarray) -> Windo
             scaled[..., c] = (scaled[..., c] - lo[c]) / span
         else:
             scaled[..., c] = 0.0
-    return WindowSample(
-        inputs=scaled,
-        targets=np.array(sample.targets, copy=True),
-        anchor_time=sample.anchor_time,
-        target_times=sample.target_times,
-        horizons=sample.horizons,
-        weeks=sample.weeks,
-    )
+    return dataclasses.replace(sample, inputs=scaled)

@@ -5,7 +5,7 @@ explicit keys, floats are serialized with repr, and no timestamps appear.
 """
 
 import json
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -35,7 +35,11 @@ METRICS_COLUMNS = ("model", "connectivity", "horizon_min", "seed",
 
 @dataclass(frozen=True)
 class EvalReport:
-    """Per-horizon metrics for one model on one split."""
+    """Per-horizon metrics for one model on one split.
+
+    ``predictions`` is the (n_samples, n_sites, n_horizons) stack from
+    ``predict_samples`` that the metrics were computed from.
+    """
 
     horizons: tuple[int, ...]
     grid_step_min: int
@@ -43,6 +47,7 @@ class EvalReport:
     q95: np.ndarray
     site_ids: tuple[str, ...]
     n_samples: int
+    predictions: np.ndarray = field(repr=False)
 
     def horizon_minutes(self, steps: int) -> int:
         return steps * self.grid_step_min
@@ -79,7 +84,7 @@ def evaluate_model(model, samples, scaling_lo, scaling_hi,
     site_ids = tuple(s.site_id for s in model.ctx.graph.nodes)
     return EvalReport(horizons=tuple(model.spec.horizons),
                       grid_step_min=grid_step_min, metrics=metrics, q95=q95,
-                      site_ids=site_ids, n_samples=len(samples))
+                      site_ids=site_ids, n_samples=len(samples), predictions=preds)
 
 
 def generality_inference(bundle, samples, grid_step_min: int = 10) -> EvalReport:

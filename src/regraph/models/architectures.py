@@ -1,6 +1,6 @@
 """The six forecasting architectures and their shared graph context.
 
-Every model maps a window of K frames (n sites x 8 features each) to one
+Every model maps a window of K grid steps (n sites x 8 features each) to one
 prediction matrix of n sites x |horizons| occupancy rates. Graph inputs
 enter as fixed constants; all learnable weights are node-shared, which is
 what makes the models permutation-equivariant.

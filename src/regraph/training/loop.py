@@ -215,8 +215,7 @@ def train(model, samples, cfg: TrainConfig, out_dir):
     train_weeks = tuple(
         week_label(w) for w in sorted({w for s in samples for w in s.weeks}))
 
-    fit_raw, val_raw = split_validation(samples, cfg.val_fraction)
-    fit = [apply_scaling(s, lo, hi) for s in fit_raw]
+    fit, val_raw = split_validation(samples, cfg.val_fraction)
     val = [apply_scaling(s, lo, hi) for s in val_raw]
     has_val = bool(val)
 
@@ -242,7 +241,8 @@ def train(model, samples, cfg: TrainConfig, out_dir):
             rng.shuffle(order)
         total = 0.0
         for step, idx in enumerate(order, start=1):
-            sample = fit[idx]
+            # scaled in the step that uses it, so no scaled copy of the fit set is held
+            sample = apply_scaling(fit[idx], lo, hi)
             loss = mse_loss(model.forward(sample.inputs), constant(sample.targets))
             value = float(loss.values)
             if not np.isfinite(value):

@@ -5,9 +5,11 @@ import json
 import numpy as np
 import pytest
 
+from regraph import cli
 from regraph.cli import main
 from regraph.config import default_config, load_config, resolve_config
 from regraph.errors import ConfigError
+from regraph.evaluation import reports
 
 BASE_SYNTH = {
     "n_sites": 6, "n_regions": 2, "days": 2, "seed": 11,
@@ -290,6 +292,23 @@ def test_evaluate_reports_and_self_consistency(pipeline):
     assert "generality" in summary
     assert set(summary["generality"].keys()) == {"10", "30"}
     assert (report_dir / "timeseries_run.csv").exists()
+
+
+def test_evaluate_predicts_each_split_once(pipeline, monkeypatch):
+    # the test split's predictions feed both the metrics and timeseries_run.csv
+    original = reports.predict_samples
+    calls = []
+
+    def counting(model, samples, lo, hi):
+        calls.append(len(samples))
+        return original(model, samples, lo, hi)
+
+    monkeypatch.setattr(reports, "predict_samples", counting)
+    monkeypatch.setattr(cli, "predict_samples", counting)
+    report_dir = pipeline["root"] / "report_once"
+    assert main(["evaluate", "--runs", str(pipeline["run"]), "--out", str(report_dir)]) == 0
+    summary = json.loads((report_dir / "evaluation.json").read_text())["run"]
+    assert sorted(calls) == sorted([summary["test_samples"], summary["generality_samples"]])
 
 
 def test_evaluate_skips_missing_run(pipeline, capsys):

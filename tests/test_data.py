@@ -1,14 +1,17 @@
 """Unit tests for ingestion, gridding, windowing, splits, and the generator."""
 
-from datetime import datetime, timedelta
+import csv
+from datetime import datetime, timedelta, timezone
 
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 from regraph.data import (
     FEATURE_COLUMNS,
     OCCUPANCY_COL,
-    FeatureFrame,
+    FeatureGrid,
     SiteRecord,
     SyntheticConfig,
     WindowSample,
@@ -43,42 +46,51 @@ def test_occupancy_arithmetic():
     assert occupancy_rate(50, -5) == pytest.approx(1.1)
     with pytest.raises(DataError):
         occupancy_rate(50, 60)
+    np.testing.assert_allclose(occupancy_rate(50, np.array([10, -5])), [0.8, 1.1])
+    with pytest.raises(DataError, match="capacity=50, available=60"):
+        occupancy_rate(50, np.array([10, 60, 70]))
 
 
 def test_single_missing_point_filled_with_flanking_average():
     site = meta(capacity=10)
     records = {"s": [rec("s", 0, 6), rec("s", 20, 4)]}  # 0.4 ... 0.6
-    frames = interpolate_to_grid(records, [site])
-    assert len(frames) == 3
-    assert all(f.valid for f in frames)
-    occ = [f.X[0, OCCUPANCY_COL] for f in frames]
-    assert occ == pytest.approx([0.4, 0.5, 0.6])
+    grid = interpolate_to_grid(records, [site])
+    assert grid.X.shape == (3, 1, 8)
+    assert grid.valid.all()
+    assert grid.X[:, 0, OCCUPANCY_COL] == pytest.approx([0.4, 0.5, 0.6])
 
 
 def test_complete_grid_is_identity():
     site = meta(capacity=20)
     avail = [20, 15, 10, 5, 0]
     records = {"s": [rec("s", 10 * k, a) for k, a in enumerate(avail)]}
-    frames = interpolate_to_grid(records, [site])
-    occ = [f.X[0, OCCUPANCY_COL] for f in frames]
-    assert occ == pytest.approx([0.0, 0.25, 0.5, 0.75, 1.0])
-    assert all(f.valid for f in frames)
+    grid = interpolate_to_grid(records, [site])
+    assert grid.X[:, 0, OCCUPANCY_COL] == pytest.approx([0.0, 0.25, 0.5, 0.75, 1.0])
+    assert grid.valid.all()
+
+
+def test_last_record_in_a_grid_step_wins():
+    site = meta(capacity=10)
+    # 00:05 and 00:00 share the first step; the later one in the stream wins
+    records = {"s": [rec("s", 5, 2), rec("s", 0, 8), rec("s", 10, 5), rec("s", 19, 4)]}
+    grid = interpolate_to_grid(records, [site])
+    assert grid.X[:, 0, OCCUPANCY_COL] == pytest.approx([0.2, 0.6])
 
 
 def test_wide_gap_invalidates_frames():
     site = meta(capacity=10)
     records = {"s": [rec("s", 0, 5), rec("s", 80, 5)]}  # 7 missing steps > 6
-    frames = interpolate_to_grid(records, [site], max_gap=6)
-    assert frames[0].valid and frames[-1].valid
-    assert all(not f.valid for f in frames[1:-1])
+    grid = interpolate_to_grid(records, [site], max_gap=6)
+    assert grid.valid[0] and grid.valid[-1]
+    assert not grid.valid[1:-1].any()
 
 
 def test_gap_at_max_gap_still_fills():
     site = meta(capacity=10)
     records = {"s": [rec("s", 0, 8), rec("s", 70, 2)]}  # 6 missing steps
-    frames = interpolate_to_grid(records, [site], max_gap=6)
-    assert all(f.valid for f in frames)
-    assert frames[3].X[0, OCCUPANCY_COL] == pytest.approx(0.5)
+    grid = interpolate_to_grid(records, [site], max_gap=6)
+    assert grid.valid.all()
+    assert grid.X[3, 0, OCCUPANCY_COL] == pytest.approx(0.5)
 
 
 def test_unknown_site_rejected():
@@ -94,16 +106,16 @@ def test_too_few_records_rejected():
 def test_calendar_and_static_columns():
     site = meta(capacity=10)
     records = {"s": [rec("s", 0, 5), rec("s", 10, 5), rec("s", 20, 5)]}
-    frames = interpolate_to_grid(records, [site])
-    for f in frames:
-        assert f.X.shape == (1, 8)
-        assert f.X[0, 0] == 1.0            # ISO week of 2024-01-01
-        assert f.X[0, 1] == 0.0            # Monday
-        assert f.X[0, 2] == float(f.time.hour)
-        assert f.X[0, 3] == 12.0           # travel_time
-        assert f.X[0, 4] == 1.0            # owner
-        assert f.X[0, 5] == 2.0            # amenities
-        assert f.X[0, 6] == 10.0           # capacity
+    grid = interpolate_to_grid(records, [site])
+    assert grid.X.shape == (3, 1, 8)
+    for t, x in enumerate(grid.X):
+        assert x[0, 0] == 1.0            # ISO week of 2024-01-01
+        assert x[0, 1] == 0.0            # Monday
+        assert x[0, 2] == float(grid.time(t).hour)
+        assert x[0, 3] == 12.0           # travel_time
+        assert x[0, 4] == 1.0            # owner
+        assert x[0, 5] == 2.0            # amenities
+        assert x[0, 6] == 10.0           # capacity
     assert [c for c in FEATURE_COLUMNS[:3]] == ["week_id", "day_id", "hour_id"]
 
 
@@ -113,45 +125,44 @@ def test_frame_valid_requires_every_site():
         "a": [rec("a", 0, 5), rec("a", 10, 5), rec("a", 20, 5)],
         "b": [rec("b", 0, 5), rec("b", 20, 5)],
     }
-    frames = interpolate_to_grid(records, [a, b])
-    assert all(f.valid for f in frames)  # single gap fillable
+    grid = interpolate_to_grid(records, [a, b])
+    assert grid.valid.all()  # single gap fillable
     records["b"] = [rec("b", 0, 5), rec("b", 120, 5)]
-    frames = interpolate_to_grid(records, [a, b])
-    assert not frames[5].valid  # inside b's wide gap even though a is known
+    grid = interpolate_to_grid(records, [a, b])
+    assert not grid.valid[5]  # inside b's wide gap even though a is known
 
 
 # --------------------------------------------------------------- windowing
 
-def make_frames(occs, start=T0, step_min=10, invalid=()):
-    frames = []
+def make_grid(occs, start=T0, step_min=10, invalid=()):
+    x = np.zeros((len(occs), 2, 8))
     for k, occ in enumerate(occs):
         t = start + timedelta(minutes=step_min * k)
-        x = np.zeros((2, 8))
-        x[:, 0] = float(t.isocalendar()[1])
-        x[:, 1] = float(t.weekday())
-        x[:, 2] = float(t.hour)
-        x[:, OCCUPANCY_COL] = [occ, occ + 100.0]
-        frames.append(FeatureFrame(time=t, X=x, valid=k not in invalid))
-    return frames
+        x[k, :, 0] = float(t.isocalendar()[1])
+        x[k, :, 1] = float(t.weekday())
+        x[k, :, 2] = float(t.hour)
+        x[k, :, OCCUPANCY_COL] = [occ, occ + 100.0]
+    valid = np.array([k not in invalid for k in range(len(occs))])
+    return FeatureGrid(start=start, step_min=step_min, X=x, valid=valid)
 
 
 def test_window_count_formula():
-    frames = make_frames(np.arange(10) / 10.0)
-    samples = make_windows(frames, k=6, horizons=[1, 3])
+    grid = make_grid(np.arange(10) / 10.0)
+    samples = make_windows(grid, k=6, horizons=[1, 3])
     assert len(samples) == 2  # 10 - 6 - 3 + 1
 
 
 def test_window_boundary_single_sample():
-    frames = make_frames(np.arange(9) / 10.0)
-    samples = make_windows(frames, k=6, horizons=[3])
+    grid = make_grid(np.arange(9) / 10.0)
+    samples = make_windows(grid, k=6, horizons=[3])
     assert len(samples) == 1
 
 
 def test_window_targets_and_times():
-    frames = make_frames(np.arange(12) / 100.0)
-    samples = make_windows(frames, k=6, horizons=[1, 3])
+    grid = make_grid(np.arange(12) / 100.0)
+    samples = make_windows(grid, k=6, horizons=[1, 3])
     s = samples[0]
-    assert s.anchor_time == frames[5].time
+    assert s.anchor_time == grid.time(5)
     np.testing.assert_allclose(s.targets[0], [0.06, 0.08])
     np.testing.assert_allclose(s.targets[1], [100.06, 100.08])
     assert s.target_times[0] - s.anchor_time == timedelta(minutes=10)
@@ -160,56 +171,58 @@ def test_window_targets_and_times():
 
 
 def test_horizon_steps_map_to_minutes():
-    frames = make_frames(np.zeros(50))
-    samples = make_windows(frames, k=6, horizons=[1, 3, 12, 36])
+    grid = make_grid(np.zeros(50))
+    samples = make_windows(grid, k=6, horizons=[1, 3, 12, 36])
     deltas = [(t - samples[0].anchor_time).total_seconds() / 60.0
               for t in samples[0].target_times]
     assert deltas == [10.0, 30.0, 120.0, 360.0]
 
 
 def test_windows_never_cross_invalid_frame():
-    frames = make_frames(np.zeros(20), invalid=(10,))
-    samples = make_windows(frames, k=4, horizons=[2])
+    grid = make_grid(np.zeros(20), invalid=(10,))
+    samples = make_windows(grid, k=4, horizons=[2])
     for s in samples:
         span = [s.anchor_time + timedelta(minutes=10 * d) for d in range(-3, 3)]
-        assert frames[10].time not in span
-    # runs of 10 and 9 frames -> (10-4-2+1) + (9-4-2+1) samples
+        assert grid.time(10) not in span
+    # runs of 10 and 9 valid steps -> (10-4-2+1) + (9-4-2+1) samples
     assert len(samples) == 5 + 4
 
 
-def test_windows_respect_grid_holes():
-    frames = make_frames(np.zeros(6)) + make_frames(
-        np.zeros(6), start=T0 + timedelta(minutes=200))
-    samples = make_windows(frames, k=4, horizons=[1])
+def test_windows_respect_invalid_runs():
+    grid = make_grid(np.zeros(32), invalid=range(6, 26))  # 6 valid, 20 invalid, 6 valid
+    samples = make_windows(grid, k=4, horizons=[1])
     assert len(samples) == 2 * (6 - 4 - 1 + 1)
+    assert [s.anchor_time for s in samples] == [grid.time(c) for c in (3, 4, 29, 30)]
 
 
 def test_insufficient_frames_warns_and_returns_empty():
-    frames = make_frames(np.zeros(4))
+    grid = make_grid(np.zeros(4))
     with pytest.warns(UserWarning):
-        samples = make_windows(frames, k=6, horizons=[3])
+        samples = make_windows(grid, k=6, horizons=[3])
     assert samples == []
 
 
 def test_window_config_validation():
-    frames = make_frames(np.zeros(10))
+    grid = make_grid(np.zeros(10))
     with pytest.raises(ConfigError):
-        make_windows(frames, k=0, horizons=[1])
+        make_windows(grid, k=0, horizons=[1])
     with pytest.raises(ConfigError):
-        make_windows(frames, k=3, horizons=[])
+        make_windows(grid, k=3, horizons=[])
     with pytest.raises(ConfigError):
-        make_windows(frames, k=3, horizons=[0])
+        make_windows(grid, k=3, horizons=[0])
+    with pytest.raises(ConfigError, match="10-minute steps"):
+        make_windows(grid, k=3, horizons=[1], grid_step_min=60)
 
 
 # ------------------------------------------------------------------ splits
 
-def hourly_frames(days):
-    return make_frames(np.zeros(days * 24), step_min=60)
+def hourly_grid(days):
+    return make_grid(np.zeros(days * 24), step_min=60)
 
 
 def test_split_keeps_windows_inside_week_sets():
-    frames = hourly_frames(21)  # ISO weeks 1, 2, 3 of 2024
-    samples = make_windows(frames, k=6, horizons=[1, 3], grid_step_min=60)
+    grid = hourly_grid(21)  # ISO weeks 1, 2, 3 of 2024
+    samples = make_windows(grid, k=6, horizons=[1, 3], grid_step_min=60)
     train, test, gen = split_by_weeks(samples, [1, 2], [3])
     assert gen == []
     assert len(train) + len(test) < len(samples)  # straddlers dropped
@@ -220,10 +233,10 @@ def test_split_keeps_windows_inside_week_sets():
 
     # Independent recount over anchor indices.
     def week_of(idx):
-        return (frames[idx].time.isocalendar()[0], frames[idx].time.isocalendar()[1])
+        return (grid.time(idx).isocalendar()[0], grid.time(idx).isocalendar()[1])
 
     expected_train = expected_test = 0
-    for a in range(5, len(frames) - 3):
+    for a in range(5, len(grid.valid) - 3):
         touched = {week_of(i) for i in range(a - 5, a + 1)} | {week_of(a + 1), week_of(a + 3)}
         wks = {w for _, w in touched}
         if wks <= {1, 2}:
@@ -235,8 +248,8 @@ def test_split_keeps_windows_inside_week_sets():
 
 
 def test_split_overlap_rejected():
-    frames = hourly_frames(14)
-    samples = make_windows(frames, k=6, horizons=[1], grid_step_min=60)
+    grid = hourly_grid(14)
+    samples = make_windows(grid, k=6, horizons=[1], grid_step_min=60)
     with pytest.raises(ConfigError):
         split_by_weeks(samples, [1, 2], [2])
     with pytest.raises(ConfigError):
@@ -244,8 +257,8 @@ def test_split_overlap_rejected():
 
 
 def test_split_three_way_disjoint():
-    frames = hourly_frames(21)
-    samples = make_windows(frames, k=6, horizons=[1], grid_step_min=60)
+    grid = hourly_grid(21)
+    samples = make_windows(grid, k=6, horizons=[1], grid_step_min=60)
     train, test, gen = split_by_weeks(samples, [1], [2], [3])
     ids = [id(s) for s in train + test + gen]
     assert len(ids) == len(set(ids))
@@ -253,16 +266,16 @@ def test_split_three_way_disjoint():
 
 
 def test_split_week_string_and_tuple_forms():
-    frames = hourly_frames(14)
-    samples = make_windows(frames, k=6, horizons=[1], grid_step_min=60)
+    grid = hourly_grid(14)
+    samples = make_windows(grid, k=6, horizons=[1], grid_step_min=60)
     t1, s1, _ = split_by_weeks(samples, ["2024-W01"], [(2024, 2)])
     t2, s2, _ = split_by_weeks(samples, [1], [2])
     assert len(t1) == len(t2) and len(s1) == len(s2)
 
 
 def test_split_requires_train_and_test():
-    frames = hourly_frames(14)
-    samples = make_windows(frames, k=6, horizons=[1], grid_step_min=60)
+    grid = hourly_grid(14)
+    samples = make_windows(grid, k=6, horizons=[1], grid_step_min=60)
     with pytest.raises(ConfigError):
         split_by_weeks(samples, [], [2])
 
@@ -270,8 +283,8 @@ def test_split_requires_train_and_test():
 # ----------------------------------------------------------------- scaling
 
 def test_scaling_maps_train_range_to_unit_interval():
-    frames = make_frames(np.linspace(0.0, 1.0, 12))
-    samples = make_windows(frames, k=4, horizons=[1])
+    grid = make_grid(np.linspace(0.0, 1.0, 12))
+    samples = make_windows(grid, k=4, horizons=[1])
     lo, hi = compute_scaling(samples)
     scaled = apply_scaling(samples[0], lo, hi)
     # occupancy and owner columns untouched
@@ -284,8 +297,8 @@ def test_scaling_maps_train_range_to_unit_interval():
 
 
 def test_scaling_varies_with_hour_column():
-    frames = hourly_frames(2)
-    samples = make_windows(frames, k=6, horizons=[1], grid_step_min=60)
+    grid = hourly_grid(2)
+    samples = make_windows(grid, k=6, horizons=[1], grid_step_min=60)
     lo, hi = compute_scaling(samples)
     assert lo[2] == 0.0 and hi[2] == 23.0
     scaled = apply_scaling(samples[0], lo, hi)
@@ -403,10 +416,73 @@ def test_synthetic_end_to_end_windows(tmp_path):
     sites_path, records_path, _ = generate_synthetic(cfg, tmp_path)
     sites = load_sites(sites_path)
     streams = load_records(records_path)
-    frames = interpolate_to_grid(streams, sites)
-    assert all(f.valid for f in frames)
-    samples = make_windows(frames, k=6, horizons=[1, 3])
+    grid = interpolate_to_grid(streams, sites)
+    assert grid.valid.all()
+    samples = make_windows(grid, k=6, horizons=[1, 3])
     assert len(samples) == 7 * 144 - 6 - 3 + 1
+
+
+def per_step_reference(streams, sites, max_gap):
+    """Occupancy (T x n) and validity of every grid step, one site and one step at a time."""
+    step = timedelta(minutes=10)
+    per_site = []
+    for s in sites:
+        cells = {}
+        for r in streams[s.site_id]:
+            cells[(r.timestamp - datetime(1970, 1, 1)) // step] = \
+                (s.capacity - r.available) / s.capacity
+        per_site.append(cells)
+    first = min(min(c) for c in per_site)
+    occ = np.zeros((max(max(c) for c in per_site) - first + 1, len(sites)))
+    ok = np.zeros(occ.shape, dtype=bool)
+    for i, cells in enumerate(per_site):
+        known = sorted(cells)
+        for c in known:
+            occ[c - first, i] = cells[c]
+            ok[c - first, i] = True
+        for left, right in zip(known, known[1:]):
+            if 0 < right - left - 1 <= max_gap:
+                occ[left + 1 - first:right - first, i] = (cells[left] + cells[right]) / 2.0
+                ok[left + 1 - first:right - first, i] = True
+    return occ, ok.all(axis=1)
+
+
+@pytest.mark.parametrize("max_gap", [1, 6])
+def test_drop_rate_windows_match_per_step_reference(tmp_path, max_gap):
+    sites_path, records_path, _ = generate_synthetic(small_cfg(drop_rate=0.05), tmp_path)
+    sites = load_sites(sites_path)
+    streams = load_records(records_path)
+    grid = interpolate_to_grid(streams, sites, max_gap=max_gap)
+    occ, valid = per_step_reference(streams, sites, max_gap)
+    np.testing.assert_array_equal(grid.X[:, :, OCCUPANCY_COL], occ)
+    np.testing.assert_array_equal(grid.valid, valid)
+    assert valid.all() == (max_gap == 6)  # gap 1 leaves invalid steps to skip
+    for c, x in enumerate(grid.X):
+        t = grid.time(c)
+        assert (x[:, 0] == t.isocalendar()[1]).all() and (x[:, 2] == t.hour).all()
+
+    k, horizons = 6, (1, 3)
+    expected, run = [], []
+    for c in range(len(valid) + 1):
+        if c < len(valid) and valid[c]:
+            run.append(c)
+            continue
+        for s in range(len(run) - k - horizons[-1] + 1):
+            cells = run[s:s + k]
+            targets = [cells[-1] + h for h in horizons]
+            expected.append((np.stack([grid.X[i] for i in cells]),
+                             np.column_stack([occ[i] for i in targets]),
+                             grid.time(cells[-1]), tuple(grid.time(i) for i in targets),
+                             {grid.time(i).isocalendar()[:2] for i in cells + targets}))
+        run = []
+    samples = make_windows(grid, k, horizons)
+    assert len(samples) == len(expected) > 0
+    for sample, (inputs, targets, anchor, target_times, weeks) in zip(samples, expected):
+        np.testing.assert_array_equal(sample.inputs, inputs)
+        np.testing.assert_array_equal(sample.targets, targets)
+        assert sample.targets.flags.c_contiguous
+        assert (sample.anchor_time, sample.target_times) == (anchor, target_times)
+        assert sample.weeks == weeks
 
 
 # ------------------------------------------------------------------ ingest
@@ -445,8 +521,82 @@ def test_load_records_timezone_normalized(tmp_path):
     assert streams["s"][0].timestamp == datetime(2024, 1, 1, 0, 0)
 
 
+def test_load_records_rejects_bytes_that_are_not_utf8(tmp_path):
+    path = tmp_path / "records.csv"
+    path.write_bytes(b"site_id,timestamp_iso8601,available\ns\xff,2024-01-01T00:00:00,5\n")
+    with pytest.raises(DataError):
+        load_records(path)
+
+
+# A row is ("ok", site, naive UTC time, UTC offset in minutes or None, available),
+# ("blank",), ("fields", cells): a valid row cut short or with extra fields, or
+# ("bad", site, timestamp text, available text) with an unparseable value.
+OK_ROWS = st.tuples(st.just("ok"), st.sampled_from(["a", "b", "c,d"]),
+                    st.integers(0, 5).map(lambda m: T0 + timedelta(minutes=10 * m)),
+                    st.sampled_from([None, -90, 0, 330]), st.integers(-20, 200))
+ODD_ROWS = st.one_of(
+    st.just(("blank",)),
+    st.tuples(st.just("fields"), st.sampled_from([1, 2, 4, 5]).map(
+        lambda n: ["a", "2024-01-01T00:00:00", "5", "extra", ""][:n])),
+    st.tuples(st.just("bad"), st.sampled_from(["a", ""]),
+              st.sampled_from(["2024-01-01T00:00:00", "2024-13-01T00:00:00", "soon"]),
+              st.sampled_from(["7", "x", "1.5", "--3", ""])))
+
+
+def expected_streams(rows):
+    """Last-wins, timestamp-sorted streams, or None when some row is malformed."""
+    latest = {}
+    for row in rows:
+        if row[0] == "blank":
+            continue
+        if row[0] == "ok":
+            _, site, utc, offset, available = row
+            latest.setdefault(site, {})[utc] = available
+            continue
+        if row[0] == "fields" or row[1] == "" or row[2] != "2024-01-01T00:00:00" or row[3] != "7":
+            return None
+        latest.setdefault(row[1], {})[datetime(2024, 1, 1)] = 7
+    return {site: [(site, t, by_time[t]) for t in sorted(by_time)]
+            for site, by_time in latest.items()}
+
+
+@settings(max_examples=150, deadline=None,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(rows=st.lists(st.one_of(OK_ROWS, OK_ROWS, ODD_ROWS), max_size=12))
+def test_load_records_matches_sorted_last_wins_reference(tmp_path, rows):
+    path = tmp_path / "records.csv"
+    with open(path, "w", newline="", encoding="utf-8") as fh:
+        writer = csv.writer(fh)
+        writer.writerow(["site_id", "timestamp_iso8601", "available"])
+        for row in rows:
+            if row[0] == "ok":
+                _, site, utc, offset, available = row
+                local = utc if offset is None else \
+                    (utc + timedelta(minutes=offset)).replace(
+                        tzinfo=timezone(timedelta(minutes=offset)))
+                writer.writerow([site, local.isoformat(), available])
+            elif row[0] == "fields":
+                writer.writerow(row[1])
+            else:
+                writer.writerow(row[1:])
+    expected = expected_streams(rows)
+    if expected is None:
+        with pytest.raises(DataError):
+            load_records(path)
+        return
+    streams = load_records(path)
+    assert {site: [(r.site_id, r.timestamp, r.available) for r in stream]
+            for site, stream in streams.items()} == expected
+
+
 def test_window_sample_arrays_read_only():
-    frames = make_frames(np.zeros(10))
-    sample = make_windows(frames, k=6, horizons=[1])[0]
+    grid = make_grid(np.zeros(10))
+    sample = make_windows(grid, k=6, horizons=[1])[0]
+    assert np.shares_memory(sample.inputs, grid.X)
+    assert not np.shares_memory(sample.targets, grid.X)
     with pytest.raises(ValueError):
         sample.inputs[0, 0, 0] = 5.0
+    with pytest.raises(ValueError):
+        sample.targets[0, 0] = 5.0
+    with pytest.raises(ValueError):
+        grid.X[0, 0, 0] = 5.0
