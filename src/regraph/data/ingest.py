@@ -7,12 +7,12 @@ occupancy rate derived downstream is then legitimately above 1.
 
 from __future__ import annotations
 
-import csv
 from datetime import datetime, timezone
 from pathlib import Path
 from typing import NamedTuple
 
 from ..errors import DataError
+from ..files import open_csv
 
 __all__ = ["RECORDS_HEADER", "SiteRecord", "load_records"]
 
@@ -40,34 +40,20 @@ def load_records(path: str | Path) -> dict[str, list[SiteRecord]]:
     strictly increasing per site. Blank lines are skipped; any other row
     must have exactly the three header fields.
     """
-    path = Path(path)
-    try:
-        fh = open(path, newline="", encoding="utf-8")
-    except OSError as exc:
-        raise DataError(f"cannot open records file {path}: {exc}") from exc
     latest: dict[str, dict[datetime, int]] = {}
-    with fh:
-        reader = csv.reader(fh)
-        try:
-            header = next(reader, None)
-            if header != RECORDS_HEADER:
-                raise DataError(
-                    f"records file {path}: expected header {','.join(RECORDS_HEADER)}, "
-                    f"got {header}")
-            for row in reader:
-                if not row:
-                    continue
-                try:
-                    site_id, raw_ts, raw_available = row  # exactly three fields
-                    ts = _parse_timestamp(raw_ts)
-                    available = int(raw_available)
-                except ValueError as exc:
-                    raise DataError(f"records file {path} line {reader.line_num}: {exc}") from exc
-                if not site_id:
-                    raise DataError(f"records file {path} line {reader.line_num}: empty site_id")
-                latest.setdefault(site_id, {})[ts] = available
-        except (csv.Error, UnicodeDecodeError) as exc:
-            raise DataError(f"records file {path}: {exc}") from exc
+    with open_csv(path, RECORDS_HEADER, "records") as reader:
+        for row in reader:
+            if not row:
+                continue
+            try:
+                site_id, raw_ts, raw_available = row  # exactly three fields
+                ts = _parse_timestamp(raw_ts)
+                available = int(raw_available)
+            except ValueError as exc:
+                raise DataError(f"records file {path} line {reader.line_num}: {exc}") from exc
+            if not site_id:
+                raise DataError(f"records file {path} line {reader.line_num}: empty site_id")
+            latest.setdefault(site_id, {})[ts] = available
 
     return {site_id: [SiteRecord(site_id, ts, available)
                       for ts, available in sorted(by_time.items())]

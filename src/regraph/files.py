@@ -1,13 +1,42 @@
-"""Artifact files that are replaced whole or not at all."""
+"""CSV input files read row by row, and artifact files that are replaced
+whole or not at all."""
 
 from __future__ import annotations
 
 import contextlib
+import csv
 import os
 import secrets
 from pathlib import Path
 
-__all__ = ["atomic_open"]
+from .errors import DataError
+
+__all__ = ["atomic_open", "open_csv"]
+
+
+@contextlib.contextmanager
+def open_csv(path, header: list[str], kind: str):
+    """A ``csv.reader`` over a UTF-8 file, positioned after its ``header`` row.
+
+    A file that cannot be opened or decoded, a wrong header, or a row the
+    ``csv`` module rejects while the block reads raises ``DataError`` naming
+    the ``kind`` of file.
+    """
+    path = Path(path)
+    try:
+        fh = open(path, newline="", encoding="utf-8")
+    except OSError as exc:
+        raise DataError(f"cannot open {kind} file {path}: {exc}") from exc
+    with fh:
+        reader = csv.reader(fh)
+        try:
+            first = next(reader, None)
+            if first != header:
+                raise DataError(f"{kind} file {path}: expected header "
+                                f"{','.join(header)}, got {first}")
+            yield reader
+        except (csv.Error, UnicodeDecodeError) as exc:
+            raise DataError(f"{kind} file {path}: {exc}") from exc
 
 
 @contextlib.contextmanager

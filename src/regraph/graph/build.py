@@ -11,7 +11,7 @@ connected internally.
 
 from __future__ import annotations
 
-import csv
+import math
 from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Callable, Mapping, Sequence
@@ -19,6 +19,7 @@ from typing import Callable, Mapping, Sequence
 import numpy as np
 
 from ..errors import ConfigError, DataError
+from ..files import open_csv
 from .distance import DistanceProvider, HaversineProvider
 
 __all__ = [
@@ -61,6 +62,8 @@ class SiteMeta:
             raise DataError(f"site {self.site_id}: latitude {self.latitude} outside [-90, 90]")
         if not -180.0 <= self.longitude <= 180.0:
             raise DataError(f"site {self.site_id}: longitude {self.longitude} outside [-180, 180]")
+        if not math.isfinite(self.travel_time):
+            raise DataError(f"site {self.site_id}: travel time {self.travel_time} is not finite")
         if self.owner not in (0, 1):
             raise DataError(f"site {self.site_id}: owner must be 0 (private) or 1 (public)")
         if self.amenity_count < 0:
@@ -70,37 +73,28 @@ class SiteMeta:
 
 
 def load_sites(path: str | Path) -> list[SiteMeta]:
-    """Read the sites CSV (columns: site_id,region,lat,lon,travel_time_min,owner,amenities,capacity)."""
-    path = Path(path)
-    try:
-        fh = open(path, newline="", encoding="utf-8")
-    except OSError as exc:
-        raise DataError(f"cannot open sites file {path}: {exc}") from exc
-    with fh:
-        reader = csv.DictReader(fh)
-        if reader.fieldnames is None or list(reader.fieldnames) != SITES_HEADER:
-            raise DataError(
-                f"sites file {path}: expected header {','.join(SITES_HEADER)}, "
-                f"got {reader.fieldnames}"
-            )
-        sites: list[SiteMeta] = []
-        seen: set[str] = set()
-        for lineno, row in enumerate(reader, start=2):
+    """Read the sites CSV (columns: site_id,region,lat,lon,travel_time_min,owner,amenities,capacity).
+
+    Blank lines are skipped; any other row must have exactly the eight
+    header fields.
+    """
+    sites: list[SiteMeta] = []
+    seen: set[str] = set()
+    with open_csv(path, SITES_HEADER, "sites") as reader:
+        for row in reader:
+            if not row:
+                continue
             try:
-                site = SiteMeta(
-                    site_id=row["site_id"],
-                    region=row["region"],
-                    latitude=float(row["lat"]),
-                    longitude=float(row["lon"]),
-                    travel_time=float(row["travel_time_min"]),
-                    owner=int(row["owner"]),
-                    amenity_count=int(row["amenities"]),
-                    capacity=int(row["capacity"]),
-                )
-            except (TypeError, ValueError) as exc:
-                raise DataError(f"sites file {path} line {lineno}: {exc}") from exc
+                site_id, region, lat, lon, travel, owner, amenities, capacity = row
+                site = SiteMeta(site_id=site_id, region=region,
+                                latitude=float(lat), longitude=float(lon),
+                                travel_time=float(travel), owner=int(owner),
+                                amenity_count=int(amenities), capacity=int(capacity))
+            except ValueError as exc:
+                raise DataError(f"sites file {path} line {reader.line_num}: {exc}") from exc
             if site.site_id in seen:
-                raise DataError(f"sites file {path} line {lineno}: duplicate site_id {site.site_id}")
+                raise DataError(f"sites file {path} line {reader.line_num}: "
+                                f"duplicate site_id {site.site_id}")
             seen.add(site.site_id)
             sites.append(site)
     if not sites:

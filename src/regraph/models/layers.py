@@ -1,9 +1,8 @@
 """Differentiable building blocks for the forecasting architectures.
 
 Node features are rows, so every transform right-multiplies by its weight
-matrix. Biases are stored as 1 x out rows and broadcast through an
-ones-column matmul, which keeps every gradient rule inside the narrow
-broadcasting the tensor core supports.
+matrix. Biases are stored as 1 x out rows and added to every row by the
+tensor core's ``add_row`` op.
 """
 
 from __future__ import annotations
@@ -14,8 +13,8 @@ from ..errors import ShapeError
 from ..numerics import (
     DiffTensor,
     add,
+    add_row,
     concat,
-    constant,
     matmul,
     mul,
     parameter,
@@ -55,13 +54,9 @@ def uniform_init(rng: np.random.Generator, shape: tuple[int, ...], fan_in: int) 
     return parameter(rng.uniform(-bound, bound, size=shape))
 
 
-def _ones_column(n: int) -> DiffTensor:
-    return constant(np.ones((n, 1)))
-
-
 def affine(x: DiffTensor, w: DiffTensor, b: DiffTensor) -> DiffTensor:
-    """x @ w + b with the 1 x out bias replicated across rows."""
-    return add(matmul(x, w), matmul(_ones_column(x.shape[0]), b))
+    """x @ w + b with the 1 x out bias added to every row."""
+    return add_row(matmul(x, w), b)
 
 
 class GcnLayer:

@@ -6,8 +6,9 @@ into ``DiffTensor.grad``. Values live in numpy arrays, so the heavy kernels
 (matmul, elementwise transcendentals) run in compiled code while every
 gradient rule stays visible here.
 
-Supported broadcasting is deliberately narrow: equal shapes, or a scalar
-against a tensor. Wider broadcasting would complicate the gradient rules
+Supported broadcasting is deliberately narrow: equal shapes, a scalar
+against a tensor, or (through ``add_row`` alone) a 1 x m bias row against
+an n x m matrix. Wider broadcasting would complicate the gradient rules
 for no benefit at the graph sizes this package targets.
 """
 
@@ -23,6 +24,7 @@ from ..errors import NumericError, ShapeError
 __all__ = [
     "DiffTensor",
     "add",
+    "add_row",
     "backward",
     "clear_tape",
     "concat",
@@ -201,12 +203,39 @@ def matmul(a, b) -> DiffTensor:
     return out
 
 
+def add_row(x, row) -> DiffTensor:
+    """``x`` plus a 1 x m ``row`` added to each of its n rows."""
+    x, row = _as_tensor(x), _as_tensor(row)
+    if x.values.ndim != 2 or row.values.shape != (1, x.values.shape[1]):
+        raise ShapeError(f"add_row: expected a matrix and a 1 x m row, "
+                         f"got shapes {x.values.shape} and {row.values.shape}")
+    out = DiffTensor(x.values + row.values)
+
+    def grad_fn(g):
+        # Summed as ones(1, n) @ g, not g.sum(axis=0): the two round
+        # differently, and recorded training trajectories use the matmul.
+        grow = np.ones((g.shape[0], 1)).T @ g if row.requires_grad else None
+        return (g if x.requires_grad else None), grow
+
+    _record((x, row), out, grad_fn)
+    return out
+
+
 def sigmoid(x) -> DiffTensor:
     x = _as_tensor(x)
     v = x.values
-    # Split by sign to keep exp() away from overflow.
-    s = np.where(v >= 0, 1.0 / (1.0 + np.exp(-np.abs(v))),
-                 np.exp(-np.abs(v)) / (1.0 + np.exp(-np.abs(v))))
+    # exp(min(v, 0)) / (1 + e) with e = exp(-|v|): the numerator is 1 for
+    # v >= 0 and e for v < 0, so exp() never overflows and every entry takes
+    # the same float operations as a split by sign. fmin sends NaN to the
+    # numerator 1, and the NaN in the denominator carries through. The out=
+    # buffers keep a 0-d input an array instead of a NumPy scalar.
+    s = np.fmin(v, 0.0, out=np.empty_like(v))
+    np.exp(s, out=s)
+    e = np.abs(v, out=np.empty_like(v))
+    np.negative(e, out=e)
+    np.exp(e, out=e)
+    e += 1.0
+    s /= e
     out = DiffTensor(s)
 
     def grad_fn(g):

@@ -147,6 +147,24 @@ def test_build_graph_missing_sites_exits_3(tmp_path):
                  "--out", str(tmp_path / "g.json")]) == 3
 
 
+SITES_CSV_HEADER = b"site_id,region,lat,lon,travel_time_min,owner,amenities,capacity\n"
+
+
+@pytest.mark.parametrize("row", [
+    b"s\xff1,WI,43.1,-89.4,12.5,1,4,80\n",
+    b"s1,WI,43.1,-89.4,12.5,1,4,80,extra\n",
+    b"s1,WI,43.1,-89.4,inf,1,4,80\n",
+    b"s1,WI,43.1,-89.4,nan,1,4,80\n",
+], ids=["not_utf8", "ninth_field", "inf_travel_time", "nan_travel_time"])
+def test_build_graph_malformed_sites_exits_3(tmp_path, capsys, row):
+    sites = tmp_path / "sites.csv"
+    sites.write_bytes(SITES_CSV_HEADER + b"s0,WI,43.0,-89.0,10.0,0,1,40\n" + row)
+    assert main(["build-graph", "--sites", str(sites), "--strategy", "connected",
+                 "--out", str(tmp_path / "g.json")]) == 3
+    assert "sites file" in capsys.readouterr().err
+    assert not (tmp_path / "g.json").exists()
+
+
 def test_build_graph_deterministic(tmp_path):
     data = make_dataset(tmp_path)
     a, b = tmp_path / "a.json", tmp_path / "b.json"

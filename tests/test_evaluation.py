@@ -98,6 +98,26 @@ def test_q95_table_per_row():
         q95_table(np.zeros(10))
 
 
+@pytest.mark.parametrize("n_obs", [20, 21, 120])
+def test_q95_table_matches_per_row_reference_with_nan_entries(n_obs):
+    rng = RNG(n_obs)
+    stack = rng.uniform(0.0, 1.3, size=(40, n_obs))
+    stack[rng.random(stack.shape) < 0.02] = np.nan
+    stack[3] = np.nan
+    ref = np.array([q95_reference(row) for row in stack])
+    got = q95_table(stack)
+    assert got.shape == ref.shape and got.dtype == ref.dtype
+    np.testing.assert_array_equal(got, ref)
+    assert np.isnan(got[3]) and np.isnan(got).sum() > 1
+
+
+def test_q95_table_short_rows_warn_once_each():
+    with pytest.warns(UserWarning, match="19 observations") as caught:
+        out = q95_table(np.full((3, 19), 0.5))
+    assert np.all(np.isnan(out))
+    assert len(caught) == 3
+
+
 # ------------------------------------------------------------ compute_metrics
 
 def test_metrics_zero_iff_exact():

@@ -1,7 +1,11 @@
 """Unit tests for graph construction, decomposition, and distances."""
 
+import csv
+
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 from regraph.errors import ConfigError, DataError
 from regraph.graph import (
@@ -333,6 +337,68 @@ def test_load_sites_invalid_capacity(tmp_path):
     )
     with pytest.raises(DataError):
         load_sites(path)
+
+
+# A row is ("ok", site_id, lat, lon, travel time, owner, amenities, capacity),
+# ("blank",), ("fields", n): a valid row cut to n fields or extended past eight,
+# or ("bad", column, text): a valid row with one cell replaced by an invalid value.
+OK_SITE_ROWS = st.tuples(
+    st.just("ok"), st.sampled_from(["s1", "s2", "s,3", "s 4"]),
+    st.floats(-90.0, 90.0), st.floats(-180.0, 180.0), st.floats(0.0, 1e4),
+    st.sampled_from([0, 1]), st.integers(0, 12), st.integers(1, 500))
+ODD_SITE_ROWS = st.one_of(
+    st.just(("blank",)),
+    st.tuples(st.just("fields"), st.sampled_from([1, 2, 7, 9, 10])),
+    st.tuples(st.just("bad"), st.sampled_from([
+        (0, ""), (2, "north"), (2, "90.5"), (2, "nan"), (3, "-180.01"), (3, "-inf"),
+        (4, "inf"), (4, "-inf"), (4, "nan"), (4, "soon"), (5, "2"), (5, "1.0"),
+        (6, "-1"), (6, "x"), (7, "0"), (7, ""),
+    ])))
+VALID_SITE_CELLS = ["s9", "WI", "43.1", "-89.4", "12.5", "1", "4", "80"]
+
+
+def site_cells(row):
+    if row[0] == "ok":
+        return [row[1], "R"] + [repr(v) for v in row[2:5]] + [str(v) for v in row[5:]]
+    if row[0] == "fields":
+        return (VALID_SITE_CELLS + ["x", ""])[:row[1]]
+    column, text = row[1]
+    return VALID_SITE_CELLS[:column] + [text] + VALID_SITE_CELLS[column + 1:]
+
+
+def expected_sites(rows):
+    """The sites of the "ok" rows, or None when the file must be rejected."""
+    if any(row[0] in ("fields", "bad") for row in rows):
+        return None
+    ok = [row for row in rows if row[0] == "ok"]
+    ids = [row[1] for row in ok]
+    if not ok or len(set(ids)) != len(ids):
+        return None
+    return [SiteMeta(site_id=r[1], region="R", latitude=r[2], longitude=r[3],
+                     travel_time=r[4], owner=r[5], amenity_count=r[6], capacity=r[7])
+            for r in ok]
+
+
+@settings(max_examples=150, deadline=None,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(rows=st.lists(st.one_of(OK_SITE_ROWS, OK_SITE_ROWS, ODD_SITE_ROWS), max_size=10))
+def test_load_sites_matches_reference_or_raises_data_error(tmp_path, rows):
+    path = tmp_path / "sites.csv"
+    with open(path, "w", newline="", encoding="utf-8") as fh:
+        writer = csv.writer(fh)
+        writer.writerow(["site_id", "region", "lat", "lon", "travel_time_min",
+                         "owner", "amenities", "capacity"])
+        for row in rows:
+            if row[0] == "blank":
+                fh.write("\r\n")
+            else:
+                writer.writerow(site_cells(row))
+    expected = expected_sites(rows)
+    if expected is None:
+        with pytest.raises(DataError):
+            load_sites(path)
+        return
+    assert load_sites(path) == expected
 
 
 def test_site_meta_validation():

@@ -7,6 +7,7 @@ from regraph.errors import NumericError, ShapeError
 from regraph.numerics import (
     RmsProp,
     add,
+    add_row,
     backward,
     concat,
     constant,
@@ -114,6 +115,30 @@ def test_sigmoid_stable_at_extremes():
     assert np.all(np.isfinite(out.values))
 
 
+def split_by_sign_sigmoid(v):
+    """1/(1+e) for v >= 0 and e/(1+e) for v < 0, with e = exp(-|v|)."""
+    with np.errstate(invalid="ignore"):
+        return np.where(v >= 0, 1.0 / (1.0 + np.exp(-np.abs(v))),
+                        np.exp(-np.abs(v)) / (1.0 + np.exp(-np.abs(v))))
+
+
+def assert_same_bits(got, ref):
+    assert got.shape == ref.shape and got.dtype == ref.dtype
+    np.testing.assert_array_equal(got, ref)
+    np.testing.assert_array_equal(np.signbit(got), np.signbit(ref))
+
+
+def test_sigmoid_matches_split_by_sign_formula_bit_for_bit():
+    tiny = np.finfo(np.float64).tiny
+    edges = np.array([0.0, -0.0, 709.8, -709.8, 800.0, -800.0, np.inf, -np.inf,
+                      np.nan, -np.nan, 5e-324, -5e-324, tiny / 3, -tiny / 3,
+                      tiny, -tiny, 36.0, -36.0, 37.5, -37.5, 745.2, -745.2])
+    random = np.random.default_rng(29).normal(scale=8.0, size=(105, 256))
+    for v in (edges, random, random[:12].T, np.array(0.0), np.array(-3.5),
+              np.array(np.nan), np.zeros((0, 4))):
+        assert_same_bits(sigmoid(constant(v)).values, split_by_sign_sigmoid(v))
+
+
 def test_add_sub_mul_values_and_grads():
     a = parameter([1.0, 2.0, 3.0])
     b = parameter([4.0, 5.0, 6.0])
@@ -168,6 +193,67 @@ def test_concat_errors():
         concat([], axis=0)
     with pytest.raises(ShapeError):
         concat([constant(np.zeros((2, 3))), constant(np.zeros((3, 3)))], axis=1)
+
+
+# --------------------------------------------------------------- add_row
+
+def ones_column_bias(x, row):
+    """x + ones(n, 1) @ row, the bias add that add_row replaces."""
+    return add(x, matmul(constant(np.ones((x.shape[0], 1))), row))
+
+
+@pytest.mark.parametrize("n, m", [(1, 1), (5, 3), (105, 256), (7, 1)])
+def test_add_row_matches_ones_column_matmul_bit_for_bit(n, m):
+    rng = np.random.default_rng(n * 1000 + m)
+    x_vals, row_vals = rng.normal(size=(n, m)), rng.normal(size=(1, m))
+    weights = constant(rng.normal(size=(n, m)))
+    results = []
+    for op in (add_row, ones_column_bias):
+        x, row = parameter(x_vals), parameter(row_vals)
+        out = op(x, row)
+        backward(sum_all(mul(mul(out, out), weights)))
+        results.append((out.values, x.grad, row.grad))
+    for got, ref in zip(*results):
+        assert_same_bits(got, ref)
+
+
+def test_add_row_gradient_matches_fd():
+    rng = np.random.default_rng(31)
+    x_vals, row_vals = rng.normal(size=(4, 3)), rng.normal(size=(1, 3))
+    weights = rng.normal(size=(4, 3))
+    x, row = parameter(x_vals), parameter(row_vals)
+    backward(sum_all(mul(sigmoid(add_row(x, row)), constant(weights))))
+
+    def loss(xv, rv):
+        return float(np.sum(weights / (1.0 + np.exp(-(xv + rv)))))
+
+    assert rel_err(x.grad, finite_diff_grad(lambda v: loss(v, row_vals), x_vals.copy())) < 1e-8
+    assert rel_err(row.grad, finite_diff_grad(lambda v: loss(x_vals, v), row_vals.copy())) < 1e-8
+
+
+def test_add_row_gradient_reaches_only_what_requires_it():
+    x, row = constant(np.ones((3, 2))), parameter(np.zeros((1, 2)))
+    backward(sum_all(add_row(x, row)))
+    assert x.grad is None
+    np.testing.assert_array_equal(row.grad, [[3.0, 3.0]])
+
+
+def test_add_row_records_nothing_for_constants_or_under_no_grad():
+    before = tape_length()
+    add_row(constant(np.ones((3, 2))), constant(np.ones((1, 2))))
+    with no_grad():
+        out = add_row(parameter(np.ones((3, 2))), parameter(np.ones((1, 2))))
+    assert tape_length() == before
+    assert not out.requires_grad
+
+
+@pytest.mark.parametrize("x_shape, row_shape", [
+    ((3, 2), (2,)), ((3, 2), (1, 3)), ((3, 2), (3, 2)), ((3, 2), (2, 2)),
+    ((2,), (1, 2)), ((3, 2), ()), ((2, 3, 2), (1, 2)),
+])
+def test_add_row_shape_errors(x_shape, row_shape):
+    with pytest.raises(ShapeError, match="add_row"):
+        add_row(constant(np.ones(x_shape)), constant(np.ones(row_shape)))
 
 
 # ------------------------------------------------------------- take_rows
