@@ -8,7 +8,7 @@ from regraph.data.frames import (
     interpolate_to_grid,
     occupancy_rate,
 )
-from regraph.data.ingest import RECORDS_HEADER, SiteRecord, load_records
+from regraph.data.ingest import RECORD_DTYPE, RECORDS_HEADER, load_records
 from regraph.data.synthetic import SyntheticConfig, generate_synthetic
 from regraph.data.windows import (
     WindowSample,
@@ -21,10 +21,10 @@ from regraph.data.windows import (
 __all__ = [
     "FEATURE_COLUMNS",
     "OCCUPANCY_COL",
+    "RECORD_DTYPE",
     "RECORDS_HEADER",
     "SCALED_COLUMNS",
     "FeatureGrid",
-    "SiteRecord",
     "SyntheticConfig",
     "WindowSample",
     "apply_scaling",

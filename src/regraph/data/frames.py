@@ -20,7 +20,7 @@ import numpy as np
 
 from ..errors import DataError
 from ..graph.build import SiteMeta
-from .ingest import SiteRecord
+from .ingest import EPOCH, MICROSECOND
 
 __all__ = ["FEATURE_COLUMNS", "FeatureGrid", "interpolate_to_grid", "occupancy_rate"]
 
@@ -29,6 +29,7 @@ FEATURE_COLUMNS = ["week_id", "day_id", "hour_id", "travel_time",
 
 OCCUPANCY_COL = 7
 SCALED_COLUMNS = (0, 1, 2, 3, 5, 6)  # owner is already 0/1, occupancy stays raw
+GRID_CELLS_PER_RECORD = 64  # most (step, site) cells a grid may hold per record read
 
 
 def occupancy_rate(capacity, available):
@@ -74,24 +75,23 @@ class FeatureGrid:
         return self.start + cell * timedelta(minutes=self.step_min)
 
 
-_EPOCH = datetime(1970, 1, 1)
-
-
-def interpolate_to_grid(records: Mapping[str, Sequence[SiteRecord]],
+def interpolate_to_grid(records: Mapping[str, np.ndarray],
                         sites: Sequence[SiteMeta],
                         grid_step_min: int = 10,
                         max_gap: int = 6) -> FeatureGrid:
-    """Resample per-site record streams onto a shared uniform grid.
+    """Resample per-site ``RECORD_DTYPE`` streams onto a shared uniform grid.
 
     The grid spans the data. A step is valid only when every site has a
     known or fillable occupancy there; steps inside gaps wider than
     ``max_gap`` steps, or outside a site's observed range, are marked
     invalid so windowing skips them. When several records of a site fall
-    in one grid step, the last one in stream order wins.
+    in one grid step, the last one in stream order wins. A grid of more than
+    ``GRID_CELLS_PER_RECORD`` (step, site) cells per record is a ``DataError``.
     """
     if grid_step_min <= 0:
         raise DataError(f"grid_step_min must be positive, got {grid_step_min}")
     step = timedelta(minutes=grid_step_min)
+    step_us = step // MICROSECOND
 
     known_ids = {s.site_id for s in sites}
     for site_id in records:
@@ -103,15 +103,20 @@ def interpolate_to_grid(records: Mapping[str, Sequence[SiteRecord]],
         stream = records.get(s.site_id, ())
         if len(stream) < 2:
             raise DataError(f"site {s.site_id}: need at least 2 records, got {len(stream)}")
-        site_cells.append(np.array([(rec.timestamp - _EPOCH) // step for rec in stream]))
-        rates.append(occupancy_rate(s.capacity, np.array([rec.available for rec in stream])))
+        site_cells.append(stream["time_us"] // step_us)
+        rates.append(occupancy_rate(s.capacity, stream["available"]))
 
     n = len(sites)
     first_cell = min(int(c.min()) for c in site_cells)
     n_cells = max(int(c.max()) for c in site_cells) - first_cell + 1
+    grid_start = EPOCH + first_cell * step
 
-    # Flat (cell, site) positions in stream order; keep each position's last record.
     flat = np.concatenate([(c - first_cell) * n + i for i, c in enumerate(site_cells)])
+    if n_cells * n > GRID_CELLS_PER_RECORD * flat.size:
+        raise DataError(f"records span {grid_start} to {grid_start + (n_cells - 1) * step}: "
+                        f"{n_cells} grid steps x {n} sites is over {GRID_CELLS_PER_RECORD} "
+                        f"cells per record for {flat.size} records")
+    # Keep the last record of each flat (cell, site) position, in stream order.
     _, from_end = np.unique(flat[::-1], return_index=True)
     last = flat.size - 1 - from_end
     occ = np.zeros((n_cells, n))
@@ -127,7 +132,6 @@ def interpolate_to_grid(records: Mapping[str, Sequence[SiteRecord]],
     cell, site = np.nonzero(fill)
     occ[cell, site] = (occ[left[cell, site], site] + occ[right[cell, site], site]) / 2.0
 
-    grid_start = _EPOCH + first_cell * step
     times = [grid_start + c * step for c in range(n_cells)]
     X = np.empty((n_cells, n, len(FEATURE_COLUMNS)))
     X[:, :, :3] = np.array([[ts.isocalendar()[1], ts.weekday(), ts.hour]

@@ -7,54 +7,47 @@ occupancy rate derived downstream is then legitimately above 1.
 
 from __future__ import annotations
 
-from datetime import datetime, timezone
+from collections import defaultdict
+from datetime import datetime, timedelta, timezone
 from pathlib import Path
-from typing import NamedTuple
+
+import numpy as np
 
 from ..errors import DataError
 from ..files import open_csv
 
-__all__ = ["RECORDS_HEADER", "SiteRecord", "load_records"]
+__all__ = ["EPOCH", "MICROSECOND", "RECORDS_HEADER", "RECORD_DTYPE", "load_records"]
 
 RECORDS_HEADER = ["site_id", "timestamp_iso8601", "available"]
+EPOCH = datetime(1970, 1, 1)  # naive UTC; a record's time_us counts from it
+MICROSECOND = timedelta(microseconds=1)
+RECORD_DTYPE = np.dtype([("time_us", np.int64), ("available", np.int64)])
 
 
-class SiteRecord(NamedTuple):
-    site_id: str
-    timestamp: datetime  # naive UTC
-    available: int
-
-
-def _parse_timestamp(raw: str) -> datetime:
-    ts = datetime.fromisoformat(raw)
-    if ts.tzinfo is not None:
-        ts = ts.astimezone(timezone.utc).replace(tzinfo=None)
-    return ts
-
-
-def load_records(path: str | Path) -> dict[str, list[SiteRecord]]:
-    """Read the records CSV into per-site streams.
+def load_records(path: str | Path) -> dict[str, np.ndarray]:
+    """Read the records CSV into per-site ``RECORD_DTYPE`` streams.
 
     Streams come back sorted by timestamp with duplicates collapsed (the
     last row read for a given site and timestamp wins), so timestamps are
     strictly increasing per site. Blank lines are skipped; any other row
     must have exactly the three header fields.
     """
-    latest: dict[str, dict[datetime, int]] = {}
+    columns: defaultdict[str, list[int]] = defaultdict(list)  # time_us, available, ...
     with open_csv(path, RECORDS_HEADER, "records") as reader:
-        for row in reader:
-            if not row:
-                continue
+        for row in filter(None, reader):  # blank lines are empty rows
             try:
                 site_id, raw_ts, raw_available = row  # exactly three fields
-                ts = _parse_timestamp(raw_ts)
-                available = int(raw_available)
+                ts = datetime.fromisoformat(raw_ts)
+                if ts.tzinfo is not None:
+                    ts = ts.astimezone(timezone.utc).replace(tzinfo=None)
+                columns[site_id].extend(((ts - EPOCH) // MICROSECOND, int(raw_available)))
             except ValueError as exc:
                 raise DataError(f"records file {path} line {reader.line_num}: {exc}") from exc
             if not site_id:
                 raise DataError(f"records file {path} line {reader.line_num}: empty site_id")
-            latest.setdefault(site_id, {})[ts] = available
-
-    return {site_id: [SiteRecord(site_id, ts, available)
-                      for ts, available in sorted(by_time.items())]
-            for site_id, by_time in latest.items()}
+        streams = {}
+        for site_id, column in columns.items():
+            rows = np.array(column, dtype=np.int64).view(RECORD_DTYPE)
+            _, from_end = np.unique(rows["time_us"][::-1], return_index=True)  # last read wins
+            streams[site_id] = rows[rows.size - 1 - from_end]
+    return streams

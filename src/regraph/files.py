@@ -18,9 +18,9 @@ __all__ = ["atomic_open", "open_csv"]
 def open_csv(path, header: list[str], kind: str):
     """A ``csv.reader`` over a UTF-8 file, positioned after its ``header`` row.
 
-    A file that cannot be opened or decoded, a wrong header, or a row the
-    ``csv`` module rejects while the block reads raises ``DataError`` naming
-    the ``kind`` of file.
+    A file that cannot be opened or decoded, a wrong header, a row the
+    ``csv`` module rejects, or a number too large for a 64-bit array while
+    the block reads raises ``DataError`` naming the ``kind`` of file.
     """
     path = Path(path)
     try:
@@ -35,7 +35,7 @@ def open_csv(path, header: list[str], kind: str):
                 raise DataError(f"{kind} file {path}: expected header "
                                 f"{','.join(header)}, got {first}")
             yield reader
-        except (csv.Error, UnicodeDecodeError) as exc:
+        except (csv.Error, OverflowError, UnicodeDecodeError) as exc:
             raise DataError(f"{kind} file {path}: {exc}") from exc
 
 

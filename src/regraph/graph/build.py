@@ -62,8 +62,8 @@ class SiteMeta:
             raise DataError(f"site {self.site_id}: latitude {self.latitude} outside [-90, 90]")
         if not -180.0 <= self.longitude <= 180.0:
             raise DataError(f"site {self.site_id}: longitude {self.longitude} outside [-180, 180]")
-        if not math.isfinite(self.travel_time):
-            raise DataError(f"site {self.site_id}: travel time {self.travel_time} is not finite")
+        if not 0.0 <= self.travel_time < math.inf:
+            raise DataError(f"site {self.site_id}: travel time {self.travel_time} not in [0, inf)")
         if self.owner not in (0, 1):
             raise DataError(f"site {self.site_id}: owner must be 0 (private) or 1 (public)")
         if self.amenity_count < 0:
@@ -150,6 +150,8 @@ class SiteGraph:
 
 def _assemble_graph(nodes: Sequence[SiteMeta], edges: Sequence[tuple[int, int, float]],
                     threshold: float, kernel: str, sigma: float) -> SiteGraph:
+    if kernel == "gaussian" and not sigma > 0:
+        raise ConfigError(f"sigma_miles must be > 0 for the gaussian kernel, got {sigma}")
     n = len(nodes)
     adjacency = np.zeros((n, n))
     for i, j, miles in edges:

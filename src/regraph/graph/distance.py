@@ -9,11 +9,13 @@ cache selected by ``REGRAPH_DISTANCE_CACHE``.
 from __future__ import annotations
 
 import csv
+import json
 import math
 import os
 import threading
 from pathlib import Path
 from typing import TYPE_CHECKING, Protocol
+from urllib.parse import urlencode, urlsplit
 
 from ..errors import DataError
 
@@ -65,19 +67,16 @@ class RoutingProvider:
         self.timeout_s = timeout_s
 
     def miles(self, a: "SiteMeta", b: "SiteMeta") -> float:
-        import requests
-
-        params = {
-            "olat": a.latitude,
-            "olon": a.longitude,
-            "dlat": b.latitude,
-            "dlon": b.longitude,
-        }
+        from urllib.request import urlopen  # loads ssl and http.client: about 7 MB
+        query = urlencode({"olat": a.latitude, "olon": a.longitude,
+                           "dlat": b.latitude, "dlon": b.longitude})
         try:
-            resp = requests.get(self.base_url, params=params, timeout=self.timeout_s)
-            resp.raise_for_status()
-            value = resp.json()["miles"]
-            return float(value)
+            url = urlsplit(self.base_url)
+            if url.scheme not in ("http", "https"):
+                raise ValueError(f"{self.base_url!r} is not an http or https URL")
+            url = url._replace(query=f"{url.query}&{query}" if url.query else query)
+            with urlopen(url.geturl(), timeout=self.timeout_s) as resp:
+                return float(json.load(resp)["miles"])
         except Exception as exc:
             raise DataError(
                 f"routing distance failed for pair ({a.site_id}, {b.site_id}): {exc}"

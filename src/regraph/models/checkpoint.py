@@ -65,7 +65,7 @@ def _stored(what: str):
         yield
     except DataError:
         raise
-    except (AttributeError, LookupError, TypeError, ValueError) as exc:
+    except (ArithmeticError, AttributeError, LookupError, TypeError, ValueError) as exc:
         raise DataError(f"malformed {what}: {type(exc).__name__}: {exc}") from exc
 
 
@@ -166,7 +166,7 @@ def load_checkpoint(path: str | Path) -> CheckpointBundle:
     start = len(MAGIC) + 8
     try:
         header = json.loads(raw[start:start + header_len].decode("utf-8"))
-    except (UnicodeDecodeError, json.JSONDecodeError) as exc:
+    except (UnicodeDecodeError, json.JSONDecodeError, RecursionError) as exc:
         raise DataError(f"{path}: corrupt checkpoint header: {exc}") from exc
     if not isinstance(header, dict):
         raise DataError(f"{path}: corrupt checkpoint header: not a JSON object")

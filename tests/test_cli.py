@@ -10,6 +10,8 @@ from regraph.cli import main
 from regraph.config import default_config, load_config, resolve_config
 from regraph.errors import ConfigError
 from regraph.evaluation import reports
+from regraph.models import ModelSpec, build_model, save_checkpoint
+from regraph.models.checkpoint import graph_from_payload
 
 BASE_SYNTH = {
     "n_sites": 6, "n_regions": 2, "days": 2, "seed": 11,
@@ -165,6 +167,13 @@ def test_build_graph_malformed_sites_exits_3(tmp_path, capsys, row):
     assert not (tmp_path / "g.json").exists()
 
 
+def test_build_graph_zero_sigma_exits_2(tmp_path, capsys):
+    data = make_dataset(tmp_path)
+    assert main(["build-graph", "--sites", str(data / "sites.csv"), "--strategy",
+                 "connected", "--sigma-miles", "0", "--out", str(tmp_path / "g.json")]) == 2
+    assert "sigma_miles must be > 0" in capsys.readouterr().err
+
+
 def test_build_graph_deterministic(tmp_path):
     data = make_dataset(tmp_path)
     a, b = tmp_path / "a.json", tmp_path / "b.json"
@@ -285,6 +294,24 @@ def test_predict_missing_checkpoint_exits_3(pipeline):
     root, data = pipeline["root"], pipeline["data"]
     assert main(["predict", "--checkpoint", str(root / "nope.ckpt"),
                  "--data", str(data), "--out", str(root / "p.csv")]) == 3
+
+
+def test_predict_on_records_with_a_stray_year_exits_3(tmp_path, capsys):
+    # two sites with one day of records, plus one record ten years earlier
+    data = make_dataset(tmp_path, n_sites=2, n_regions=1, days=1)
+    with open(data / "records.csv", "a", encoding="utf-8") as fh:
+        fh.write("site_000,2014-01-01T00:00:00,5\n")
+    graph_file = tmp_path / "graph.json"
+    assert main(["build-graph", "--sites", str(data / "sites.csv"),
+                 "--strategy", "connected", "--out", str(graph_file)]) == 0
+    graph = graph_from_payload(json.loads(graph_file.read_text())["graph"])
+    ckpt = tmp_path / "model.ckpt"
+    save_checkpoint(ckpt, build_model(ModelSpec("TGCN", 4, 3, (1,), "connected"), graph),
+                    np.zeros(8), np.ones(8), [1])
+    assert main(["predict", "--checkpoint", str(ckpt), "--data", str(data),
+                 "--out", str(tmp_path / "p.csv")]) == 3
+    assert "records span 2014-01-01" in capsys.readouterr().err
+    assert not (tmp_path / "p.csv").exists()
 
 
 def test_evaluate_reports_and_self_consistency(pipeline):

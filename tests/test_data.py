@@ -11,8 +11,8 @@ from hypothesis import strategies as st
 from regraph.data import (
     FEATURE_COLUMNS,
     OCCUPANCY_COL,
+    RECORD_DTYPE,
     FeatureGrid,
-    SiteRecord,
     SyntheticConfig,
     WindowSample,
     apply_scaling,
@@ -35,8 +35,14 @@ def meta(site_id="s", region="WI", capacity=10):
                     travel_time=12.0, owner=1, amenity_count=2, capacity=capacity)
 
 
-def rec(site_id, minutes, available):
-    return SiteRecord(site_id, T0 + timedelta(minutes=minutes), available)
+def us(t):
+    """UTC microseconds since 1970 of a naive UTC datetime."""
+    return (t - datetime(1970, 1, 1)) // timedelta(microseconds=1)
+
+
+def stream(*points):
+    """A record stream of (minutes after T0, available) points, in the given order."""
+    return np.array([(us(T0 + timedelta(minutes=m)), a) for m, a in points], RECORD_DTYPE)
 
 
 # ----------------------------------------------------------- interpolation
@@ -53,7 +59,7 @@ def test_occupancy_arithmetic():
 
 def test_single_missing_point_filled_with_flanking_average():
     site = meta(capacity=10)
-    records = {"s": [rec("s", 0, 6), rec("s", 20, 4)]}  # 0.4 ... 0.6
+    records = {"s": stream((0, 6), (20, 4))}  # 0.4 ... 0.6
     grid = interpolate_to_grid(records, [site])
     assert grid.X.shape == (3, 1, 8)
     assert grid.valid.all()
@@ -63,7 +69,7 @@ def test_single_missing_point_filled_with_flanking_average():
 def test_complete_grid_is_identity():
     site = meta(capacity=20)
     avail = [20, 15, 10, 5, 0]
-    records = {"s": [rec("s", 10 * k, a) for k, a in enumerate(avail)]}
+    records = {"s": stream(*[(10 * k, a) for k, a in enumerate(avail)])}
     grid = interpolate_to_grid(records, [site])
     assert grid.X[:, 0, OCCUPANCY_COL] == pytest.approx([0.0, 0.25, 0.5, 0.75, 1.0])
     assert grid.valid.all()
@@ -72,14 +78,14 @@ def test_complete_grid_is_identity():
 def test_last_record_in_a_grid_step_wins():
     site = meta(capacity=10)
     # 00:05 and 00:00 share the first step; the later one in the stream wins
-    records = {"s": [rec("s", 5, 2), rec("s", 0, 8), rec("s", 10, 5), rec("s", 19, 4)]}
+    records = {"s": stream((5, 2), (0, 8), (10, 5), (19, 4))}
     grid = interpolate_to_grid(records, [site])
     assert grid.X[:, 0, OCCUPANCY_COL] == pytest.approx([0.2, 0.6])
 
 
 def test_wide_gap_invalidates_frames():
     site = meta(capacity=10)
-    records = {"s": [rec("s", 0, 5), rec("s", 80, 5)]}  # 7 missing steps > 6
+    records = {"s": stream((0, 5), (80, 5))}  # 7 missing steps > 6
     grid = interpolate_to_grid(records, [site], max_gap=6)
     assert grid.valid[0] and grid.valid[-1]
     assert not grid.valid[1:-1].any()
@@ -87,7 +93,7 @@ def test_wide_gap_invalidates_frames():
 
 def test_gap_at_max_gap_still_fills():
     site = meta(capacity=10)
-    records = {"s": [rec("s", 0, 8), rec("s", 70, 2)]}  # 6 missing steps
+    records = {"s": stream((0, 8), (70, 2))}  # 6 missing steps
     grid = interpolate_to_grid(records, [site], max_gap=6)
     assert grid.valid.all()
     assert grid.X[3, 0, OCCUPANCY_COL] == pytest.approx(0.5)
@@ -95,17 +101,17 @@ def test_gap_at_max_gap_still_fills():
 
 def test_unknown_site_rejected():
     with pytest.raises(DataError):
-        interpolate_to_grid({"ghost": [rec("ghost", 0, 1), rec("ghost", 10, 1)]}, [meta()])
+        interpolate_to_grid({"ghost": stream((0, 1), (10, 1))}, [meta()])
 
 
 def test_too_few_records_rejected():
     with pytest.raises(DataError):
-        interpolate_to_grid({"s": [rec("s", 0, 1)]}, [meta()])
+        interpolate_to_grid({"s": stream((0, 1))}, [meta()])
 
 
 def test_calendar_and_static_columns():
     site = meta(capacity=10)
-    records = {"s": [rec("s", 0, 5), rec("s", 10, 5), rec("s", 20, 5)]}
+    records = {"s": stream((0, 5), (10, 5), (20, 5))}
     grid = interpolate_to_grid(records, [site])
     assert grid.X.shape == (3, 1, 8)
     for t, x in enumerate(grid.X):
@@ -122,14 +128,33 @@ def test_calendar_and_static_columns():
 def test_frame_valid_requires_every_site():
     a, b = meta("a"), meta("b")
     records = {
-        "a": [rec("a", 0, 5), rec("a", 10, 5), rec("a", 20, 5)],
-        "b": [rec("b", 0, 5), rec("b", 20, 5)],
+        "a": stream((0, 5), (10, 5), (20, 5)),
+        "b": stream((0, 5), (20, 5)),
     }
     grid = interpolate_to_grid(records, [a, b])
     assert grid.valid.all()  # single gap fillable
-    records["b"] = [rec("b", 0, 5), rec("b", 120, 5)]
+    records["b"] = stream((0, 5), (120, 5))
     grid = interpolate_to_grid(records, [a, b])
     assert not grid.valid[5]  # inside b's wide gap even though a is known
+
+
+def test_grid_holds_at_most_64_cells_per_record():
+    at_bound = {"s": stream((0, 5), (10 * 127, 5))}  # 128 steps x 1 site, 2 records
+    assert interpolate_to_grid(at_bound, [meta()]).X.shape == (128, 1, 8)
+    past_bound = {"s": stream((0, 5), (10 * 128, 5))}
+    with pytest.raises(DataError, match="129 grid steps x 1 sites .* 2 records"):
+        interpolate_to_grid(past_bound, [meta()])
+
+
+def test_stray_record_years_early_is_a_data_error(tmp_path):
+    # two sites with one day of records, plus one record ten years earlier
+    sites_path, records_path, _ = generate_synthetic(
+        SyntheticConfig(n_sites=2, n_regions=1, days=1, seed=0), tmp_path)
+    with open(records_path, "a", encoding="utf-8") as fh:
+        fh.write("site_000,2014-01-01T00:00:00,5\n")
+    with pytest.raises(DataError, match=r"records span 2014-01-01 00:00:00 to "
+                                        r"2024-01-01 23:50:00: .* 289 records"):
+        interpolate_to_grid(load_records(records_path), load_sites(sites_path))
 
 
 # --------------------------------------------------------------- windowing
@@ -341,7 +366,7 @@ def test_synthetic_occupancy_bounds(tmp_path):
     sites_path, records_path, _ = generate_synthetic(cfg, tmp_path)
     sites = {s.site_id: s for s in load_sites(sites_path)}
     streams = load_records(records_path)
-    occ = np.array([[occupancy_rate(sites[sid].capacity, r.available) for r in stream]
+    occ = np.array([occupancy_rate(sites[sid].capacity, stream["available"])
                     for sid, stream in sorted(streams.items())])
     rounding = 0.5 / min(s.capacity for s in sites.values())
     assert occ.min() >= 0.0
@@ -354,8 +379,8 @@ def test_synthetic_coupling_zero_is_independent(tmp_path):
     forced = generate_synthetic(small_cfg(coupling=0.0, forced_full=(0,)), tmp_path / "b")
     s_base = load_records(base[1])
     s_forced = load_records(forced[1])
-    assert s_base["site_001"] == s_forced["site_001"]
-    assert s_base["site_000"] != s_forced["site_000"]
+    assert np.array_equal(s_base["site_001"], s_forced["site_001"])
+    assert not np.array_equal(s_base["site_000"], s_forced["site_000"])
 
 
 def test_synthetic_coupling_spills_to_same_region(tmp_path):
@@ -365,9 +390,8 @@ def test_synthetic_coupling_spills_to_same_region(tmp_path):
 
     def region_mean(paths, members):
         streams = load_records(paths[1])
-        vals = [occupancy_rate(sites[m].capacity, r.available)
-                for m in members for r in streams[m]]
-        return float(np.mean(vals))
+        vals = [occupancy_rate(sites[m].capacity, streams[m]["available"]) for m in members]
+        return float(np.mean(np.concatenate(vals)))
 
     # Region of site_000 holds sites 0, 4, 8; neighbors are 4 and 8.
     neighbors = ["site_004", "site_008"]
@@ -379,7 +403,7 @@ def test_synthetic_same_region_correlation_dominates(tmp_path):
     sites_path, records_path, _ = generate_synthetic(cfg, tmp_path)
     sites = load_sites(sites_path)
     streams = load_records(records_path)
-    occ = np.array([[occupancy_rate(s.capacity, r.available) for r in streams[s.site_id]]
+    occ = np.array([occupancy_rate(s.capacity, streams[s.site_id]["available"])
                     for s in sites])
     corr = np.corrcoef(occ)
     same, cross = [], []
@@ -397,7 +421,7 @@ def test_synthetic_drop_rate_creates_gaps(tmp_path):
     full = 12 * 3 * 144
     assert total < full
     for stream in streams.values():
-        assert stream[0].timestamp == datetime(2024, 1, 1)
+        assert stream["time_us"][0] == us(datetime(2024, 1, 1))
 
 
 def test_synthetic_config_validation():
@@ -424,13 +448,12 @@ def test_synthetic_end_to_end_windows(tmp_path):
 
 def per_step_reference(streams, sites, max_gap):
     """Occupancy (T x n) and validity of every grid step, one site and one step at a time."""
-    step = timedelta(minutes=10)
+    step_us = us(datetime(1970, 1, 1, 0, 10))
     per_site = []
     for s in sites:
         cells = {}
-        for r in streams[s.site_id]:
-            cells[(r.timestamp - datetime(1970, 1, 1)) // step] = \
-                (s.capacity - r.available) / s.capacity
+        for time_us, available in streams[s.site_id].tolist():
+            cells[time_us // step_us] = (s.capacity - available) / s.capacity
         per_site.append(cells)
     first = min(min(c) for c in per_site)
     occ = np.zeros((max(max(c) for c in per_site) - first + 1, len(sites)))
@@ -497,9 +520,8 @@ def test_load_records_sorts_and_dedups(tmp_path):
         encoding="utf-8",
     )
     streams = load_records(path)
-    assert [r.available for r in streams["s"]] == [9, 6]
-    times = [r.timestamp for r in streams["s"]]
-    assert times == sorted(times)
+    assert streams["s"].dtype == RECORD_DTYPE
+    assert streams["s"].tolist() == [(us(T0), 9), (us(T0 + timedelta(minutes=10)), 6)]
 
 
 def test_load_records_bad_header(tmp_path):
@@ -518,7 +540,7 @@ def test_load_records_timezone_normalized(tmp_path):
         encoding="utf-8",
     )
     streams = load_records(path)
-    assert streams["s"][0].timestamp == datetime(2024, 1, 1, 0, 0)
+    assert streams["s"]["time_us"][0] == us(datetime(2024, 1, 1, 0, 0))
 
 
 def test_load_records_rejects_bytes_that_are_not_utf8(tmp_path):
@@ -528,9 +550,19 @@ def test_load_records_rejects_bytes_that_are_not_utf8(tmp_path):
         load_records(path)
 
 
+def test_load_records_rejects_available_beyond_64_bits(tmp_path):
+    path = tmp_path / "records.csv"
+    path.write_text("site_id,timestamp_iso8601,available\n"
+                    "s,2024-01-01T00:00:00,5\n"
+                    "s,2024-01-01T00:10:00,99999999999999999999\n", encoding="utf-8")
+    with pytest.raises(DataError, match="records file"):
+        load_records(path)
+
+
 # A row is ("ok", site, naive UTC time, UTC offset in minutes or None, available),
 # ("blank",), ("fields", cells): a valid row cut short or with extra fields, or
-# ("bad", site, timestamp text, available text) with an unparseable value.
+# ("bad", site, timestamp text, available text) with an unparseable or
+# out-of-range value.
 OK_ROWS = st.tuples(st.just("ok"), st.sampled_from(["a", "b", "c,d"]),
                     st.integers(0, 5).map(lambda m: T0 + timedelta(minutes=10 * m)),
                     st.sampled_from([None, -90, 0, 330]), st.integers(-20, 200))
@@ -540,7 +572,7 @@ ODD_ROWS = st.one_of(
         lambda n: ["a", "2024-01-01T00:00:00", "5", "extra", ""][:n])),
     st.tuples(st.just("bad"), st.sampled_from(["a", ""]),
               st.sampled_from(["2024-01-01T00:00:00", "2024-13-01T00:00:00", "soon"]),
-              st.sampled_from(["7", "x", "1.5", "--3", ""])))
+              st.sampled_from(["7", "x", "1.5", "--3", "", "9" * 19])))
 
 
 def expected_streams(rows):
@@ -556,7 +588,7 @@ def expected_streams(rows):
         if row[0] == "fields" or row[1] == "" or row[2] != "2024-01-01T00:00:00" or row[3] != "7":
             return None
         latest.setdefault(row[1], {})[datetime(2024, 1, 1)] = 7
-    return {site: [(site, t, by_time[t]) for t in sorted(by_time)]
+    return {site: [(us(t), by_time[t]) for t in sorted(by_time)]
             for site, by_time in latest.items()}
 
 
@@ -585,8 +617,7 @@ def test_load_records_matches_sorted_last_wins_reference(tmp_path, rows):
             load_records(path)
         return
     streams = load_records(path)
-    assert {site: [(r.site_id, r.timestamp, r.available) for r in stream]
-            for site, stream in streams.items()} == expected
+    assert {site: stream.tolist() for site, stream in streams.items()} == expected
 
 
 def test_window_sample_arrays_read_only():

@@ -1,6 +1,9 @@
 """Unit tests for graph construction, decomposition, and distances."""
 
 import csv
+import http.server
+import threading
+import urllib.parse
 
 import numpy as np
 import pytest
@@ -351,7 +354,7 @@ ODD_SITE_ROWS = st.one_of(
     st.tuples(st.just("fields"), st.sampled_from([1, 2, 7, 9, 10])),
     st.tuples(st.just("bad"), st.sampled_from([
         (0, ""), (2, "north"), (2, "90.5"), (2, "nan"), (3, "-180.01"), (3, "-inf"),
-        (4, "inf"), (4, "-inf"), (4, "nan"), (4, "soon"), (5, "2"), (5, "1.0"),
+        (4, "inf"), (4, "-inf"), (4, "nan"), (4, "-5.0"), (4, "soon"), (5, "2"), (5, "1.0"),
         (6, "-1"), (6, "x"), (7, "0"), (7, ""),
     ])))
 VALID_SITE_CELLS = ["s9", "WI", "43.1", "-89.4", "12.5", "1", "4", "80"]
@@ -406,6 +409,8 @@ def test_site_meta_validation():
         site("bad", lat=123.0)
     with pytest.raises(DataError):
         SiteMeta("x", "WI", 43.0, -89.0, 1.0, owner=2, amenity_count=0, capacity=5)
+    with pytest.raises(DataError, match=r"travel time -5.0 not in \[0, inf\)"):
+        SiteMeta("x", "WI", 43.0, -89.0, -5.0, owner=1, amenity_count=0, capacity=5)
 
 
 # -------------------------------------------------------------- providers
@@ -429,6 +434,62 @@ def test_routing_provider_failure_names_pair():
         bad.miles(site("p"), site("q"))
     msg = str(exc.value)
     assert "p" in msg and "q" in msg
+
+
+class RoutingHandler(http.server.BaseHTTPRequestHandler):
+    """Answers /ok with 12.5 miles, /fail with a 500, and other paths with a bad body."""
+
+    queries: list = []
+
+    def do_GET(self):
+        path, _, query = self.path.partition("?")
+        self.queries.append(urllib.parse.parse_qs(query))
+        body = {"/ok": b'{"miles": 12.5}', "/fail": b"oops",
+                "/text": b'{"miles": "far"}'}.get(path, b'{"distance": 3}')
+        self.send_response(500 if path == "/fail" else 200)
+        self.send_header("Content-Length", str(len(body)))
+        self.end_headers()
+        self.wfile.write(body)
+
+    def log_message(self, *args):
+        pass
+
+
+@pytest.fixture
+def routing_url(monkeypatch):
+    monkeypatch.setenv("no_proxy", "*")
+    monkeypatch.setenv("NO_PROXY", "*")
+    server = http.server.HTTPServer(("127.0.0.1", 0), RoutingHandler)
+    thread = threading.Thread(target=server.serve_forever, daemon=True)
+    thread.start()
+    yield f"http://127.0.0.1:{server.server_address[1]}"
+    server.shutdown()
+    server.server_close()
+    thread.join()
+
+
+@pytest.mark.parametrize("path, base_query", [("/ok", {}), ("/ok?key=K%3D1", {"key": ["K=1"]})],
+                         ids=["plain", "with_query"])
+def test_routing_provider_reads_miles_from_loopback_service(routing_url, path, base_query):
+    RoutingHandler.queries.clear()
+    a, b = site("p", lat=43.5, lon=-89.25), site("q", lat=44.0, lon=-90.0)
+    assert RoutingProvider(routing_url + path).miles(a, b) == 12.5
+    assert RoutingHandler.queries == [{**base_query, "olat": ["43.5"], "olon": ["-89.25"],
+                                       "dlat": ["44.0"], "dlon": ["-90.0"]}]
+
+
+def test_routing_provider_rejects_urls_other_than_http(tmp_path):
+    answer = tmp_path / "route.json"
+    answer.write_text('{"miles": 12.5}', encoding="utf-8")  # urlopen alone would read it
+    for url in [answer.as_uri(), "ftp://127.0.0.1/route"]:
+        with pytest.raises(DataError, match=r"pair \(p, q\): .* is not an http or https URL"):
+            RoutingProvider(url).miles(site("p"), site("q"))
+
+
+@pytest.mark.parametrize("path", ["/fail", "/nomiles", "/text"])
+def test_routing_provider_bad_response_names_pair(routing_url, path):
+    with pytest.raises(DataError, match=r"routing distance failed for pair \(p, q\)"):
+        RoutingProvider(routing_url + path, timeout_s=5.0).miles(site("p"), site("q"))
 
 
 def test_default_provider_selection(tmp_path):

@@ -5,6 +5,8 @@ import struct
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from regraph.errors import ConfigError, DataError, ShapeError
 from regraph.graph import (
@@ -564,6 +566,14 @@ def test_checkpoint_rejects_header_that_is_not_an_object(tmp_path):
         load_checkpoint(path)
 
 
+def test_checkpoint_rejects_header_nested_too_deep_to_parse(tmp_path):
+    path = tmp_path / "deep.ckpt"
+    blob = b"[" * 100_000 + b"]" * 100_000
+    path.write_bytes(b"RGCKPT01" + struct.pack("<Q", len(blob)) + blob)
+    with pytest.raises(DataError, match="corrupt checkpoint header"):
+        load_checkpoint(path)
+
+
 def test_checkpoint_rejects_truncation(tmp_path):
     g = two_region_graph()
     model = build_model(ModelSpec("TGCN", 6, 3, (1,), "connected"), g)
@@ -609,7 +619,9 @@ def _rewrite_header(path, edit):
     lambda h: h["graph"]["sites"][0].pop(),
     lambda h: h["partition"]["subgraph_edges"]["WI"].clear(),
     lambda h: h["partition"]["region_of"].update(ghost="WI"),
-], ids=["no_hyperparams", "short_site_row", "regional_edge_dropped", "unknown_site_label"])
+    lambda h: h["graph"].update(sigma_miles=0.0),
+], ids=["no_hyperparams", "short_site_row", "regional_edge_dropped", "unknown_site_label",
+        "zero_sigma"])
 def test_checkpoint_malformed_header_is_data_error(tmp_path, edit):
     g = two_region_graph()
     spec = ModelSpec("RegTGCN", 6, 3, (1,), "regional", seed=1)
@@ -632,3 +644,60 @@ def test_checkpoint_random_partition_round_trip(tmp_path):
     assert dict(bundle.partition.region_of) == dict(part.region_of)
     w = window(3, 4, seed=17)
     np.testing.assert_array_equal(restore_model(bundle).predict(w), model.predict(w))
+
+
+@pytest.fixture(scope="module")
+def checkpoint_file(tmp_path_factory):
+    g = two_region_graph()
+    spec = ModelSpec("RegTGCN", 2, 3, (1,), "regional", seed=1)
+    path = tmp_path_factory.mktemp("ckpt") / "model.ckpt"
+    save_checkpoint(path, build_model(spec, g, decompose_regional(g)),
+                    np.zeros(8), np.ones(8), [1])
+    return path
+
+
+# Bytes written over a span: arbitrary, or text that keeps a JSON header parseable.
+PATCHES = st.one_of(st.binary(min_size=1, max_size=24),
+                    st.text('0123456789-+.eE[]{}",: tfnulrase', min_size=1,
+                            max_size=12).map(str.encode))
+# Values put in place of one entry of the JSON header.
+JSON_VALUES = st.sampled_from([None, False, True, 0, -1, 10 ** 20, 0.0, -0.0, 0.5, 1e308,
+                               float("nan"), float("inf"), "", "x", [], {}])
+
+
+def header_leaves(doc, path=()):
+    """Key paths of every scalar or empty container in a JSON document."""
+    items = doc.items() if isinstance(doc, dict) else \
+        enumerate(doc) if isinstance(doc, list) else ()
+    paths = [p for key, value in items for p in header_leaves(value, path + (key,))]
+    return paths or [path]
+
+
+@settings(max_examples=300, deadline=None)
+@given(data=st.data())
+def test_corrupt_checkpoint_raises_only_data_or_config_error(checkpoint_file, data):
+    raw = checkpoint_file.read_bytes()
+    (header_len,) = struct.unpack_from("<Q", raw, 8)
+    path = checkpoint_file.with_name("corrupt.ckpt")
+    path.write_bytes(raw)
+    mode = data.draw(st.sampled_from(["truncate", "overwrite", "header_entry"]))
+    if mode == "header_entry":
+        header = json.loads(raw[16:16 + header_len])
+        *keys, last = data.draw(st.sampled_from(header_leaves(header)))
+        value = data.draw(JSON_VALUES)
+
+        def edit(h):
+            for key in keys:
+                h = h[key]
+            h[last] = value
+        _rewrite_header(path, edit)
+    else:
+        # half the cuts land in the magic, the length or the JSON header
+        cut = data.draw(st.one_of(st.integers(0, 16 + header_len),
+                                  st.integers(0, len(raw) - 1)))
+        patch = data.draw(PATCHES) if mode == "overwrite" else b""
+        path.write_bytes(raw[:cut] + patch + raw[cut + len(patch):] if patch else raw[:cut])
+    try:
+        load_checkpoint(path)
+    except (DataError, ConfigError):
+        pass
