@@ -22,7 +22,6 @@ from regraph.config import (
     synth_config_from,
 )
 from regraph.data import (
-    apply_scaling,
     generate_synthetic,
     interpolate_to_grid,
     load_records,
@@ -91,8 +90,12 @@ def _read_graph_file(path: Path):
         doc = json.loads(path.read_text())
     except OSError as exc:
         raise DataError(f"cannot read graph file {path}: {exc}") from exc
+    except UnicodeDecodeError as exc:
+        raise DataError(f"graph file {path} is not UTF-8 text: {exc}") from exc
     except json.JSONDecodeError as exc:
         raise DataError(f"graph file {path} is not valid JSON: {exc.msg}") from exc
+    except RecursionError as exc:
+        raise DataError(f"graph file {path} is nested too deeply to parse") from exc
     if not isinstance(doc, dict):
         raise DataError(f"graph file {path} does not hold a JSON object")
     for key in ("strategy", "graph"):
@@ -285,9 +288,8 @@ def _cmd_evaluate(args) -> int:
             _, val_raw = split_validation(
                 train_s, resolved["train"]["val_fraction"])
             if val_raw:
-                val = [apply_scaling(s, bundle.scaling_lo, bundle.scaling_hi)
-                       for s in val_raw]
-                check = float(np.mean(_val_rmse(model, val, bundle.spec.horizons)))
+                check = float(np.mean(_val_rmse(model, val_raw, bundle.scaling_lo,
+                                                bundle.scaling_hi)))
                 summary["val_rmse_check"] = check
                 summary["val_rmse_reported"] = train_report["best_score"]
         if gen_s:

@@ -16,6 +16,7 @@ from regraph.data.windows import (
     compute_scaling,
     make_windows,
     split_by_weeks,
+    step_positions,
 )
 
 __all__ = [
@@ -35,4 +36,5 @@ __all__ = [
     "make_windows",
     "occupancy_rate",
     "split_by_weeks",
+    "step_positions",
 ]

@@ -19,6 +19,7 @@ __all__ = [
     "compute_scaling",
     "make_windows",
     "split_by_weeks",
+    "step_positions",
 ]
 
 
@@ -28,7 +29,9 @@ class WindowSample:
 
     ``weeks`` holds the ISO (year, week) labels of every grid step the
     sample touches, inputs and targets alike, so split logic can keep whole
-    windows on one side of a boundary.
+    windows on one side of a boundary. ``first_step`` is the grid row of
+    ``inputs[0]`` when ``inputs`` is a view of a grid's rows; windows viewing
+    the same grid row share that step (see ``step_positions``).
     """
 
     inputs: np.ndarray = field(repr=False)   # K x n x 8
@@ -37,6 +40,7 @@ class WindowSample:
     target_times: tuple[datetime, ...]
     horizons: tuple[int, ...]
     weeks: frozenset = field(repr=False)
+    first_step: int | None = None
 
     def __post_init__(self):
         self.inputs.flags.writeable = False
@@ -78,6 +82,7 @@ def make_windows(grid: FeatureGrid, k: int, horizons: Sequence[int],
                 target_times=tuple(times[c] for c in target_cells),
                 horizons=horizons,
                 weeks=frozenset(weeks[s:s + k]) | frozenset(weeks[c] for c in target_cells),
+                first_step=int(s),
             ))
     if not samples:
         warnings.warn(
@@ -148,21 +153,69 @@ def split_by_weeks(samples: Iterable[WindowSample],
     return out
 
 
+def _input_blocks(samples: Sequence[WindowSample]):
+    """(key, array, first row) per sample; samples viewing one grid share its key.
+
+    A view is checked, not assumed from ``first_step``: a scaled copy keeps
+    that field but owns its values, and such a sample is a block of its own.
+    """
+    keys: dict[int, int] = {}
+    for i, s in enumerate(samples):
+        grid, first = s.inputs.base, s.first_step
+        if first is not None and isinstance(grid, np.ndarray) and grid.ndim == 3:
+            rows = grid[first:first + len(s.inputs)]
+            if (rows.shape, rows.strides, rows.ctypes.data) == \
+                    (s.inputs.shape, s.inputs.strides, s.inputs.ctypes.data):
+                yield ("grid", keys.setdefault(id(grid), len(keys))), grid, first
+                continue
+        yield ("own", i), s.inputs, 0
+
+
+def step_positions(samples: Sequence[WindowSample]) -> np.ndarray:
+    """Number each sample's K input steps so that shared steps share a number.
+
+    Two samples share a step exactly when both view the same row of the
+    same grid array; every other sample's steps are its own. Numbers rise
+    with the grid row, and grids (and samples of their own) take disjoint
+    ranges in order of first appearance, so visiting steps by increasing
+    number takes every sample's lags in order. Returns a B x K int array.
+    """
+    offsets: dict[tuple, int] = {}
+    end = 0
+    out = []
+    for s, (key, array, first) in zip(samples, _input_blocks(samples)):
+        if key not in offsets:
+            offsets[key] = end
+            end += len(array)
+        out.append(offsets[key] + first + np.arange(len(s.inputs)))
+    return np.array(out, dtype=np.int64) if out else np.zeros((0, 0), dtype=np.int64)
+
+
 def compute_scaling(samples: Sequence[WindowSample]) -> tuple[np.ndarray, np.ndarray]:
     """Per-column min and max over every input step of the given samples.
 
-    Only the calendar/static columns are ever rescaled; the returned
-    arrays still cover all 8 columns, with identity bounds (0, 1) on the
-    untouched ones, so they can be stored and applied uniformly.
+    Each grid row the samples cover is read once, however many windows
+    hold it. Only the calendar/static columns are ever rescaled; the
+    returned arrays still cover all 8 columns, with identity bounds (0, 1)
+    on the untouched ones, so they can be stored and applied uniformly.
     """
     if not samples:
         raise DataError("compute_scaling: no samples")
+    covered: dict[tuple, tuple[np.ndarray, np.ndarray]] = {}
+    for s, (key, array, first) in zip(samples, _input_blocks(samples)):
+        mask = covered.setdefault(key, (array, np.zeros(len(array), dtype=np.int8)))[1]
+        mask[first:first + len(s.inputs)] = 1
+    runs = []
+    for array, mask in covered.values():
+        edges = np.diff(mask, prepend=0, append=0)
+        runs += [array[a:b] for a, b in zip(np.flatnonzero(edges == 1),
+                                            np.flatnonzero(edges == -1))]
     n_cols = len(FEATURE_COLUMNS)
     lo = np.zeros(n_cols)
     hi = np.ones(n_cols)
     cols = list(SCALED_COLUMNS)
-    lo[cols] = np.min([s.inputs.min(axis=(0, 1)) for s in samples], axis=0)[cols]
-    hi[cols] = np.max([s.inputs.max(axis=(0, 1)) for s in samples], axis=0)[cols]
+    lo[cols] = np.min([r.min(axis=(0, 1)) for r in runs], axis=0)[cols]
+    hi[cols] = np.max([r.max(axis=(0, 1)) for r in runs], axis=0)[cols]
     return lo, hi
 
 

@@ -9,7 +9,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from regraph.data import apply_scaling
+from regraph.data import apply_scaling, step_positions
 from regraph.errors import ConfigError, ShapeError
 from regraph.evaluation.metrics import MetricSet, compute_metrics, q95_table
 from regraph.files import atomic_open
@@ -54,14 +54,18 @@ class EvalReport:
 
 
 def predict_samples(model, samples, scaling_lo, scaling_hi):
-    """Stack predictions and truths as (n_samples, n_sites, n_horizons)."""
-    preds = []
-    truths = []
-    for s in samples:
-        scaled = apply_scaling(s, scaling_lo, scaling_hi)
-        preds.append(model.predict(scaled.inputs))
-        truths.append(s.targets)
-    return np.stack(preds), np.stack(truths)
+    """Stack predictions and truths as (n_samples, n_sites, n_horizons).
+
+    Samples that view one grid share their common steps, and each of those
+    is encoded once (``ForecastModel.predict_windows``). Each sample is
+    scaled when its first step comes up.
+    """
+    samples = list(samples)
+    truths = np.stack([s.targets for s in samples])
+    preds = model.predict_windows(
+        step_positions(samples),
+        lambda b: apply_scaling(samples[b], scaling_lo, scaling_hi).inputs)
+    return preds, truths
 
 
 def evaluate_model(model, samples, scaling_lo, scaling_hi,

@@ -105,11 +105,24 @@ class CachedProvider:
     def _load(self) -> None:
         with open(self.path, newline="", encoding="utf-8") as fh:
             reader = csv.DictReader(fh)
-            if reader.fieldnames is None or set(reader.fieldnames) != {"site_a", "site_b", "miles"}:
-                raise DataError(f"distance cache {self.path}: expected header site_a,site_b,miles")
-            for row in reader:
-                key = tuple(sorted((row["site_a"], row["site_b"])))
-                self._table[key] = float(row["miles"])
+            try:
+                if reader.fieldnames is None or \
+                        set(reader.fieldnames) != {"site_a", "site_b", "miles"}:
+                    raise DataError(
+                        f"distance cache {self.path}: expected header site_a,site_b,miles")
+                for row in reader:
+                    where = f"distance cache {self.path} line {reader.line_num}"
+                    if None in row or None in row.values():
+                        raise DataError(f"{where}: expected 3 fields")
+                    try:
+                        miles = float(row["miles"])
+                    except ValueError as exc:
+                        raise DataError(f"{where}: {exc}") from exc
+                    if not 0.0 <= miles < math.inf:
+                        raise DataError(f"{where}: miles {miles} not in [0, inf)")
+                    self._table[tuple(sorted((row["site_a"], row["site_b"])))] = miles
+            except (UnicodeDecodeError, csv.Error) as exc:
+                raise DataError(f"distance cache {self.path}: {exc}") from exc
 
     def miles(self, a: "SiteMeta", b: "SiteMeta") -> float:
         key = self._key(a, b)

@@ -19,11 +19,18 @@ global node order, and one shared per-node affine mixes them. The GRU of
 the partition models consumes the feature concatenation of the full-graph
 conv and gamma, and its hidden state starts from the oldest lag's gamma
 rather than zeros.
+
+Every model runs in two stages: ``encode`` reads one scaled grid step, and
+``advance`` takes one more lag of a window. In the T-GCN models the encode
+holds everything that depends on the step alone (the spatial convs, gamma
+and the input halves of the GRU gates), so frozen inference over windows
+that share steps (``predict_windows``) encodes each step once.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import Callable
 
 import numpy as np
 
@@ -31,16 +38,23 @@ from ..data.frames import FEATURE_COLUMNS
 from ..errors import ConfigError, ShapeError
 from ..graph.build import RegionalPartition, SiteGraph
 from ..numerics import DiffTensor, concat, constant, no_grad, take_rows
-from .layers import (
+# attention_aggregate is not called here, but perfbench's layer tracer wraps it
+# where this module looks it up.
+from .layers import (  # noqa: F401
     AttentionAggregator,
     Decoder,
     GcnGruCell,
     GcnLayer,
     StructuralConv,
     affine,
+    attend,
     attention_aggregate,
+    gate_inputs,
     gcn_forward,
+    gru_advance,
     gru_step,
+    lag_weights,
+    split_gates,
     structural_conv,
     uniform_init,
 )
@@ -144,7 +158,12 @@ class GraphContext:
 
 
 class ForecastModel:
-    """Shared parameter registry, forward dispatch, and frozen inference."""
+    """Shared parameter registry, the two-stage forward, and frozen inference.
+
+    A subclass defines ``readout`` and may refine ``call_weights``,
+    ``encode`` and ``advance``; by default a step is encoded as itself and
+    a window's state is the tuple of its encoded steps.
+    """
 
     def __init__(self, spec: ModelSpec, ctx: GraphContext):
         self.spec = spec
@@ -186,13 +205,74 @@ class ForecastModel:
                 f"(k={self.spec.k}, n={self.ctx.n}, {IN_WIDTH})")
         return inputs
 
-    def forward(self, inputs: np.ndarray) -> DiffTensor:
+    def call_weights(self):
+        """The weights as every step of one call reads them, taken once per call."""
+        return None
+
+    def encode(self, weights, x: DiffTensor):
+        """One scaled grid step (n x 8), as every window holding it reads it."""
+        return x
+
+    def advance(self, weights, state, step):
+        """A window's state after one more lag; ``state`` is None before the first."""
+        return (state or ()) + (step,)
+
+    def readout(self, weights, state) -> DiffTensor:
+        """The n x |horizons| forecast of a window that has taken all K lags."""
         raise NotImplementedError
 
+    def forward(self, inputs: np.ndarray) -> DiffTensor:
+        inputs = self._check_window(inputs)
+        weights = self.call_weights()
+        state = None
+        for k in range(self.spec.k):
+            state = self.advance(weights, state, self.encode(weights, constant(inputs[k])))
+        return self.readout(weights, state)
+
     def predict(self, inputs: np.ndarray) -> np.ndarray:
+        return self.predict_windows(np.arange(self.spec.k)[None], lambda b: inputs)[0]
+
+    def predict_windows(self, positions: np.ndarray,
+                        inputs: Callable[[int], np.ndarray]) -> np.ndarray:
+        """Frozen forecasts of B windows, taken grid step by grid step.
+
+        ``positions`` (B x K) numbers each window's steps, rising along the
+        lags; windows holding the same step give it the same number (see
+        ``data.step_positions``). ``inputs(b)`` returns window b's scaled
+        K x n x 8 inputs. It is called when the window's first step comes
+        up, and the array is dropped after its last. Each step is encoded
+        once and at once advances every window holding it, so only the
+        windows spanning one step are in flight, each with its own state.
+        Returns the B x n x |horizons| forecasts, one row per window.
+        """
+        positions = np.asarray(positions)
+        k = self.spec.k
+        if positions.ndim != 2 or positions.shape[1] != k \
+                or np.any(np.diff(positions, axis=1) <= 0):
+            raise ShapeError(f"predict_windows: expected B x {k} rising step numbers, "
+                             f"got shape {positions.shape}")
+        holders: dict[int, list[tuple[int, int]]] = {}
+        for b, row in enumerate(positions.tolist()):
+            for lag, p in enumerate(row):
+                holders.setdefault(p, []).append((b, lag))
+        out = np.empty((len(positions), self.ctx.n, self.spec.n_horizons))
+        windows: dict[int, np.ndarray] = {}
+        states: dict[int, object] = {}
         with no_grad():
-            out = self.forward(inputs)
-        return out.values.copy()
+            weights = self.call_weights()
+            for p in sorted(holders):
+                takers = holders[p]
+                for b, lag in takers:
+                    if lag == 0:
+                        windows[b] = self._check_window(inputs(b))
+                b, lag = takers[0]
+                step = self.encode(weights, constant(windows[b][lag]))
+                for b, lag in takers:
+                    states[b] = self.advance(weights, states.get(b), step)
+                    if lag == k - 1:
+                        out[b] = self.readout(weights, states.pop(b)).values
+                        del windows[b]
+        return out
 
 
 class StackedGru(ForecastModel):
@@ -208,12 +288,10 @@ class StackedGru(ForecastModel):
         self._register("gru2", self.cell2)
         self._register("decoder", self.decoder)
 
-    def forward(self, inputs: np.ndarray) -> DiffTensor:
-        inputs = self._check_window(inputs)
+    def readout(self, weights, steps) -> DiffTensor:
         h1 = constant(np.zeros((self.ctx.n, self.spec.hidden)))
         h2 = constant(np.zeros((self.ctx.n, self.spec.hidden)))
-        for k in range(self.spec.k):
-            x = constant(inputs[k])
+        for x in steps:
             h1 = gru_step(self.cell1, x, h1)
             h2 = gru_step(self.cell2, h1, h2)
         return self.decoder.forward(h2)
@@ -232,15 +310,48 @@ class StackedGcn(ForecastModel):
         self._register("gcn2", self.layer2)
         self._register("decoder", self.decoder)
 
-    def forward(self, inputs: np.ndarray) -> DiffTensor:
-        inputs = self._check_window(inputs)
-        stacked = concat([constant(inputs[k]) for k in range(self.spec.k)], axis=1)
+    def readout(self, weights, steps) -> DiffTensor:
+        stacked = concat(list(steps), axis=1)
         g1 = gcn_forward(self.layer1, self.ctx.normalized, stacked)
         g2 = gcn_forward(self.layer2, self.ctx.normalized, g1)
         return self.decoder.forward(g2)
 
 
-class TGcn(ForecastModel):
+class _GruAttention(ForecastModel):
+    """The T-GCN recurrence: a GRU over the encoded steps, attention over its
+    K hidden states as a running sum, then the decoder.
+
+    Subclasses give ``_gru_input``: a step's GRU input block, and gamma or
+    None. An encoded step is (the gates' input halves, gamma); gamma seeds
+    h at a window's oldest lag. A window in flight is (h, attention sum,
+    lags taken).
+    """
+
+    def _gru_input(self, x: DiffTensor) -> tuple[DiffTensor, DiffTensor | None]:
+        raise NotImplementedError
+
+    def call_weights(self):
+        return split_gates(self.cell), lag_weights(self.attention)
+
+    def encode(self, weights, x: DiffTensor):
+        conv_in, gamma = self._gru_input(x)
+        return gate_inputs(weights[0], conv_in), gamma
+
+    def advance(self, weights, state, step):
+        gate_x, gamma = step
+        if state is None:
+            if gamma is None:
+                gamma = constant(np.zeros((self.ctx.n, self.spec.hidden)))
+            state = (gamma, None, 0)
+        h, total, lag = state
+        h = gru_advance(weights[0], gate_x, h)
+        return h, attend(weights[1], lag, h, total), lag + 1
+
+    def readout(self, weights, state) -> DiffTensor:
+        return self.decoder.forward(state[1])
+
+
+class TGcn(_GruAttention):
     """Structural conv into a GRU, attention over the K hidden states."""
 
     conv_depth = 1
@@ -262,22 +373,11 @@ class TGcn(ForecastModel):
         self._register("attention", self.attention)
         self._register("decoder", self.decoder)
 
-    def _spatial(self, x: DiffTensor) -> DiffTensor:
+    def _gru_input(self, x: DiffTensor) -> tuple[DiffTensor, None]:
         out = x
         for conv in self.convs:
             out = structural_conv(conv, self.ctx.binary_adjacency, out)
-        return out
-
-    def forward(self, inputs: np.ndarray) -> DiffTensor:
-        inputs = self._check_window(inputs)
-        h = constant(np.zeros((self.ctx.n, self.spec.hidden)))
-        states: list[DiffTensor] = []
-        for k in range(self.spec.k):
-            conv_out = self._spatial(constant(inputs[k]))
-            h = gru_step(self.cell, conv_out, h)
-            states.append(h)
-        agg = attention_aggregate(self.attention, states)
-        return self.decoder.forward(agg)
+        return out, None
 
 
 class CstGcn(TGcn):
@@ -286,10 +386,10 @@ class CstGcn(TGcn):
     conv_depth = CST_DEPTH
 
 
-class PartitionedTGcn(ForecastModel):
+class PartitionedTGcn(_GruAttention):
     """TGcn plus the per-group embedding path (gamma).
 
-    Per lag, the full-graph structural conv and the mixed per-group
+    Per step, the full-graph structural conv and the mixed per-group
     embeddings are concatenated feature-wise as the GRU input. The hidden
     state is seeded with the oldest lag's gamma.
     """
@@ -331,19 +431,10 @@ class PartitionedTGcn(ForecastModel):
         placed = take_rows(concat(embs, axis=0), self.ctx.unpermute)
         return affine(placed, self.mixer_w, self.mixer_b)
 
-    def forward(self, inputs: np.ndarray) -> DiffTensor:
-        inputs = self._check_window(inputs)
-        frames = [constant(inputs[k]) for k in range(self.spec.k)]
-        gammas = [self.regional_embedding(x) for x in frames]
-        h = gammas[0]
-        states: list[DiffTensor] = []
-        for k in range(self.spec.k):
-            structural = structural_conv(self.structural, self.ctx.binary_adjacency, frames[k])
-            conv_in = concat([structural, gammas[k]], axis=1)
-            h = gru_step(self.cell, conv_in, h)
-            states.append(h)
-        agg = attention_aggregate(self.attention, states)
-        return self.decoder.forward(agg)
+    def _gru_input(self, x: DiffTensor) -> tuple[DiffTensor, DiffTensor]:
+        gamma = self.regional_embedding(x)
+        structural = structural_conv(self.structural, self.ctx.binary_adjacency, x)
+        return concat([structural, gamma], axis=1), gamma
 
 
 class RegTGcn(PartitionedTGcn):

@@ -43,9 +43,23 @@ def _site_to_row(s: SiteMeta) -> list:
             s.owner, s.amenity_count, s.capacity]
 
 
+def _typed(value, kinds, what: str):
+    """A stored value of one of the JSON types a save writes there; bools are no numbers."""
+    if isinstance(value, bool) or not isinstance(value, kinds):
+        raise TypeError(f"{what} {value!r} is not {' or '.join(k.__name__ for k in kinds)}")
+    return value
+
+
 def _site_from_row(row) -> SiteMeta:
-    return SiteMeta(site_id=row[0], region=row[1], latitude=row[2], longitude=row[3],
-                    travel_time=row[4], owner=row[5], amenity_count=row[6], capacity=row[7])
+    site_id, region, lat, lon, travel, owner, amenities, capacity = row
+    return SiteMeta(site_id=_typed(site_id, (str,), "site_id"),
+                    region=_typed(region, (str,), "region"),
+                    latitude=_typed(lat, (int, float), "latitude"),
+                    longitude=_typed(lon, (int, float), "longitude"),
+                    travel_time=_typed(travel, (int, float), "travel_time"),
+                    owner=_typed(owner, (int,), "owner"),
+                    amenity_count=_typed(amenities, (int,), "amenity_count"),
+                    capacity=_typed(capacity, (int,), "capacity"))
 
 
 def graph_payload(g: SiteGraph) -> dict:
@@ -73,8 +87,10 @@ def graph_from_payload(d: dict) -> SiteGraph:
     with _stored("graph"):
         nodes = [_site_from_row(row) for row in d["sites"]]
         edges = [(int(i), int(j), float(m)) for i, j, m in d["edges"]]
-        return _assemble_graph(nodes, edges, d["threshold_miles"],
-                               d["adjacency_weights"], d["sigma_miles"])
+        return _assemble_graph(nodes, edges,
+                               _typed(d["threshold_miles"], (int, float), "threshold_miles"),
+                               d["adjacency_weights"],
+                               _typed(d["sigma_miles"], (int, float), "sigma_miles"))
 
 
 def partition_payload(p: RegionalPartition) -> dict:

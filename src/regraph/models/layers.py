@@ -14,8 +14,8 @@ from ..numerics import (
     DiffTensor,
     add,
     add_row,
-    concat,
     matmul,
+    matmul_add,
     mul,
     parameter,
     relu,
@@ -23,6 +23,7 @@ from ..numerics import (
     sigmoid,
     softmax,
     sub,
+    take_rows,
     tanh,
 )
 
@@ -32,10 +33,15 @@ __all__ = [
     "GcnGruCell",
     "GcnLayer",
     "StructuralConv",
+    "attend",
     "attention_aggregate",
     "affine",
+    "gate_inputs",
     "gcn_forward",
+    "gru_advance",
     "gru_step",
+    "lag_weights",
+    "split_gates",
     "structural_conv",
     "uniform_init",
 ]
@@ -111,7 +117,9 @@ class GcnGruCell:
     """GRU cell whose input is an (already convolved) feature block.
 
     All three gates act on the concatenation of the input block and the
-    hidden state; no gate biases.
+    hidden state; no gate biases. Each gate's ``(in + hidden, hidden)``
+    weight is used as its input rows and its hidden rows (``split_gates``),
+    so the input block's products can be taken once per grid step.
     """
 
     def __init__(self, rng: np.random.Generator, in_width: int, hidden: int):
@@ -126,16 +134,40 @@ class GcnGruCell:
         return [("wz", self.w_z), ("wr", self.w_r), ("wc", self.w_c)]
 
 
+def split_gates(cell: GcnGruCell):
+    """Row views (input rows, hidden rows) of the z, r and candidate weights;
+    take them once per forward call."""
+    x, h = slice(0, cell.in_width), slice(cell.in_width, None)
+    weights = (cell.w_z, cell.w_r, cell.w_c)
+    return tuple(take_rows(w, x) for w in weights), tuple(take_rows(w, h) for w in weights)
+
+
+def gate_inputs(gates, conv_out: DiffTensor) -> tuple[DiffTensor, ...]:
+    """The input halves ``conv_out @ W_x`` of the z, r and candidate gates."""
+    return tuple(matmul(conv_out, w) for w in gates[0])
+
+
+def gru_advance(gates, gate_x, h_prev: DiffTensor) -> DiffTensor:
+    """One GRU update from the gates' input halves and the previous state.
+
+    ``[x, h] @ W`` is taken as ``x @ W_x + h @ W_h``, and the candidate's
+    ``[x, h * r] @ W_c`` as ``x @ W_cx + (h * r) @ W_ch``.
+    """
+    xz, xr, xc = gate_x
+    wz, wr, wc = gates[1]
+    z = sigmoid(matmul_add(h_prev, wz, xz))
+    r = sigmoid(matmul_add(h_prev, wr, xr))
+    candidate = tanh(matmul_add(mul(h_prev, r), wc, xc))
+    return add(mul(sub(1.0, z), h_prev), mul(z, candidate))
+
+
 def gru_step(cell: GcnGruCell, conv_out: DiffTensor, h_prev: DiffTensor) -> DiffTensor:
     if conv_out.shape[1] != cell.in_width or h_prev.shape[1] != cell.hidden:
         raise ShapeError(
             f"gru_step: got input {conv_out.shape}, hidden {h_prev.shape}, "
             f"cell expects widths ({cell.in_width}, {cell.hidden})")
-    stacked = concat([conv_out, h_prev], axis=1)
-    z = sigmoid(matmul(stacked, cell.w_z))
-    r = sigmoid(matmul(stacked, cell.w_r))
-    candidate = tanh(matmul(concat([conv_out, mul(h_prev, r)], axis=1), cell.w_c))
-    return add(mul(sub(1.0, z), h_prev), mul(z, candidate))
+    gates = split_gates(cell)
+    return gru_advance(gates, gate_inputs(gates, conv_out), h_prev)
 
 
 class AttentionAggregator:
@@ -151,15 +183,29 @@ class AttentionAggregator:
         return [("scores", self.scores)]
 
 
+def lag_weights(agg: AttentionAggregator) -> DiffTensor:
+    """The softmaxed lag scores as a k x 1 column; take them once per forward call."""
+    return reshape(softmax(agg.scores), (agg.k, 1))
+
+
+def attend(weights: DiffTensor, lag: int, state: DiffTensor,
+           total: DiffTensor | None) -> DiffTensor:
+    """``total + weights[lag] * state``: the attention sum taken up to ``lag``."""
+    term = mul(take_rows(weights, slice(lag, lag + 1)), state)
+    return term if total is None else add(total, term)
+
+
 def attention_aggregate(agg: AttentionAggregator,
                         hidden_states: list[DiffTensor]) -> DiffTensor:
+    """Softmax-weighted sum of the K states, accumulated in lag order."""
     if len(hidden_states) != agg.k:
         raise ShapeError(
             f"attention_aggregate: got {len(hidden_states)} states, expected {agg.k}")
-    n, h = hidden_states[0].shape
-    weights = reshape(softmax(agg.scores), (1, agg.k))
-    flat = concat([reshape(state, (1, n * h)) for state in hidden_states], axis=0)
-    return reshape(matmul(weights, flat), (n, h))
+    weights = lag_weights(agg)
+    total = None
+    for lag, state in enumerate(hidden_states):
+        total = attend(weights, lag, state, total)
+    return total
 
 
 class Decoder:

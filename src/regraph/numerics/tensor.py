@@ -30,6 +30,7 @@ __all__ = [
     "concat",
     "constant",
     "matmul",
+    "matmul_add",
     "mean_all",
     "mul",
     "no_grad",
@@ -203,6 +204,30 @@ def matmul(a, b) -> DiffTensor:
     return out
 
 
+def matmul_add(a, w, c) -> DiffTensor:
+    """``a @ w + c`` as one op, for a ``c`` of the product's shape.
+
+    Values equal ``add(matmul(a, w), c)`` bit for bit; the tape keeps one
+    output instead of two.
+    """
+    a, w, c = _as_tensor(a), _as_tensor(w), _as_tensor(c)
+    if a.values.ndim != 2 or w.values.ndim != 2 or a.values.shape[1] != w.values.shape[0] \
+            or c.values.shape != (a.values.shape[0], w.values.shape[1]):
+        raise ShapeError(f"matmul_add: incompatible shapes {a.values.shape}, "
+                         f"{w.values.shape} and {c.values.shape}")
+    values = a.values @ w.values
+    values += c.values
+    out = DiffTensor(values)
+
+    def grad_fn(g):
+        ga = g @ w.values.T if a.requires_grad else None
+        gw = a.values.T @ g if w.requires_grad else None
+        return ga, gw, (g if c.requires_grad else None)
+
+    _record((a, w, c), out, grad_fn)
+    return out
+
+
 def add_row(x, row) -> DiffTensor:
     """``x`` plus a 1 x m ``row`` added to each of its n rows."""
     x, row = _as_tensor(x), _as_tensor(row)
@@ -291,17 +316,23 @@ def concat(tensors: Sequence[DiffTensor], axis: int = 0) -> DiffTensor:
 
 
 def take_rows(x, index) -> DiffTensor:
-    """Rows ``x.values[index]``; the gradient adds each output row onto its source."""
+    """Rows ``x.values[index]`` for a 1-D index or a slice; the gradient adds
+    each output row onto its source. A slice gives a view, not a copy."""
     x = _as_tensor(x)
-    index = np.asarray(index, dtype=np.intp)
-    if x.values.ndim != 2 or index.ndim != 1:
-        raise ShapeError(f"take_rows: expected a matrix and a 1-D index, "
-                         f"got shapes {x.values.shape} and {index.shape}")
+    sliced = isinstance(index, slice)
+    if not sliced:
+        index = np.asarray(index, dtype=np.intp)
+    if x.values.ndim != 2 or (not sliced and index.ndim != 1):
+        raise ShapeError(f"take_rows: expected a matrix and a 1-D index or a slice, "
+                         f"got shapes {x.values.shape} and {np.shape(index)}")
     out = DiffTensor(x.values[index])
 
     def grad_fn(g):
         gx = np.zeros_like(x.values)
-        np.add.at(gx, index, g)
+        if sliced:
+            gx[index] = g
+        else:
+            np.add.at(gx, index, g)
         return (gx,)
 
     _record((x,), out, grad_fn)
@@ -356,11 +387,12 @@ def mean_all(x) -> DiffTensor:
 
 
 def backward(loss: DiffTensor) -> None:
-    """Populate grads of every requires_grad ancestor of a scalar loss.
+    """Populate grads of every requires_grad leaf (e.g. parameter) of a scalar loss.
 
     Replays the active tape once in reverse and clears it. Gradients
     accumulate into existing ``.grad`` arrays (zero them, e.g. via the
-    optimizer, between steps).
+    optimizer, between steps). An op's output has its gradient dropped
+    once it has been passed on, so intermediate gradients do not pile up.
     """
     if loss.values.size != 1:
         raise ValueError(f"backward: loss must be scalar, got shape {loss.values.shape}")
@@ -374,6 +406,7 @@ def backward(loss: DiffTensor) -> None:
         if g_out is None:
             continue
         grads = entry.grad_fn(g_out)
+        entry.output.grad = None
         for t, g in zip(entry.inputs, grads):
             if g is None or not t.requires_grad:
                 continue

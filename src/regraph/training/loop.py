@@ -11,7 +11,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from regraph.data import apply_scaling, compute_scaling
+from regraph.data import apply_scaling, compute_scaling, step_positions
 from regraph.errors import ConfigError, DataError, NumericError
 from regraph.files import atomic_open
 from regraph.models import save_checkpoint, load_checkpoint
@@ -152,11 +152,17 @@ def _clip_gradients(params, max_norm: float) -> None:
                 p.grad = p.grad * factor
 
 
-def _val_rmse(model, samples, horizons) -> tuple[float, ...]:
-    sq = np.zeros(len(horizons))
+def _val_rmse(model, samples, lo, hi) -> tuple[float, ...]:
+    """RMSE per horizon of the model on raw samples, scaled by (lo, hi).
+
+    Samples that view one grid share their common steps, as in
+    ``evaluation.predict_samples``.
+    """
+    preds = model.predict_windows(step_positions(samples),
+                                  lambda b: apply_scaling(samples[b], lo, hi).inputs)
+    sq = np.zeros(model.spec.n_horizons)
     count = 0
-    for s in samples:
-        pred = model.predict(s.inputs)
+    for pred, s in zip(preds, samples):
         err = pred - s.targets
         sq += np.sum(err * err, axis=0)
         count += err.shape[0]
@@ -215,8 +221,7 @@ def train(model, samples, cfg: TrainConfig, out_dir):
     train_weeks = tuple(
         week_label(w) for w in sorted({w for s in samples for w in s.weeks}))
 
-    fit, val_raw = split_validation(samples, cfg.val_fraction)
-    val = [apply_scaling(s, lo, hi) for s in val_raw]
+    fit, val = split_validation(samples, cfg.val_fraction)
     has_val = bool(val)
 
     optimizer = RmsProp(model.params(), learning_rate=cfg.learning_rate,
@@ -256,7 +261,7 @@ def train(model, samples, cfg: TrainConfig, out_dir):
         losses.append(total / len(fit))
 
         if has_val:
-            rmse = _val_rmse(model, val, cfg.horizons)
+            rmse = _val_rmse(model, val, lo, hi)
             if not all(np.isfinite(rmse)):
                 raise NumericError(f"non-finite validation RMSE at epoch {epoch}")
             val_curve.append(rmse)

@@ -167,6 +167,21 @@ def test_build_graph_malformed_sites_exits_3(tmp_path, capsys, row):
     assert not (tmp_path / "g.json").exists()
 
 
+@pytest.mark.parametrize("row", [b"s0,s1,far\n", b"s0,s1\n"],
+                         ids=["non_numeric_miles", "missing_field"])
+def test_build_graph_malformed_distance_cache_exits_3(tmp_path, capsys, monkeypatch, row):
+    sites = tmp_path / "sites.csv"
+    sites.write_bytes(SITES_CSV_HEADER + b"s0,WI,43.0,-89.0,10.0,0,1,40\n"
+                      b"s1,WI,43.1,-89.4,12.5,1,4,80\n")
+    cache = tmp_path / "miles.csv"
+    cache.write_bytes(b"site_a,site_b,miles\n" + row)
+    monkeypatch.setenv("REGRAPH_DISTANCE_CACHE", str(cache))
+    assert main(["build-graph", "--sites", str(sites), "--strategy", "connected",
+                 "--out", str(tmp_path / "g.json")]) == 3
+    assert f"distance cache {cache} line 2" in capsys.readouterr().err
+    assert not (tmp_path / "g.json").exists()
+
+
 def test_build_graph_zero_sigma_exits_2(tmp_path, capsys):
     data = make_dataset(tmp_path)
     assert main(["build-graph", "--sites", str(data / "sites.csv"), "--strategy",
@@ -208,16 +223,18 @@ def test_analyze_graph_reports_overlap(tmp_path, capsys):
     lambda doc: doc["graph"].pop("edges"),
     lambda doc: doc["partition"].update(strategy="bogus"),
     lambda doc: doc.update(strategy="random"),
+    lambda doc: b'{"graph": "\xff"}',
+    lambda doc: b"[" * 100_000 + b"]" * 100_000,
 ], ids=["unlabelled_site", "unknown_site_in_sub_edge", "no_edges", "bogus_strategy",
-        "strategy_differs_from_partition"])
+        "strategy_differs_from_partition", "not_utf8", "nested_too_deep"])
 def test_analyze_graph_malformed_file_exits_3(tmp_path, capsys, tamper):
     data = make_dataset(tmp_path)
     graph_file = tmp_path / "reg.json"
     assert main(["build-graph", "--sites", str(data / "sites.csv"),
                  "--strategy", "regional", "--out", str(graph_file)]) == 0
     doc = json.loads(graph_file.read_text())
-    tamper(doc)
-    graph_file.write_text(json.dumps(doc))
+    raw = tamper(doc)  # the file's bytes, or None or a popped value after editing doc
+    graph_file.write_bytes(raw if isinstance(raw, bytes) else json.dumps(doc).encode())
     capsys.readouterr()
     assert main(["analyze-graph", "--graph", str(graph_file)]) == 3
     assert "data error:" in capsys.readouterr().err

@@ -12,6 +12,7 @@ from regraph.data import (
     FEATURE_COLUMNS,
     OCCUPANCY_COL,
     RECORD_DTYPE,
+    SCALED_COLUMNS,
     FeatureGrid,
     SyntheticConfig,
     WindowSample,
@@ -23,6 +24,7 @@ from regraph.data import (
     make_windows,
     occupancy_rate,
     split_by_weeks,
+    step_positions,
 )
 from regraph.errors import ConfigError, DataError
 from regraph.graph import SiteMeta, load_sites
@@ -329,6 +331,68 @@ def test_scaling_varies_with_hour_column():
     scaled = apply_scaling(samples[0], lo, hi)
     assert scaled.inputs[..., 2].min() >= 0.0
     assert scaled.inputs[..., 2].max() <= 1.0
+
+
+def random_grid(steps, seed, invalid=()):
+    """A grid of random features, so every step and column differs."""
+    x = np.random.default_rng(seed).uniform(-5.0, 50.0, size=(steps, 3, 8))
+    valid = np.array([k not in invalid for k in range(steps)])
+    return FeatureGrid(start=T0, step_min=10, X=x, valid=valid)
+
+
+def window_lists():
+    """Consecutive, gapped, and two-grid window lists, and one in reverse order."""
+    first = make_windows(random_grid(30, 1, invalid=(14,)), k=4, horizons=[1, 2])
+    second = make_windows(random_grid(16, 2), k=4, horizons=[1, 2])
+    return {
+        "consecutive": first[:6],
+        "gapped": first[:2] + first[5:7] + first[-2:],
+        "two_grids": [w for pair in zip(first[3:8], second[:5]) for w in pair],
+        "reversed": first[::-1],
+    }
+
+
+@pytest.mark.parametrize("name", ["consecutive", "gapped", "two_grids", "reversed"])
+def test_compute_scaling_equals_per_window_reference(name):
+    samples = window_lists()[name]
+    lo, hi = compute_scaling(samples)
+    cols = list(SCALED_COLUMNS)
+    ref_lo, ref_hi = np.zeros(8), np.ones(8)
+    ref_lo[cols] = np.min([s.inputs.min(axis=(0, 1)) for s in samples], axis=0)[cols]
+    ref_hi[cols] = np.max([s.inputs.max(axis=(0, 1)) for s in samples], axis=0)[cols]
+    np.testing.assert_array_equal(lo, ref_lo)
+    np.testing.assert_array_equal(hi, ref_hi)
+    # a scaled copy or a hand-made window is reduced over its own values
+    own = [apply_scaling(s, ref_lo, ref_hi) for s in samples]
+    ref = [np.min([s.inputs.min(axis=(0, 1)) for s in own], axis=0)[cols],
+           np.max([s.inputs.max(axis=(0, 1)) for s in own], axis=0)[cols]]
+    lo, hi = compute_scaling(own)
+    np.testing.assert_array_equal(lo[cols], ref[0])
+    np.testing.assert_array_equal(hi[cols], ref[1])
+
+
+def test_step_positions_share_exactly_the_same_grid_rows():
+    lists = window_lists()
+    first = make_windows(random_grid(30, 1, invalid=(14,)), k=4, horizons=[1, 2])
+    assert [w.first_step for w in first[:3]] == [0, 1, 2]
+    pos = step_positions(first[:3])
+    np.testing.assert_array_equal(pos, [[0, 1, 2, 3], [1, 2, 3, 4], [2, 3, 4, 5]])
+
+    pos = step_positions(lists["two_grids"])
+    # the two grids take disjoint numbers; windows of one grid overlap in K-1
+    assert not set(pos[0::2].ravel()) & set(pos[1::2].ravel())
+    np.testing.assert_array_equal(np.diff(pos[0::2, 0]), 1)
+    np.testing.assert_array_equal(np.diff(pos, axis=1), 1)
+
+    # scaled copies and hand-made windows share nothing, even with a first_step
+    scaled = [apply_scaling(w, np.zeros(8), np.ones(8)) for w in first[:2]]
+    assert scaled[0].first_step == 0
+    loose = WindowSample(inputs=np.array(first[0].inputs), targets=first[0].targets,
+                         anchor_time=T0, target_times=(T0,), horizons=(1,),
+                         weeks=frozenset(), first_step=0)
+    pos = step_positions(scaled + [loose, first[0]])
+    assert len(set(pos.ravel())) == 4 * 4
+    assert step_positions([]).shape == (0, 0)
 
 
 # --------------------------------------------------------------- synthetic

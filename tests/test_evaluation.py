@@ -1,12 +1,19 @@
 """Tests for metrics, reports, and generality inference."""
 
 import json
+import tracemalloc
 from datetime import datetime, timedelta
 
 import numpy as np
 import pytest
 
-from regraph.data import WindowSample
+from regraph.data import (
+    FeatureGrid,
+    WindowSample,
+    apply_scaling,
+    compute_scaling,
+    make_windows,
+)
 from regraph.errors import ConfigError, ShapeError
 from regraph.evaluation import (
     METRICS_COLUMNS,
@@ -22,9 +29,17 @@ from regraph.evaluation import (
     write_metrics_csv,
     write_timeseries,
 )
-from regraph.graph import SiteMeta, build_connected, decompose_regional
+from regraph.graph import (
+    HaversineProvider,
+    SiteMeta,
+    build_connected,
+    decompose_random,
+    decompose_regional,
+)
 from regraph.models import ModelSpec, build_model, load_checkpoint, save_checkpoint
+from regraph.numerics import clear_tape
 from regraph.training import TrainConfig, train
+from regraph.training.loop import _val_rmse
 
 RNG = np.random.default_rng
 
@@ -241,6 +256,106 @@ def test_predict_samples_stack_shape():
     preds, truths = predict_samples(model, samples, np.zeros(8), np.ones(8))
     assert preds.shape == (3, 4, 2)
     np.testing.assert_array_equal(truths[1], samples[1].targets)
+
+
+# --------------------------------------------- step-major predict_samples
+
+def feature_grid(steps, n, seed):
+    x = RNG(seed).uniform(0.0, 1.0, size=(steps, n, 8))
+    x[..., 2] *= 23.0  # an hour column, so scaling moves it
+    return FeatureGrid(start=datetime(2024, 1, 1), step_min=10, X=x,
+                       valid=np.ones(steps, dtype=bool))
+
+
+ARCHITECTURES = [("StackedGRU", "connected"), ("StackedGCN", "connected"),
+                 ("TGCN", "connected"), ("CSTGCN", "connected"),
+                 ("RanTGCN", "random"), ("RegTGCN", "regional")]
+
+
+def arch_model(arch, connectivity, k=3, horizons=(1, 2)):
+    g = toy_graph()
+    part = {"connected": None, "regional": decompose_regional(g),
+            "random": decompose_random(g, 2, seed=3)}[connectivity]
+    spec = ModelSpec(arch, 5, k, horizons, connectivity,
+                     region_count=2 if connectivity == "random" else None, seed=4)
+    return build_model(spec, g, part)
+
+
+@pytest.mark.parametrize("arch,connectivity", ARCHITECTURES)
+def test_predict_samples_equals_per_window_predict(arch, connectivity):
+    model = arch_model(arch, connectivity)
+    first = make_windows(feature_grid(24, 4, seed=1), 3, (1, 2))
+    second = make_windows(feature_grid(12, 4, seed=2), 3, (1, 2))
+    lo, hi = compute_scaling(first + second)
+    lists = {
+        "consecutive": first[:5],
+        "wrapped": first[-3:] + first[:2],
+        "gap": first[:2] + first[4:6] + first[12:13],
+        "two_grids": [w for pair in zip(first[:4], second[:4]) for w in pair],
+        "loose": [apply_scaling(first[0], np.zeros(8), np.ones(8))] + first[:3],
+    }
+    for name, samples in lists.items():
+        preds, truths = predict_samples(model, samples, lo, hi)
+        assert preds.shape == (len(samples), 4, 2)
+        for b, s in enumerate(samples):
+            alone = model.predict(apply_scaling(s, lo, hi).inputs)
+            np.testing.assert_array_equal(preds[b], alone, err_msg=f"{name} window {b}")
+            np.testing.assert_array_equal(truths[b], s.targets)
+
+
+@pytest.mark.parametrize("windows", [1, 2, 7])
+def test_predict_samples_embeds_each_step_once(windows):
+    model = arch_model("RegTGCN", "regional", k=4)
+    calls = []
+    embed = model.regional_embedding
+
+    def counted(x):
+        calls.append(x)
+        return embed(x)
+
+    model.regional_embedding = counted
+    samples = make_windows(feature_grid(20, 4, seed=5), 4, (1, 2))[:windows]
+    predict_samples(model, samples, np.zeros(8), np.ones(8))
+    assert len(calls) == windows + 4 - 1
+    calls.clear()
+    _val_rmse(model, samples, np.zeros(8), np.ones(8))
+    assert len(calls) == windows + 4 - 1
+    calls.clear()
+    model.predict(samples[0].inputs)
+    assert len(calls) == 4
+
+
+@pytest.mark.parametrize("arch,connectivity", ARCHITECTURES)
+def test_taped_forward_equals_predict(arch, connectivity):
+    model = arch_model(arch, connectivity)
+    window = RNG(6).uniform(0.0, 1.0, size=(3, 4, 8))
+    taped = model.forward(window)
+    clear_tape()
+    np.testing.assert_array_equal(taped.values, model.predict(window))
+
+
+def test_predict_samples_memory_does_not_grow_with_window_count():
+    rng = RNG(8)
+    sites = [SiteMeta(f"s{i:02d}", ("WI", "IA", "MN")[i % 3],
+                      43.0 + float(rng.uniform(-0.5, 0.5)),
+                      -89.0 + float(rng.uniform(-0.5, 0.5)), 10.0, 1, 3, 50)
+             for i in range(60)]
+    g = build_connected(sites, HaversineProvider())
+    model = build_model(ModelSpec("RegTGCN", 128, 6, (1,), "regional"), g,
+                        decompose_regional(g))
+    samples = make_windows(feature_grid(46, 60, seed=9), 6, (1,))
+    assert len(samples) == 40
+
+    def peak(window_list):
+        tracemalloc.start()
+        try:
+            predict_samples(model, window_list, np.zeros(8), np.ones(8))
+            return tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+
+    few, many = peak(samples[:6]), peak(samples)
+    assert many <= 1.1 * few, f"peak {many} bytes for 40 windows, {few} for 6"
 
 
 # ------------------------------------------------------- generality inference

@@ -620,8 +620,11 @@ def _rewrite_header(path, edit):
     lambda h: h["partition"]["subgraph_edges"]["WI"].clear(),
     lambda h: h["partition"]["region_of"].update(ghost="WI"),
     lambda h: h["graph"].update(sigma_miles=0.0),
+    lambda h: h["graph"].update(threshold_miles="x"),
+    lambda h: h["graph"]["sites"][0].__setitem__(5, True),
+    lambda h: h["graph"]["sites"][0].__setitem__(7, 1e308),
 ], ids=["no_hyperparams", "short_site_row", "regional_edge_dropped", "unknown_site_label",
-        "zero_sigma"])
+        "zero_sigma", "string_threshold", "bool_owner", "float_capacity"])
 def test_checkpoint_malformed_header_is_data_error(tmp_path, edit):
     g = two_region_graph()
     spec = ModelSpec("RegTGCN", 6, 3, (1,), "regional", seed=1)

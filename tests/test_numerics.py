@@ -12,6 +12,7 @@ from regraph.numerics import (
     concat,
     constant,
     matmul,
+    matmul_add,
     mean_all,
     mul,
     no_grad,
@@ -148,6 +149,16 @@ def test_add_sub_mul_values_and_grads():
     np.testing.assert_allclose(b.grad, -2.0 * b.values, rtol=1e-12)
 
 
+def test_backward_keeps_leaf_gradients_and_drops_op_outputs():
+    x = parameter([0.5, -1.0, 2.0])
+    hidden = sigmoid(x)
+    loss = sum_all(mul(hidden, hidden))
+    backward(loss)
+    s = 1.0 / (1.0 + np.exp(-x.values))
+    np.testing.assert_allclose(x.grad, 2.0 * s * s * (1.0 - s), rtol=1e-12)
+    assert hidden.grad is None and loss.grad is None
+
+
 def test_scalar_broadcast_gradient_collapses():
     s = parameter(2.0)
     x = constant([1.0, 2.0, 3.0])
@@ -256,6 +267,41 @@ def test_add_row_shape_errors(x_shape, row_shape):
         add_row(constant(np.ones(x_shape)), constant(np.ones(row_shape)))
 
 
+# ------------------------------------------------------------ matmul_add
+
+@pytest.mark.parametrize("n, k, m", [(1, 1, 1), (5, 3, 4), (105, 256, 256)])
+def test_matmul_add_matches_matmul_then_add_bit_for_bit(n, k, m):
+    rng = np.random.default_rng(n + k + m)
+    vals = rng.normal(size=(n, k)), rng.normal(size=(k, m)), rng.normal(size=(n, m))
+    weights = constant(rng.normal(size=(n, m)))
+    results = []
+    for op in (matmul_add, lambda a, w, c: add(matmul(a, w), c)):
+        a, w, c = (parameter(v) for v in vals)
+        out = op(a, w, c)
+        backward(sum_all(mul(mul(out, out), weights)))
+        results.append((out.values, a.grad, w.grad, c.grad))
+    for got, ref in zip(*results):
+        assert_same_bits(got, ref)
+
+
+def test_matmul_add_gradient_matches_fd_and_skips_constants():
+    rng = np.random.default_rng(37)
+    a_vals, w_vals, c_vals = (rng.normal(size=s) for s in ((4, 3), (3, 2), (4, 2)))
+    a, w, c = parameter(a_vals), parameter(w_vals), constant(c_vals)
+    backward(sum_all(sigmoid(matmul_add(a, w, c))))
+
+    def loss(av, wv):
+        return float(np.sum(1.0 / (1.0 + np.exp(-(av @ wv + c_vals)))))
+
+    assert rel_err(a.grad, finite_diff_grad(lambda v: loss(v, w_vals), a_vals.copy())) < 1e-8
+    assert rel_err(w.grad, finite_diff_grad(lambda v: loss(a_vals, v), w_vals.copy())) < 1e-8
+    assert c.grad is None
+    with pytest.raises(ShapeError, match="matmul_add"):
+        matmul_add(a, w, constant(np.zeros((1, 2))))
+    with pytest.raises(ShapeError, match="matmul_add"):
+        matmul_add(a, constant(np.zeros((2, 2))), c)
+
+
 # ------------------------------------------------------------- take_rows
 
 def test_take_rows_values():
@@ -292,6 +338,15 @@ def test_take_rows_records_nothing_for_constants_or_under_no_grad():
         out = take_rows(parameter(np.ones((3, 2))), [0, 2])
     assert tape_length() == before
     assert not out.requires_grad
+
+
+def test_take_rows_slice_is_a_view_whose_gradient_fills_the_slice():
+    x = parameter(np.arange(12, dtype=np.float64).reshape(4, 3))
+    out = take_rows(x, slice(1, 3))
+    assert np.shares_memory(out.values, x.values)
+    np.testing.assert_array_equal(out.values, x.values[1:3])
+    backward(sum_all(mul(out, constant(np.full((2, 3), 2.0)))))
+    np.testing.assert_array_equal(x.grad, [[0.0] * 3, [2.0] * 3, [2.0] * 3, [0.0] * 3])
 
 
 def test_take_rows_shape_errors():

@@ -215,10 +215,8 @@ def test_best_checkpoint_round_trip(tmp_path):
     bundle, report = train(model, samples, cfg, tmp_path)
 
     restored = restore_model(bundle)
-    from regraph.data import apply_scaling
     _, val_raw = split_validation(samples)
-    val = [apply_scaling(s, bundle.scaling_lo, bundle.scaling_hi) for s in val_raw]
-    rmse = _val_rmse(restored, val, cfg.horizons)
+    rmse = _val_rmse(restored, val_raw, bundle.scaling_lo, bundle.scaling_hi)
     assert float(np.mean(rmse)) == pytest.approx(report.best_score, abs=1e-15)
     assert bundle.train_weeks == ["2024-W01", "2024-W02"]
 
