@@ -40,6 +40,9 @@ SITES_HEADER = ["site_id", "region", "lat", "lon", "travel_time_min",
                 "owner", "amenities", "capacity"]
 
 ADJACENCY_KERNELS = ("gaussian", "binary", "raw")
+# Per kernel, a distance of zero weight: such a pair is no edge. Every
+# binary pair has weight 1.
+UNLINKED_MILES = {"gaussian": math.inf, "raw": 0.0}
 
 
 @dataclass(frozen=True)
@@ -130,9 +133,10 @@ def _freeze(arr: np.ndarray) -> np.ndarray:
 class SiteGraph:
     """An undirected site graph and its propagation operator.
 
-    ``edges`` holds (i, j, miles) with i < j; ``adjacency`` applies the
-    configured kernel to those miles; ``normalized`` is the symmetric
-    normalization with self-loops added. Arrays are read-only.
+    ``edges`` holds (i, j, miles) with i < j for the pairs of nonzero
+    kernel weight; ``adjacency`` applies the configured kernel to those
+    miles; ``normalized`` is the symmetric normalization with self-loops
+    added. Arrays are read-only.
     """
 
     nodes: tuple[SiteMeta, ...]
@@ -154,14 +158,18 @@ def _assemble_graph(nodes: Sequence[SiteMeta], edges: Sequence[tuple[int, int, f
         raise ConfigError(f"sigma_miles must be > 0 for the gaussian kernel, got {sigma}")
     n = len(nodes)
     adjacency = np.zeros((n, n))
+    linked = []
     for i, j, miles in edges:
         w = _kernel_weight(miles, kernel, sigma)
+        if w == 0.0:  # e.g. two sites 0 miles apart under the raw kernel: no link
+            continue
         adjacency[i, j] = w
         adjacency[j, i] = w
+        linked.append((i, j, miles))
     normalized = _normalized_operator(adjacency)
     return SiteGraph(
         nodes=tuple(nodes),
-        edges=tuple(sorted(edges)),
+        edges=tuple(sorted(linked)),
         adjacency=_freeze(adjacency),
         normalized=_freeze(normalized),
         threshold_miles=threshold,

@@ -289,8 +289,7 @@ class StackedGru(ForecastModel):
         self._register("decoder", self.decoder)
 
     def readout(self, weights, steps) -> DiffTensor:
-        h1 = constant(np.zeros((self.ctx.n, self.spec.hidden)))
-        h2 = constant(np.zeros((self.ctx.n, self.spec.hidden)))
+        h1 = h2 = None
         for x in steps:
             h1 = gru_step(self.cell1, x, h1)
             h2 = gru_step(self.cell2, h1, h2)
@@ -323,8 +322,8 @@ class _GruAttention(ForecastModel):
 
     Subclasses give ``_gru_input``: a step's GRU input block, and gamma or
     None. An encoded step is (the gates' input halves, gamma); gamma seeds
-    h at a window's oldest lag. A window in flight is (h, attention sum,
-    lags taken).
+    h at a window's oldest lag, and None seeds the all-zero state. A window
+    in flight is (h, attention sum, lags taken).
     """
 
     def _gru_input(self, x: DiffTensor) -> tuple[DiffTensor, DiffTensor | None]:
@@ -340,8 +339,6 @@ class _GruAttention(ForecastModel):
     def advance(self, weights, state, step):
         gate_x, gamma = step
         if state is None:
-            if gamma is None:
-                gamma = constant(np.zeros((self.ctx.n, self.spec.hidden)))
             state = (gamma, None, 0)
         h, total, lag = state
         h = gru_advance(weights[0], gate_x, h)

@@ -23,6 +23,7 @@ import numpy as np
 from ..errors import ConfigError, DataError
 from ..files import atomic_open
 from ..graph.build import (
+    UNLINKED_MILES,
     RegionalPartition,
     SiteGraph,
     SiteMeta,
@@ -86,6 +87,8 @@ def _stored(what: str):
 def graph_from_payload(d: dict) -> SiteGraph:
     with _stored("graph"):
         nodes = [_site_from_row(row) for row in d["sites"]]
+        if not nodes:
+            raise DataError("malformed graph: no sites")
         edges = [(int(i), int(j), float(m)) for i, j, m in d["edges"]]
         return _assemble_graph(nodes, edges,
                                _typed(d["threshold_miles"], (int, float), "threshold_miles"),
@@ -109,13 +112,19 @@ def partition_from_payload(g: SiteGraph, d: dict) -> RegionalPartition:
     """Rebuild a stored partition; its stored sub-edges must be the rebuilt ones.
 
     Random subgraphs take their distances from the stored edges, since the
-    provider that measured them may not be at hand when loading.
+    provider that measured them may not be at hand when loading. A pair they
+    leave out has zero kernel weight, which no binary pair has.
     """
     with _stored("partition"):
         stored = d["subgraph_edges"]
         miles = {(a, b): float(m) for edges in stored.values() for a, b, m in edges}
-        part = _build_partition(g, d["strategy"], d["region_of"],
-                                lambda a, b: miles[a.site_id, b.site_id])
+
+        def pair_miles(a, b):
+            key = (a.site_id, b.site_id)
+            if key in miles or g.adjacency_weights not in UNLINKED_MILES:
+                return miles[key]
+            return UNLINKED_MILES[g.adjacency_weights]
+        part = _build_partition(g, d["strategy"], d["region_of"], pair_miles)
     if partition_payload(part)["subgraph_edges"] != stored:
         raise DataError(f"partition: stored {part.strategy} sub-edges do not match "
                         f"the ones rebuilt from region_of")

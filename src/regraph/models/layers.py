@@ -147,13 +147,17 @@ def gate_inputs(gates, conv_out: DiffTensor) -> tuple[DiffTensor, ...]:
     return tuple(matmul(conv_out, w) for w in gates[0])
 
 
-def gru_advance(gates, gate_x, h_prev: DiffTensor) -> DiffTensor:
+def gru_advance(gates, gate_x, h_prev: DiffTensor | None) -> DiffTensor:
     """One GRU update from the gates' input halves and the previous state.
 
     ``[x, h] @ W`` is taken as ``x @ W_x + h @ W_h``, and the candidate's
-    ``[x, h * r] @ W_c`` as ``x @ W_cx + (h * r) @ W_ch``.
+    ``[x, h * r] @ W_c`` as ``x @ W_cx + (h * r) @ W_ch``. ``h_prev`` None
+    is the all-zero state: the ``h @ W_h`` products, r and ``(1 - z) * h``
+    are zero there, so the update is ``sigmoid(x_z) * tanh(x_c)``.
     """
     xz, xr, xc = gate_x
+    if h_prev is None:
+        return mul(sigmoid(xz), tanh(xc))
     wz, wr, wc = gates[1]
     z = sigmoid(matmul_add(h_prev, wz, xz))
     r = sigmoid(matmul_add(h_prev, wr, xr))
@@ -161,10 +165,12 @@ def gru_advance(gates, gate_x, h_prev: DiffTensor) -> DiffTensor:
     return add(mul(sub(1.0, z), h_prev), mul(z, candidate))
 
 
-def gru_step(cell: GcnGruCell, conv_out: DiffTensor, h_prev: DiffTensor) -> DiffTensor:
-    if conv_out.shape[1] != cell.in_width or h_prev.shape[1] != cell.hidden:
+def gru_step(cell: GcnGruCell, conv_out: DiffTensor, h_prev: DiffTensor | None) -> DiffTensor:
+    """One GRU step; ``h_prev`` None is the all-zero state (see ``gru_advance``)."""
+    if conv_out.shape[1] != cell.in_width or \
+            (h_prev is not None and h_prev.shape[1] != cell.hidden):
         raise ShapeError(
-            f"gru_step: got input {conv_out.shape}, hidden {h_prev.shape}, "
+            f"gru_step: got input {conv_out.shape}, hidden {getattr(h_prev, 'shape', None)}, "
             f"cell expects widths ({cell.in_width}, {cell.hidden})")
     gates = split_gates(cell)
     return gru_advance(gates, gate_inputs(gates, conv_out), h_prev)

@@ -9,6 +9,12 @@ The accumulator sees the decayed gradient, so no step exceeds
 lr / sqrt(1 - decay_rate), not even the pure decay of a parameter whose
 gradient is always zero. With weight_decay 0 the term is skipped, so the
 step is exactly the plain RMSProp step. Grads are cleared after the step.
+
+A step writes its temporaries into two scratch arrays the size of the
+largest parameter, made once, so a train loop does not allocate (and the
+C allocator does not hand back and fault in again) parameter-sized arrays
+on every step. The float operations and their order are those of the
+formulas above. A grad array is only read: it may alias another's.
 """
 
 from __future__ import annotations
@@ -32,20 +38,38 @@ class RmsProp:
         self.decay_rate = float(decay_rate)
         self.smoothing = float(smoothing)
         self.sq_avg = [np.zeros_like(p.values) for p in self.params]
+        largest = max((p.values.size for p in self.params), default=0)
+        scratch = (np.empty(largest), np.empty(largest))
+        # per parameter, two views of its shape into the scratch arrays
+        self._scratch = [tuple(row[:p.values.size].reshape(p.values.shape) for row in scratch)
+                         for p in self.params]
+
+    def grad_norm(self) -> float:
+        """The L2 norm of all present gradients: each one's sum of squares,
+        added in parameter order, under one square root."""
+        total = 0.0
+        for p, (sq, _) in zip(self.params, self._scratch):
+            if p.grad is not None:
+                total += float(np.sum(np.multiply(p.grad, p.grad, out=sq)))
+        return float(np.sqrt(total))
 
     def step(self) -> None:
         for i, p in enumerate(self.params):
             if p.grad is None:
                 raise ValueError(f"rmsprop step: parameter {i} has no gradient")
             g = p.grad
+            buf, tmp = self._scratch[i]
             if self.weight_decay:
-                g = g + self.weight_decay * p.values
+                np.multiply(self.weight_decay, p.values, out=tmp)
+                g = np.add(g, tmp, out=buf)
             acc = self.sq_avg[i]
             acc *= self.decay_rate
-            acc += (1.0 - self.decay_rate) * g * g
-            p.values -= self.learning_rate * (g / (np.sqrt(acc) + self.smoothing))
-            p.grad = None
-
-    def zero_grad(self) -> None:
-        for p in self.params:
+            np.multiply(1.0 - self.decay_rate, g, out=tmp)
+            tmp *= g
+            acc += tmp
+            np.sqrt(acc, out=tmp)
+            tmp += self.smoothing
+            np.divide(g, tmp, out=tmp)
+            np.multiply(self.learning_rate, tmp, out=tmp)
+            p.values -= tmp
             p.grad = None

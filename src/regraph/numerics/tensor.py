@@ -317,7 +317,8 @@ def concat(tensors: Sequence[DiffTensor], axis: int = 0) -> DiffTensor:
 
 def take_rows(x, index) -> DiffTensor:
     """Rows ``x.values[index]`` for a 1-D index or a slice; the gradient adds
-    each output row onto its source. A slice gives a view, not a copy."""
+    each output row onto its source. A slice gives a view, not a copy, and
+    its gradient is the rows' alone, which ``backward`` adds into them."""
     x = _as_tensor(x)
     sliced = isinstance(index, slice)
     if not sliced:
@@ -328,11 +329,10 @@ def take_rows(x, index) -> DiffTensor:
     out = DiffTensor(x.values[index])
 
     def grad_fn(g):
-        gx = np.zeros_like(x.values)
         if sliced:
-            gx[index] = g
-        else:
-            np.add.at(gx, index, g)
+            return ((index, g),)
+        gx = np.zeros_like(x.values)
+        np.add.at(gx, index, g)
         return (gx,)
 
     _record((x,), out, grad_fn)
@@ -389,10 +389,20 @@ def mean_all(x) -> DiffTensor:
 def backward(loss: DiffTensor) -> None:
     """Populate grads of every requires_grad leaf (e.g. parameter) of a scalar loss.
 
-    Replays the active tape once in reverse and clears it. Gradients
-    accumulate into existing ``.grad`` arrays (zero them, e.g. via the
-    optimizer, between steps). An op's output has its gradient dropped
-    once it has been passed on, so intermediate gradients do not pile up.
+    Replays the active tape once in reverse, popping each entry, so the
+    forward values only that entry held are freed during the replay and
+    their memory serves the gradients that follow. Gradients accumulate
+    into existing ``.grad`` arrays (zero them, e.g. via the optimizer,
+    between steps). An op's output has its gradient dropped once it has
+    been passed on, so intermediate gradients do not pile up.
+
+    A grad_fn gives an array per input, or ``(rows, g)``: the gradient
+    ``g`` of the slice ``rows`` alone, the rest being zero. Ownership:
+    a tensor's first contribution is kept as given, but an array an op
+    returned may alias another tensor's gradient, so ``backward`` writes
+    only into arrays it allocated itself. It allocates one when a tensor
+    takes its second contribution, or a row-only one, and adds every later
+    contribution into it in place, in the same order as ``t.grad + g``.
     """
     if loss.values.size != 1:
         raise ValueError(f"backward: loss must be scalar, got shape {loss.values.shape}")
@@ -401,7 +411,11 @@ def backward(loss: DiffTensor) -> None:
 
     seed = np.ones(loss.values.shape)
     loss.grad = seed if loss.grad is None else loss.grad + seed
-    for entry in reversed(_TAPE):
+    # ids of the tensors whose .grad backward allocated; the replay makes no
+    # tensor, so no id is reused while it runs
+    owned: set[int] = set()
+    while _TAPE:
+        entry = _TAPE.pop()
         g_out = entry.output.grad
         if g_out is None:
             continue
@@ -410,6 +424,20 @@ def backward(loss: DiffTensor) -> None:
         for t, g in zip(entry.inputs, grads):
             if g is None or not t.requires_grad:
                 continue
-            # Never mutate in place: grad arrays may alias tape outputs.
-            t.grad = g if t.grad is None else t.grad + g
-    _TAPE.clear()
+            if type(g) is tuple:
+                rows, g = g
+                if t.grad is None:
+                    t.grad = np.zeros_like(t.values)
+                    t.grad[rows] = g
+                else:
+                    if id(t) not in owned:
+                        t.grad = t.grad.copy()
+                    t.grad[rows] += g
+                owned.add(id(t))
+            elif id(t) in owned:
+                t.grad += g
+            elif t.grad is None:
+                t.grad = g
+            else:
+                t.grad = t.grad + g
+                owned.add(id(t))

@@ -139,15 +139,12 @@ def split_validation(samples, val_fraction: float = 0.1):
     return ordered[:-n_val], ordered[-n_val:]
 
 
-def _clip_gradients(params, max_norm: float) -> None:
-    total = 0.0
-    for p in params:
-        if p.grad is not None:
-            total += float(np.sum(p.grad * p.grad))
-    norm = np.sqrt(total)
+def _clip_gradients(optimizer: RmsProp, max_norm: float) -> None:
+    """Rescale the optimizer's gradients to a global norm of at most max_norm."""
+    norm = optimizer.grad_norm()
     if norm > max_norm:
         factor = max_norm / norm
-        for p in params:
+        for p in optimizer.params:
             if p.grad is not None:
                 p.grad = p.grad * factor
 
@@ -254,8 +251,11 @@ def train(model, samples, cfg: TrainConfig, out_dir):
                 raise NumericError(
                     f"non-finite training loss at epoch {epoch}, step {step}")
             backward(loss)
+            for p in optimizer.params:
+                if p.grad is None:  # unreached by the loss: the r gate when k is 1
+                    p.grad = np.zeros_like(p.values)
             if cfg.grad_clip_norm is not None:
-                _clip_gradients(model.params(), cfg.grad_clip_norm)
+                _clip_gradients(optimizer, cfg.grad_clip_norm)
             optimizer.step()
             total += value
         losses.append(total / len(fit))

@@ -4,6 +4,8 @@ import json
 
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 from regraph import cli
 from regraph.cli import main
@@ -225,8 +227,10 @@ def test_analyze_graph_reports_overlap(tmp_path, capsys):
     lambda doc: doc.update(strategy="random"),
     lambda doc: b'{"graph": "\xff"}',
     lambda doc: b"[" * 100_000 + b"]" * 100_000,
+    lambda doc: doc.update(strategy="connected", partition=None,
+                           graph={**doc["graph"], "sites": [], "edges": []}),
 ], ids=["unlabelled_site", "unknown_site_in_sub_edge", "no_edges", "bogus_strategy",
-        "strategy_differs_from_partition", "not_utf8", "nested_too_deep"])
+        "strategy_differs_from_partition", "not_utf8", "nested_too_deep", "no_sites"])
 def test_analyze_graph_malformed_file_exits_3(tmp_path, capsys, tamper):
     data = make_dataset(tmp_path)
     graph_file = tmp_path / "reg.json"
@@ -245,6 +249,103 @@ def test_analyze_graph_non_object_file_exits_3(tmp_path, capsys):
     graph_file.write_text("null\n")
     assert main(["analyze-graph", "--graph", str(graph_file)]) == 3
     assert "data error:" in capsys.readouterr().err
+
+
+@pytest.fixture(scope="module")
+def graph_files(tmp_path_factory):
+    """The bytes of a regional and a random graph file, and a directory to write in."""
+    root = tmp_path_factory.mktemp("graphs")
+    data = make_dataset(root)
+    files = {}
+    for strategy in ("regional", "random"):
+        path = root / f"{strategy}.json"
+        assert main(["build-graph", "--sites", str(data / "sites.csv"), "--strategy",
+                     strategy, "--regions", "2", "--out", str(path)]) == 0
+        files[strategy] = path.read_bytes()
+    return root, files
+
+
+# Bytes written over a span: arbitrary, or text that keeps the JSON parseable.
+GRAPH_PATCHES = st.one_of(st.binary(min_size=1, max_size=24),
+                          st.text('0123456789-+.eE[]{}",: tfnulrase', min_size=1,
+                                  max_size=12).map(str.encode))
+# Values put in place of one entry of the JSON document.
+GRAPH_VALUES = st.sampled_from([None, False, True, 0, -1, 7, 10 ** 20, 0.0, -0.0, 0.5, 1e308,
+                                float("nan"), float("inf"), "", "x", "WI", "random",
+                                [], [0, 1, 2.5], {}])
+
+
+def json_entries(doc, path=()):
+    """Key paths of every entry of a JSON document, containers included."""
+    items = doc.items() if isinstance(doc, dict) else \
+        enumerate(doc) if isinstance(doc, list) else ()
+    return [p for key, value in items
+            for p in [path + (key,)] + json_entries(value, path + (key,))]
+
+
+@settings(max_examples=200, deadline=None,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(data=st.data())
+def test_corrupt_graph_file_loads_or_exits_2_or_3(graph_files, capsys, data):
+    root, files = graph_files
+    raw = files[data.draw(st.sampled_from(sorted(files)))]
+    mode = data.draw(st.sampled_from(["truncate", "overwrite", "entry"]))
+    if mode == "entry":
+        doc = json.loads(raw)
+        *keys, last = data.draw(st.sampled_from(json_entries(doc)))
+        entry = doc
+        for key in keys:
+            entry = entry[key]
+        entry[last] = data.draw(GRAPH_VALUES)
+        raw = json.dumps(doc).encode()
+    else:
+        cut = data.draw(st.integers(0, len(raw) - 1))
+        patch = data.draw(GRAPH_PATCHES) if mode == "overwrite" else b""
+        raw = raw[:cut] + patch + raw[cut + len(patch):] if patch else raw[:cut]
+    path = root / "corrupt.json"
+    path.write_bytes(raw)
+    capsys.readouterr()
+    code = main(["analyze-graph", "--graph", str(path)])
+    err = capsys.readouterr().err
+    assert code in (0, 2, 3)
+    assert "Traceback" not in err
+    if code:
+        assert err.startswith(("config error:", "data error:"))
+
+
+@pytest.mark.parametrize("strategy", ["connected", "random"])
+def test_raw_kernel_sites_at_one_position_are_no_edge(tmp_path, capsys, strategy):
+    sites = tmp_path / "sites.csv"
+    sites.write_text("site_id,region,lat,lon,travel_time_min,owner,amenities,capacity\n"
+                     "a,WI,43.0,-89.0,5,1,2,40\n"
+                     "b,WI,43.0,-89.0,5,1,2,40\n"
+                     "c,WI,43.1,-89.0,5,1,2,40\n")
+    graph_file = tmp_path / "raw.json"
+    assert main(["build-graph", "--sites", str(sites), "--strategy", strategy, "--regions", "1",
+                 "--weights", "raw", "--out", str(graph_file)]) == 0
+    capsys.readouterr()
+    assert main(["analyze-graph", "--graph", str(graph_file)]) == 0
+    doc = json.loads(capsys.readouterr().out)
+    # a and b are 0 miles apart, a zero raw weight: edges a-c and b-c only
+    assert doc["edges"] == 2
+    assert doc["degree"] == {"min": 1, "max": 2, "mean": 4 / 3}
+    stored = json.loads(graph_file.read_text())
+    assert [e[:2] for e in stored["graph"]["edges"]] == [[0, 2], [1, 2]]
+
+
+def test_random_partition_reloads_without_its_zero_weight_pairs(tmp_path, capsys):
+    # c is 69 miles from a and b: a 0.5-mile gaussian weighs that pair 0.0
+    sites = tmp_path / "sites.csv"
+    sites.write_text("site_id,region,lat,lon,travel_time_min,owner,amenities,capacity\n"
+                     "a,WI,43.0,-89.0,5,1,2,40\n"
+                     "b,WI,43.0,-89.0,5,1,2,40\n"
+                     "c,WI,44.0,-89.0,5,1,2,40\n")
+    graph_file = tmp_path / "random.json"
+    assert main(["build-graph", "--sites", str(sites), "--strategy", "random", "--regions", "1",
+                 "--sigma-miles", "0.5", "--out", str(graph_file)]) == 0
+    stored = json.loads(graph_file.read_text())
+    assert stored["partition"]["subgraph_edges"] == {"group_0": [["a", "b", 0.0]]}
+    assert main(["analyze-graph", "--graph", str(graph_file)]) == 0
 
 
 # ---------------------------------------------------------------- pipeline

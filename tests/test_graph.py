@@ -71,6 +71,15 @@ def test_threshold_includes_30_excludes_50():
     assert [(i, j) for i, j, _ in g.edges] == [(0, 1)]
 
 
+def test_raw_kernel_leaves_a_zero_mile_pair_out_of_the_edges():
+    sites = [site("a"), site("b"), site("c")]
+    provider = FakeProvider({("a", "b"): 0.0, ("a", "c"): 12.0, ("b", "c"): 12.0})
+    g = build_connected(sites, provider, adjacency_weights="raw")
+    assert g.edges == ((0, 2, 12.0), (1, 2, 12.0))
+    assert [degree(g, i) for i in range(3)] == [1, 1, 2]
+    assert np.count_nonzero(g.adjacency) == 2 * len(g.edges)
+
+
 def test_single_site_graph():
     g = build_connected([site("only")], FakeProvider({}))
     np.testing.assert_array_equal(g.adjacency, [[0.0]])

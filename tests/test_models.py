@@ -205,6 +205,58 @@ def test_gru_shape_error():
         gru_step(cell, constant(np.zeros((5, 2))), constant(np.zeros((5, 4))))
 
 
+def test_gru_zero_state_skips_the_hidden_half_and_keeps_values_and_grads():
+    # None is the all-zero state: the three h @ W_h products, r and
+    # (1 - z) * h are skipped, eight tape entries in all.
+    rng = RNG(21)
+    cell = GcnGruCell(rng, 3, 4)
+    x, k = rng.normal(size=(5, 3)), rng.normal(size=(5, 4))
+    weights = (cell.w_z, cell.w_r, cell.w_c)
+    results = []
+    for h_prev in (None, constant(np.zeros((5, 4)))):
+        before = tensor_core.tape_length()
+        out = gru_step(cell, constant(x), h_prev)
+        entries = tensor_core.tape_length() - before
+        backward(sum_all(mul(out, constant(k))))
+        # the r gate is not reached from the zero state: its gradient is zero
+        grads = [np.zeros_like(w.values) if w.grad is None else w.grad for w in weights]
+        for w in weights:
+            w.grad = None
+        results.append((out.values, entries, grads))
+    (got, got_entries, got_grads), (ref, ref_entries, ref_grads) = results
+    np.testing.assert_array_equal(got, ref)
+    assert got_entries == ref_entries - 8
+    for a, b in zip(got_grads, ref_grads):
+        np.testing.assert_array_equal(a, b)
+
+
+# StackedGRU starts each of its two cells from the zero state
+@pytest.mark.parametrize("arch,zero_starts", [("TGCN", 1), ("CSTGCN", 1), ("StackedGRU", 2)])
+def test_zero_start_models_equal_an_explicit_zero_state(monkeypatch, arch, zero_starts):
+    from regraph.models import architectures, layers
+    g = two_region_graph()
+    model = build_model(ModelSpec(arch, 6, 3, (1, 2), "connected", seed=5), g)
+    w = window(3, 4, seed=6)
+    got = model.predict(w)
+    tensor_core.clear_tape()
+    model.forward(w)
+    got_entries = tensor_core.tape_length()
+
+    def explicit(fn):
+        """``fn`` with a None state, its last argument, passed as explicit zeros."""
+        def with_zeros(*args):
+            *rest, h_prev = args
+            return fn(*rest, constant(np.zeros((4, 6))) if h_prev is None else h_prev)
+        return with_zeros
+    monkeypatch.setattr(architectures, "gru_advance", explicit(layers.gru_advance))
+    monkeypatch.setattr(architectures, "gru_step", explicit(layers.gru_step))
+    tensor_core.clear_tape()
+    ref = model.predict(w)
+    model.forward(w)
+    np.testing.assert_array_equal(got, ref)
+    assert got_entries == tensor_core.tape_length() - 8 * zero_starts
+
+
 # --------------------------------------------------------------- attention
 
 def test_attention_single_lag_identity():

@@ -159,6 +159,72 @@ def test_backward_keeps_leaf_gradients_and_drops_op_outputs():
     assert hidden.grad is None and loss.grad is None
 
 
+def test_backward_sums_contributions_in_tape_order_bit_for_bit():
+    # x feeds two matmuls, add(x, x) and two overlapping row slices. Its
+    # gradient is each contribution, zero outside a slice's rows, added up
+    # in reverse tape order.
+    rng = np.random.default_rng(31)
+    x = parameter(rng.normal(size=(4, 3)))
+    w1, w2 = rng.normal(size=(3, 5)), rng.normal(size=(3, 2))
+    k1, k2, kd, ks1, ks2 = (rng.normal(size=s) for s in
+                            ((4, 5), (4, 2), (4, 3), (2, 3), (3, 3)))
+    outs = [matmul(x, constant(w1)), matmul(x, constant(w2)), add(x, x),
+            take_rows(x, slice(0, 2)), take_rows(x, slice(1, 4))]
+    total = None
+    for out, k in zip(outs, (k1, k2, kd, ks1, ks2)):
+        term = sum_all(mul(out, constant(k)))
+        total = term if total is None else add(total, term)
+    backward(total)
+
+    ref = np.zeros((4, 3))
+    ref[1:4] = ks2
+    padded = np.zeros((4, 3))
+    padded[0:2] = ks1
+    ref = ref + padded
+    ref = ref + kd
+    ref = ref + kd
+    ref = ref + k2 @ w2.T
+    ref = ref + k1 @ w1.T
+    assert_same_bits(x.grad, ref)
+
+
+def test_backward_never_writes_into_an_array_an_op_returned():
+    import regraph.numerics.tensor as core
+    rng = np.random.default_rng(32)
+    a_vals, b_vals = rng.normal(size=(3, 4)), rng.normal(size=(3, 4))
+    w, k = rng.normal(size=(4, 2)), rng.normal(size=(6, 2))
+    a, b = parameter(a_vals), parameter(b_vals)
+    s = add(a, b)                         # a and b first get one shared array
+    t = concat([s, a], axis=0)            # its gradient's pieces are views
+    u = reshape(take_rows(t, slice(1, 5)), (2, 8))
+    loss = add(add(sum_all(mul(matmul(t, constant(w)), constant(k))), sum_all(mul(u, u))),
+               sum_all(mul(a, s)))
+    returned = []
+
+    def recording(fn):
+        def grad_fn(g):
+            grads = fn(g)
+            for x in grads:
+                arr = x[1] if type(x) is tuple else x
+                if arr is not None:
+                    returned.append((arr, arr.copy()))
+            return grads
+        return grad_fn
+    for entry in core._TAPE:
+        entry.grad_fn = recording(entry.grad_fn)
+    backward(loss)
+    assert len(returned) > 10
+    for arr, snapshot in returned:
+        assert_same_bits(arr, snapshot)
+
+    def f(av, bv):
+        sv = av + bv
+        tv = np.concatenate([sv, av])
+        return float(np.sum((tv @ w) * k) + np.sum(tv[1:5] ** 2) + np.sum(av * sv))
+    assert rel_err(a.grad, finite_diff_grad(lambda v: f(v, b_vals), a_vals.copy())) < 1e-8
+    assert rel_err(b.grad, finite_diff_grad(lambda v: f(a_vals, v), b_vals.copy())) < 1e-8
+
+
 def test_scalar_broadcast_gradient_collapses():
     s = parameter(2.0)
     x = constant([1.0, 2.0, 3.0])
@@ -585,6 +651,61 @@ def test_rmsprop_without_weight_decay_is_the_plain_step():
         acc = acc * 0.99 + (1.0 - 0.99) * g * g
         values = values - 1e-2 * (g / (np.sqrt(acc) + 1e-8))
         np.testing.assert_array_equal(p.values, values)
+
+
+@pytest.mark.parametrize("weight_decay", [0.0, 1e-4])
+def test_rmsprop_steps_equal_the_textbook_formula(weight_decay):
+    rng = np.random.default_rng(12)
+    shapes = [(7, 5), (3,)]   # the smaller one uses a prefix of the scratch arrays
+    params = [parameter(rng.normal(size=s)) for s in shapes]
+    opt = RmsProp(params, learning_rate=1e-2, weight_decay=weight_decay)
+    values = [p.values.copy() for p in params]
+    accs = [np.zeros(s) for s in shapes]
+    for _ in range(5):
+        grads = [rng.normal(size=s) for s in shapes]
+        for p, grad in zip(params, grads):
+            p.grad = grad
+        opt.step()
+        for i, grad in enumerate(grads):
+            g = grad + weight_decay * values[i] if weight_decay else grad
+            accs[i] = 0.99 * accs[i] + (1.0 - 0.99) * g * g
+            values[i] = values[i] - 1e-2 * (g / (np.sqrt(accs[i]) + 1e-8))
+            assert_same_bits(params[i].values, values[i])
+            assert_same_bits(opt.sq_avg[i], accs[i])
+            assert params[i].grad is None
+
+
+@pytest.mark.parametrize("weight_decay", [0.0, 1e-4])
+def test_rmsprop_step_allocates_no_parameter_sized_array(weight_decay):
+    import tracemalloc
+    rng = np.random.default_rng(13)
+    p = parameter(rng.normal(size=200_000))
+    opt = RmsProp([p], learning_rate=1e-3, weight_decay=weight_decay)
+    grad = rng.normal(size=200_000)
+    p.grad = grad
+    opt.step()
+    p.grad = grad
+    tracemalloc.start()
+    try:
+        opt.step()
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < p.values.nbytes
+    assert p.grad is None
+
+
+def test_rmsprop_grad_norm_sums_each_parameter_then_takes_the_root():
+    rng = np.random.default_rng(14)
+    params = [parameter(np.zeros(s)) for s in ((40, 30), (30,), (1, 30))]
+    opt = RmsProp(params)
+    for p in params[:2]:
+        p.grad = rng.normal(size=p.shape)
+    grads = [p.grad.copy() for p in params[:2]]
+    expected = np.sqrt(sum(float(np.sum(g * g)) for g in grads))
+    assert opt.grad_norm() == expected
+    for p, g in zip(params, grads):
+        assert_same_bits(p.grad, g)
 
 
 def test_rmsprop_missing_grad_errors():

@@ -276,21 +276,34 @@ def test_train_input_validation(tmp_path):
 
 
 def test_gradient_clipping_rescales_global_norm():
-    from regraph.numerics import parameter
+    from regraph.numerics import RmsProp, parameter
     a = parameter(np.zeros((2, 2)))
     b = parameter(np.zeros(3))
     a.grad = np.full((2, 2), 3.0)
     b.grad = np.full(3, 4.0)
     norm = np.sqrt(np.sum(a.grad ** 2) + np.sum(b.grad ** 2))
-    _clip_gradients([a, b], 5.0)
+    _clip_gradients(RmsProp([a, b]), 5.0)
     clipped = np.sqrt(np.sum(a.grad ** 2) + np.sum(b.grad ** 2))
     assert clipped == pytest.approx(5.0, abs=1e-12)
     np.testing.assert_allclose(a.grad, np.full((2, 2), 3.0) * 5.0 / norm)
 
     c = parameter(np.zeros(2))
     c.grad = np.array([0.1, 0.1])
-    _clip_gradients([c], 5.0)
+    _clip_gradients(RmsProp([c]), 5.0)
     np.testing.assert_array_equal(c.grad, [0.1, 0.1])
+
+
+@pytest.mark.parametrize("arch", ["TGCN", "StackedGRU"])
+def test_one_lag_models_train_with_a_zero_gradient_for_the_reset_gate(tmp_path, arch):
+    # From the all-zero state the r gate never reaches the loss at k = 1.
+    model = build_model(ModelSpec(arch, 6, 1, (1, 2), "connected", seed=2), toy_graph())
+    r_gates = [p for name, p in model.named_params().items() if name.endswith(".wr")]
+    before = [p.values.copy() for p in r_gates]
+    cfg = TrainConfig(epochs=2, horizons=(1, 2), weight_decay=0.0)
+    _, report = train(model, [sample(k=1, seed=s) for s in range(4)], cfg, tmp_path)
+    assert np.all(np.isfinite(report.train_loss))
+    for p, values in zip(r_gates, before):
+        np.testing.assert_array_equal(p.values, values)
 
 
 def test_default_weight_decay_trains_with_a_constant_input_column(tmp_path):
