@@ -248,7 +248,6 @@ def _cmd_evaluate(args) -> int:
     rows = []
     summaries = {}
     overlap_costs = {}
-    literal = bool(args.literal_eq14)
     for run in (Path(r) for r in args.runs):
         name = _run_name(run)
         ckpt_path = run / "checkpoint_best.ckpt"
@@ -260,7 +259,6 @@ def _cmd_evaluate(args) -> int:
             continue
         echo = json.loads(cfg_path.read_text())
         resolved, run_args = echo["config"], echo["args"]
-        literal = literal or resolved["eval"]["literal_eq14"]
         bundle = load_checkpoint(ckpt_path)
         model = restore_model(bundle)
         data_cfg = resolved["data"]
@@ -312,7 +310,7 @@ def _cmd_evaluate(args) -> int:
         write_metrics_csv(out / "metrics.csv", rows)
         write_comparison_json(out / "comparison.json", rows,
                               overlap_costs=overlap_costs,
-                              literal_headline=literal)
+                              literal_headline=args.literal_eq14)
     _write_json(out / "evaluation.json", summaries)
     _write_meta(out, "evaluate", started)
     return 0

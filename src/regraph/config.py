@@ -1,10 +1,15 @@
 """Run configuration: JSON schema with defaults, strict key checking.
 
-A config file holds up to five sections (data, graph, model, train, eval).
-Every key has a documented default below; unknown keys are rejected with the
-full key path so typos never silently fall back to a default.
+A config file holds up to three sections (data, model, train). Every key has
+a default; unknown keys are rejected with the full key path so typos never
+silently fall back to a default. The ``data.synth`` and ``train`` leaves are
+read off the ``SyntheticConfig`` and ``TrainConfig`` fields, so each of their
+defaults lives on its dataclass alone. Graph settings are ``build-graph``
+flags, kept in the graph file and the checkpoint; the headline metric reading
+is ``evaluate --literal-eq14``.
 """
 
+import dataclasses
 import json
 from pathlib import Path
 
@@ -25,70 +30,50 @@ __all__ = [
 
 _MISSING = object()
 
+# JSON types accepted for a dataclass field, by the type of its default
+_JSON_TYPES = {bool: (bool,), int: (int,), float: (int, float), str: (str,),
+               tuple: (list,)}
 
-def _leaf(default, types):
-    return (default, types)
+
+def _field_leaves(cls, defaults=None, nullable=(), skip=()) -> dict:
+    """One (default, accepted types) leaf per field of a config dataclass."""
+    defaults = defaults or {}
+    leaves = {}
+    for f in dataclasses.fields(cls):
+        if f.name in skip:
+            continue
+        default = defaults.get(f.name, f.default)
+        types = _JSON_TYPES[type(default)]
+        if f.name in nullable:
+            types += (type(None),)
+        leaves[f.name] = (list(default) if isinstance(default, tuple) else default,
+                          types)
+    return leaves
 
 
-# (default, accepted types); None defaults carry their concrete type
+# (default, accepted types); None defaults carry their concrete type.
+# Train leaves that differ from their TrainConfig field: epochs has no
+# dataclass default, grad_clip_norm may be null (no clipping), and horizons
+# is data.horizons.
 _SCHEMA = {
     "data": {
-        "grid_step_min": _leaf(10, int),
-        "max_gap_steps": _leaf(6, int),
-        "k": _leaf(6, int),
-        "horizons": _leaf([1, 3, 12, 36], list),
-        "train_weeks": _leaf([], list),
-        "test_weeks": _leaf([], list),
-        "generality_weeks": _leaf([], list),
-        "synth": {
-            "n_sites": _leaf(105, int),
-            "n_regions": _leaf(8, int),
-            "days": _leaf(14, int),
-            "seed": _leaf(0, int),
-            "start_date": _leaf("2024-01-01", str),
-            "grid_step_min": _leaf(10, int),
-            "base_range": _leaf([0.4, 0.65], list),
-            "amplitude_range": _leaf([0.25, 0.45], list),
-            "phase_range": _leaf([-4.0, 4.0], list),
-            "weekend_range": _leaf([-0.25, -0.05], list),
-            "noise_level": _leaf(0.02, (int, float)),
-            "coupling": _leaf(0.5, (int, float)),
-            "capacity_range": _leaf([20, 120], list),
-            "drop_rate": _leaf(0.0, (int, float)),
-            "forced_full": _leaf([], list),
-            "forced_level": _leaf(1.25, (int, float)),
-        },
-    },
-    "graph": {
-        "threshold_miles": _leaf(40.0, (int, float)),
-        "adjacency_weights": _leaf("gaussian", str),
-        "sigma_miles": _leaf(20.0, (int, float)),
-        "strategy": _leaf("connected", str),
-        "regions": _leaf(None, (int, type(None))),
-        "seed": _leaf(0, int),
+        "grid_step_min": (10, int),
+        "max_gap_steps": (6, int),
+        "k": (6, int),
+        "horizons": ([1, 3, 12, 36], list),
+        "train_weeks": ([], list),
+        "test_weeks": ([], list),
+        "generality_weeks": ([], list),
+        "synth": _field_leaves(SyntheticConfig),
     },
     "model": {
-        "architecture": _leaf("RegTGCN", str),
+        "architecture": ("RegTGCN", str),
         # None resolves by architecture: 512 for TGCN, 256 for the rest
-        "hidden": _leaf(None, (int, type(None))),
-        "seed": _leaf(0, int),
+        "hidden": (None, (int, type(None))),
+        "seed": (0, int),
     },
-    "train": {
-        "epochs": _leaf(100, int),
-        "learning_rate": _leaf(1e-3, (int, float)),
-        "weight_decay": _leaf(1e-4, (int, float)),
-        "seed": _leaf(0, int),
-        "shuffle": _leaf(True, bool),
-        "patience": _leaf(20, int),
-        "checkpoint_every": _leaf(0, int),
-        "grad_clip_norm": _leaf(5.0, (int, float, type(None))),
-        "val_fraction": _leaf(0.1, (int, float)),
-        "rmsprop_decay": _leaf(0.99, (int, float)),
-        "rmsprop_smoothing": _leaf(1e-8, (int, float)),
-    },
-    "eval": {
-        "literal_eq14": _leaf(False, bool),
-    },
+    "train": _field_leaves(TrainConfig, defaults={"epochs": 100},
+                           nullable={"grad_clip_norm"}, skip={"horizons"}),
 }
 
 
@@ -158,23 +143,6 @@ def load_config(path) -> dict:
     return resolve_config(raw)
 
 
-def synth_config_from(resolved: dict) -> SyntheticConfig:
-    s = resolved["data"]["synth"]
-    return SyntheticConfig(
-        n_sites=s["n_sites"], n_regions=s["n_regions"], days=s["days"],
-        seed=s["seed"], start_date=s["start_date"],
-        grid_step_min=s["grid_step_min"],
-        base_range=tuple(s["base_range"]),
-        amplitude_range=tuple(s["amplitude_range"]),
-        phase_range=tuple(s["phase_range"]),
-        weekend_range=tuple(s["weekend_range"]),
-        noise_level=float(s["noise_level"]), coupling=float(s["coupling"]),
-        capacity_range=tuple(s["capacity_range"]),
-        drop_rate=float(s["drop_rate"]),
-        forced_full=tuple(s["forced_full"]),
-        forced_level=float(s["forced_level"]))
-
-
 def resolve_hidden(architecture: str, hidden) -> int:
     if hidden is not None:
         return hidden
@@ -198,17 +166,29 @@ def model_spec_from(resolved: dict, region_count=None) -> ModelSpec:
         seed=m["seed"])
 
 
+def _dataclass_from(cls, section: dict, **given):
+    """Fill a config dataclass from its resolved section.
+
+    Lists become tuples, and float fields go through float(), so an int
+    given for one (``noise_level: 0``) reaches the dataclass as a float.
+    """
+    values = dict(given)
+    for f in dataclasses.fields(cls):
+        if f.name in given:
+            continue
+        value = section[f.name]
+        if isinstance(value, list):
+            value = tuple(value)
+        elif isinstance(f.default, float) and value is not None:
+            value = float(value)
+        values[f.name] = value
+    return cls(**values)
+
+
+def synth_config_from(resolved: dict) -> SyntheticConfig:
+    return _dataclass_from(SyntheticConfig, resolved["data"]["synth"])
+
+
 def train_config_from(resolved: dict) -> TrainConfig:
-    t = resolved["train"]
-    clip = t["grad_clip_norm"]
-    return TrainConfig(
-        epochs=t["epochs"],
-        horizons=tuple(resolved["data"]["horizons"]),
-        learning_rate=float(t["learning_rate"]),
-        weight_decay=float(t["weight_decay"]),
-        seed=t["seed"], shuffle=t["shuffle"], patience=t["patience"],
-        checkpoint_every=t["checkpoint_every"],
-        grad_clip_norm=None if clip is None else float(clip),
-        val_fraction=float(t["val_fraction"]),
-        rmsprop_decay=float(t["rmsprop_decay"]),
-        rmsprop_smoothing=float(t["rmsprop_smoothing"]))
+    return _dataclass_from(TrainConfig, resolved["train"],
+                           horizons=tuple(resolved["data"]["horizons"]))

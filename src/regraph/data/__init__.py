@@ -17,6 +17,7 @@ from regraph.data.windows import (
     make_windows,
     split_by_weeks,
     step_positions,
+    week_label,
 )
 
 __all__ = [
@@ -37,4 +38,5 @@ __all__ = [
     "occupancy_rate",
     "split_by_weeks",
     "step_positions",
+    "week_label",
 ]

@@ -20,6 +20,7 @@ __all__ = [
     "make_windows",
     "split_by_weeks",
     "step_positions",
+    "week_label",
 ]
 
 
@@ -109,6 +110,12 @@ def _normalize_week(spec) -> tuple[int | None, int]:
             except ValueError:
                 pass
     raise ConfigError(f"bad week spec {spec!r}: use 3, (2024, 3), or '2024-W03'")
+
+
+def week_label(week: tuple[int, int]) -> str:
+    """The 'YYYY-Www' label of an ISO (year, week) pair."""
+    year, number = week
+    return f"{year}-W{number:02d}"
 
 
 def _weeks_conflict(a: tuple[int | None, int], b: tuple[int | None, int]) -> bool:

@@ -9,12 +9,11 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from regraph.data import apply_scaling, step_positions
+from regraph.data import apply_scaling, step_positions, week_label
 from regraph.errors import ConfigError, ShapeError
 from regraph.evaluation.metrics import MetricSet, compute_metrics, q95_table
 from regraph.files import atomic_open
 from regraph.models import restore_model
-from regraph.training import week_label
 
 __all__ = [
     "METRICS_COLUMNS",

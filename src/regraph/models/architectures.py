@@ -353,10 +353,8 @@ class TGcn(_GruAttention):
 
     conv_depth = 1
 
-    def __init__(self, spec: ModelSpec, ctx: GraphContext, conv_depth: int | None = None):
+    def __init__(self, spec: ModelSpec, ctx: GraphContext):
         super().__init__(spec, ctx)
-        if conv_depth is not None:
-            self.conv_depth = conv_depth
         rng = np.random.default_rng(spec.seed)
         self.convs = [StructuralConv(rng, IN_WIDTH, spec.hidden)]
         for _ in range(self.conv_depth - 1):

@@ -46,14 +46,6 @@ __all__ = [
     "uniform_init",
 ]
 
-ACTIVATIONS = {
-    "sigmoid": sigmoid,
-    "tanh": tanh,
-    "relu": relu,
-    "identity": lambda t: t,
-}
-
-
 def uniform_init(rng: np.random.Generator, shape: tuple[int, ...], fan_in: int) -> DiffTensor:
     """Uniform(-1/sqrt(fan_in), +1/sqrt(fan_in)) parameter."""
     bound = 1.0 / np.sqrt(fan_in)
@@ -66,17 +58,13 @@ def affine(x: DiffTensor, w: DiffTensor, b: DiffTensor) -> DiffTensor:
 
 
 class GcnLayer:
-    """Graph convolution: act(N @ H @ W + b) over a normalized operator N."""
+    """Graph convolution: sigmoid(N @ H @ W + b) over a normalized operator N."""
 
-    def __init__(self, rng: np.random.Generator, in_width: int, out_width: int,
-                 activation: str = "sigmoid"):
+    def __init__(self, rng: np.random.Generator, in_width: int, out_width: int):
         if out_width < 1:
             raise ShapeError(f"gcn layer: out_width must be >= 1, got {out_width}")
-        if activation not in ACTIVATIONS:
-            raise ShapeError(f"gcn layer: unknown activation {activation!r}")
         self.w = uniform_init(rng, (in_width, out_width), in_width)
         self.b = uniform_init(rng, (1, out_width), in_width)
-        self.activation = activation
 
     def params(self) -> list[tuple[str, DiffTensor]]:
         return [("w", self.w), ("b", self.b)]
@@ -86,7 +74,7 @@ def gcn_forward(layer: GcnLayer, normalized: DiffTensor, h: DiffTensor) -> DiffT
     if h.shape[1] != layer.w.shape[0]:
         raise ShapeError(
             f"gcn_forward: features {h.shape} do not match weight {layer.w.shape}")
-    return ACTIVATIONS[layer.activation](affine(matmul(normalized, h), layer.w, layer.b))
+    return sigmoid(affine(matmul(normalized, h), layer.w, layer.b))
 
 
 class StructuralConv:

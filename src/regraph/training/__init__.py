@@ -9,7 +9,6 @@ from regraph.training.loop import (
     mse_loss,
     split_validation,
     train,
-    week_label,
 )
 
 __all__ = [
@@ -21,5 +20,4 @@ __all__ = [
     "mse_loss",
     "split_validation",
     "train",
-    "week_label",
 ]

@@ -11,7 +11,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from regraph.data import apply_scaling, compute_scaling, step_positions
+from regraph.data import apply_scaling, compute_scaling, step_positions, week_label
 from regraph.errors import ConfigError, DataError, NumericError
 from regraph.files import atomic_open
 from regraph.models import save_checkpoint, load_checkpoint
@@ -23,7 +23,6 @@ __all__ = [
     "mse_loss",
     "split_validation",
     "train",
-    "week_label",
 ]
 
 BEST_CHECKPOINT = "checkpoint_best.ckpt"
@@ -110,11 +109,6 @@ class TrainReport:
             "checkpoint": self.checkpoint_name,
             "train_weeks": list(self.train_weeks),
         }
-
-
-def week_label(week: tuple[int, int]) -> str:
-    year, number = week
-    return f"{year}-W{number:02d}"
 
 
 def mse_loss(predicted, target):

@@ -1,6 +1,8 @@
 """End-to-end tests for the command-line pipeline."""
 
+import dataclasses
 import json
+import shutil
 
 import numpy as np
 import pytest
@@ -9,11 +11,19 @@ from hypothesis import strategies as st
 
 from regraph import cli
 from regraph.cli import main
-from regraph.config import default_config, load_config, resolve_config
+from regraph.config import (
+    default_config,
+    load_config,
+    resolve_config,
+    synth_config_from,
+    train_config_from,
+)
+from regraph.data import SyntheticConfig
 from regraph.errors import ConfigError
 from regraph.evaluation import reports
 from regraph.models import ModelSpec, build_model, save_checkpoint
 from regraph.models.checkpoint import graph_from_payload
+from regraph.training import TrainConfig
 
 BASE_SYNTH = {
     "n_sites": 6, "n_regions": 2, "days": 2, "seed": 11,
@@ -50,6 +60,45 @@ def test_unknown_keys_rejected_with_path():
         resolve_config({"foo": {}})
     with pytest.raises(ConfigError, match="data.synth.sites"):
         resolve_config({"data": {"synth": {"sites": 3}}})
+
+
+@pytest.mark.parametrize("section", [
+    {"graph": {"strategy": "random", "regions": 3, "threshold_miles": 1}},
+    {"eval": {"literal_eq14": True}},
+])
+def test_graph_and_eval_sections_are_unknown_keys(section):
+    # graph settings are build-graph flags; the headline is evaluate --literal-eq14
+    with pytest.raises(ConfigError, match=f"unknown config key: {next(iter(section))}"):
+        resolve_config(section)
+
+
+def test_config_defaults_live_on_the_dataclasses():
+    cfg = default_config()
+    assert set(cfg["data"]["synth"]) == {
+        f.name for f in dataclasses.fields(SyntheticConfig)}
+    assert set(cfg["train"]) == {
+        f.name for f in dataclasses.fields(TrainConfig)} - {"horizons"}
+    assert synth_config_from(cfg) == SyntheticConfig()
+    assert train_config_from(cfg) == TrainConfig(epochs=100, horizons=(1, 3, 12, 36))
+    assert resolve_config({"train": {"grad_clip_norm": None}})["train"]["grad_clip_norm"] is None
+
+
+def test_int_for_a_float_key_reaches_the_dataclass_as_a_float(tmp_path):
+    cfg = resolve_config({"data": {"synth": {"noise_level": 0}},
+                          "train": {"learning_rate": 0}})
+    noise = synth_config_from(cfg).noise_level
+    rate = train_config_from(cfg).learning_rate
+    assert (type(noise), noise, type(rate), rate) == (float, 0.0, float, 0.0)
+
+    sidecars = []
+    for i, noise_level in enumerate((0, 0.0)):
+        path = write_config(tmp_path / f"cfg{i}.json",
+                            data={"synth": {"noise_level": noise_level}})
+        out = tmp_path / f"data{i}"
+        assert main(["synth", "--config", str(path), "--out", str(out)]) == 0
+        sidecars.append((out / "synth_config.json").read_bytes())
+    assert sidecars[0] == sidecars[1]
+    assert b'"noise_level": 0.0' in sidecars[0]
 
 
 def test_type_errors_name_key():
@@ -457,6 +506,21 @@ def test_evaluate_reports_and_self_consistency(pipeline):
     assert (report_dir / "timeseries_run.csv").exists()
 
 
+def test_evaluate_headline_comes_from_the_flag_alone(pipeline, tmp_path):
+    # a run written when the config had graph and eval sections still evaluates,
+    # and its stored eval.literal_eq14 no longer picks the headline
+    run = tmp_path / "old_run"
+    shutil.copytree(pipeline["run"], run)
+    echo = json.loads((run / "resolved_config.json").read_text())
+    echo["config"]["graph"] = {"strategy": "connected", "threshold_miles": 40.0}
+    echo["config"]["eval"] = {"literal_eq14": True}
+    (run / "resolved_config.json").write_text(json.dumps(echo))
+    for flags, headline in (([], "standard"), (["--literal-eq14"], "literal_eq14")):
+        out = tmp_path / headline
+        assert main(["evaluate", "--runs", str(run), "--out", str(out)] + flags) == 0
+        assert json.loads((out / "comparison.json").read_text())["headline"] == headline
+
+
 def test_evaluate_predicts_each_split_once(pipeline, monkeypatch):
     # the test split's predictions feed both the metrics and timeseries_run.csv
     original = reports.predict_samples
@@ -498,6 +562,19 @@ def test_train_week_overlap_exits_2(pipeline, capsys):
                  "--graph", str(graph_file), "--out", str(root / "run2")])
     assert code == 2
     assert "config error" in capsys.readouterr().err
+
+
+def test_train_with_a_graph_section_exits_2(pipeline, capsys):
+    root, data, graph_file = pipeline["root"], pipeline["data"], pipeline["graph"]
+    cfg = write_config(root / "graph_section.json",
+                       data={**PIPELINE_DATA, "synth": {**BASE_SYNTH, "days": 21}},
+                       model=PIPELINE_MODEL, train=PIPELINE_TRAIN,
+                       graph={"strategy": "random", "regions": 3})
+    code = main(["train", "--config", str(cfg), "--data", str(data),
+                 "--graph", str(graph_file), "--out", str(root / "run_graph")])
+    assert code == 2
+    assert "unknown config key: graph" in capsys.readouterr().err
+    assert not (root / "run_graph").exists()
 
 
 def test_train_mismatched_sites_exits_3(pipeline, tmp_path):

@@ -66,22 +66,23 @@ def sigmoid_np(x):
 # ------------------------------------------------------------- gcn_forward
 
 def test_gcn_identity_case():
-    layer = GcnLayer(RNG(0), 3, 3, activation="identity")
+    layer = GcnLayer(RNG(0), 3, 3)
     layer.w.values = np.eye(3)
     layer.b.values = np.zeros((1, 3))
     h = RNG(1).normal(size=(4, 3))
     out = gcn_forward(layer, constant(np.eye(4)), constant(h))
-    np.testing.assert_allclose(out.values, h, rtol=1e-15)
+    np.testing.assert_allclose(out.values, sigmoid_np(h), rtol=1e-15)
 
 
 def test_gcn_two_node_complete_graph():
-    layer = GcnLayer(RNG(0), 2, 2, activation="identity")
+    layer = GcnLayer(RNG(0), 2, 2)
     layer.w.values = np.eye(2)
     layer.b.values = np.zeros((1, 2))
     n = constant(np.full((2, 2), 0.5))
     h = constant(np.eye(2))
     out = gcn_forward(layer, n, h)
-    np.testing.assert_allclose(out.values, [[0.5, 0.5], [0.5, 0.5]], rtol=1e-15)
+    np.testing.assert_allclose(out.values, sigmoid_np(np.full((2, 2), 0.5)),
+                               rtol=1e-15)
 
 
 def test_gcn_matches_per_node_loop_oracle():
@@ -90,7 +91,7 @@ def test_gcn_matches_per_node_loop_oracle():
         n_nodes, f_in, f_out = 6, 5, 4
         norm = rng.normal(size=(n_nodes, n_nodes))
         h = rng.normal(size=(n_nodes, f_in))
-        layer = GcnLayer(rng, f_in, f_out, activation="sigmoid")
+        layer = GcnLayer(rng, f_in, f_out)
         out = gcn_forward(layer, constant(norm), constant(h))
 
         expected = np.zeros((n_nodes, f_out))
@@ -392,7 +393,10 @@ def test_cst_depth_and_single_layer_equivalence():
     full = CstGcn(spec_c, ctx)
     assert sum(1 for name in full.named_params() if name.startswith("conv")) == 5
 
-    tied = CstGcn(spec_t, ctx, conv_depth=1)
+    class OneDeepCstGcn(CstGcn):
+        conv_depth = 1
+
+    tied = OneDeepCstGcn(spec_t, ctx)
     ref = TGcn(spec_t, ctx)
     state = {name: p.values for name, p in ref.named_params().items()}
     tied.load_state(state)
