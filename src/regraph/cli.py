@@ -38,13 +38,12 @@ from regraph.evaluation import (
     write_metrics_csv,
     write_timeseries,
 )
-from regraph.files import atomic_open
+from regraph.files import atomic_open, read_json, stored
 from regraph.graph import (
     build_connected,
     decompose_random,
     decompose_regional,
     default_provider,
-    degree,
     load_sites,
     overlap_cost,
 )
@@ -86,18 +85,7 @@ def _echo_config(out_dir: Path, resolved: dict, args: dict) -> None:
 
 
 def _read_graph_file(path: Path):
-    try:
-        doc = json.loads(path.read_text())
-    except OSError as exc:
-        raise DataError(f"cannot read graph file {path}: {exc}") from exc
-    except UnicodeDecodeError as exc:
-        raise DataError(f"graph file {path} is not UTF-8 text: {exc}") from exc
-    except json.JSONDecodeError as exc:
-        raise DataError(f"graph file {path} is not valid JSON: {exc.msg}") from exc
-    except RecursionError as exc:
-        raise DataError(f"graph file {path} is nested too deeply to parse") from exc
-    if not isinstance(doc, dict):
-        raise DataError(f"graph file {path} does not hold a JSON object")
+    doc = read_json(path, "graph file")
     for key in ("strategy", "graph"):
         if key not in doc:
             raise DataError(f"graph file {path} is missing the '{key}' entry")
@@ -241,6 +229,27 @@ def _run_name(run_dir: Path) -> str:
     return run_dir.name or run_dir.resolve().name
 
 
+# The sections and keys of a run's config echo that evaluate reads.
+_RUN_KEYS = {"data": ("grid_step_min", "max_gap_steps", "k", "horizons", "train_weeks",
+                      "test_weeks", "generality_weeks"),
+             "train": ("seed", "val_fraction")}
+
+
+def _read_run(run: Path):
+    """A run's data directory, the config echo sections evaluate reads, and
+    the validation RMSE its train report states (None without validation)."""
+    cfg_path, report_path = run / RESOLVED_CONFIG, run / "train_report.json"
+    echo = read_json(cfg_path, "run config")
+    report = read_json(report_path, "train report")
+    with stored(f"run config {cfg_path}"):
+        data_dir = Path(echo["args"]["data"])
+        resolved = {section: {key: echo["config"][section][key] for key in keys}
+                    for section, keys in _RUN_KEYS.items()}
+    with stored(f"train report {report_path}"):
+        reported = report["best_score"] if report.get("has_validation") else None
+    return data_dir, resolved, reported
+
+
 def _cmd_evaluate(args) -> int:
     started = _now()
     out = Path(args.out)
@@ -257,12 +266,11 @@ def _cmd_evaluate(args) -> int:
                   file=sys.stderr)
             summaries[name] = {"status": "absent"}
             continue
-        echo = json.loads(cfg_path.read_text())
-        resolved, run_args = echo["config"], echo["args"]
+        data_dir, resolved, val_reported = _read_run(run)
         bundle = load_checkpoint(ckpt_path)
         model = restore_model(bundle)
         data_cfg = resolved["data"]
-        grid = _grid_for_nodes(Path(run_args["data"]), bundle.graph.nodes,
+        grid = _grid_for_nodes(data_dir, bundle.graph.nodes,
                                data_cfg["grid_step_min"],
                                data_cfg["max_gap_steps"])
         train_s, test_s, gen_s = _split_from_config(resolved, grid)
@@ -281,15 +289,14 @@ def _cmd_evaluate(args) -> int:
         summary = {"status": "ok", "architecture": bundle.spec.architecture,
                    "connectivity": bundle.spec.connectivity, "seed": seed,
                    "test_samples": len(test_s)}
-        train_report = json.loads((run / "train_report.json").read_text())
-        if train_report.get("has_validation"):
+        if val_reported is not None:
             _, val_raw = split_validation(
                 train_s, resolved["train"]["val_fraction"])
             if val_raw:
                 check = float(np.mean(_val_rmse(model, val_raw, bundle.scaling_lo,
                                                 bundle.scaling_hi)))
                 summary["val_rmse_check"] = check
-                summary["val_rmse_reported"] = train_report["best_score"]
+                summary["val_rmse_reported"] = val_reported
         if gen_s:
             gen_report = generality_inference(bundle, gen_s,
                                               data_cfg["grid_step_min"])
@@ -299,8 +306,7 @@ def _cmd_evaluate(args) -> int:
             summary["generality_samples"] = len(gen_s)
         summaries[name] = summary
 
-        l_avg = float(np.mean([degree(bundle.graph, i)
-                               for i in range(bundle.graph.n)]))
+        l_avg = float(np.mean(bundle.graph.degrees))
         overlap_costs.setdefault("connected", overlap_cost(bundle.graph, l_avg))
         if bundle.partition is not None:
             overlap_costs.setdefault(
@@ -318,12 +324,11 @@ def _cmd_evaluate(args) -> int:
 
 def _cmd_analyze_graph(args) -> int:
     graph, partition = _read_graph_file(Path(args.graph))
-    degrees = [degree(graph, i) for i in range(graph.n)]
-    l_avg = float(np.mean(degrees))
+    l_avg = float(np.mean(graph.degrees))
     doc = {
         "nodes": graph.n,
         "edges": len(graph.edges),
-        "degree": {"min": int(min(degrees)), "max": int(max(degrees)),
+        "degree": {"min": int(graph.degrees.min()), "max": int(graph.degrees.max()),
                    "mean": l_avg},
         "overlap_cost": {"connected": overlap_cost(graph, l_avg)},
     }

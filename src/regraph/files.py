@@ -1,17 +1,18 @@
-"""CSV input files read row by row, and artifact files that are replaced
-whole or not at all."""
+"""CSV input files read row by row, JSON documents read whole, and artifact
+files that are replaced whole or not at all."""
 
 from __future__ import annotations
 
 import contextlib
 import csv
+import json
 import os
 import secrets
 from pathlib import Path
 
 from .errors import DataError
 
-__all__ = ["atomic_open", "open_csv"]
+__all__ = ["atomic_open", "json_object", "open_csv", "read_json", "stored"]
 
 
 @contextlib.contextmanager
@@ -37,6 +38,37 @@ def open_csv(path, header: list[str], kind: str):
             yield reader
         except (csv.Error, OverflowError, UnicodeDecodeError) as exc:
             raise DataError(f"{kind} file {path}: {exc}") from exc
+
+
+@contextlib.contextmanager
+def stored(what: str):
+    """Report a stored document that lacks the expected layout as a DataError."""
+    try:
+        yield
+    except DataError:
+        raise
+    except (ArithmeticError, AttributeError, LookupError, TypeError, ValueError) as exc:
+        raise DataError(f"malformed {what}: {type(exc).__name__}: {exc}") from exc
+
+
+def json_object(raw: bytes, what: str) -> dict:
+    """The JSON object UTF-8 ``raw`` holds; else a DataError that starts with ``what``."""
+    try:
+        doc = json.loads(raw.decode("utf-8"))
+    except (UnicodeDecodeError, json.JSONDecodeError, RecursionError) as exc:
+        raise DataError(f"{what}: {exc}") from exc
+    if not isinstance(doc, dict):
+        raise DataError(f"{what}: not a JSON object")
+    return doc
+
+
+def read_json(path, kind: str) -> dict:
+    """The JSON object in a file; a DataError names the ``kind`` of file and its path."""
+    try:
+        raw = Path(path).read_bytes()
+    except OSError as exc:
+        raise DataError(f"cannot read {kind} {path}: {exc}") from exc
+    return json_object(raw, f"{kind} {path}")
 
 
 @contextlib.contextmanager

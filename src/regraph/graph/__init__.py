@@ -1,45 +1,7 @@
 """Site graphs: distance providers, construction, and decompositions."""
 
-from regraph.graph.build import (
-    SITES_HEADER,
-    RegionalPartition,
-    SiteGraph,
-    SiteMeta,
-    build_connected,
-    decompose_random,
-    decompose_regional,
-    degree,
-    load_sites,
-    overlap_cost,
-    partition_from_assignment,
-)
-from regraph.graph.distance import (
-    EARTH_RADIUS_MILES,
-    CachedProvider,
-    DistanceProvider,
-    HaversineProvider,
-    RoutingProvider,
-    default_provider,
-    haversine_miles,
-)
+from regraph.graph import build, distance
+from regraph.graph.build import *  # noqa: F403
+from regraph.graph.distance import *  # noqa: F403
 
-__all__ = [
-    "EARTH_RADIUS_MILES",
-    "SITES_HEADER",
-    "CachedProvider",
-    "DistanceProvider",
-    "HaversineProvider",
-    "RegionalPartition",
-    "RoutingProvider",
-    "SiteGraph",
-    "SiteMeta",
-    "build_connected",
-    "decompose_random",
-    "decompose_regional",
-    "default_provider",
-    "degree",
-    "haversine_miles",
-    "load_sites",
-    "overlap_cost",
-    "partition_from_assignment",
-]
+__all__ = build.__all__ + distance.__all__

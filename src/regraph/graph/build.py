@@ -1,12 +1,11 @@
-"""Site graphs, normalized adjacency operators, and decompositions.
+"""Site graphs, their dense operators, and decompositions.
 
 A graph connects parking sites whose pairwise distance is at or below a
-threshold (default 40 miles, roughly a 30-minute drive). Raw miles are kept
-on the edges; the adjacency matrix applies a configurable kernel on top,
-and the propagation operator is the symmetric normalization of A plus
-self-loops. Two decompositions split the graph into independent blocks:
-one per state label, and one into seeded random groups that are fully
-connected internally.
+threshold (default 40 miles, roughly a 30-minute drive). It keeps only its
+edges with their raw miles and kernel weights; ``dense_operator`` builds
+from them the n x n operator a model multiplies by. Two decompositions
+split the graph into independent blocks: one per state label, and one
+into seeded random groups that are fully connected internally.
 """
 
 from __future__ import annotations
@@ -31,6 +30,7 @@ __all__ = [
     "decompose_random",
     "decompose_regional",
     "degree",
+    "dense_operator",
     "load_sites",
     "overlap_cost",
     "partition_from_assignment",
@@ -115,15 +115,6 @@ def _kernel_weight(miles: float, kind: str, sigma: float) -> float:
     raise ConfigError(f"adjacency_weights must be one of {ADJACENCY_KERNELS}, got {kind!r}")
 
 
-def _normalized_operator(adjacency: np.ndarray) -> np.ndarray:
-    """Symmetrically normalized adjacency with self-loops: D^-1/2 (A+I) D^-1/2."""
-    a_hat = adjacency + np.eye(adjacency.shape[0])
-    d = np.sum(a_hat, axis=1)
-    inv_sqrt = 1.0 / np.sqrt(d)
-    # Scale by a symmetric outer product so the result is exactly symmetric.
-    return a_hat * np.outer(inv_sqrt, inv_sqrt)
-
-
 def _freeze(arr: np.ndarray) -> np.ndarray:
     arr.flags.writeable = False
     return arr
@@ -131,18 +122,18 @@ def _freeze(arr: np.ndarray) -> np.ndarray:
 
 @dataclass(frozen=True)
 class SiteGraph:
-    """An undirected site graph and its propagation operator.
+    """An undirected site graph, kept as its edges.
 
     ``edges`` holds (i, j, miles) with i < j for the pairs of nonzero
-    kernel weight; ``adjacency`` applies the configured kernel to those
-    miles; ``normalized`` is the symmetric normalization with self-loops
-    added. Arrays are read-only.
+    kernel weight, and ``weights`` each edge's kernel weight, in edge
+    order. ``degrees`` counts each node's neighbors: its edges of positive
+    weight. Arrays are read-only.
     """
 
     nodes: tuple[SiteMeta, ...]
     edges: tuple[tuple[int, int, float], ...]
-    adjacency: np.ndarray
-    normalized: np.ndarray
+    weights: np.ndarray
+    degrees: np.ndarray
     threshold_miles: float
     adjacency_weights: str
     sigma_miles: float
@@ -157,25 +148,51 @@ def _assemble_graph(nodes: Sequence[SiteMeta], edges: Sequence[tuple[int, int, f
     if kernel == "gaussian" and not sigma > 0:
         raise ConfigError(f"sigma_miles must be > 0 for the gaussian kernel, got {sigma}")
     n = len(nodes)
-    adjacency = np.zeros((n, n))
     linked = []
     for i, j, miles in edges:
+        if not 0 <= i < j < n:
+            raise DataError(f"graph edge ({i}, {j}) is not a node pair i < j < {n}")
         w = _kernel_weight(miles, kernel, sigma)
-        if w == 0.0:  # e.g. two sites 0 miles apart under the raw kernel: no link
-            continue
-        adjacency[i, j] = w
-        adjacency[j, i] = w
-        linked.append((i, j, miles))
-    normalized = _normalized_operator(adjacency)
+        if w != 0.0:  # e.g. two sites 0 miles apart under the raw kernel: no link
+            linked.append((i, j, miles, w))
+    linked.sort()
+    ends = np.array([e[:2] for e in linked], dtype=np.int64).reshape(-1, 2)
+    if np.any(np.all(ends[1:] == ends[:-1], axis=1)):
+        raise DataError("graph: a node pair has more than one edge")
+    weights = np.array([e[3] for e in linked], dtype=np.float64)
     return SiteGraph(
         nodes=tuple(nodes),
-        edges=tuple(sorted(linked)),
-        adjacency=_freeze(adjacency),
-        normalized=_freeze(normalized),
+        edges=tuple(e[:3] for e in linked),
+        weights=_freeze(weights),
+        degrees=_freeze(np.bincount(ends[weights > 0].ravel(), minlength=n)),
         threshold_miles=threshold,
         adjacency_weights=kernel,
         sigma_miles=sigma,
     )
+
+
+def dense_operator(g: SiteGraph, kind: str) -> np.ndarray:
+    """One n x n operator of the graph, built from its edges.
+
+    ``binary``: 1.0 for each pair of positive kernel weight, zero diagonal.
+    ``normalized``: the symmetric normalization with self-loops of the
+    kernel weights A, D^-1/2 (A+I) D^-1/2.
+    """
+    ends = np.array([e[:2] for e in g.edges], dtype=np.int64).reshape(-1, 2)
+    weights = g.weights
+    if kind == "binary":
+        ends, weights = ends[weights > 0], 1.0
+    elif kind != "normalized":
+        raise ConfigError(f"dense operator must be binary or normalized, got {kind!r}")
+    a = np.zeros((g.n, g.n))
+    a[ends[:, 0], ends[:, 1]] = weights
+    a[ends[:, 1], ends[:, 0]] = weights
+    if kind == "normalized":
+        np.fill_diagonal(a, 1.0)  # A+I: no edge is a self-loop
+        inv_sqrt = 1.0 / np.sqrt(np.sum(a, axis=1))
+        # Scale by a symmetric outer product so the result is exactly symmetric.
+        a *= np.outer(inv_sqrt, inv_sqrt)
+    return a
 
 
 def build_connected(sites: Sequence[SiteMeta], provider: DistanceProvider | None = None,
@@ -235,10 +252,9 @@ def _check_partition(parent: SiteGraph, part: RegionalPartition) -> None:
     if sorted(all_ids) != sorted(parent_ids):
         raise DataError("partition: subgraph node sets are not a partition of the graph")
     if part.strategy == "regional":
-        parent_degrees = _degrees(parent)
         for label in part.region_order:
             sub = part.subgraphs[label]
-            gained = np.flatnonzero(_degrees(sub) > parent_degrees[part.node_indices[label]])
+            gained = np.flatnonzero(sub.degrees > parent.degrees[part.node_indices[label]])
             if gained.size:
                 raise DataError(f"partition: node {sub.nodes[gained[0]].site_id} "
                                 f"gained degree in region {label}")
@@ -333,17 +349,10 @@ def partition_from_assignment(g: SiteGraph, assignment: Mapping[str, str],
 
 
 def degree(g: SiteGraph, i: int) -> int:
-    """Count of neighbors of node i (positive off-diagonal entries in row i)."""
+    """Count of neighbors of node i (its edges of positive kernel weight)."""
     if not 0 <= i < g.n:
         raise IndexError(f"degree: node index {i} out of range for {g.n} nodes")
-    row = g.adjacency[i]
-    return int(np.count_nonzero(row > 0)) - (1 if row[i] > 0 else 0)
-
-
-def _degrees(g: SiteGraph) -> np.ndarray:
-    """``degree`` of every node at once."""
-    linked = g.adjacency > 0
-    return linked.sum(axis=1) - linked.diagonal()
+    return int(g.degrees[i])
 
 
 def overlap_cost(obj: SiteGraph | RegionalPartition, l_avg: float) -> float:

@@ -36,7 +36,7 @@ import numpy as np
 
 from ..data.frames import FEATURE_COLUMNS
 from ..errors import ConfigError, ShapeError
-from ..graph.build import RegionalPartition, SiteGraph
+from ..graph.build import RegionalPartition, SiteGraph, dense_operator
 from ..numerics import DiffTensor, concat, constant, no_grad, take_rows
 # attention_aggregate is not called here, but perfbench's layer tracer wraps it
 # where this module looks it up.
@@ -127,21 +127,20 @@ class ModelSpec:
 class GraphContext:
     """Frozen graph operators shared by a model's forward passes.
 
-    Holds the full graph's normalized operator and binary neighbor matrix,
-    and, when a partition is attached, each subgraph's normalized operator
-    and ``unpermute``: the row order that takes the subgraphs' rows,
-    stacked in region order, back to global node order. Each subgraph's
-    rows in global order are the partition's ``node_indices``.
+    Holds ``operator``, the one dense n x n full-graph operator its model
+    multiplies by (``dense_operator`` of the named kind, or None), and,
+    when a partition is attached, each subgraph's normalized operator and
+    ``unpermute``: the row order that takes the subgraphs' rows, stacked in
+    region order, back to global node order. Each subgraph's rows in global
+    order are the partition's ``node_indices``.
     """
 
-    def __init__(self, graph: SiteGraph, partition: RegionalPartition | None = None):
+    def __init__(self, graph: SiteGraph, operator: str | None,
+                 partition: RegionalPartition | None = None):
         self.graph = graph
         self.partition = partition
         self.n = graph.n
-        binary = (graph.adjacency > 0).astype(np.float64)
-        np.fill_diagonal(binary, 0.0)
-        self.binary_adjacency = constant(binary)
-        self.normalized = constant(graph.normalized)
+        self.operator = None if operator is None else constant(dense_operator(graph, operator))
 
         self.region_order: tuple[str, ...] = ()
         self.sub_normalized: dict[str, DiffTensor] = {}
@@ -153,8 +152,9 @@ class GraphContext:
             if not np.array_equal(np.sort(stacked), np.arange(graph.n)):
                 raise ConfigError("partition does not cover the graph's nodes exactly")
             self.unpermute = np.argsort(stacked)
-            self.sub_normalized = {label: constant(partition.subgraphs[label].normalized)
-                                   for label in self.region_order}
+            self.sub_normalized = {
+                label: constant(dense_operator(partition.subgraphs[label], "normalized"))
+                for label in self.region_order}
 
 
 class ForecastModel:
@@ -164,6 +164,8 @@ class ForecastModel:
     ``encode`` and ``advance``; by default a step is encoded as itself and
     a window's state is the tuple of its encoded steps.
     """
+
+    operator_kind: str | None = None  # the full-graph operator its context builds
 
     def __init__(self, spec: ModelSpec, ctx: GraphContext):
         self.spec = spec
@@ -299,6 +301,8 @@ class StackedGru(ForecastModel):
 class StackedGcn(ForecastModel):
     """Two graph convolutions over the feature concatenation of all lags."""
 
+    operator_kind = "normalized"
+
     def __init__(self, spec: ModelSpec, ctx: GraphContext):
         super().__init__(spec, ctx)
         rng = np.random.default_rng(spec.seed)
@@ -311,8 +315,8 @@ class StackedGcn(ForecastModel):
 
     def readout(self, weights, steps) -> DiffTensor:
         stacked = concat(list(steps), axis=1)
-        g1 = gcn_forward(self.layer1, self.ctx.normalized, stacked)
-        g2 = gcn_forward(self.layer2, self.ctx.normalized, g1)
+        g1 = gcn_forward(self.layer1, self.ctx.operator, stacked)
+        g2 = gcn_forward(self.layer2, self.ctx.operator, g1)
         return self.decoder.forward(g2)
 
 
@@ -325,6 +329,8 @@ class _GruAttention(ForecastModel):
     h at a window's oldest lag, and None seeds the all-zero state. A window
     in flight is (h, attention sum, lags taken).
     """
+
+    operator_kind = "binary"
 
     def _gru_input(self, x: DiffTensor) -> tuple[DiffTensor, DiffTensor | None]:
         raise NotImplementedError
@@ -371,7 +377,7 @@ class TGcn(_GruAttention):
     def _gru_input(self, x: DiffTensor) -> tuple[DiffTensor, None]:
         out = x
         for conv in self.convs:
-            out = structural_conv(conv, self.ctx.binary_adjacency, out)
+            out = structural_conv(conv, self.ctx.operator, out)
         return out, None
 
 
@@ -428,7 +434,7 @@ class PartitionedTGcn(_GruAttention):
 
     def _gru_input(self, x: DiffTensor) -> tuple[DiffTensor, DiffTensor]:
         gamma = self.regional_embedding(x)
-        structural = structural_conv(self.structural, self.ctx.binary_adjacency, x)
+        structural = structural_conv(self.structural, self.ctx.operator, x)
         return concat([structural, gamma], axis=1), gamma
 
 
@@ -464,5 +470,5 @@ def build_model(spec: ModelSpec, graph: SiteGraph,
         raise ConfigError(
             f"partition strategy {partition.strategy!r} does not match "
             f"connectivity {spec.connectivity!r}")
-    ctx = GraphContext(graph, partition)
-    return _MODEL_CLASSES[spec.architecture](spec, ctx)
+    cls = _MODEL_CLASSES[spec.architecture]
+    return cls(spec, GraphContext(graph, cls.operator_kind, partition))

@@ -12,7 +12,6 @@ bytes.
 
 from __future__ import annotations
 
-import contextlib
 import json
 import struct
 from dataclasses import dataclass
@@ -21,7 +20,7 @@ from pathlib import Path
 import numpy as np
 
 from ..errors import ConfigError, DataError
-from ..files import atomic_open
+from ..files import atomic_open, json_object, stored
 from ..graph.build import (
     UNLINKED_MILES,
     RegionalPartition,
@@ -73,19 +72,8 @@ def graph_payload(g: SiteGraph) -> dict:
     }
 
 
-@contextlib.contextmanager
-def _stored(what: str):
-    """Report a stored document that lacks the expected layout as a DataError."""
-    try:
-        yield
-    except DataError:
-        raise
-    except (ArithmeticError, AttributeError, LookupError, TypeError, ValueError) as exc:
-        raise DataError(f"malformed {what}: {type(exc).__name__}: {exc}") from exc
-
-
 def graph_from_payload(d: dict) -> SiteGraph:
-    with _stored("graph"):
+    with stored("graph"):
         nodes = [_site_from_row(row) for row in d["sites"]]
         if not nodes:
             raise DataError("malformed graph: no sites")
@@ -115,9 +103,9 @@ def partition_from_payload(g: SiteGraph, d: dict) -> RegionalPartition:
     provider that measured them may not be at hand when loading. A pair they
     leave out has zero kernel weight, which no binary pair has.
     """
-    with _stored("partition"):
-        stored = d["subgraph_edges"]
-        miles = {(a, b): float(m) for edges in stored.values() for a, b, m in edges}
+    with stored("partition"):
+        sub_edges = d["subgraph_edges"]
+        miles = {(a, b): float(m) for edges in sub_edges.values() for a, b, m in edges}
 
         def pair_miles(a, b):
             key = (a.site_id, b.site_id)
@@ -125,7 +113,7 @@ def partition_from_payload(g: SiteGraph, d: dict) -> RegionalPartition:
                 return miles[key]
             return UNLINKED_MILES[g.adjacency_weights]
         part = _build_partition(g, d["strategy"], d["region_of"], pair_miles)
-    if partition_payload(part)["subgraph_edges"] != stored:
+    if partition_payload(part)["subgraph_edges"] != sub_edges:
         raise DataError(f"partition: stored {part.strategy} sub-edges do not match "
                         f"the ones rebuilt from region_of")
     return part
@@ -189,17 +177,12 @@ def load_checkpoint(path: str | Path) -> CheckpointBundle:
         raise DataError(f"{path} is not a model checkpoint (bad magic)")
     (header_len,) = struct.unpack_from("<Q", raw, len(MAGIC))
     start = len(MAGIC) + 8
-    try:
-        header = json.loads(raw[start:start + header_len].decode("utf-8"))
-    except (UnicodeDecodeError, json.JSONDecodeError, RecursionError) as exc:
-        raise DataError(f"{path}: corrupt checkpoint header: {exc}") from exc
-    if not isinstance(header, dict):
-        raise DataError(f"{path}: corrupt checkpoint header: not a JSON object")
+    header = json_object(raw[start:start + header_len], f"{path}: corrupt checkpoint header")
     if header.get("format_version") != FORMAT_VERSION:
         raise ConfigError(
             f"{path}: unsupported checkpoint format {header.get('format_version')}")
 
-    with _stored(f"checkpoint header in {path}"):
+    with stored(f"checkpoint header in {path}"):
         hp = header["hyperparams"]
         spec = ModelSpec(
             architecture=header["architecture"],

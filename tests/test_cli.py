@@ -551,6 +551,29 @@ def test_evaluate_skips_missing_run(pipeline, capsys):
     assert summary["run"]["status"] == "ok"
 
 
+def drop_test_weeks(run):
+    echo = json.loads((run / "resolved_config.json").read_text())
+    del echo["config"]["data"]["test_weeks"]
+    return json.dumps(echo).encode()
+
+
+@pytest.mark.parametrize("name, contents", [
+    ("resolved_config.json", lambda run: b'{"config": {'),
+    ("resolved_config.json", lambda run: b'{"config": "\xff"}'),
+    ("resolved_config.json", drop_test_weeks),
+    ("train_report.json", lambda run: (run / "train_report.json").read_bytes()[:40]),
+], ids=["truncated_json", "not_utf8", "missing_key", "truncated_train_report"])
+def test_evaluate_malformed_run_file_exits_3(pipeline, tmp_path, capsys, name, contents):
+    run = tmp_path / "run"
+    shutil.copytree(pipeline["run"], run)
+    (run / name).write_bytes(contents(run))
+    capsys.readouterr()
+    assert main(["evaluate", "--runs", str(run), "--out", str(tmp_path / "out")]) == 3
+    err = capsys.readouterr().err
+    assert err.startswith("data error:") and str(run / name) in err
+    assert "Traceback" not in err
+
+
 def test_train_week_overlap_exits_2(pipeline, capsys):
     root, data, graph_file = pipeline["root"], pipeline["data"], pipeline["graph"]
     cfg = write_config(root / "overlap.json",

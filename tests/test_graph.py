@@ -22,6 +22,7 @@ from regraph.graph import (
     decompose_regional,
     default_provider,
     degree,
+    dense_operator,
     haversine_miles,
     load_sites,
     overlap_cost,
@@ -43,6 +44,14 @@ class FakeProvider:
     def miles(self, a, b):
         self.calls += 1
         return self.table[frozenset((a.site_id, b.site_id))]
+
+
+def kernel_matrix(g):
+    """A graph's kernel weights as the dense n x n adjacency A."""
+    a = np.zeros((g.n, g.n))
+    for (i, j, _), w in zip(g.edges, g.weights):
+        a[i, j] = a[j, i] = w
+    return a
 
 
 # ------------------------------------------------------------- haversine
@@ -77,29 +86,30 @@ def test_raw_kernel_leaves_a_zero_mile_pair_out_of_the_edges():
     g = build_connected(sites, provider, adjacency_weights="raw")
     assert g.edges == ((0, 2, 12.0), (1, 2, 12.0))
     assert [degree(g, i) for i in range(3)] == [1, 1, 2]
-    assert np.count_nonzero(g.adjacency) == 2 * len(g.edges)
+    assert np.count_nonzero(kernel_matrix(g)) == 2 * len(g.edges)
 
 
 def test_single_site_graph():
     g = build_connected([site("only")], FakeProvider({}))
-    np.testing.assert_array_equal(g.adjacency, [[0.0]])
-    np.testing.assert_array_equal(g.normalized, [[1.0]])
+    np.testing.assert_array_equal(kernel_matrix(g), [[0.0]])
+    np.testing.assert_array_equal(dense_operator(g, "normalized"), [[1.0]])
 
 
 def test_two_site_binary_normalization():
     sites = [site("a"), site("b")]
     g = build_connected(sites, FakeProvider({("a", "b"): 10.0}), adjacency_weights="binary")
-    np.testing.assert_array_equal(g.adjacency, [[0.0, 1.0], [1.0, 0.0]])
-    np.testing.assert_allclose(g.normalized, [[0.5, 0.5], [0.5, 0.5]], rtol=1e-15)
+    np.testing.assert_array_equal(kernel_matrix(g), [[0.0, 1.0], [1.0, 0.0]])
+    np.testing.assert_allclose(dense_operator(g, "normalized"), [[0.5, 0.5], [0.5, 0.5]],
+                               rtol=1e-15)
 
 
 def test_gaussian_and_raw_kernels():
     sites = [site("a"), site("b")]
     provider = FakeProvider({("a", "b"): 10.0})
     g_gauss = build_connected(sites, provider, adjacency_weights="gaussian", sigma_miles=20.0)
-    assert g_gauss.adjacency[0, 1] == pytest.approx(np.exp(-0.25), rel=1e-12)
+    assert kernel_matrix(g_gauss)[0, 1] == pytest.approx(np.exp(-0.25), rel=1e-12)
     g_raw = build_connected(sites, provider, adjacency_weights="raw")
-    assert g_raw.adjacency[0, 1] == 10.0
+    assert kernel_matrix(g_raw)[0, 1] == 10.0
 
 
 def test_duplicate_site_ids_rejected():
@@ -133,8 +143,9 @@ def test_threshold_soundness_and_symmetry():
     for i, j, miles in g.edges:
         assert miles <= g.threshold_miles
         assert h.miles(sites[i], sites[j]) == pytest.approx(miles)
-    np.testing.assert_array_equal(g.adjacency, g.adjacency.T)
-    np.testing.assert_array_equal(g.normalized, g.normalized.T)
+    adjacency, normalized = kernel_matrix(g), dense_operator(g, "normalized")
+    np.testing.assert_array_equal(adjacency, adjacency.T)
+    np.testing.assert_array_equal(normalized, normalized.T)
 
 
 def test_binary_operator_spectrum_bounded():
@@ -142,7 +153,7 @@ def test_binary_operator_spectrum_bounded():
     sites = [site(f"s{i}", lat=43.0 + rng.uniform(-0.5, 0.5),
                   lon=-89.0 + rng.uniform(-0.5, 0.5)) for i in range(15)]
     g = build_connected(sites, HaversineProvider(), adjacency_weights="binary")
-    eigs = np.linalg.eigvalsh(g.normalized)
+    eigs = np.linalg.eigvalsh(dense_operator(g, "normalized"))
     assert np.max(eigs) <= 1.0 + 1e-9
 
 
@@ -154,13 +165,16 @@ def test_relabeling_equivariance():
     perm = rng.permutation(8)
     g2 = build_connected([sites[p] for p in perm], HaversineProvider())
     p_mat = np.eye(8)[perm]
-    np.testing.assert_allclose(g2.adjacency, p_mat @ g.adjacency @ p_mat.T, atol=1e-12)
+    np.testing.assert_allclose(kernel_matrix(g2),
+                               p_mat @ kernel_matrix(g) @ p_mat.T, atol=1e-12)
 
 
 def test_graph_arrays_are_read_only():
     g = build_connected([site("a"), site("b")], FakeProvider({("a", "b"): 5.0}))
     with pytest.raises(ValueError):
-        g.adjacency[0, 1] = 99.0
+        g.weights[0] = 99.0
+    with pytest.raises(ValueError):
+        g.degrees[0] = 99
 
 
 # ----------------------------------------------------- decompose_regional
@@ -192,8 +206,9 @@ def test_regional_partition_single_region_is_identity():
     assert part.region_order == ("WI",)
     sub = part.subgraphs["WI"]
     assert sub.edges == g.edges
-    np.testing.assert_array_equal(sub.adjacency, g.adjacency)
-    np.testing.assert_array_equal(sub.normalized, g.normalized)
+    np.testing.assert_array_equal(kernel_matrix(sub), kernel_matrix(g))
+    np.testing.assert_array_equal(dense_operator(sub, "normalized"),
+                                  dense_operator(g, "normalized"))
 
 
 def test_regional_partition_rejects_empty_region():
@@ -218,9 +233,10 @@ def test_regional_subgraph_normalization_is_local():
     part = decompose_regional(g)
     for label in part.region_order:
         sub = part.subgraphs[label]
-        np.testing.assert_allclose(sub.normalized, sub.normalized.T, atol=1e-15)
-        eigs = np.linalg.eigvalsh(sub.normalized)
-        assert np.max(np.abs(sub.normalized.sum())) > 0
+        normalized = dense_operator(sub, "normalized")
+        np.testing.assert_allclose(normalized, normalized.T, atol=1e-15)
+        eigs = np.linalg.eigvalsh(normalized)
+        assert np.max(np.abs(normalized.sum())) > 0
         assert eigs.shape == (sub.n,)
 
 

@@ -2,6 +2,7 @@
 
 import json
 import struct
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -10,10 +11,13 @@ from hypothesis import strategies as st
 
 from regraph.errors import ConfigError, DataError, ShapeError
 from regraph.graph import (
+    HaversineProvider,
     SiteMeta,
     build_connected,
     decompose_random,
     decompose_regional,
+    degree,
+    dense_operator,
     partition_from_assignment,
 )
 from regraph.models import (
@@ -33,7 +37,22 @@ from regraph.models import (
     structural_conv,
 )
 from regraph.models.architectures import CstGcn, GraphContext, TGcn
-from regraph.numerics import add, backward, constant, matmul, mul, parameter, sum_all
+from regraph.models.checkpoint import (
+    graph_from_payload,
+    graph_payload,
+    partition_from_payload,
+    partition_payload,
+)
+from regraph.numerics import (
+    DiffTensor,
+    add,
+    backward,
+    constant,
+    matmul,
+    mul,
+    parameter,
+    sum_all,
+)
 from regraph.numerics import tensor as tensor_core
 
 RNG = np.random.default_rng
@@ -389,7 +408,7 @@ def test_cst_depth_and_single_layer_equivalence():
     g = two_region_graph()
     spec_t = ModelSpec("TGCN", 6, 3, (1,), "connected", seed=8)
     spec_c = ModelSpec("CSTGCN", 6, 3, (1,), "connected", seed=8)
-    ctx = GraphContext(g)
+    ctx = GraphContext(g, "binary")
     full = CstGcn(spec_c, ctx)
     assert sum(1 for name in full.named_params() if name.startswith("conv")) == 5
 
@@ -416,7 +435,7 @@ def test_regional_embedding_single_region_equals_full_graph():
     x = RNG(2).normal(size=(4, 8))
     gamma = model.regional_embedding(constant(x)).values
     layer = model.region_layers[part.region_order[0]]
-    manual = sigmoid_np(g.normalized @ x @ layer.w.values + layer.b.values)
+    manual = sigmoid_np(dense_operator(g, "normalized") @ x @ layer.w.values + layer.b.values)
     manual = manual @ model.mixer_w.values + model.mixer_b.values
     np.testing.assert_allclose(gamma, manual, atol=1e-12)
 
@@ -556,6 +575,136 @@ def test_window_shape_validation():
         model.predict(window(4, 4))
     with pytest.raises(ShapeError):
         model.predict(window(3, 5))
+
+
+# --------------------------------------------------- operators from the edges
+# The dense construction a graph used to carry for every model: the kernel
+# adjacency of its candidate pairs, then the binary neighbor matrix and the
+# normalized operator derived from it.
+
+def dense_kernel_adjacency(n, pairs, kind, sigma):
+    adjacency = np.zeros((n, n))
+    for i, j, miles in pairs:
+        if kind == "gaussian":
+            w = float(np.exp(-((miles / sigma) ** 2)))
+        else:
+            w = 1.0 if kind == "binary" else miles
+        if w == 0.0:
+            continue
+        adjacency[i, j] = w
+        adjacency[j, i] = w
+    return adjacency
+
+
+def dense_binary(adjacency):
+    binary = (adjacency > 0).astype(np.float64)
+    np.fill_diagonal(binary, 0.0)
+    return binary
+
+
+def dense_normalized(adjacency):
+    a_hat = adjacency + np.eye(adjacency.shape[0])
+    d = np.sum(a_hat, axis=1)
+    inv_sqrt = 1.0 / np.sqrt(d)
+    return a_hat * np.outer(inv_sqrt, inv_sqrt)
+
+
+def operator_sites(n):
+    """n sites in two regions; past 2, the last one is isolated and the
+    second to last sits on the first (0 miles apart)."""
+    rng = RNG(17)
+    sites = [site(f"s{i}", "AB"[i % 2], lat=43.0 + rng.uniform(-0.4, 0.4),
+                  lon=-89.0 + rng.uniform(-0.4, 0.4)) for i in range(n)]
+    if n > 2:
+        first = sites[0]
+        sites[-2] = site("twin", "B", lat=first.latitude, lon=first.longitude)
+        sites[-1] = site("far", "A", lat=47.5, lon=-96.0)
+    return sites
+
+
+def reloaded(graph, partition):
+    """The graph and partition as a graph file gives them back."""
+    doc = json.loads(json.dumps({"graph": graph_payload(graph),
+                                 "partition": partition_payload(partition)}))
+    graph = graph_from_payload(doc["graph"])
+    return graph, partition_from_payload(graph, doc["partition"])
+
+
+def check_degrees(g, adjacency):
+    rows = np.count_nonzero(adjacency > 0, axis=1) - (np.diagonal(adjacency) > 0)
+    assert [degree(g, i) for i in range(g.n)] == rows.tolist()
+
+
+@pytest.mark.parametrize("n", [1, 18])
+@pytest.mark.parametrize("kernel", ["gaussian", "binary", "raw"])
+def test_graph_context_operators_equal_the_dense_construction(kernel, n):
+    sites, h = operator_sites(n), HaversineProvider()
+    pairs = [(i, j, h.miles(sites[i], sites[j])) for i in range(n) for j in range(i + 1, n)]
+    pairs = [p for p in pairs if p[2] <= 40.0]
+    g = build_connected(sites, h, adjacency_weights=kernel)
+    adjacency = dense_kernel_adjacency(n, pairs, kernel, g.sigma_miles)
+    if n > 2:
+        assert not adjacency[-1].any()  # the isolated site
+        assert (0, n - 2, 0.0) in pairs  # the twins, an edge unless their weight is 0
+        assert ((0, n - 2, 0.0) in g.edges) == (kernel != "raw")
+    check_degrees(g, adjacency)
+    np.testing.assert_array_equal(GraphContext(g, "binary").operator.values,
+                                  dense_binary(adjacency))
+    np.testing.assert_array_equal(GraphContext(g, "normalized").operator.values,
+                                  dense_normalized(adjacency))
+    assert GraphContext(g, None).operator is None
+    with pytest.raises(ConfigError):
+        GraphContext(g, "kernel")
+
+    for part in (decompose_regional(g), decompose_random(g, r=min(n, 3), seed=5)):
+        g2, part2 = reloaded(g, part)
+        assert g2.edges == g.edges
+        np.testing.assert_array_equal(g2.degrees, g.degrees)
+        ctx = GraphContext(g2, "binary", part2)
+        np.testing.assert_array_equal(ctx.operator.values, dense_binary(adjacency))
+        for label in part2.region_order:
+            idx = part2.node_indices[label].tolist()
+            local = {p: k for k, p in enumerate(idx)}
+            if part.strategy == "regional":
+                sub_pairs = [(local[i], local[j], m) for i, j, m in pairs
+                             if i in local and j in local]
+            else:
+                sub_pairs = [(a, b, h.miles(sites[idx[a]], sites[idx[b]]))
+                             for a in range(len(idx)) for b in range(a + 1, len(idx))]
+            sub_adjacency = dense_kernel_adjacency(len(idx), sub_pairs, kernel, g.sigma_miles)
+            check_degrees(part2.subgraphs[label], sub_adjacency)
+            np.testing.assert_array_equal(ctx.sub_normalized[label].values,
+                                          dense_normalized(sub_adjacency))
+
+
+def state_sites(n, regions):
+    """n sites in regions laid out along a diagonal, as the synthetic data has them."""
+    rng = RNG(3)
+    return [site(f"s{i:04d}", f"r{i % regions:02d}",
+                 lat=38.0 + (i % regions) * 0.45 + rng.uniform(-0.15, 0.15),
+                 lon=-96.0 + (i % regions) * 0.55 + rng.uniform(-0.15, 0.15))
+            for i in range(n)]
+
+
+def test_graphs_rebuild_without_an_n_by_n_array_and_tgcn_holds_one():
+    n = 800
+    g = build_connected(state_sites(n, 64), HaversineProvider())
+    doc = json.loads(json.dumps({"graph": graph_payload(g),
+                                 "partition": partition_payload(decompose_regional(g))}))
+    tracemalloc.start()
+    try:
+        g2 = graph_from_payload(doc["graph"])
+        part = partition_from_payload(g2, doc["partition"])
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert g2.edges == g.edges and len(part.region_order) == 64
+    assert peak < n * n * 8, f"rebuilding peaked at {peak} bytes"
+
+    ctx = build_model(ModelSpec("TGCN", 4, 2, (1,), "connected"), g2).ctx
+    held = [v.values if isinstance(v, DiffTensor) else v
+            for v in [*vars(ctx).values(), *vars(ctx.graph).values()]]
+    assert sum(np.shape(a) == (n, n) for a in held if isinstance(a, np.ndarray)) == 1
 
 
 # -------------------------------------------------------------- checkpoints
