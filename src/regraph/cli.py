@@ -193,6 +193,7 @@ def _cmd_train(args) -> int:
                                  "out": str(args.out)})
     _write_meta(out, "train", started,
                 {"epoch_seconds": list(report.epoch_seconds),
+                 "epoch_minor_faults": list(report.epoch_minor_faults),
                  "epochs_run": len(report.train_loss)})
     return 0
 

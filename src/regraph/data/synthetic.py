@@ -39,6 +39,9 @@ REGION_BASE_LON = -96.0
 REGION_LAT_STEP = 0.45
 REGION_LON_STEP = 0.55
 SITE_JITTER_DEG = 0.15
+# Region r sits at latitude REGION_BASE_LAT + r * REGION_LAT_STEP, give or
+# take the jitter; past this many regions the last one crosses the pole.
+MAX_REGIONS = int((90.0 - SITE_JITTER_DEG - REGION_BASE_LAT) // REGION_LAT_STEP) + 1
 OVERFLOW_CEILING = 1.1
 
 
@@ -64,9 +67,11 @@ class SyntheticConfig:
     def __post_init__(self):
         if self.n_sites < 1:
             raise ConfigError(f"n_sites must be >= 1, got {self.n_sites}")
-        if not 1 <= self.n_regions <= self.n_sites:
+        if not 1 <= self.n_regions <= min(self.n_sites, MAX_REGIONS):
             raise ConfigError(
-                f"n_regions must be in [1, {self.n_sites}], got {self.n_regions}")
+                f"n_regions must be in [1, {min(self.n_sites, MAX_REGIONS)}] (at most "
+                f"n_sites, and at most {MAX_REGIONS} regions fit the latitude layout), "
+                f"got {self.n_regions}")
         if self.days < 1:
             raise ConfigError(f"days must be >= 1, got {self.days}")
         if self.grid_step_min < 1:

@@ -190,8 +190,11 @@ def dense_operator(g: SiteGraph, kind: str) -> np.ndarray:
     if kind == "normalized":
         np.fill_diagonal(a, 1.0)  # A+I: no edge is a self-loop
         inv_sqrt = 1.0 / np.sqrt(np.sum(a, axis=1))
-        # Scale by a symmetric outer product so the result is exactly symmetric.
-        a *= np.outer(inv_sqrt, inv_sqrt)
+        # Row by row, the products of the symmetric outer product
+        # inv_sqrt[i] * inv_sqrt[j], so the result is exactly symmetric
+        # without a second n x n array.
+        for i, row in enumerate(a):
+            row *= inv_sqrt[i] * inv_sqrt
     return a
 
 

@@ -14,17 +14,19 @@ Architectures:
     RegTGCN     TGCN plus a per-region embedding path (state partition)
 
 The partition path ("gamma"): each subgraph runs its own graph conv on its
-nodes' rows, the per-group embeddings are stacked and permuted back into
-global node order, and one shared per-node affine mixes them. The GRU of
+nodes' rows, written straight back to those rows (one ``segment_gcn`` op),
+and one shared per-node affine mixes them. The GRU of
 the partition models consumes the feature concatenation of the full-graph
 conv and gamma, and its hidden state starts from the oldest lag's gamma
 rather than zeros.
 
-Every model runs in two stages: ``encode`` reads one scaled grid step, and
-``advance`` takes one more lag of a window. In the T-GCN models the encode
-holds everything that depends on the step alone (the spatial convs, gamma
-and the input halves of the GRU gates), so frozen inference over windows
-that share steps (``predict_windows``) encodes each step once.
+Every model runs in two stages: ``encode`` reads scaled grid steps stacked
+row-wise, and ``advance`` takes one more lag of a window from those rows.
+In the T-GCN models the encode holds everything that depends on the step
+alone (the spatial convs, gamma and the input halves of the GRU gates).
+Training encodes a window's K steps as one stack, so each of those layers
+is one wide product on the tape; frozen inference over windows that share
+steps (``predict_windows``) encodes each step once, on its own.
 """
 
 from __future__ import annotations
@@ -37,7 +39,7 @@ import numpy as np
 from ..data.frames import FEATURE_COLUMNS
 from ..errors import ConfigError, ShapeError
 from ..graph.build import RegionalPartition, SiteGraph, dense_operator
-from ..numerics import DiffTensor, concat, constant, no_grad, take_rows
+from ..numerics import DiffTensor, concat, constant, no_grad, segment_gcn, take_rows
 # attention_aggregate is not called here, but perfbench's layer tracer wraps it
 # where this module looks it up.
 from .layers import (  # noqa: F401
@@ -130,9 +132,8 @@ class GraphContext:
     Holds ``operator``, the one dense n x n full-graph operator its model
     multiplies by (``dense_operator`` of the named kind, or None), and,
     when a partition is attached, each subgraph's normalized operator and
-    ``unpermute``: the row order that takes the subgraphs' rows, stacked in
-    region order, back to global node order. Each subgraph's rows in global
-    order are the partition's ``node_indices``.
+    ``groups``: each subgraph's rows in global order (the partition's
+    ``node_indices``), in region order.
     """
 
     def __init__(self, graph: SiteGraph, operator: str | None,
@@ -144,14 +145,12 @@ class GraphContext:
 
         self.region_order: tuple[str, ...] = ()
         self.sub_normalized: dict[str, DiffTensor] = {}
-        self.unpermute: np.ndarray | None = None
+        self.groups: tuple[np.ndarray, ...] = ()
         if partition is not None:
             self.region_order = tuple(partition.region_order)
-            stacked = np.concatenate([partition.node_indices[label]
-                                      for label in self.region_order])
-            if not np.array_equal(np.sort(stacked), np.arange(graph.n)):
+            self.groups = tuple(partition.node_indices[label] for label in self.region_order)
+            if not np.array_equal(np.sort(np.concatenate(self.groups)), np.arange(graph.n)):
                 raise ConfigError("partition does not cover the graph's nodes exactly")
-            self.unpermute = np.argsort(stacked)
             self.sub_normalized = {
                 label: constant(dense_operator(partition.subgraphs[label], "normalized"))
                 for label in self.region_order}
@@ -212,23 +211,28 @@ class ForecastModel:
         return None
 
     def encode(self, weights, x: DiffTensor):
-        """One scaled grid step (n x 8), as every window holding it reads it."""
+        """Scaled grid steps stacked row-wise (m*n x 8), as every window
+        holding them reads them."""
         return x
 
-    def advance(self, weights, state, step):
-        """A window's state after one more lag; ``state`` is None before the first."""
-        return (state or ()) + (step,)
+    def advance(self, weights, state, encoded, rows: slice):
+        """A window's state after one more lag, the step at ``rows`` of
+        ``encoded``; ``state`` is None before the first."""
+        return (state or ()) + (take_rows(encoded, rows),)
 
     def readout(self, weights, state) -> DiffTensor:
         """The n x |horizons| forecast of a window that has taken all K lags."""
         raise NotImplementedError
 
     def forward(self, inputs: np.ndarray) -> DiffTensor:
+        """The taped forecast of one window, its K steps encoded as one stack."""
         inputs = self._check_window(inputs)
+        k, n = self.spec.k, self.ctx.n
         weights = self.call_weights()
+        encoded = self.encode(weights, constant(inputs.reshape(k * n, IN_WIDTH)))
         state = None
-        for k in range(self.spec.k):
-            state = self.advance(weights, state, self.encode(weights, constant(inputs[k])))
+        for lag in range(k):
+            state = self.advance(weights, state, encoded, slice(lag * n, (lag + 1) * n))
         return self.readout(weights, state)
 
     def predict(self, inputs: np.ndarray) -> np.ndarray:
@@ -270,7 +274,7 @@ class ForecastModel:
                 b, lag = takers[0]
                 step = self.encode(weights, constant(windows[b][lag]))
                 for b, lag in takers:
-                    states[b] = self.advance(weights, states.get(b), step)
+                    states[b] = self.advance(weights, states.get(b), step, slice(None))
                     if lag == k - 1:
                         out[b] = self.readout(weights, states.pop(b)).values
                         del windows[b]
@@ -324,10 +328,11 @@ class _GruAttention(ForecastModel):
     """The T-GCN recurrence: a GRU over the encoded steps, attention over its
     K hidden states as a running sum, then the decoder.
 
-    Subclasses give ``_gru_input``: a step's GRU input block, and gamma or
-    None. An encoded step is (the gates' input halves, gamma); gamma seeds
-    h at a window's oldest lag, and None seeds the all-zero state. A window
-    in flight is (h, attention sum, lags taken).
+    Subclasses give ``_gru_input``: the GRU input block of stacked steps,
+    and their gamma or None. Encoded steps are (the gates' input halves,
+    gamma); a lag reads its step's rows of them. Gamma seeds h at a
+    window's oldest lag, and None seeds the all-zero state. A window in
+    flight is (h, attention sum, lags taken).
     """
 
     operator_kind = "binary"
@@ -342,12 +347,12 @@ class _GruAttention(ForecastModel):
         conv_in, gamma = self._gru_input(x)
         return gate_inputs(weights[0], conv_in), gamma
 
-    def advance(self, weights, state, step):
-        gate_x, gamma = step
+    def advance(self, weights, state, encoded, rows):
+        gate_x, gamma = encoded
         if state is None:
-            state = (gamma, None, 0)
+            state = (None if gamma is None else take_rows(gamma, rows), None, 0)
         h, total, lag = state
-        h = gru_advance(weights[0], gate_x, h)
+        h = gru_advance(weights[0], gate_x, rows, h)
         return h, attend(weights[1], lag, h, total), lag + 1
 
     def readout(self, weights, state) -> DiffTensor:
@@ -424,12 +429,12 @@ class PartitionedTGcn(_GruAttention):
         self._register("decoder", self.decoder)
 
     def regional_embedding(self, x: DiffTensor) -> DiffTensor:
-        """Per-group conv, unpermute to global order, shared affine mix."""
-        rows = self.ctx.partition.node_indices
-        embs = [gcn_forward(self.region_layers[label], self.ctx.sub_normalized[label],
-                            take_rows(x, rows[label]))
-                for label in self.ctx.region_order]
-        placed = take_rows(concat(embs, axis=0), self.ctx.unpermute)
+        """Per-group conv of stacked steps in global row order, shared affine mix."""
+        ctx = self.ctx
+        layers = [self.region_layers[label] for label in ctx.region_order]
+        placed = segment_gcn(x, ctx.groups,
+                             [ctx.sub_normalized[label].values for label in ctx.region_order],
+                             [layer.w for layer in layers], [layer.b for layer in layers])
         return affine(placed, self.mixer_w, self.mixer_b)
 
     def _gru_input(self, x: DiffTensor) -> tuple[DiffTensor, DiffTensor]:

@@ -14,17 +14,16 @@ from ..numerics import (
     DiffTensor,
     add,
     add_row,
+    gru_update,
     matmul,
-    matmul_add,
     mul,
     parameter,
+    propagate,
     relu,
     reshape,
     sigmoid,
     softmax,
-    sub,
     take_rows,
-    tanh,
 )
 
 __all__ = [
@@ -94,10 +93,15 @@ class StructuralConv:
 
 def structural_conv(layer: StructuralConv, binary_adjacency: DiffTensor,
                     eta: DiffTensor) -> DiffTensor:
+    """The conv of ``eta``, which may stack several steps of n rows each.
+
+    The whole stack goes through the weight in one product. For a constant
+    ``eta`` (the model input) ``eta + A eta`` records nothing on the tape.
+    """
     if eta.shape[1] != layer.w.shape[0]:
         raise ShapeError(
             f"structural_conv: features {eta.shape} do not match weight {layer.w.shape}")
-    gathered = add(eta, matmul(binary_adjacency, eta))
+    gathered = add(eta, propagate(binary_adjacency, eta))
     return sigmoid(matmul(gathered, layer.w))
 
 
@@ -131,26 +135,21 @@ def split_gates(cell: GcnGruCell):
 
 
 def gate_inputs(gates, conv_out: DiffTensor) -> tuple[DiffTensor, ...]:
-    """The input halves ``conv_out @ W_x`` of the z, r and candidate gates."""
+    """The input halves ``conv_out @ W_x`` of the z, r and candidate gates,
+    one product per gate over every row (or stacked step) of ``conv_out``."""
     return tuple(matmul(conv_out, w) for w in gates[0])
 
 
-def gru_advance(gates, gate_x, h_prev: DiffTensor | None) -> DiffTensor:
-    """One GRU update from the gates' input halves and the previous state.
+def gru_advance(gates, gate_x, rows: slice, h_prev: DiffTensor | None) -> DiffTensor:
+    """One GRU update (one tape entry) from the rows ``rows`` of the gates'
+    input halves and the previous state.
 
     ``[x, h] @ W`` is taken as ``x @ W_x + h @ W_h``, and the candidate's
     ``[x, h * r] @ W_c`` as ``x @ W_cx + (h * r) @ W_ch``. ``h_prev`` None
     is the all-zero state: the ``h @ W_h`` products, r and ``(1 - z) * h``
     are zero there, so the update is ``sigmoid(x_z) * tanh(x_c)``.
     """
-    xz, xr, xc = gate_x
-    if h_prev is None:
-        return mul(sigmoid(xz), tanh(xc))
-    wz, wr, wc = gates[1]
-    z = sigmoid(matmul_add(h_prev, wz, xz))
-    r = sigmoid(matmul_add(h_prev, wr, xr))
-    candidate = tanh(matmul_add(mul(h_prev, r), wc, xc))
-    return add(mul(sub(1.0, z), h_prev), mul(z, candidate))
+    return gru_update(gate_x, rows, h_prev, gates[1])
 
 
 def gru_step(cell: GcnGruCell, conv_out: DiffTensor, h_prev: DiffTensor | None) -> DiffTensor:
@@ -161,7 +160,7 @@ def gru_step(cell: GcnGruCell, conv_out: DiffTensor, h_prev: DiffTensor | None) 
             f"gru_step: got input {conv_out.shape}, hidden {getattr(h_prev, 'shape', None)}, "
             f"cell expects widths ({cell.in_width}, {cell.hidden})")
     gates = split_gates(cell)
-    return gru_advance(gates, gate_inputs(gates, conv_out), h_prev)
+    return gru_advance(gates, gate_inputs(gates, conv_out), slice(None), h_prev)
 
 
 class AttentionAggregator:

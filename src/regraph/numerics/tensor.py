@@ -29,14 +29,17 @@ __all__ = [
     "clear_tape",
     "concat",
     "constant",
+    "gru_update",
     "matmul",
     "matmul_add",
     "mean_all",
     "mul",
     "no_grad",
     "parameter",
+    "propagate",
     "relu",
     "reshape",
+    "segment_gcn",
     "sigmoid",
     "softmax",
     "sub",
@@ -246,21 +249,30 @@ def add_row(x, row) -> DiffTensor:
     return out
 
 
+def _sigmoid_into(v: np.ndarray, out: np.ndarray, scratch: np.ndarray) -> np.ndarray:
+    """``out`` = the logistic sigmoid of ``v``; ``scratch`` (which may be ``v``
+    itself) is overwritten, ``out`` must not be ``v``.
+
+    exp(min(v, 0)) / (1 + e) with e = exp(-|v|): the numerator is 1 for
+    v >= 0 and e for v < 0, so exp() never overflows and every entry takes
+    the same float operations as a split by sign. fmin sends NaN to the
+    numerator 1, and the NaN in the denominator carries through. The out=
+    buffers keep a 0-d input an array instead of a NumPy scalar.
+    """
+    np.fmin(v, 0.0, out=out)
+    np.exp(out, out=out)
+    np.abs(v, out=scratch)
+    np.negative(scratch, out=scratch)
+    np.exp(scratch, out=scratch)
+    scratch += 1.0
+    out /= scratch
+    return out
+
+
 def sigmoid(x) -> DiffTensor:
     x = _as_tensor(x)
     v = x.values
-    # exp(min(v, 0)) / (1 + e) with e = exp(-|v|): the numerator is 1 for
-    # v >= 0 and e for v < 0, so exp() never overflows and every entry takes
-    # the same float operations as a split by sign. fmin sends NaN to the
-    # numerator 1, and the NaN in the denominator carries through. The out=
-    # buffers keep a 0-d input an array instead of a NumPy scalar.
-    s = np.fmin(v, 0.0, out=np.empty_like(v))
-    np.exp(s, out=s)
-    e = np.abs(v, out=np.empty_like(v))
-    np.negative(e, out=e)
-    np.exp(e, out=e)
-    e += 1.0
-    s /= e
+    s = _sigmoid_into(v, np.empty_like(v), np.empty_like(v))
     out = DiffTensor(s)
 
     def grad_fn(g):
@@ -315,27 +327,193 @@ def concat(tensors: Sequence[DiffTensor], axis: int = 0) -> DiffTensor:
     return out
 
 
-def take_rows(x, index) -> DiffTensor:
-    """Rows ``x.values[index]`` for a 1-D index or a slice; the gradient adds
-    each output row onto its source. A slice gives a view, not a copy, and
-    its gradient is the rows' alone, which ``backward`` adds into them."""
+def take_rows(x, rows: slice) -> DiffTensor:
+    """The rows ``x.values[rows]`` of a matrix, for a slice: a view, not a
+    copy. Its gradient is the rows' alone, which ``backward`` adds into them."""
     x = _as_tensor(x)
-    sliced = isinstance(index, slice)
-    if not sliced:
-        index = np.asarray(index, dtype=np.intp)
-    if x.values.ndim != 2 or (not sliced and index.ndim != 1):
-        raise ShapeError(f"take_rows: expected a matrix and a 1-D index or a slice, "
-                         f"got shapes {x.values.shape} and {np.shape(index)}")
-    out = DiffTensor(x.values[index])
+    if x.values.ndim != 2 or not isinstance(rows, slice):
+        raise ShapeError(f"take_rows: expected a matrix and a slice, "
+                         f"got shape {x.values.shape} and {type(rows).__name__}")
+    out = DiffTensor(x.values[rows])
 
     def grad_fn(g):
-        if sliced:
-            return ((index, g),)
-        gx = np.zeros_like(x.values)
-        np.add.at(gx, index, g)
-        return (gx,)
+        return ((rows, g),)
 
     _record((x,), out, grad_fn)
+    return out
+
+
+def _blocks(x: DiffTensor, n: int, op: str) -> int:
+    """How many n-row blocks (stacked steps) the matrix ``x`` holds."""
+    if x.values.ndim != 2 or n < 1 or x.values.shape[0] % n:
+        raise ShapeError(f"{op}: expected a matrix of whole {n}-row blocks, "
+                         f"got shape {x.values.shape}")
+    return x.values.shape[0] // n
+
+
+def propagate(operator, x) -> DiffTensor:
+    """The constant n x n ``operator`` times each n-row block of ``x``.
+
+    ``x`` stacks m steps of n rows; each block's product is the one
+    ``matmul(operator, block)`` takes, bit for bit. Only ``x`` is
+    differentiated.
+    """
+    operator, x = _as_tensor(operator), _as_tensor(x)
+    a = operator.values
+    if a.ndim != 2 or a.shape[0] != a.shape[1]:
+        raise ShapeError(f"propagate: expected a square operator, got shape {a.shape}")
+    n = a.shape[0]
+    m = _blocks(x, n, "propagate")
+    width = x.values.shape[1]
+    out = DiffTensor(np.matmul(a, x.values.reshape(m, n, width)).reshape(m * n, width))
+
+    def grad_fn(g):
+        return (np.matmul(a.T, g.reshape(m, n, width)).reshape(m * n, width),)
+
+    _record((x,), out, grad_fn)
+    return out
+
+
+def segment_gcn(x, groups, operators, weights, biases) -> DiffTensor:
+    """A graph convolution per group of rows, over stacked steps, as one op.
+
+    ``x`` stacks m steps of n rows (m*n x f). ``groups`` are index arrays
+    that partition a step's n rows. Each group g maps its rows of every
+    step to sigmoid(N_g @ x_g @ W_g + b_g), with a constant |g| x |g|
+    operator N_g (an array), a weight W_g (f x h) and a 1 x h bias row b_g,
+    and the result fills the same rows of the m*n x h output. The values
+    equal ``sigmoid(add_row(matmul(matmul(N_g, x_g), W_g), b_g))`` taken
+    step by step and group by group, bit for bit; the gradients of W_g and
+    b_g are summed over all m steps in one product.
+    """
+    x = _as_tensor(x)
+    weights = [_as_tensor(w) for w in weights]
+    biases = [_as_tensor(b) for b in biases]
+    n = sum(len(idx) for idx in groups)
+    m = _blocks(x, n, "segment_gcn")
+    f = x.values.shape[1]
+    h = weights[0].values.shape[1] if weights else 0
+    if not (len(groups) == len(operators) == len(weights) == len(biases)) or any(
+            w.values.shape != (f, h) or b.values.shape != (1, h) or
+            np.shape(a) != (len(idx), len(idx))
+            for idx, a, w, b in zip(groups, operators, weights, biases)):
+        raise ShapeError("segment_gcn: each group needs a square operator of its size, "
+                         f"an {f} x h weight and a 1 x h bias row")
+    x3 = x.values.reshape(m, n, f)
+    pre = np.empty((m, n, h))
+    propagated = []
+    for idx, a, w, b in zip(groups, operators, weights, biases):
+        p = np.matmul(a, x3[:, idx]).reshape(-1, f)
+        z = p @ w.values
+        z += b.values
+        pre[:, idx] = z.reshape(m, len(idx), h)
+        propagated.append(p)
+    pre = pre.reshape(m * n, h)
+    s = _sigmoid_into(pre, np.empty_like(pre), pre)
+    out = DiffTensor(s)
+
+    def grad_fn(g):
+        gs = g * s
+        gs *= 1.0 - s
+        gs3 = gs.reshape(m, n, h)
+        gx = np.empty((m, n, f)) if x.requires_grad else None
+        gws, gbs = [], []
+        for idx, a, w, b, p in zip(groups, operators, weights, biases, propagated):
+            gz = gs3[:, idx].reshape(-1, h)
+            gws.append(p.T @ gz if w.requires_grad else None)
+            gbs.append(np.ones((gz.shape[0], 1)).T @ gz if b.requires_grad else None)
+            if gx is not None:
+                gx[:, idx] = np.matmul(a.T, (gz @ w.values.T).reshape(m, len(idx), f))
+        return (None if gx is None else gx.reshape(m * n, f), *gws, *gbs)
+
+    _record((x, *weights, *biases), out, grad_fn)
+    return out
+
+
+def gru_update(gate_x, rows: slice, h_prev, hidden) -> DiffTensor:
+    """One GRU update as one op, from the gates' input halves and the state.
+
+    ``gate_x`` holds the z, r and candidate input halves ``x @ W_x``, of
+    which this update reads the rows ``rows``; ``hidden`` holds the hidden
+    halves ``W_h`` of the same gates. With z = sigmoid(h @ W_zh + x_z),
+    r = sigmoid(h @ W_rh + x_r) and c = tanh((h * r) @ W_ch + x_c), the
+    update is (1 - z) * h + z * c; ``h_prev`` None is the all-zero state,
+    where it is sigmoid(x_z) * tanh(x_c). Values equal those ops taken one
+    by one, bit for bit. The backward replays their gradient rules in
+    reverse tape order, so every gradient matches too, as long as
+    ``h_prev`` takes its first gradient here (true wherever each update
+    consumes the state the last one made). Under ``no_grad`` the forward
+    overwrites its own temporaries instead of keeping them.
+    """
+    xz, xr, xc = (_as_tensor(t) for t in gate_x)
+    vz, vr, vc = xz.values[rows], xr.values[rows], xc.values[rows]
+    inputs = (xz, xr, xc)
+    if h_prev is not None:
+        h_prev = _as_tensor(h_prev)
+        inputs += (h_prev, *(_as_tensor(w) for w in hidden))
+    width = vz.shape[-1]
+    if vz.ndim != 2 or vr.shape != vz.shape or vc.shape != vz.shape or \
+            h_prev is not None and (h_prev.values.shape != vz.shape or
+                                    any(w.values.shape != (width, width) for w in inputs[4:])):
+        raise ShapeError(f"gru_update: gate rows {vz.shape} do not match the state "
+                         f"{getattr(h_prev, 'shape', None)} or the hidden weights")
+    taped = _RECORDING and any(t.requires_grad for t in inputs)
+
+    if h_prev is None:
+        z = _sigmoid_into(vz, np.empty_like(vz), scratch := np.empty_like(vz))
+        c = np.tanh(vc)
+        out = DiffTensor(np.multiply(z, c, out=None if taped else scratch))
+
+        def grad_fn(g):
+            gz = g * c
+            gz *= z
+            gz *= 1.0 - z
+            gc = g * z
+            gc *= 1.0 - c * c
+            return (rows, gz), None, (rows, gc)
+
+        _record(inputs, out, grad_fn)
+        return out
+
+    h = h_prev.values
+    wz, wr, wc = (w.values for w in inputs[4:])
+    a = h @ wz
+    a += vz
+    z = _sigmoid_into(a, np.empty_like(a), a)
+    np.matmul(h, wr, out=a)
+    a += vr
+    r = _sigmoid_into(a, np.empty_like(a), a)
+    # taped, r is kept and h * r is taken again in the backward
+    hr = np.multiply(h, r, out=a if taped else r)
+    c = np.matmul(hr, wc, out=None if taped else a)
+    c += vc
+    np.tanh(c, out=c)
+    new = np.subtract(1.0, z, out=hr)
+    new *= h
+    new += np.multiply(z, c, out=None if taped else z)
+    out = DiffTensor(new)
+
+    def grad_fn(g):
+        gz = g * c
+        gc = g * z
+        gh = g * (1.0 - z)
+        gz -= g * h
+        gc *= 1.0 - c * c
+        ghr = gc @ wc.T
+        gwc = (h * r).T @ gc
+        gh += ghr * r
+        gr = ghr * h
+        gr *= r
+        gr *= 1.0 - r
+        gh += gr @ wr.T
+        gwr = h.T @ gr
+        gz *= z
+        gz *= 1.0 - z
+        gh += gz @ wz.T
+        gwz = h.T @ gz
+        return (rows, gz), (rows, gr), (rows, gc), gh, gwz, gwr, gwc
+
+    _record(inputs, out, grad_fn)
     return out
 
 
@@ -386,6 +564,15 @@ def mean_all(x) -> DiffTensor:
     return mul(sum_all(x), 1.0 / x.values.size)
 
 
+def _fill(t: DiffTensor, spans: list[tuple[int, int]]) -> None:
+    """Zero the rows of ``t.grad`` that no row-only contribution wrote."""
+    start = 0
+    for lo, hi in sorted(spans):
+        t.grad[start:lo] = 0.0
+        start = max(start, hi)
+    t.grad[start:] = 0.0
+
+
 def backward(loss: DiffTensor) -> None:
     """Populate grads of every requires_grad leaf (e.g. parameter) of a scalar loss.
 
@@ -403,6 +590,10 @@ def backward(loss: DiffTensor) -> None:
     only into arrays it allocated itself. It allocates one when a tensor
     takes its second contribution, or a row-only one, and adds every later
     contribution into it in place, in the same order as ``t.grad + g``.
+    Row-only contributions to rows not yet written are copied in, and the
+    rows none of them wrote are zeroed only before the gradient is read, so
+    the blocks of a stacked tensor that its consumers fill one by one are
+    never zeroed first.
     """
     if loss.values.size != 1:
         raise ValueError(f"backward: loss must be scalar, got shape {loss.values.shape}")
@@ -414,11 +605,16 @@ def backward(loss: DiffTensor) -> None:
     # ids of the tensors whose .grad backward allocated; the replay makes no
     # tensor, so no id is reused while it runs
     owned: set[int] = set()
+    # id -> (tensor, row spans written) of the owned grads whose other rows
+    # are not yet zeroed
+    partial: dict[int, tuple[DiffTensor, list[tuple[int, int]]]] = {}
     while _TAPE:
         entry = _TAPE.pop()
         g_out = entry.output.grad
         if g_out is None:
             continue
+        if id(entry.output) in partial:
+            _fill(*partial.pop(id(entry.output)))
         grads = entry.grad_fn(g_out)
         entry.output.grad = None
         for t, g in zip(entry.inputs, grads):
@@ -426,18 +622,35 @@ def backward(loss: DiffTensor) -> None:
                 continue
             if type(g) is tuple:
                 rows, g = g
+                lo, hi, step = rows.indices(len(t.values))
+                spans = partial[id(t)][1] if id(t) in partial else None
+                if step == 1 and (t.grad is None or spans is not None and
+                                  all(hi <= a or b <= lo for a, b in spans)):
+                    if t.grad is None:
+                        t.grad = np.empty_like(t.values)
+                        spans = []
+                        partial[id(t)] = (t, spans)
+                        owned.add(id(t))
+                    t.grad[rows] = g
+                    spans.append((lo, hi))
+                    continue
+                if id(t) in partial:
+                    _fill(*partial.pop(id(t)))
                 if t.grad is None:
                     t.grad = np.zeros_like(t.values)
-                    t.grad[rows] = g
-                else:
-                    if id(t) not in owned:
-                        t.grad = t.grad.copy()
-                    t.grad[rows] += g
+                elif id(t) not in owned:
+                    t.grad = t.grad.copy()
+                t.grad[rows] += g
                 owned.add(id(t))
-            elif id(t) in owned:
+                continue
+            if id(t) in partial:
+                _fill(*partial.pop(id(t)))
+            if id(t) in owned:
                 t.grad += g
             elif t.grad is None:
                 t.grad = g
             else:
                 t.grad = t.grad + g
                 owned.add(id(t))
+    for t, spans in partial.values():
+        _fill(t, spans)

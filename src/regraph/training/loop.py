@@ -5,6 +5,7 @@ Validation is the most recent tenth of the samples by anchor time, held out
 whenever at least two samples are present.
 """
 
+import ctypes
 import json
 import time
 from dataclasses import dataclass
@@ -17,6 +18,11 @@ from regraph.files import atomic_open
 from regraph.models import save_checkpoint, load_checkpoint
 from regraph.numerics import RmsProp, backward, constant, mean_all, mul, sub
 
+try:
+    import resource
+except ImportError:  # not on every platform; faults then read 0
+    resource = None
+
 __all__ = [
     "TrainConfig",
     "TrainReport",
@@ -28,6 +34,14 @@ __all__ = [
 BEST_CHECKPOINT = "checkpoint_best.ckpt"
 LOSS_TRACE = "loss_trace.csv"
 REPORT_FILE = "train_report.json"
+
+# glibc mallopt parameters, and the values train pins them to: arrays up to
+# 32 MiB (glibc's largest mmap threshold) come from the heap, and up to
+# 1 GiB of free heap top is kept rather than given back.
+M_TRIM_THRESHOLD = -1
+M_MMAP_THRESHOLD = -3
+PINNED_MMAP_THRESHOLD = 32 << 20
+PINNED_TRIM_THRESHOLD = 1 << 30
 
 
 @dataclass(frozen=True)
@@ -86,6 +100,7 @@ class TrainReport:
     val_rmse: tuple[tuple[float, ...], ...]
     horizons: tuple[int, ...]
     epoch_seconds: tuple[float, ...]
+    epoch_minor_faults: tuple[int, ...]
     best_epoch: int
     best_score: float
     has_validation: bool
@@ -94,7 +109,8 @@ class TrainReport:
     train_weeks: tuple[str, ...]
 
     def to_json_dict(self) -> dict:
-        # wall-clock timings are excluded so the file is run-to-run identical
+        # wall-clock timings and fault counts are excluded so the file is
+        # run-to-run identical
         return {
             "train_loss": list(self.train_loss),
             "val_rmse": {
@@ -141,6 +157,31 @@ def _clip_gradients(optimizer: RmsProp, max_norm: float) -> None:
         for p in optimizer.params:
             if p.grad is not None:
                 p.grad = p.grad * factor
+
+
+def _pin_heap() -> None:
+    """Keep glibc's heap from being trimmed and faulted back in every step.
+
+    Each train step frees and re-allocates the same few megabytes of
+    arrays. Left to glibc's dynamic thresholds, the freed top of the heap
+    is given back to the system and faulted in again on the next window,
+    a page fault per 4 KiB. Fixed thresholds keep those pages mapped. A
+    no-op wherever the C library is not glibc or cannot be loaded.
+    """
+    try:
+        libc = ctypes.CDLL(None)
+        libc.gnu_get_libc_version  # glibc's own symbol: the parameters are glibc's
+        mallopt = libc.mallopt
+    except (OSError, AttributeError, TypeError):
+        return
+    mallopt.argtypes = (ctypes.c_int, ctypes.c_int)
+    mallopt(M_MMAP_THRESHOLD, PINNED_MMAP_THRESHOLD)
+    mallopt(M_TRIM_THRESHOLD, PINNED_TRIM_THRESHOLD)
+
+
+def _minor_faults() -> int:
+    """Minor page faults this process has taken so far (0 without ``resource``)."""
+    return 0 if resource is None else resource.getrusage(resource.RUSAGE_SELF).ru_minflt
 
 
 def _val_rmse(model, samples, lo, hi) -> tuple[float, ...]:
@@ -207,6 +248,7 @@ def train(model, samples, cfg: TrainConfig, out_dir):
 
     out_dir = Path(out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
+    _pin_heap()
 
     lo, hi = compute_scaling(samples)
     train_weeks = tuple(
@@ -225,6 +267,7 @@ def train(model, samples, cfg: TrainConfig, out_dir):
     losses: list[float] = []
     val_curve: list[tuple[float, ...]] = []
     seconds: list[float] = []
+    faults: list[int] = []
     best_score = np.inf
     best_epoch = 0
     since_best = 0
@@ -232,6 +275,7 @@ def train(model, samples, cfg: TrainConfig, out_dir):
 
     for epoch in range(1, cfg.epochs + 1):
         started = time.perf_counter()
+        faults_before = _minor_faults()
         order = np.arange(len(fit))
         if cfg.shuffle:
             rng.shuffle(order)
@@ -276,6 +320,7 @@ def train(model, samples, cfg: TrainConfig, out_dir):
                   model, lo, hi, train_weeks)
 
         seconds.append(time.perf_counter() - started)
+        faults.append(_minor_faults() - faults_before)
 
         if has_val and cfg.patience and since_best >= cfg.patience:
             stopped_early = True
@@ -286,6 +331,7 @@ def train(model, samples, cfg: TrainConfig, out_dir):
         val_rmse=tuple(val_curve),
         horizons=cfg.horizons,
         epoch_seconds=tuple(seconds),
+        epoch_minor_faults=tuple(faults),
         best_epoch=best_epoch,
         best_score=best_score,
         has_validation=has_val,

@@ -20,6 +20,7 @@ from regraph.config import (
 )
 from regraph.data import SyntheticConfig
 from regraph.errors import ConfigError
+from regraph.graph import load_sites
 from regraph.evaluation import reports
 from regraph.models import ModelSpec, build_model, save_checkpoint
 from regraph.models.checkpoint import graph_from_payload
@@ -143,6 +144,21 @@ def test_synth_bad_config_exits_2(tmp_path, capsys):
     cfg.write_text(json.dumps({"data": {"synth": {"n_sites": -3}}}))
     assert main(["synth", "--config", str(cfg), "--out", str(tmp_path / "x")]) == 2
     assert "config error" in capsys.readouterr().err
+
+
+def test_synth_region_count_stays_inside_the_latitude_layout(tmp_path, capsys):
+    # region r sits at latitude 38 + 0.45 r (+-0.15): 116 regions reach 89.9
+    fits = write_config(tmp_path / "fits.json",
+                        data={"synth": {"n_sites": 116, "n_regions": 116, "days": 1}})
+    assert main(["synth", "--config", str(fits), "--out", str(tmp_path / "fits")]) == 0
+    sites = load_sites(tmp_path / "fits" / "sites.csv")
+    assert len({s.region for s in sites}) == 116
+    assert max(s.latitude for s in sites) <= 90.0
+    over = write_config(tmp_path / "over.json",
+                        data={"synth": {"n_sites": 117, "n_regions": 117, "days": 1}})
+    assert main(["synth", "--config", str(over), "--out", str(tmp_path / "over")]) == 2
+    assert "at most 116 regions" in capsys.readouterr().err
+    assert not (tmp_path / "over" / "sites.csv").exists()
 
 
 def test_synth_missing_config_exits_2(tmp_path):
@@ -440,6 +456,15 @@ def test_train_writes_artifacts(pipeline):
     assert len(report["train_loss"]) <= 2
     meta = json.loads((run / "meta.json").read_text())
     assert "epoch_seconds" in meta and "started" in meta
+
+
+def test_train_meta_counts_minor_faults_per_epoch(pipeline):
+    run = pipeline["run"]
+    meta = json.loads((run / "meta.json").read_text())
+    faults = meta["epoch_minor_faults"]
+    assert len(faults) == meta["epochs_run"] == len(meta["epoch_seconds"])
+    assert all(type(f) is int and f >= 0 for f in faults)
+    assert "epoch_minor_faults" not in (run / "train_report.json").read_text()
 
 
 def test_predict_writes_rows_and_is_deterministic(pipeline):

@@ -493,6 +493,9 @@ def test_synthetic_config_validation():
         SyntheticConfig(coupling=1.5)
     with pytest.raises(ConfigError):
         SyntheticConfig(n_sites=4, n_regions=8)
+    SyntheticConfig(n_sites=500, n_regions=116)
+    with pytest.raises(ConfigError, match="at most 116 regions"):
+        SyntheticConfig(n_sites=500, n_regions=117)
     with pytest.raises(ConfigError):
         SyntheticConfig(forced_full=(200,))
     with pytest.raises(ConfigError):

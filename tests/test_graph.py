@@ -148,6 +148,27 @@ def test_threshold_soundness_and_symmetry():
     np.testing.assert_array_equal(normalized, normalized.T)
 
 
+def test_normalized_operator_is_the_outer_product_scaling_in_one_array():
+    import tracemalloc
+    rng = np.random.default_rng(9)
+    n = 300  # spread out, so the edges take little memory beside the n x n array
+    sites = [site(f"s{i}", lat=43.0 + rng.uniform(-4.0, 4.0),
+                  lon=-89.0 + rng.uniform(-4.0, 4.0)) for i in range(n)]
+    g = build_connected(sites, HaversineProvider())
+    tracemalloc.start()
+    try:
+        normalized = dense_operator(g, "normalized")
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    # no second n x n array on the way (the outer product took one)
+    assert peak < 1.25 * n * n * 8
+    a = kernel_matrix(g) + np.eye(n)
+    inv_sqrt = 1.0 / np.sqrt(np.sum(a, axis=1))
+    np.testing.assert_array_equal(normalized, a * np.outer(inv_sqrt, inv_sqrt))
+    np.testing.assert_array_equal(normalized, normalized.T)
+
+
 def test_binary_operator_spectrum_bounded():
     rng = np.random.default_rng(5)
     sites = [site(f"s{i}", lat=43.0 + rng.uniform(-0.5, 0.5),

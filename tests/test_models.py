@@ -227,7 +227,8 @@ def test_gru_shape_error():
 
 def test_gru_zero_state_skips_the_hidden_half_and_keeps_values_and_grads():
     # None is the all-zero state: the three h @ W_h products, r and
-    # (1 - z) * h are skipped, eight tape entries in all.
+    # (1 - z) * h are skipped inside the one gru_update entry either state
+    # records.
     rng = RNG(21)
     cell = GcnGruCell(rng, 3, 4)
     x, k = rng.normal(size=(5, 3)), rng.normal(size=(5, 4))
@@ -245,7 +246,7 @@ def test_gru_zero_state_skips_the_hidden_half_and_keeps_values_and_grads():
         results.append((out.values, entries, grads))
     (got, got_entries, got_grads), (ref, ref_entries, ref_grads) = results
     np.testing.assert_array_equal(got, ref)
-    assert got_entries == ref_entries - 8
+    assert got_entries == ref_entries
     for a, b in zip(got_grads, ref_grads):
         np.testing.assert_array_equal(a, b)
 
@@ -274,7 +275,10 @@ def test_zero_start_models_equal_an_explicit_zero_state(monkeypatch, arch, zero_
     ref = model.predict(w)
     model.forward(w)
     np.testing.assert_array_equal(got, ref)
-    assert got_entries == tensor_core.tape_length() - 8 * zero_starts
+    # each GRU update is one entry, from the zero state or explicit zeros
+    assert got_entries == tensor_core.tape_length()
+    names = [e.grad_fn.__qualname__.split(".")[0] for e in tensor_core._TAPE]
+    assert names.count("gru_update") == 3 * zero_starts
 
 
 # --------------------------------------------------------------- attention
@@ -476,15 +480,19 @@ def interleaved_model(arch):
 
 
 def dense_regional_embedding(model, x):
-    """The gamma path through dense 0/1 gather and scatter matrices."""
+    """The gamma path of m stacked steps through dense 0/1 gather and scatter
+    matrices, each region's rows of every step in one block-diagonal conv."""
     ctx = model.ctx
+    m = x.shape[0] // ctx.n
     total = None
     for label in ctx.region_order:
         idx = ctx.partition.node_indices[label]
-        scatter = np.zeros((ctx.n, len(idx)))
-        scatter[idx, np.arange(len(idx))] = 1.0
+        rows = (np.arange(m)[:, None] * ctx.n + idx).reshape(-1)
+        scatter = np.zeros((m * ctx.n, len(rows)))
+        scatter[rows, np.arange(len(rows))] = 1.0
         local = matmul(constant(scatter.T.copy()), x)
-        emb = gcn_forward(model.region_layers[label], ctx.sub_normalized[label], local)
+        blocks = constant(np.kron(np.eye(m), ctx.sub_normalized[label].values))
+        emb = gcn_forward(model.region_layers[label], blocks, local)
         placed = matmul(constant(scatter), emb)
         total = placed if total is None else add(total, placed)
     return affine(total, model.mixer_w, model.mixer_b)
@@ -504,7 +512,7 @@ def _grads_after(model, run):
 @pytest.mark.parametrize("arch", ["RegTGCN", "RanTGCN"])
 def test_regional_embedding_is_bit_identical_to_dense_selection(arch):
     model = interleaved_model(arch)
-    x_vals = RNG(12).normal(size=(5, 8))
+    x_vals = RNG(12).normal(size=(3 * 5, 8))
 
     x = parameter(x_vals)
     got, got_grads = _grads_after(model, lambda: model.regional_embedding(x))
@@ -532,14 +540,56 @@ def test_regional_embedding_works_on_region_sized_rows(arch):
     model = interleaved_model(arch)
     n = model.ctx.n
     assert len(model.ctx.region_order) > 1
+    for steps in (1, 3):
+        before = tensor_core.tape_length()
+        model.regional_embedding(constant(RNG(5).normal(size=(steps * n, 8))))
+        entries = tensor_core._TAPE[before:]
+        # the per-region convs of every step happen inside one op, then the
+        # mixer's affine
+        assert [e.grad_fn.__qualname__.split(".")[0] for e in entries] == \
+            ["segment_gcn", "matmul", "add_row"]
+        assert all(e.output.shape[0] == steps * n for e in entries)
+
+
+def stepwise_forward(model, w):
+    """The forecast of one window taken one encoded step at a time."""
+    weights = model.call_weights()
+    state = None
+    for step in w:
+        state = model.advance(weights, state, model.encode(weights, constant(step)),
+                              slice(None))
+    return model.readout(weights, state)
+
+
+@pytest.mark.parametrize("arch", ["TGCN", "CSTGCN", "RanTGCN", "RegTGCN"])
+def test_stacked_forward_equals_one_step_at_a_time(arch):
+    if arch in ("RanTGCN", "RegTGCN"):
+        model = interleaved_model(arch)
+    else:
+        model = build_model(ModelSpec(arch, 6, 3, (1, 2), "connected", seed=5),
+                            two_region_graph())
+    w = window(3, model.ctx.n, seed=8)
     before = tensor_core.tape_length()
-    model.regional_embedding(constant(RNG(5).normal(size=(n, 8))))
-    entries = tensor_core._TAPE[before:]
-    full = [e.grad_fn.__qualname__.split(".")[0] for e in entries
-            if e.output.shape[0] == n]
-    # only the stacked embeddings, the unpermute and the mixer's affine
-    assert full == ["concat", "take_rows", "matmul", "add_row"]
-    assert len(entries) > len(full)
+    got, got_grads = _grads_after(model, lambda: model.forward(w))
+    assert tensor_core.tape_length() == before
+    ref, ref_grads = _grads_after(model, lambda: stepwise_forward(model, w))
+    np.testing.assert_array_equal(got, ref)
+    assert got_grads.keys() == ref_grads.keys() == model.named_params().keys()
+    for name, grad in ref_grads.items():
+        scale = np.max(np.abs(grad))
+        assert np.max(np.abs(got_grads[name] - grad)) <= 1e-13 * scale, name
+
+
+def test_stacked_forward_tapes_one_entry_per_layer_and_lag():
+    model = interleaved_model("RegTGCN")
+    tensor_core.clear_tape()
+    model.forward(window(3, model.ctx.n))
+    names = [e.grad_fn.__qualname__.split(".")[0] for e in tensor_core._TAPE]
+    tensor_core.clear_tape()
+    assert names.count("segment_gcn") == 1
+    assert names.count("gru_update") == 3
+    assert names.count("matmul") == 1 + 1 + 3 + 2  # structural, mixer, gates, decoder
+    assert names.count("sigmoid") == 1
 
 
 def test_zero_mixer_zeroes_gamma():

@@ -11,14 +11,17 @@ from regraph.numerics import (
     backward,
     concat,
     constant,
+    gru_update,
     matmul,
     matmul_add,
     mean_all,
     mul,
     no_grad,
     parameter,
+    propagate,
     relu,
     reshape,
+    segment_gcn,
     sigmoid,
     softmax,
     sub,
@@ -372,36 +375,16 @@ def test_matmul_add_gradient_matches_fd_and_skips_constants():
 
 def test_take_rows_values():
     x = constant(np.arange(12, dtype=np.float64).reshape(4, 3))
-    np.testing.assert_array_equal(take_rows(x, [2, 0, 3, 1]).values,
-                                  x.values[[2, 0, 3, 1]])
-    np.testing.assert_array_equal(take_rows(x, [1, 1, 3]).values,
-                                  [[3.0, 4.0, 5.0], [3.0, 4.0, 5.0], [9.0, 10.0, 11.0]])
-    empty = take_rows(x, np.array([], dtype=np.int64))
-    assert empty.shape == (0, 3)
-
-
-def test_take_rows_gradient_accumulates_repeated_rows():
-    rng = np.random.default_rng(23)
-    x_vals = rng.normal(size=(4, 3))
-    index = np.array([2, 0, 2, 2, 3, 0])
-    weights = rng.normal(size=(6, 3))
-    x = parameter(x_vals)
-    out = take_rows(x, index)
-    backward(sum_all(mul(mul(out, out), constant(weights))))
-
-    def f(v):
-        return float(np.sum(v[index] ** 2 * weights))
-
-    fd = finite_diff_grad(f, x_vals.copy())
-    assert rel_err(x.grad, fd) < 1e-8
-    assert np.all(x.grad[1] == 0.0)  # row 1 is never taken
+    np.testing.assert_array_equal(take_rows(x, slice(1, 3)).values, x.values[1:3])
+    np.testing.assert_array_equal(take_rows(x, slice(None)).values, x.values)
+    assert take_rows(x, slice(2, 2)).shape == (0, 3)
 
 
 def test_take_rows_records_nothing_for_constants_or_under_no_grad():
     before = tape_length()
-    take_rows(constant(np.ones((3, 2))), [0, 2])
+    take_rows(constant(np.ones((3, 2))), slice(0, 2))
     with no_grad():
-        out = take_rows(parameter(np.ones((3, 2))), [0, 2])
+        out = take_rows(parameter(np.ones((3, 2))), slice(0, 2))
     assert tape_length() == before
     assert not out.requires_grad
 
@@ -417,9 +400,215 @@ def test_take_rows_slice_is_a_view_whose_gradient_fills_the_slice():
 
 def test_take_rows_shape_errors():
     with pytest.raises(ShapeError):
-        take_rows(constant(np.ones(3)), [0])
+        take_rows(constant(np.ones(3)), slice(0, 1))
     with pytest.raises(ShapeError):
-        take_rows(constant(np.ones((3, 2))), [[0]])
+        take_rows(constant(np.ones((3, 2))), [0])
+
+
+def test_row_blocks_that_fill_a_gradient_equal_zero_padded_sums():
+    # x's rows 0-1, 4-5 and (twice) 2-3 take row-only gradients, then the
+    # whole of x one more; rows 6-7 are only in the last. Disjoint blocks
+    # are copied in, not added onto zeros, with the same bits.
+    rng = np.random.default_rng(33)
+    x = parameter(rng.normal(size=(8, 3)))
+    spans = [(4, 6), (0, 2), (2, 4), (2, 4)]
+    ks = [rng.normal(size=(hi - lo, 3)) for lo, hi in spans]
+    kd = rng.normal(size=(8, 3))
+    total = sum_all(mul(x, constant(kd)))
+    for (lo, hi), k in zip(spans, ks):
+        total = add(sum_all(mul(take_rows(x, slice(lo, hi)), constant(k))), total)
+    backward(total)
+    ref = np.zeros((8, 3))
+    for (lo, hi), k in reversed(list(zip(spans, ks))):
+        padded = np.zeros((8, 3))
+        padded[lo:hi] = k
+        ref = ref + padded
+    assert_same_bits(x.grad, ref + kd)
+
+
+def test_row_blocks_leave_unwritten_rows_zero():
+    x = parameter(np.ones((6, 2)))
+    out = add(take_rows(x, slice(4, 6)), take_rows(x, slice(0, 2)))
+    backward(sum_all(out))
+    np.testing.assert_array_equal(x.grad, [[1.0] * 2] * 2 + [[0.0] * 2] * 2 + [[1.0] * 2] * 2)
+
+
+# -------------------------------------------------------------- propagate
+
+def test_propagate_equals_a_matmul_per_block_and_matches_fd():
+    rng = np.random.default_rng(41)
+    op, x_vals = rng.normal(size=(4, 4)), rng.normal(size=(12, 3))
+    k = rng.normal(size=(12, 3))
+    x = parameter(x_vals)
+    out = propagate(constant(op), x)
+    for b in range(3):
+        assert_same_bits(out.values[4 * b:4 * b + 4], op @ x_vals[4 * b:4 * b + 4])
+    backward(sum_all(mul(tanh(out), constant(k))))
+
+    def f(v):
+        return float(np.sum(np.tanh(np.concatenate([op @ v[4 * b:4 * b + 4]
+                                                    for b in range(3)])) * k))
+    assert rel_err(x.grad, finite_diff_grad(f, x_vals.copy())) < 1e-8
+    with pytest.raises(ShapeError, match="propagate"):
+        propagate(constant(op), constant(np.ones((6, 3))))
+
+
+# ------------------------------------------------------------ segment_gcn
+
+# interleaved groups in node order, one of them a single node
+SEGMENTS = (np.array([0, 3]), np.array([4, 1, 5]), np.array([2]))
+
+
+def segment_case(rng, m=3, f=4, h=5):
+    n = sum(len(idx) for idx in SEGMENTS)
+    ops = []
+    for idx in SEGMENTS:
+        a = rng.uniform(size=(len(idx), len(idx)))
+        ops.append(a + a.T)
+    ws = [rng.normal(size=(f, h)) for _ in SEGMENTS]
+    bs = [rng.normal(size=(1, h)) for _ in SEGMENTS]
+    return rng.normal(size=(m * n, f)), ops, ws, bs, rng.normal(size=(m * n, h))
+
+
+def test_segment_gcn_equals_the_ops_step_by_step_and_group_by_group():
+    rng = np.random.default_rng(43)
+    x_vals, ops, ws, bs, _ = segment_case(rng)
+    out = segment_gcn(constant(x_vals), SEGMENTS, ops, [parameter(w) for w in ws],
+                      [parameter(b) for b in bs])
+    assert out.requires_grad
+    x3 = x_vals.reshape(3, 6, 4)
+    for step in range(3):
+        for idx, a, w, b in zip(SEGMENTS, ops, ws, bs):
+            ref = sigmoid(add_row(matmul(matmul(constant(a), constant(x3[step, idx])),
+                                         constant(w)), constant(b)))
+            assert_same_bits(out.values.reshape(3, 6, 5)[step, idx], ref.values)
+
+
+def test_segment_gcn_gradients_match_fd():
+    rng = np.random.default_rng(44)
+    x_vals, ops, ws, bs, k = segment_case(rng)
+    x = parameter(x_vals)
+    w_ts, b_ts = [parameter(w) for w in ws], [parameter(b) for b in bs]
+    backward(sum_all(mul(segment_gcn(x, SEGMENTS, ops, w_ts, b_ts), constant(k))))
+
+    def f(xv, wv, bv):
+        x3, out = xv.reshape(3, 6, 4), np.empty((3, 6, 5))
+        for idx, a, w, b in zip(SEGMENTS, ops, wv, bv):
+            out[:, idx] = 1.0 / (1.0 + np.exp(-(np.matmul(a, x3[:, idx]) @ w + b)))
+        return float(np.sum(out.reshape(18, 5) * k))
+    assert rel_err(x.grad, finite_diff_grad(lambda v: f(v, ws, bs), x_vals.copy())) < 1e-8
+    for g in range(len(SEGMENTS)):
+        def f_w(v, g=g):
+            return f(x_vals, ws[:g] + [v] + ws[g + 1:], bs)
+
+        def f_b(v, g=g):
+            return f(x_vals, ws, bs[:g] + [v] + bs[g + 1:])
+        assert rel_err(w_ts[g].grad, finite_diff_grad(f_w, ws[g].copy())) < 1e-8
+        assert rel_err(b_ts[g].grad, finite_diff_grad(f_b, bs[g].copy())) < 1e-8
+
+
+def test_segment_gcn_shape_errors():
+    rng = np.random.default_rng(45)
+    x_vals, ops, ws, bs, _ = segment_case(rng)
+    with pytest.raises(ShapeError, match="segment_gcn"):
+        segment_gcn(constant(x_vals[:-1]), SEGMENTS, ops, ws, bs)
+    with pytest.raises(ShapeError, match="segment_gcn"):
+        segment_gcn(constant(x_vals), SEGMENTS, ops[::-1], ws, bs)
+    with pytest.raises(ShapeError, match="segment_gcn"):
+        segment_gcn(constant(x_vals), SEGMENTS, ops, ws[:2], bs)
+
+
+# ------------------------------------------------------------- gru_update
+
+def unfused_gru(gate_x, h_prev, hidden):
+    """The update as the separate ops ``gru_update`` fuses, in their order."""
+    xz, xr, xc = gate_x
+    if h_prev is None:
+        return mul(sigmoid(xz), tanh(xc))
+    wz, wr, wc = hidden
+    z = sigmoid(matmul_add(h_prev, wz, xz))
+    r = sigmoid(matmul_add(h_prev, wr, xr))
+    candidate = tanh(matmul_add(mul(h_prev, r), wc, xc))
+    return add(mul(sub(1.0, z), h_prev), mul(z, candidate))
+
+
+def gru_case(rng, n=5, h=4):
+    gates = [rng.normal(size=(3 * n, h)) for _ in range(3)]
+    return gates, rng.normal(size=(n, h)), [rng.normal(size=(h, h)) * 0.7 for _ in range(3)]
+
+
+@pytest.mark.parametrize("with_state", [False, True])
+def test_gru_update_equals_the_unfused_ops_bit_for_bit(with_state):
+    rng = np.random.default_rng(46)
+    gates, h_vals, hidden = gru_case(rng)
+    k = rng.normal(size=(5, 4))
+    results = []
+    for fused in (True, False):
+        g_ts = [parameter(v) for v in gates]
+        h_t = parameter(h_vals) if with_state else None
+        w_ts = [parameter(v) for v in hidden]
+        if fused:
+            out = gru_update(g_ts, slice(5, 10), h_t, w_ts)
+        else:
+            out = unfused_gru([take_rows(t, slice(5, 10)) for t in g_ts], h_t, w_ts)
+        with no_grad():
+            frozen = (gru_update(g_ts, slice(5, 10), h_t, w_ts) if fused else
+                      unfused_gru([take_rows(t, slice(5, 10)) for t in g_ts], h_t, w_ts))
+        backward(sum_all(mul(out, constant(k))))
+        grads = [t.grad for t in g_ts + ([h_t] if with_state else []) + w_ts]
+        results.append([out.values, frozen.values] + grads)
+    for got, ref in zip(*results):
+        if ref is None:
+            assert got is None
+        else:
+            assert_same_bits(got, ref)
+
+
+@pytest.mark.parametrize("with_state", [False, True])
+def test_gru_update_gradients_match_fd(with_state):
+    rng = np.random.default_rng(47)
+    gates, h_vals, hidden = gru_case(rng)
+    k = rng.normal(size=(5, 4))
+    g_ts = [parameter(v) for v in gates]
+    h_t = parameter(h_vals) if with_state else None
+    w_ts = [parameter(v) for v in hidden]
+    backward(sum_all(mul(gru_update(g_ts, slice(0, 5), h_t, w_ts), constant(k))))
+
+    def sig(v):
+        return 1.0 / (1.0 + np.exp(-v))
+
+    def f(gv, hv, wv):
+        xz, xr, xc = (v[0:5] for v in gv)
+        if not with_state:
+            return float(np.sum(sig(xz) * np.tanh(xc) * k))
+        z, r = sig(hv @ wv[0] + xz), sig(hv @ wv[1] + xr)
+        c = np.tanh((hv * r) @ wv[2] + xc)
+        return float(np.sum(((1.0 - z) * hv + z * c) * k))
+    for i in range(3):
+        fd = finite_diff_grad(lambda v: f(gates[:i] + [v] + gates[i + 1:], h_vals, hidden),
+                              gates[i].copy())
+        if g_ts[i].grad is None:  # the r gate, unread from the zero state
+            assert not with_state and i == 1
+            continue
+        assert rel_err(g_ts[i].grad, fd) < 1e-8
+        np.testing.assert_array_equal(g_ts[i].grad[5:], 0.0)
+    if with_state:
+        assert rel_err(h_t.grad, finite_diff_grad(lambda v: f(gates, v, hidden),
+                                                  h_vals.copy())) < 1e-8
+        for i in range(3):
+            fd = finite_diff_grad(lambda v: f(gates, h_vals, hidden[:i] + [v] + hidden[i + 1:]),
+                                  hidden[i].copy())
+            assert rel_err(w_ts[i].grad, fd) < 1e-8
+
+
+def test_gru_update_shape_errors():
+    rng = np.random.default_rng(48)
+    gates, h_vals, hidden = gru_case(rng)
+    g_ts = [constant(v) for v in gates]
+    with pytest.raises(ShapeError, match="gru_update"):
+        gru_update(g_ts, slice(0, 5), constant(h_vals[:4]), [constant(w) for w in hidden])
+    with pytest.raises(ShapeError, match="gru_update"):
+        gru_update(g_ts, slice(0, 5), constant(h_vals), [constant(w[:3]) for w in hidden])
 
 
 # --------------------------------------------------------------- softmax

@@ -192,6 +192,49 @@ def test_same_seed_gives_identical_artifacts(tmp_path):
         assert (outs[0] / name).read_bytes() == (outs[1] / name).read_bytes()
 
 
+def test_train_counts_minor_faults_per_epoch_outside_the_report(tmp_path):
+    samples = [sample(seed=i) for i in range(3)]
+    _, report = train(toy_model(), samples, TrainConfig(epochs=2, horizons=(1, 2)), tmp_path)
+    assert len(report.epoch_minor_faults) == len(report.train_loss) == 2
+    assert all(type(f) is int and f >= 0 for f in report.epoch_minor_faults)
+    assert "fault" not in (tmp_path / "train_report.json").read_text()
+
+
+class FakeLibc:
+    """A C library whose mallopt calls are recorded."""
+
+    def __init__(self, glibc=True):
+        self.calls = []
+        self.mallopt = lambda param, value: self.calls.append((param, value))
+        if glibc:
+            self.gnu_get_libc_version = lambda: b"2.0"
+
+
+def test_train_pins_glibc_heap_thresholds(monkeypatch):
+    import ctypes
+    from regraph.training import loop
+    libc = FakeLibc()
+    monkeypatch.setattr(ctypes, "CDLL", lambda name: libc)
+    loop._pin_heap()
+    assert libc.calls == [(loop.M_MMAP_THRESHOLD, loop.PINNED_MMAP_THRESHOLD),
+                          (loop.M_TRIM_THRESHOLD, loop.PINNED_TRIM_THRESHOLD)]
+    other = FakeLibc(glibc=False)  # another C library's parameters differ
+    monkeypatch.setattr(ctypes, "CDLL", lambda name: other)
+    loop._pin_heap()
+    assert other.calls == []
+
+
+def test_train_runs_where_libc_cannot_be_loaded(tmp_path, monkeypatch):
+    import ctypes
+
+    def no_libc(name):
+        raise OSError("no C library here")
+    monkeypatch.setattr(ctypes, "CDLL", no_libc)
+    _, report = train(toy_model(), [sample(seed=i) for i in range(3)],
+                      TrainConfig(epochs=1, horizons=(1, 2)), tmp_path)
+    assert len(report.train_loss) == 1 and np.isfinite(report.train_loss[0])
+
+
 def test_validation_tracking_and_early_stop(tmp_path):
     samples = [sample(week=(2024, 1), seed=i) for i in range(4)] + \
               [sample(week=(2024, 2), seed=20 + i) for i in range(2)]
