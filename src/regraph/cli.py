@@ -158,10 +158,8 @@ def _cmd_build_graph(args) -> int:
     return 0
 
 
-def _split_from_config(resolved: dict, grid):
-    data_cfg = resolved["data"]
-    samples = make_windows(grid, data_cfg["k"], tuple(data_cfg["horizons"]),
-                           data_cfg["grid_step_min"])
+def _split_from_config(data_cfg: dict, grid, k: int, horizons):
+    samples = make_windows(grid, k, tuple(horizons), data_cfg["grid_step_min"])
     return split_by_weeks(samples, data_cfg["train_weeks"],
                           data_cfg["test_weeks"], data_cfg["generality_weeks"])
 
@@ -174,7 +172,7 @@ def _cmd_train(args) -> int:
     grid = _grid_for_nodes(Path(args.data), graph.nodes,
                            data_cfg["grid_step_min"],
                            data_cfg["max_gap_steps"])
-    train_samples, _, _ = _split_from_config(resolved, grid)
+    train_samples, _, _ = _split_from_config(data_cfg, grid, data_cfg["k"], data_cfg["horizons"])
     if not train_samples:
         raise DataError("no training samples fall inside train_weeks")
 
@@ -231,8 +229,8 @@ def _run_name(run_dir: Path) -> str:
 
 
 # The sections and keys of a run's config echo that evaluate reads.
-_RUN_KEYS = {"data": ("grid_step_min", "max_gap_steps", "k", "horizons", "train_weeks",
-                      "test_weeks", "generality_weeks"),
+_RUN_KEYS = {"data": ("grid_step_min", "max_gap_steps", "train_weeks", "test_weeks",
+                      "generality_weeks"),
              "train": ("seed", "val_fraction")}
 
 
@@ -274,7 +272,9 @@ def _cmd_evaluate(args) -> int:
         grid = _grid_for_nodes(data_dir, bundle.graph.nodes,
                                data_cfg["grid_step_min"],
                                data_cfg["max_gap_steps"])
-        train_s, test_s, gen_s = _split_from_config(resolved, grid)
+        # the checkpoint's model fixes the window length and horizons
+        train_s, test_s, gen_s = _split_from_config(data_cfg, grid, bundle.spec.k,
+                                                    bundle.spec.horizons)
         if not test_s:
             raise DataError(f"run {run}: no samples fall inside test_weeks")
 

@@ -22,11 +22,13 @@ rather than zeros.
 
 Every model runs in two stages: ``encode`` reads scaled grid steps stacked
 row-wise, and ``advance`` takes one more lag of a window from those rows.
-In the T-GCN models the encode holds everything that depends on the step
-alone (the spatial convs, gamma and the input halves of the GRU gates).
-Training encodes a window's K steps as one stack, so each of those layers
-is one wide product on the tape; frozen inference over windows that share
-steps (``predict_windows``) encodes each step once, on its own.
+The encode holds everything that depends on the step alone: in the T-GCN
+models the spatial convs, gamma and the input halves of the GRU gates, in
+StackedGRU the input halves of its first cell's gates. StackedGCN, which
+reads all lags at once, keeps the steps as they are. Training encodes a
+window's K steps as one stack, so each of those layers is one wide product
+on the tape; frozen inference over windows that share steps
+(``predict_windows``) encodes each step once, on its own.
 """
 
 from __future__ import annotations
@@ -39,9 +41,9 @@ import numpy as np
 from ..data.frames import FEATURE_COLUMNS
 from ..errors import ConfigError, ShapeError
 from ..graph.build import RegionalPartition, SiteGraph, dense_operator
-from ..numerics import DiffTensor, concat, constant, no_grad, segment_gcn, take_rows
-# attention_aggregate is not called here, but perfbench's layer tracer wraps it
-# where this module looks it up.
+from ..numerics import DiffTensor, concat, constant, gru_update, no_grad, segment_gcn, take_rows
+# gru_step and attention_aggregate are not called here, but perfbench's layer
+# tracer wraps them where this module looks them up.
 from .layers import (  # noqa: F401
     AttentionAggregator,
     Decoder,
@@ -53,7 +55,6 @@ from .layers import (  # noqa: F401
     attention_aggregate,
     gate_inputs,
     gcn_forward,
-    gru_advance,
     gru_step,
     lag_weights,
     split_gates,
@@ -282,7 +283,11 @@ class ForecastModel:
 
 
 class StackedGru(ForecastModel):
-    """Two GRU layers over the lag sequence; adjacency never enters."""
+    """Two GRU layers over the lag sequence; adjacency never enters.
+
+    Encoded steps are the first cell's gate input halves; a window in flight
+    is (h1, h2), both starting from the all-zero state.
+    """
 
     def __init__(self, spec: ModelSpec, ctx: GraphContext):
         super().__init__(spec, ctx)
@@ -294,12 +299,20 @@ class StackedGru(ForecastModel):
         self._register("gru2", self.cell2)
         self._register("decoder", self.decoder)
 
-    def readout(self, weights, steps) -> DiffTensor:
-        h1 = h2 = None
-        for x in steps:
-            h1 = gru_step(self.cell1, x, h1)
-            h2 = gru_step(self.cell2, h1, h2)
-        return self.decoder.forward(h2)
+    def call_weights(self):
+        return split_gates(self.cell1), split_gates(self.cell2)
+
+    def encode(self, weights, x: DiffTensor):
+        return gate_inputs(weights[0], x)
+
+    def advance(self, weights, state, encoded, rows):
+        h1, h2 = state or (None, None)
+        h1 = gru_update(encoded, rows, h1, weights[0][1])
+        h2 = gru_update(gate_inputs(weights[1], h1), slice(None), h2, weights[1][1])
+        return h1, h2
+
+    def readout(self, weights, state) -> DiffTensor:
+        return self.decoder.forward(state[1])
 
 
 class StackedGcn(ForecastModel):
@@ -352,7 +365,7 @@ class _GruAttention(ForecastModel):
         if state is None:
             state = (None if gamma is None else take_rows(gamma, rows), None, 0)
         h, total, lag = state
-        h = gru_advance(weights[0], gate_x, rows, h)
+        h = gru_update(gate_x, rows, h, weights[0][1])
         return h, attend(weights[1], lag, h, total), lag + 1
 
     def readout(self, weights, state) -> DiffTensor:

@@ -37,7 +37,6 @@ __all__ = [
     "affine",
     "gate_inputs",
     "gcn_forward",
-    "gru_advance",
     "gru_step",
     "lag_weights",
     "split_gates",
@@ -140,27 +139,23 @@ def gate_inputs(gates, conv_out: DiffTensor) -> tuple[DiffTensor, ...]:
     return tuple(matmul(conv_out, w) for w in gates[0])
 
 
-def gru_advance(gates, gate_x, rows: slice, h_prev: DiffTensor | None) -> DiffTensor:
-    """One GRU update (one tape entry) from the rows ``rows`` of the gates'
-    input halves and the previous state.
+def gru_step(cell: GcnGruCell, conv_out: DiffTensor, h_prev: DiffTensor | None) -> DiffTensor:
+    """One GRU step of ``cell`` from an input block and the previous state.
 
     ``[x, h] @ W`` is taken as ``x @ W_x + h @ W_h``, and the candidate's
-    ``[x, h * r] @ W_c`` as ``x @ W_cx + (h * r) @ W_ch``. ``h_prev`` None
-    is the all-zero state: the ``h @ W_h`` products, r and ``(1 - z) * h``
-    are zero there, so the update is ``sigmoid(x_z) * tanh(x_c)``.
+    ``[x, h * r] @ W_c`` as ``x @ W_cx + (h * r) @ W_ch``, in one
+    ``gru_update``. ``h_prev`` None is the all-zero state: the ``h @ W_h``
+    products, r and ``(1 - z) * h`` are zero there, so the step is
+    ``sigmoid(x_z) * tanh(x_c)``. The models take the same update with the
+    weights split once per call (``split_gates``, ``gate_inputs``).
     """
-    return gru_update(gate_x, rows, h_prev, gates[1])
-
-
-def gru_step(cell: GcnGruCell, conv_out: DiffTensor, h_prev: DiffTensor | None) -> DiffTensor:
-    """One GRU step; ``h_prev`` None is the all-zero state (see ``gru_advance``)."""
     if conv_out.shape[1] != cell.in_width or \
             (h_prev is not None and h_prev.shape[1] != cell.hidden):
         raise ShapeError(
             f"gru_step: got input {conv_out.shape}, hidden {getattr(h_prev, 'shape', None)}, "
             f"cell expects widths ({cell.in_width}, {cell.hidden})")
     gates = split_gates(cell)
-    return gru_advance(gates, gate_inputs(gates, conv_out), slice(None), h_prev)
+    return gru_update(gate_inputs(gates, conv_out), slice(None), h_prev, gates[1])
 
 
 class AttentionAggregator:

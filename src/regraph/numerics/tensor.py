@@ -31,7 +31,6 @@ __all__ = [
     "constant",
     "gru_update",
     "matmul",
-    "matmul_add",
     "mean_all",
     "mul",
     "no_grad",
@@ -204,30 +203,6 @@ def matmul(a, b) -> DiffTensor:
         return ga, gb
 
     _record((a, b), out, grad_fn)
-    return out
-
-
-def matmul_add(a, w, c) -> DiffTensor:
-    """``a @ w + c`` as one op, for a ``c`` of the product's shape.
-
-    Values equal ``add(matmul(a, w), c)`` bit for bit; the tape keeps one
-    output instead of two.
-    """
-    a, w, c = _as_tensor(a), _as_tensor(w), _as_tensor(c)
-    if a.values.ndim != 2 or w.values.ndim != 2 or a.values.shape[1] != w.values.shape[0] \
-            or c.values.shape != (a.values.shape[0], w.values.shape[1]):
-        raise ShapeError(f"matmul_add: incompatible shapes {a.values.shape}, "
-                         f"{w.values.shape} and {c.values.shape}")
-    values = a.values @ w.values
-    values += c.values
-    out = DiffTensor(values)
-
-    def grad_fn(g):
-        ga = g @ w.values.T if a.requires_grad else None
-        gw = a.values.T @ g if w.requires_grad else None
-        return ga, gw, (g if c.requires_grad else None)
-
-    _record((a, w, c), out, grad_fn)
     return out
 
 

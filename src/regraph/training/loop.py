@@ -12,8 +12,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from regraph.data import apply_scaling, compute_scaling, step_positions, week_label
+from regraph.data import apply_scaling, compute_scaling, week_label
 from regraph.errors import ConfigError, DataError, NumericError
+from regraph.evaluation import predict_samples
 from regraph.files import atomic_open
 from regraph.models import save_checkpoint, load_checkpoint
 from regraph.numerics import RmsProp, backward, constant, mean_all, mul, sub
@@ -185,13 +186,8 @@ def _minor_faults() -> int:
 
 
 def _val_rmse(model, samples, lo, hi) -> tuple[float, ...]:
-    """RMSE per horizon of the model on raw samples, scaled by (lo, hi).
-
-    Samples that view one grid share their common steps, as in
-    ``evaluation.predict_samples``.
-    """
-    preds = model.predict_windows(step_positions(samples),
-                                  lambda b: apply_scaling(samples[b], lo, hi).inputs)
+    """RMSE per horizon of the model on raw samples, scaled by (lo, hi)."""
+    preds, _ = predict_samples(model, samples, lo, hi)
     sq = np.zeros(model.spec.n_horizons)
     count = 0
     for pred, s in zip(preds, samples):

@@ -563,6 +563,22 @@ def test_evaluate_predicts_each_split_once(pipeline, monkeypatch):
     assert sorted(calls) == sorted([summary["test_samples"], summary["generality_samples"]])
 
 
+def test_evaluate_takes_window_length_and_horizons_from_the_checkpoint(pipeline, tmp_path):
+    # the checkpoint's model fixes k and horizons; the config echo's copies
+    # of them are not read
+    run = tmp_path / "run"
+    shutil.copytree(pipeline["run"], run)
+    echo = json.loads((run / "resolved_config.json").read_text())
+    echo["config"]["data"].update(k=5, horizons=[1, 2])
+    (run / "resolved_config.json").write_text(json.dumps(echo))
+    outputs = []
+    for source in (pipeline["run"], run):
+        out = tmp_path / f"out_{len(outputs)}"
+        assert main(["evaluate", "--runs", str(source), "--out", str(out)]) == 0
+        outputs.append((out / "metrics.csv").read_bytes())
+    assert outputs[0] == outputs[1]
+
+
 def test_evaluate_skips_missing_run(pipeline, capsys):
     root, run = pipeline["root"], pipeline["run"]
     report_dir = root / "report_skip"

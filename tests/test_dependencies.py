@@ -48,3 +48,24 @@ def test_no_import_statement_names_another_package():
                 names.append(node.module.partition(".")[0])
     assert "urllib" in names
     assert undeclared(names) == []
+
+
+# Ops with no caller in the package, each kept for a job outside it.
+UNCALLED_OPS = {
+    "tanh": "the reference op the gru_update bit-identity test builds the update from",
+    "clear_tape": "tape control for perfbench and the tests",
+    "tape_length": "tape control for perfbench and the tests",
+}
+
+
+def test_every_numerics_export_has_a_caller_in_the_package():
+    # A name counts as used where the code loads it; its def, its __all__
+    # string and its import lines do not.
+    from regraph import numerics
+    loaded = set()
+    for path in sorted(PACKAGE.rglob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
+                loaded.add(node.id)
+    uncalled = sorted(set(numerics.__all__) - loaded - set(UNCALLED_OPS))
+    assert uncalled == []

@@ -254,7 +254,7 @@ def test_gru_zero_state_skips_the_hidden_half_and_keeps_values_and_grads():
 # StackedGRU starts each of its two cells from the zero state
 @pytest.mark.parametrize("arch,zero_starts", [("TGCN", 1), ("CSTGCN", 1), ("StackedGRU", 2)])
 def test_zero_start_models_equal_an_explicit_zero_state(monkeypatch, arch, zero_starts):
-    from regraph.models import architectures, layers
+    from regraph.models import architectures
     g = two_region_graph()
     model = build_model(ModelSpec(arch, 6, 3, (1, 2), "connected", seed=5), g)
     w = window(3, 4, seed=6)
@@ -263,14 +263,11 @@ def test_zero_start_models_equal_an_explicit_zero_state(monkeypatch, arch, zero_
     model.forward(w)
     got_entries = tensor_core.tape_length()
 
-    def explicit(fn):
-        """``fn`` with a None state, its last argument, passed as explicit zeros."""
-        def with_zeros(*args):
-            *rest, h_prev = args
-            return fn(*rest, constant(np.zeros((4, 6))) if h_prev is None else h_prev)
-        return with_zeros
-    monkeypatch.setattr(architectures, "gru_advance", explicit(layers.gru_advance))
-    monkeypatch.setattr(architectures, "gru_step", explicit(layers.gru_step))
+    def explicit(gate_x, rows, h_prev, hidden):
+        """``gru_update`` with a None state passed as explicit zeros."""
+        zeros = constant(np.zeros((4, 6))) if h_prev is None else h_prev
+        return tensor_core.gru_update(gate_x, rows, zeros, hidden)
+    monkeypatch.setattr(architectures, "gru_update", explicit)
     tensor_core.clear_tape()
     ref = model.predict(w)
     model.forward(w)
@@ -561,7 +558,7 @@ def stepwise_forward(model, w):
     return model.readout(weights, state)
 
 
-@pytest.mark.parametrize("arch", ["TGCN", "CSTGCN", "RanTGCN", "RegTGCN"])
+@pytest.mark.parametrize("arch", ["StackedGRU", "TGCN", "CSTGCN", "RanTGCN", "RegTGCN"])
 def test_stacked_forward_equals_one_step_at_a_time(arch):
     if arch in ("RanTGCN", "RegTGCN"):
         model = interleaved_model(arch)
@@ -590,6 +587,26 @@ def test_stacked_forward_tapes_one_entry_per_layer_and_lag():
     assert names.count("gru_update") == 3
     assert names.count("matmul") == 1 + 1 + 3 + 2  # structural, mixer, gates, decoder
     assert names.count("sigmoid") == 1
+
+
+@pytest.mark.parametrize("arch,entries", [
+    ("StackedGRU", 50), ("StackedGCN", 12), ("TGCN", 41),
+    ("CSTGCN", 57), ("RanTGCN", 46), ("RegTGCN", 46),
+])
+def test_tape_entries_per_window_at_k6(arch, entries):
+    g = two_region_graph()
+    if arch == "RegTGCN":
+        part, spec = decompose_regional(g), ModelSpec(arch, 6, 6, (1, 2), "regional")
+    elif arch == "RanTGCN":
+        part = decompose_random(g, r=2, seed=0)
+        spec = ModelSpec(arch, 6, 6, (1, 2), "random", region_count=2)
+    else:
+        part, spec = None, ModelSpec(arch, 6, 6, (1, 2), "connected")
+    model = build_model(spec, g, part)
+    tensor_core.clear_tape()
+    model.forward(window(6, 4))
+    assert tensor_core.tape_length() == entries
+    tensor_core.clear_tape()
 
 
 def test_zero_mixer_zeroes_gamma():

@@ -13,7 +13,6 @@ from regraph.numerics import (
     constant,
     gru_update,
     matmul,
-    matmul_add,
     mean_all,
     mul,
     no_grad,
@@ -336,41 +335,6 @@ def test_add_row_shape_errors(x_shape, row_shape):
         add_row(constant(np.ones(x_shape)), constant(np.ones(row_shape)))
 
 
-# ------------------------------------------------------------ matmul_add
-
-@pytest.mark.parametrize("n, k, m", [(1, 1, 1), (5, 3, 4), (105, 256, 256)])
-def test_matmul_add_matches_matmul_then_add_bit_for_bit(n, k, m):
-    rng = np.random.default_rng(n + k + m)
-    vals = rng.normal(size=(n, k)), rng.normal(size=(k, m)), rng.normal(size=(n, m))
-    weights = constant(rng.normal(size=(n, m)))
-    results = []
-    for op in (matmul_add, lambda a, w, c: add(matmul(a, w), c)):
-        a, w, c = (parameter(v) for v in vals)
-        out = op(a, w, c)
-        backward(sum_all(mul(mul(out, out), weights)))
-        results.append((out.values, a.grad, w.grad, c.grad))
-    for got, ref in zip(*results):
-        assert_same_bits(got, ref)
-
-
-def test_matmul_add_gradient_matches_fd_and_skips_constants():
-    rng = np.random.default_rng(37)
-    a_vals, w_vals, c_vals = (rng.normal(size=s) for s in ((4, 3), (3, 2), (4, 2)))
-    a, w, c = parameter(a_vals), parameter(w_vals), constant(c_vals)
-    backward(sum_all(sigmoid(matmul_add(a, w, c))))
-
-    def loss(av, wv):
-        return float(np.sum(1.0 / (1.0 + np.exp(-(av @ wv + c_vals)))))
-
-    assert rel_err(a.grad, finite_diff_grad(lambda v: loss(v, w_vals), a_vals.copy())) < 1e-8
-    assert rel_err(w.grad, finite_diff_grad(lambda v: loss(a_vals, v), w_vals.copy())) < 1e-8
-    assert c.grad is None
-    with pytest.raises(ShapeError, match="matmul_add"):
-        matmul_add(a, w, constant(np.zeros((1, 2))))
-    with pytest.raises(ShapeError, match="matmul_add"):
-        matmul_add(a, constant(np.zeros((2, 2))), c)
-
-
 # ------------------------------------------------------------- take_rows
 
 def test_take_rows_values():
@@ -526,9 +490,9 @@ def unfused_gru(gate_x, h_prev, hidden):
     if h_prev is None:
         return mul(sigmoid(xz), tanh(xc))
     wz, wr, wc = hidden
-    z = sigmoid(matmul_add(h_prev, wz, xz))
-    r = sigmoid(matmul_add(h_prev, wr, xr))
-    candidate = tanh(matmul_add(mul(h_prev, r), wc, xc))
+    z = sigmoid(add(matmul(h_prev, wz), xz))
+    r = sigmoid(add(matmul(h_prev, wr), xr))
+    candidate = tanh(add(matmul(mul(h_prev, r), wc), xc))
     return add(mul(sub(1.0, z), h_prev), mul(z, candidate))
 
 
