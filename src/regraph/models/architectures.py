@@ -457,8 +457,7 @@ class PartitionedTGcn(_GruAttention):
 
 
 class RegTGcn(PartitionedTGcn):
-    strategy = "regional"
-    group_prefix = "regional"
+    """PartitionedTGcn over the regional partition: the paper's RegT-GCN."""
 
 
 class RanTGcn(PartitionedTGcn):

@@ -417,8 +417,7 @@ def gru_update(gate_x, rows: slice, h_prev, hidden) -> DiffTensor:
     by one, bit for bit. The backward replays their gradient rules in
     reverse tape order, so every gradient matches too, as long as
     ``h_prev`` takes its first gradient here (true wherever each update
-    consumes the state the last one made). Under ``no_grad`` the forward
-    overwrites its own temporaries instead of keeping them.
+    consumes the state the last one made).
     """
     xz, xr, xc = (_as_tensor(t) for t in gate_x)
     vz, vr, vc = xz.values[rows], xr.values[rows], xc.values[rows]
@@ -432,12 +431,11 @@ def gru_update(gate_x, rows: slice, h_prev, hidden) -> DiffTensor:
                                     any(w.values.shape != (width, width) for w in inputs[4:])):
         raise ShapeError(f"gru_update: gate rows {vz.shape} do not match the state "
                          f"{getattr(h_prev, 'shape', None)} or the hidden weights")
-    taped = _RECORDING and any(t.requires_grad for t in inputs)
 
     if h_prev is None:
-        z = _sigmoid_into(vz, np.empty_like(vz), scratch := np.empty_like(vz))
+        z = _sigmoid_into(vz, np.empty_like(vz), np.empty_like(vz))
         c = np.tanh(vc)
-        out = DiffTensor(np.multiply(z, c, out=None if taped else scratch))
+        out = DiffTensor(z * c)
 
         def grad_fn(g):
             gz = g * c
@@ -458,14 +456,14 @@ def gru_update(gate_x, rows: slice, h_prev, hidden) -> DiffTensor:
     np.matmul(h, wr, out=a)
     a += vr
     r = _sigmoid_into(a, np.empty_like(a), a)
-    # taped, r is kept and h * r is taken again in the backward
-    hr = np.multiply(h, r, out=a if taped else r)
-    c = np.matmul(hr, wc, out=None if taped else a)
+    # r is kept and h * r is taken again in the backward
+    hr = np.multiply(h, r, out=a)
+    c = hr @ wc
     c += vc
     np.tanh(c, out=c)
     new = np.subtract(1.0, z, out=hr)
     new *= h
-    new += np.multiply(z, c, out=None if taped else z)
+    new += z * c
     out = DiffTensor(new)
 
     def grad_fn(g):
@@ -539,15 +537,6 @@ def mean_all(x) -> DiffTensor:
     return mul(sum_all(x), 1.0 / x.values.size)
 
 
-def _fill(t: DiffTensor, spans: list[tuple[int, int]]) -> None:
-    """Zero the rows of ``t.grad`` that no row-only contribution wrote."""
-    start = 0
-    for lo, hi in sorted(spans):
-        t.grad[start:lo] = 0.0
-        start = max(start, hi)
-    t.grad[start:] = 0.0
-
-
 def backward(loss: DiffTensor) -> None:
     """Populate grads of every requires_grad leaf (e.g. parameter) of a scalar loss.
 
@@ -560,15 +549,14 @@ def backward(loss: DiffTensor) -> None:
 
     A grad_fn gives an array per input, or ``(rows, g)``: the gradient
     ``g`` of the slice ``rows`` alone, the rest being zero. Ownership:
-    a tensor's first contribution is kept as given, but an array an op
-    returned may alias another tensor's gradient, so ``backward`` writes
-    only into arrays it allocated itself. It allocates one when a tensor
-    takes its second contribution, or a row-only one, and adds every later
+    a tensor's first whole-array contribution is kept as given, but an
+    array an op returned may alias another tensor's gradient, so
+    ``backward`` writes only into arrays it allocated itself. It allocates
+    one when a tensor takes its second contribution, and adds every later
     contribution into it in place, in the same order as ``t.grad + g``.
-    Row-only contributions to rows not yet written are copied in, and the
-    rows none of them wrote are zeroed only before the gradient is read, so
-    the blocks of a stacked tensor that its consumers fill one by one are
-    never zeroed first.
+    A row-only contribution is added as ``t.grad[rows] += g``, into zeros
+    when the tensor has no gradient yet, or into a copy of a gradient
+    ``backward`` does not own.
     """
     if loss.values.size != 1:
         raise ValueError(f"backward: loss must be scalar, got shape {loss.values.shape}")
@@ -580,16 +568,11 @@ def backward(loss: DiffTensor) -> None:
     # ids of the tensors whose .grad backward allocated; the replay makes no
     # tensor, so no id is reused while it runs
     owned: set[int] = set()
-    # id -> (tensor, row spans written) of the owned grads whose other rows
-    # are not yet zeroed
-    partial: dict[int, tuple[DiffTensor, list[tuple[int, int]]]] = {}
     while _TAPE:
         entry = _TAPE.pop()
         g_out = entry.output.grad
         if g_out is None:
             continue
-        if id(entry.output) in partial:
-            _fill(*partial.pop(id(entry.output)))
         grads = entry.grad_fn(g_out)
         entry.output.grad = None
         for t, g in zip(entry.inputs, grads):
@@ -597,35 +580,16 @@ def backward(loss: DiffTensor) -> None:
                 continue
             if type(g) is tuple:
                 rows, g = g
-                lo, hi, step = rows.indices(len(t.values))
-                spans = partial[id(t)][1] if id(t) in partial else None
-                if step == 1 and (t.grad is None or spans is not None and
-                                  all(hi <= a or b <= lo for a, b in spans)):
-                    if t.grad is None:
-                        t.grad = np.empty_like(t.values)
-                        spans = []
-                        partial[id(t)] = (t, spans)
-                        owned.add(id(t))
-                    t.grad[rows] = g
-                    spans.append((lo, hi))
-                    continue
-                if id(t) in partial:
-                    _fill(*partial.pop(id(t)))
                 if t.grad is None:
                     t.grad = np.zeros_like(t.values)
                 elif id(t) not in owned:
                     t.grad = t.grad.copy()
                 t.grad[rows] += g
                 owned.add(id(t))
-                continue
-            if id(t) in partial:
-                _fill(*partial.pop(id(t)))
-            if id(t) in owned:
+            elif id(t) in owned:
                 t.grad += g
             elif t.grad is None:
                 t.grad = g
             else:
                 t.grad = t.grad + g
                 owned.add(id(t))
-    for t, spans in partial.values():
-        _fill(t, spans)

@@ -69,3 +69,14 @@ def test_every_numerics_export_has_a_caller_in_the_package():
                 loaded.add(node.id)
     uncalled = sorted(set(numerics.__all__) - loaded - set(UNCALLED_OPS))
     assert uncalled == []
+
+
+def test_only_the_tape_switch_reads_the_recording_flag():
+    # An op runs the same arithmetic taped or frozen; only _record decides
+    # whether the result is recorded.
+    tree = ast.parse((PACKAGE / "numerics" / "tensor.py").read_text(encoding="utf-8"))
+    readers = sorted(
+        fn.name for fn in ast.walk(tree) if isinstance(fn, ast.FunctionDef)
+        and any(isinstance(node, ast.Name) and node.id == "_RECORDING"
+                and isinstance(node.ctx, ast.Load) for node in ast.walk(fn)))
+    assert readers == ["_record", "no_grad"]

@@ -370,24 +370,27 @@ def test_take_rows_shape_errors():
 
 
 def test_row_blocks_that_fill_a_gradient_equal_zero_padded_sums():
-    # x's rows 0-1, 4-5 and (twice) 2-3 take row-only gradients, then the
-    # whole of x one more; rows 6-7 are only in the last. Disjoint blocks
-    # are copied in, not added onto zeros, with the same bits.
+    # x's rows 0-1, 4-5, (twice) 2-3 and the strided 1, 3, 5 take row-only
+    # gradients, and the whole of x takes two more: one the replay reaches
+    # after the row blocks, and one before them that add hands to x and y
+    # alike, so the row blocks are added into a copy and y keeps its own.
     rng = np.random.default_rng(33)
-    x = parameter(rng.normal(size=(8, 3)))
-    spans = [(4, 6), (0, 2), (2, 4), (2, 4)]
-    ks = [rng.normal(size=(hi - lo, 3)) for lo, hi in spans]
-    kd = rng.normal(size=(8, 3))
+    x, y = parameter(rng.normal(size=(8, 3))), parameter(rng.normal(size=(8, 3)))
+    spans = [slice(4, 6), slice(0, 2), slice(2, 4), slice(2, 4), slice(1, 7, 2)]
+    ks = [rng.normal(size=(len(range(8)[s]), 3)) for s in spans]
+    kd, ka = rng.normal(size=(8, 3)), rng.normal(size=(8, 3))
     total = sum_all(mul(x, constant(kd)))
-    for (lo, hi), k in zip(spans, ks):
-        total = add(sum_all(mul(take_rows(x, slice(lo, hi)), constant(k))), total)
+    for s, k in zip(spans, ks):
+        total = add(sum_all(mul(take_rows(x, s), constant(k))), total)
+    total = add(sum_all(mul(add(x, y), constant(ka))), total)
     backward(total)
-    ref = np.zeros((8, 3))
-    for (lo, hi), k in reversed(list(zip(spans, ks))):
+    ref = ka
+    for s, k in reversed(list(zip(spans, ks))):
         padded = np.zeros((8, 3))
-        padded[lo:hi] = k
+        padded[s] = k
         ref = ref + padded
     assert_same_bits(x.grad, ref + kd)
+    assert_same_bits(y.grad, ka)
 
 
 def test_row_blocks_leave_unwritten_rows_zero():
@@ -563,6 +566,27 @@ def test_gru_update_gradients_match_fd(with_state):
             fd = finite_diff_grad(lambda v: f(gates, h_vals, hidden[:i] + [v] + hidden[i + 1:]),
                                   hidden[i].copy())
             assert rel_err(w_ts[i].grad, fd) < 1e-8
+
+
+@pytest.mark.parametrize("frozen", [False, True])
+@pytest.mark.parametrize("with_state", [False, True])
+def test_gru_update_leaves_its_inputs_unchanged_and_shares_no_memory(with_state, frozen):
+    # predict_windows hands one step's gate inputs to every window holding it
+    rng = np.random.default_rng(49)
+    gates, h_vals, hidden = gru_case(rng)
+    g_ts = [parameter(v) for v in gates]
+    h_t = parameter(h_vals) if with_state else None
+    w_ts = [parameter(v) for v in hidden]
+    if frozen:
+        with no_grad():
+            out = gru_update(g_ts, slice(5, 10), h_t, w_ts)
+    else:
+        out = gru_update(g_ts, slice(5, 10), h_t, w_ts)
+        backward(sum_all(out))
+    given = g_ts + w_ts + ([h_t] if with_state else [])
+    for t, ref in zip(given, gates + hidden + [h_vals]):
+        assert_same_bits(t.values, ref)
+        assert not np.shares_memory(out.values, t.values)
 
 
 def test_gru_update_shape_errors():
