@@ -299,7 +299,7 @@ def _cmd_evaluate(args) -> int:
                 summary["val_rmse_check"] = check
                 summary["val_rmse_reported"] = val_reported
         if gen_s:
-            gen_report = generality_inference(bundle, gen_s,
+            gen_report = generality_inference(model, bundle, gen_s,
                                               data_cfg["grid_step_min"])
             summary["generality"] = {
                 str(gen_report.horizon_minutes(h)): gen_report.metrics[h].as_row()

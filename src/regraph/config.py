@@ -20,7 +20,6 @@ from regraph.models.architectures import ARCHITECTURES, CONNECTIVITY_OF
 from regraph.training import TrainConfig
 
 __all__ = [
-    "default_config",
     "load_config",
     "model_spec_from",
     "resolve_config",
@@ -115,10 +114,6 @@ def _type_names(types) -> str:
     names = [("null" if t is type(None) else t.__name__)
              for t in _as_tuple(types)]
     return " or ".join(names)
-
-
-def default_config() -> dict:
-    return _resolve_section(_SCHEMA, {}, "")
 
 
 def resolve_config(given: dict) -> dict:

@@ -13,7 +13,6 @@ from regraph.data import apply_scaling, step_positions, week_label
 from regraph.errors import ConfigError, ShapeError
 from regraph.evaluation.metrics import MetricSet, compute_metrics, q95_table
 from regraph.files import atomic_open
-from regraph.models import restore_model
 
 __all__ = [
     "METRICS_COLUMNS",
@@ -90,11 +89,13 @@ def evaluate_model(model, samples, scaling_lo, scaling_hi,
                       site_ids=site_ids, n_samples=len(samples), predictions=preds)
 
 
-def generality_inference(bundle, samples, grid_step_min: int = 10) -> EvalReport:
-    """Evaluate a trained checkpoint on weeks it has never seen.
+def generality_inference(model, bundle, samples, grid_step_min: int = 10) -> EvalReport:
+    """Evaluate a trained checkpoint's model on weeks it has never seen.
 
-    Refuses to run when any sample touches a training week, since that would
-    silently turn a transfer experiment into a recall experiment.
+    ``model`` is restored from ``bundle``, which gives the training weeks and
+    the scaling. Refuses to run when any sample touches a training week,
+    since that would silently turn a transfer experiment into a recall
+    experiment.
     """
     trained = set(bundle.train_weeks)
     touched = sorted({week_label(w) for s in samples for w in s.weeks})
@@ -102,7 +103,6 @@ def generality_inference(bundle, samples, grid_step_min: int = 10) -> EvalReport
     if overlap:
         raise ConfigError(
             f"held-out weeks overlap training weeks: {', '.join(overlap)}")
-    model = restore_model(bundle)
     return evaluate_model(model, samples, bundle.scaling_lo,
                           bundle.scaling_hi, grid_step_min)
 

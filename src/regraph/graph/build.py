@@ -13,7 +13,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Callable, Mapping, Sequence
+from typing import Mapping, Sequence
 
 import numpy as np
 
@@ -263,15 +263,15 @@ def _check_partition(parent: SiteGraph, part: RegionalPartition) -> None:
                                 f"gained degree in region {label}")
 
 
-def _build_partition(g: SiteGraph, strategy: str, assignment: Mapping[str, str],
-                     pair_miles: Callable[[SiteMeta, SiteMeta], float] | None = None
-                     ) -> RegionalPartition:
+def partition_from_assignment(g: SiteGraph, assignment: Mapping[str, str],
+                              strategy: str,
+                              provider: DistanceProvider | None = None) -> RegionalPartition:
     """The one path from a site-id to label mapping to a checked partition.
 
     Labels are ordered by ``sorted``, the order a stored partition is read
     back in. A regional subgraph keeps the parent's edges whose endpoints
-    share a label; a random subgraph is complete, with ``pair_miles``
-    giving each pair's distance (nodes in parent order).
+    share a label; a random subgraph is complete, with ``provider``
+    (haversine when not given) measuring each pair (nodes in parent order).
     """
     if strategy not in ("regional", "random"):
         raise ConfigError(f"partition strategy must be regional or random, got {strategy!r}")
@@ -292,6 +292,7 @@ def _build_partition(g: SiteGraph, strategy: str, assignment: Mapping[str, str],
         for i, j, miles in g.edges:
             if label_of[i] == label_of[j]:
                 sub_edges[label_of[i]].append((local[i], local[j], miles))
+    pair_miles = (provider or HaversineProvider()).miles
 
     subgraphs: dict[str, SiteGraph] = {}
     for label, idx in members.items():
@@ -316,7 +317,7 @@ def decompose_regional(g: SiteGraph) -> RegionalPartition:
     for s in g.nodes:
         if not s.region:
             raise DataError(f"decompose_regional: site {s.site_id} has no region label")
-    return _build_partition(g, "regional", {s.site_id: s.region for s in g.nodes})
+    return partition_from_assignment(g, {s.site_id: s.region for s in g.nodes}, "regional")
 
 
 def decompose_random(g: SiteGraph, r: int, seed: int,
@@ -334,21 +335,7 @@ def decompose_random(g: SiteGraph, r: int, seed: int,
     base, extra = divmod(n, r)
     group = np.repeat(np.arange(r), [base + (1 if k < extra else 0) for k in range(r)])
     assignment = {g.nodes[int(p)].site_id: f"group_{k}" for p, k in zip(order, group)}
-    return _build_partition(g, "random", assignment, (provider or HaversineProvider()).miles)
-
-
-def partition_from_assignment(g: SiteGraph, assignment: Mapping[str, str],
-                              strategy: str,
-                              provider: DistanceProvider | None = None) -> RegionalPartition:
-    """Rebuild a partition from an explicit site-id to label mapping.
-
-    Regional strategy keeps the parent's intra-label edges; random strategy
-    connects every pair inside a label (distances from ``provider``). This
-    reproduces a previously computed partition without its seed, e.g. when
-    loading a stored model.
-    """
-    return _build_partition(g, strategy, assignment,
-                            (provider or HaversineProvider()).miles)
+    return partition_from_assignment(g, assignment, "random", provider)
 
 
 def degree(g: SiteGraph, i: int) -> int:

@@ -2,12 +2,13 @@
 
 Layout: an 8-byte magic, a little-endian uint64 header length, a compact
 JSON header, then the raw weight arrays (float64, little-endian, C order)
-concatenated in the order the header lists them. Everything needed to
-reload and run the model lives in the file: architecture and hyper
-parameters, feature-scaling constants, the training week set, the full
-graph (sites, edges, kernel), and the partition with its stored edge
-distances. No timestamps, so identical training runs write identical
-bytes.
+concatenated in the order the header lists them. The file holds the
+architecture and hyper parameters, feature-scaling constants, the
+training week set, the full graph (sites, edges, kernel), and the
+partition with its stored edge distances. The grid step and max gap the
+model was trained on are not stored: a caller that grids new records
+must pass the training config's values. No timestamps, so identical
+training runs write identical bytes.
 """
 
 from __future__ import annotations
@@ -16,6 +17,7 @@ import json
 import struct
 from dataclasses import dataclass
 from pathlib import Path
+from types import SimpleNamespace
 
 import numpy as np
 
@@ -27,7 +29,7 @@ from ..graph.build import (
     SiteGraph,
     SiteMeta,
     _assemble_graph,
-    _build_partition,
+    partition_from_assignment,
 )
 from .architectures import ForecastModel, ModelSpec, build_model
 
@@ -112,7 +114,8 @@ def partition_from_payload(g: SiteGraph, d: dict) -> RegionalPartition:
             if key in miles or g.adjacency_weights not in UNLINKED_MILES:
                 return miles[key]
             return UNLINKED_MILES[g.adjacency_weights]
-        part = _build_partition(g, d["strategy"], d["region_of"], pair_miles)
+        part = partition_from_assignment(g, d["region_of"], d["strategy"],
+                                         SimpleNamespace(miles=pair_miles))
     if partition_payload(part)["subgraph_edges"] != sub_edges:
         raise DataError(f"partition: stored {part.strategy} sub-edges do not match "
                         f"the ones rebuilt from region_of")

@@ -1,14 +1,17 @@
-"""RMSProp with L2 weight decay folded into the gradient.
+"""RMSProp with global-norm clipping and L2 weight decay folded into the gradient.
 
 Update per parameter, the PyTorch RMSprop convention:
-    g    <- grad + weight_decay * p
+    g    <- grad * (clip_norm / norm)    (only when norm > clip_norm)
+    g    <- g + weight_decay * p
     acc  <- decay_rate * acc + (1 - decay_rate) * g^2
     p    <- p - lr * g / (sqrt(acc) + smoothing)
 
 The accumulator sees the decayed gradient, so no step exceeds
 lr / sqrt(1 - decay_rate), not even the pure decay of a parameter whose
 gradient is always zero. With weight_decay 0 the term is skipped, so the
-step is exactly the plain RMSProp step. Grads are cleared after the step.
+step is exactly the plain RMSProp step. ``norm`` is ``grad_norm()``, the
+L2 norm over every parameter's gradient, taken once per step; with
+clip_norm None nothing is clipped. Grads are cleared after the step.
 
 A step writes its temporaries into two scratch arrays the size of the
 largest parameter, made once, so a train loop does not allocate (and the
@@ -27,9 +30,9 @@ __all__ = ["RmsProp"]
 
 
 class RmsProp:
-    def __init__(self, params: list[DiffTensor], learning_rate: float = 1e-3,
-                 weight_decay: float = 1e-4, decay_rate: float = 0.99,
-                 smoothing: float = 1e-8):
+    def __init__(self, params: list[DiffTensor], *, learning_rate: float,
+                 weight_decay: float, decay_rate: float, smoothing: float,
+                 clip_norm: float | None):
         if learning_rate < 0:
             raise ValueError("learning_rate must be >= 0")
         self.params = list(params)
@@ -37,6 +40,7 @@ class RmsProp:
         self.weight_decay = float(weight_decay)
         self.decay_rate = float(decay_rate)
         self.smoothing = float(smoothing)
+        self.clip_norm = clip_norm
         self.sq_avg = [np.zeros_like(p.values) for p in self.params]
         largest = max((p.values.size for p in self.params), default=0)
         scratch = (np.empty(largest), np.empty(largest))
@@ -57,8 +61,16 @@ class RmsProp:
         for i, p in enumerate(self.params):
             if p.grad is None:
                 raise ValueError(f"rmsprop step: parameter {i} has no gradient")
+        factor = None
+        if self.clip_norm is not None:
+            norm = self.grad_norm()
+            if norm > self.clip_norm:
+                factor = self.clip_norm / norm
+        for i, p in enumerate(self.params):
             g = p.grad
             buf, tmp = self._scratch[i]
+            if factor is not None:
+                g = np.multiply(g, factor, out=buf)
             if self.weight_decay:
                 np.multiply(self.weight_decay, p.values, out=tmp)
                 g = np.add(g, tmp, out=buf)

@@ -413,7 +413,8 @@ def gru_update(gate_x, rows: slice, h_prev, hidden) -> DiffTensor:
     halves ``W_h`` of the same gates. With z = sigmoid(h @ W_zh + x_z),
     r = sigmoid(h @ W_rh + x_r) and c = tanh((h * r) @ W_ch + x_c), the
     update is (1 - z) * h + z * c; ``h_prev`` None is the all-zero state,
-    where it is sigmoid(x_z) * tanh(x_c). Values equal those ops taken one
+    where it is sigmoid(x_z) * tanh(x_c) and x_r takes the zero gradient
+    an explicit zero state gives it. Values equal those ops taken one
     by one, bit for bit. The backward replays their gradient rules in
     reverse tape order, so every gradient matches too, as long as
     ``h_prev`` takes its first gradient here (true wherever each update
@@ -443,7 +444,7 @@ def gru_update(gate_x, rows: slice, h_prev, hidden) -> DiffTensor:
             gz *= 1.0 - z
             gc = g * z
             gc *= 1.0 - c * c
-            return (rows, gz), None, (rows, gc)
+            return (rows, gz), (rows, np.zeros_like(gz)), (rows, gc)
 
         _record(inputs, out, grad_fn)
         return out

@@ -150,16 +150,6 @@ def split_validation(samples, val_fraction: float = 0.1):
     return ordered[:-n_val], ordered[-n_val:]
 
 
-def _clip_gradients(optimizer: RmsProp, max_norm: float) -> None:
-    """Rescale the optimizer's gradients to a global norm of at most max_norm."""
-    norm = optimizer.grad_norm()
-    if norm > max_norm:
-        factor = max_norm / norm
-        for p in optimizer.params:
-            if p.grad is not None:
-                p.grad = p.grad * factor
-
-
 def _pin_heap() -> None:
     """Keep glibc's heap from being trimmed and faulted back in every step.
 
@@ -256,7 +246,8 @@ def train(model, samples, cfg: TrainConfig, out_dir):
     optimizer = RmsProp(model.params(), learning_rate=cfg.learning_rate,
                         weight_decay=cfg.weight_decay,
                         decay_rate=cfg.rmsprop_decay,
-                        smoothing=cfg.rmsprop_smoothing)
+                        smoothing=cfg.rmsprop_smoothing,
+                        clip_norm=cfg.grad_clip_norm)
     rng = np.random.default_rng(cfg.seed)
     best_path = out_dir / BEST_CHECKPOINT
 
@@ -285,11 +276,6 @@ def train(model, samples, cfg: TrainConfig, out_dir):
                 raise NumericError(
                     f"non-finite training loss at epoch {epoch}, step {step}")
             backward(loss)
-            for p in optimizer.params:
-                if p.grad is None:  # unreached by the loss: the r gate when k is 1
-                    p.grad = np.zeros_like(p.values)
-            if cfg.grad_clip_norm is not None:
-                _clip_gradients(optimizer, cfg.grad_clip_norm)
             optimizer.step()
             total += value
         losses.append(total / len(fit))

@@ -12,7 +12,6 @@ from hypothesis import strategies as st
 from regraph import cli
 from regraph.cli import main
 from regraph.config import (
-    default_config,
     load_config,
     resolve_config,
     synth_config_from,
@@ -48,7 +47,7 @@ def write_config(path, **overrides):
 # ----------------------------------------------------------------- config
 
 def test_defaults_round_trip():
-    cfg = default_config()
+    cfg = resolve_config({})
     assert resolve_config(cfg) == cfg
     assert cfg["model"]["architecture"] == "RegTGCN"
     assert cfg["train"]["learning_rate"] == 1e-3
@@ -74,7 +73,7 @@ def test_graph_and_eval_sections_are_unknown_keys(section):
 
 
 def test_config_defaults_live_on_the_dataclasses():
-    cfg = default_config()
+    cfg = resolve_config({})
     assert set(cfg["data"]["synth"]) == {
         f.name for f in dataclasses.fields(SyntheticConfig)}
     assert set(cfg["train"]) == {
@@ -561,6 +560,26 @@ def test_evaluate_predicts_each_split_once(pipeline, monkeypatch):
     assert main(["evaluate", "--runs", str(pipeline["run"]), "--out", str(report_dir)]) == 0
     summary = json.loads((report_dir / "evaluation.json").read_text())["run"]
     assert sorted(calls) == sorted([summary["test_samples"], summary["generality_samples"]])
+
+
+def test_evaluate_builds_one_model_per_run(pipeline, monkeypatch, tmp_path):
+    # the generality split reuses the model restored for the test split
+    from regraph.models import checkpoint
+    original = checkpoint.build_model
+    calls = []
+
+    def counting(spec, *args, **kwargs):
+        calls.append(spec.architecture)
+        return original(spec, *args, **kwargs)
+
+    monkeypatch.setattr(checkpoint, "build_model", counting)
+    copy = tmp_path / "copy"
+    shutil.copytree(pipeline["run"], copy)
+    out = tmp_path / "out"
+    assert main(["evaluate", "--runs", str(pipeline["run"]), str(copy), "--out", str(out)]) == 0
+    summaries = json.loads((out / "evaluation.json").read_text())
+    assert all("generality" in summaries[name] for name in ("run", "copy"))
+    assert calls == ["RegTGCN", "RegTGCN"]
 
 
 def test_evaluate_takes_window_length_and_horizons_from_the_checkpoint(pipeline, tmp_path):

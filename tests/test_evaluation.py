@@ -36,7 +36,13 @@ from regraph.graph import (
     decompose_random,
     decompose_regional,
 )
-from regraph.models import ModelSpec, build_model, load_checkpoint, save_checkpoint
+from regraph.models import (
+    ModelSpec,
+    build_model,
+    load_checkpoint,
+    restore_model,
+    save_checkpoint,
+)
 from regraph.numerics import clear_tape
 from regraph.training import TrainConfig, train
 from regraph.training.loop import _val_rmse
@@ -372,14 +378,15 @@ def trained_bundle(tmp_path, weeks=((2024, 1), (2024, 2))):
 def test_generality_refuses_overlapping_weeks(tmp_path):
     bundle = trained_bundle(tmp_path)
     with pytest.raises(ConfigError, match="2024-W02"):
-        generality_inference(bundle, [sample(week=(2024, 2), seed=99)])
+        generality_inference(restore_model(bundle), bundle,
+                             [sample(week=(2024, 2), seed=99)])
 
 
 def test_generality_runs_on_disjoint_weeks(tmp_path):
     bundle = trained_bundle(tmp_path)
     held_out = [sample(week=(2024, 10), seed=50 + i) for i in range(25)]
-    r1 = generality_inference(bundle, held_out)
-    r2 = generality_inference(bundle, held_out)
+    r1 = generality_inference(restore_model(bundle), bundle, held_out)
+    r2 = generality_inference(restore_model(bundle), bundle, held_out)
     assert r1.metrics[1].rmse == r2.metrics[1].rmse
     assert r1.n_samples == 25
 

@@ -36,7 +36,7 @@ from regraph.models import (
     save_checkpoint,
     structural_conv,
 )
-from regraph.models.architectures import CstGcn, GraphContext, TGcn
+from regraph.models.architectures import CONNECTIVITY_OF, CstGcn, GraphContext, TGcn
 from regraph.models.checkpoint import (
     graph_from_payload,
     graph_payload,
@@ -239,8 +239,8 @@ def test_gru_zero_state_skips_the_hidden_half_and_keeps_values_and_grads():
         out = gru_step(cell, constant(x), h_prev)
         entries = tensor_core.tape_length() - before
         backward(sum_all(mul(out, constant(k))))
-        # the r gate is not reached from the zero state: its gradient is zero
-        grads = [np.zeros_like(w.values) if w.grad is None else w.grad for w in weights]
+        # from the zero state the r gate gets the zeros the explicit state gives
+        grads = [w.grad for w in weights]
         for w in weights:
             w.grad = None
         results.append((out.values, entries, grads))
@@ -403,6 +403,21 @@ def test_gradients_reach_every_parameter():
     for name, p in model.named_params().items():
         assert p.grad is not None, f"no gradient for {name}"
         assert p.grad.shape == p.values.shape
+
+
+@pytest.mark.parametrize("arch", sorted(CONNECTIVITY_OF))
+def test_every_parameter_gets_a_gradient_at_k1(arch):
+    # At one lag a zero-start GRU never reads its r gate, which still gets
+    # the zero gradient an explicit zero state gives it.
+    g = two_region_graph()
+    conn = CONNECTIVITY_OF[arch]
+    part = {"regional": decompose_regional(g), "connected": None,
+            "random": decompose_random(g, r=2, seed=0)}[conn]
+    spec = ModelSpec(arch, 5, 1, (1, 2), conn, region_count=2 if conn == "random" else None)
+    model = build_model(spec, g, part)
+    backward(sum_all(model.forward(window(1, 4))))
+    missing = [name for name, p in model.named_params().items() if p.grad is None]
+    assert missing == []
 
 
 def test_cst_depth_and_single_layer_equivalence():

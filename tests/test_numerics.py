@@ -524,6 +524,11 @@ def test_gru_update_equals_the_unfused_ops_bit_for_bit(with_state):
         backward(sum_all(mul(out, constant(k))))
         grads = [t.grad for t in g_ts + ([h_t] if with_state else []) + w_ts]
         results.append([out.values, frozen.values] + grads)
+    if not with_state:
+        # from the zero state the unfused ops never reach x_r; gru_update
+        # gives it the zero gradient an explicit zero state would
+        assert results[1][3] is None
+        results[1][3] = np.zeros_like(gates[1])
     for got, ref in zip(*results):
         if ref is None:
             assert got is None
@@ -554,9 +559,6 @@ def test_gru_update_gradients_match_fd(with_state):
     for i in range(3):
         fd = finite_diff_grad(lambda v: f(gates[:i] + [v] + gates[i + 1:], h_vals, hidden),
                               gates[i].copy())
-        if g_ts[i].grad is None:  # the r gate, unread from the zero state
-            assert not with_state and i == 1
-            continue
         assert rel_err(g_ts[i].grad, fd) < 1e-8
         np.testing.assert_array_equal(g_ts[i].grad[5:], 0.0)
     if with_state:
@@ -748,7 +750,8 @@ def test_composed_network_gradient_matches_fd():
 
 def test_rmsprop_null_step():
     p = parameter([1.0, 2.0, 3.0])
-    opt = RmsProp([p], learning_rate=1e-3, weight_decay=0.0)
+    opt = RmsProp([p], learning_rate=1e-3, weight_decay=0.0, decay_rate=0.99,
+                  smoothing=1e-8, clip_norm=None)
     p.grad = np.zeros(3)
     opt.step()
     np.testing.assert_array_equal(p.values, [1.0, 2.0, 3.0])
@@ -759,7 +762,7 @@ def test_rmsprop_scalar_hand_oracle():
     #   acc = 0.01, step = 1e-3 / (0.1 + 1e-8) = 9.99999900000010e-3
     p = parameter([1.0])
     opt = RmsProp([p], learning_rate=1e-3, weight_decay=0.0,
-                  decay_rate=0.99, smoothing=1e-8)
+                  decay_rate=0.99, smoothing=1e-8, clip_norm=None)
     p.grad = np.array([1.0])
     opt.step()
     assert opt.sq_avg[0][0] == pytest.approx(0.01, rel=1e-12)
@@ -773,7 +776,8 @@ def test_rmsprop_twin_params_stay_identical():
     rng = np.random.default_rng(4)
     a = parameter([1.5, -0.5])
     b = parameter([1.5, -0.5])
-    opt = RmsProp([a, b], learning_rate=1e-2, weight_decay=1e-4)
+    opt = RmsProp([a, b], learning_rate=1e-2, weight_decay=1e-4, decay_rate=0.99,
+                  smoothing=1e-8, clip_norm=None)
     for _ in range(25):
         g = rng.normal(size=2)
         a.grad = g.copy()
@@ -787,8 +791,10 @@ def test_rmsprop_weight_decay_shrinks_param_vs_undecayed_twin():
     grads = [rng.normal(size=1) * 0.1 for _ in range(20)]
     decayed = parameter([10.0])
     plain = parameter([10.0])
-    opt_d = RmsProp([decayed], learning_rate=1e-2, weight_decay=1e-2)
-    opt_p = RmsProp([plain], learning_rate=1e-2, weight_decay=0.0)
+    opt_d = RmsProp([decayed], learning_rate=1e-2, weight_decay=1e-2, decay_rate=0.99,
+                    smoothing=1e-8, clip_norm=None)
+    opt_p = RmsProp([plain], learning_rate=1e-2, weight_decay=0.0, decay_rate=0.99,
+                    smoothing=1e-8, clip_norm=None)
     for g in grads:
         decayed.grad = g.copy()
         plain.grad = g.copy()
@@ -803,7 +809,8 @@ def test_rmsprop_weight_decay_on_a_dead_parameter_stays_bounded():
     lr, rho = 1e-3, 0.99
     start = np.array([-2.0, -0.5, -0.05, 0.05, 0.5, 2.0])
     p = parameter(start)
-    opt = RmsProp([p], learning_rate=lr, weight_decay=1e-4, decay_rate=rho)
+    opt = RmsProp([p], learning_rate=lr, weight_decay=1e-4, decay_rate=rho,
+                  smoothing=1e-8, clip_norm=None)
     previous = np.abs(start)
     for _ in range(200):
         p.grad = np.zeros_like(start)
@@ -818,7 +825,8 @@ def test_rmsprop_weight_decay_on_a_dead_parameter_stays_bounded():
 def test_rmsprop_without_weight_decay_is_the_plain_step():
     rng = np.random.default_rng(8)
     p = parameter(rng.normal(size=5))
-    opt = RmsProp([p], learning_rate=1e-2, weight_decay=0.0)
+    opt = RmsProp([p], learning_rate=1e-2, weight_decay=0.0, decay_rate=0.99,
+                  smoothing=1e-8, clip_norm=None)
     values = p.values.copy()
     acc = np.zeros(5)
     for _ in range(10):
@@ -835,7 +843,8 @@ def test_rmsprop_steps_equal_the_textbook_formula(weight_decay):
     rng = np.random.default_rng(12)
     shapes = [(7, 5), (3,)]   # the smaller one uses a prefix of the scratch arrays
     params = [parameter(rng.normal(size=s)) for s in shapes]
-    opt = RmsProp(params, learning_rate=1e-2, weight_decay=weight_decay)
+    opt = RmsProp(params, learning_rate=1e-2, weight_decay=weight_decay, decay_rate=0.99,
+                  smoothing=1e-8, clip_norm=None)
     values = [p.values.copy() for p in params]
     accs = [np.zeros(s) for s in shapes]
     for _ in range(5):
@@ -857,7 +866,8 @@ def test_rmsprop_step_allocates_no_parameter_sized_array(weight_decay):
     import tracemalloc
     rng = np.random.default_rng(13)
     p = parameter(rng.normal(size=200_000))
-    opt = RmsProp([p], learning_rate=1e-3, weight_decay=weight_decay)
+    opt = RmsProp([p], learning_rate=1e-3, weight_decay=weight_decay, decay_rate=0.99,
+                  smoothing=1e-8, clip_norm=None)
     grad = rng.normal(size=200_000)
     p.grad = grad
     opt.step()
@@ -875,7 +885,8 @@ def test_rmsprop_step_allocates_no_parameter_sized_array(weight_decay):
 def test_rmsprop_grad_norm_sums_each_parameter_then_takes_the_root():
     rng = np.random.default_rng(14)
     params = [parameter(np.zeros(s)) for s in ((40, 30), (30,), (1, 30))]
-    opt = RmsProp(params)
+    opt = RmsProp(params, learning_rate=1e-3, weight_decay=1e-4, decay_rate=0.99,
+                  smoothing=1e-8, clip_norm=None)
     for p in params[:2]:
         p.grad = rng.normal(size=p.shape)
     grads = [p.grad.copy() for p in params[:2]]
@@ -887,15 +898,22 @@ def test_rmsprop_grad_norm_sums_each_parameter_then_takes_the_root():
 
 def test_rmsprop_missing_grad_errors():
     p = parameter([1.0])
-    opt = RmsProp([p])
-    with pytest.raises(ValueError):
+    q = parameter([2.0])
+    opt = RmsProp([p, q], learning_rate=1e-3, weight_decay=1e-4, decay_rate=0.99,
+                  smoothing=1e-8, clip_norm=None)
+    p.grad = np.array([1.0])
+    with pytest.raises(ValueError, match="parameter 1 has no gradient"):
         opt.step()
+    # the step is refused before any parameter moves
+    np.testing.assert_array_equal(p.values, [1.0])
+    np.testing.assert_array_equal(opt.sq_avg[0], [0.0])
 
 
 def test_rmsprop_accumulators_nonnegative():
     rng = np.random.default_rng(9)
     p = parameter(rng.normal(size=6))
-    opt = RmsProp([p], learning_rate=5e-3)
+    opt = RmsProp([p], learning_rate=5e-3, weight_decay=1e-4, decay_rate=0.99,
+                  smoothing=1e-8, clip_norm=None)
     for _ in range(10):
         p.grad = rng.normal(size=6)
         opt.step()
@@ -906,7 +924,8 @@ def test_deterministic_trajectory():
     def run():
         rng = np.random.default_rng(42)
         w = parameter(rng.normal(size=(3, 3)))
-        opt = RmsProp([w], learning_rate=1e-3, weight_decay=1e-4)
+        opt = RmsProp([w], learning_rate=1e-3, weight_decay=1e-4, decay_rate=0.99,
+                      smoothing=1e-8, clip_norm=None)
         x = constant(rng.normal(size=(4, 3)))
         for _ in range(8):
             out = tanh(matmul(x, w))

@@ -25,7 +25,7 @@ from regraph.training import (
     split_validation,
     train,
 )
-from regraph.training.loop import _clip_gradients, _val_rmse
+from regraph.training.loop import _val_rmse
 
 RNG = np.random.default_rng
 
@@ -319,26 +319,40 @@ def test_train_input_validation(tmp_path):
 
 
 def test_gradient_clipping_rescales_global_norm():
+    # RmsProp clips inside its step: the update equals the unclipped update
+    # on gradients scaled by hand, bit for bit, and the gradients are only
+    # read, so two parameters may share one gradient array.
     from regraph.numerics import RmsProp, parameter
-    a = parameter(np.zeros((2, 2)))
-    b = parameter(np.zeros(3))
-    a.grad = np.full((2, 2), 3.0)
-    b.grad = np.full(3, 4.0)
-    norm = np.sqrt(np.sum(a.grad ** 2) + np.sum(b.grad ** 2))
-    _clip_gradients(RmsProp([a, b]), 5.0)
-    clipped = np.sqrt(np.sum(a.grad ** 2) + np.sum(b.grad ** 2))
-    assert clipped == pytest.approx(5.0, abs=1e-12)
-    np.testing.assert_allclose(a.grad, np.full((2, 2), 3.0) * 5.0 / norm)
-
-    c = parameter(np.zeros(2))
-    c.grad = np.array([0.1, 0.1])
-    _clip_gradients(RmsProp([c]), 5.0)
-    np.testing.assert_array_equal(c.grad, [0.1, 0.1])
+    rng = np.random.default_rng(31)
+    start = [rng.normal(size=(2, 3)), rng.normal(size=(2, 3)), rng.normal(size=4)]
+    shared = rng.normal(size=(2, 3))
+    grads = [shared, shared, rng.normal(size=4)]
+    given = [g.copy() for g in grads]
+    norm = np.sqrt(sum(float(np.sum(g * g)) for g in grads))
+    for clip_norm, fires in ((0.5 * norm, True), (5.0 * norm, False)):
+        hand = [g * (clip_norm / norm) for g in grads] if fires else grads
+        if fires:
+            assert np.sqrt(sum(np.sum(g * g) for g in hand)) == pytest.approx(clip_norm)
+        for weight_decay in (0.0, 1e-2):
+            runs = []
+            for clip, step_grads in ((clip_norm, grads), (None, hand)):
+                params = [parameter(v) for v in start]
+                opt = RmsProp(params, learning_rate=1e-2, weight_decay=weight_decay,
+                              decay_rate=0.99, smoothing=1e-8, clip_norm=clip)
+                for _ in range(2):
+                    for p, g in zip(params, step_grads):
+                        p.grad = g
+                    opt.step()
+                runs.append([p.values for p in params] + opt.sq_avg)
+            for got, ref in zip(*runs):
+                np.testing.assert_array_equal(got, ref)
+            for g, ref in zip(grads, given):
+                np.testing.assert_array_equal(g, ref)
 
 
 @pytest.mark.parametrize("arch", ["TGCN", "StackedGRU"])
 def test_one_lag_models_train_with_a_zero_gradient_for_the_reset_gate(tmp_path, arch):
-    # From the all-zero state the r gate never reaches the loss at k = 1.
+    # From the all-zero state the r gate does not move the loss at k = 1.
     model = build_model(ModelSpec(arch, 6, 1, (1, 2), "connected", seed=2), toy_graph())
     r_gates = [p for name, p in model.named_params().items() if name.endswith(".wr")]
     before = [p.values.copy() for p in r_gates]
