@@ -22,6 +22,8 @@ from regraph.config import (
     synth_config_from,
 )
 from regraph.data import (
+    GRID_STEP_MIN,
+    MAX_GAP_STEPS,
     generate_synthetic,
     interpolate_to_grid,
     load_records,
@@ -391,8 +393,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--checkpoint", required=True)
     p.add_argument("--data", required=True)
     p.add_argument("--out", required=True)
-    p.add_argument("--grid-step-min", type=int, default=10)
-    p.add_argument("--max-gap-steps", type=int, default=6)
+    p.add_argument("--grid-step-min", type=int, default=GRID_STEP_MIN)
+    p.add_argument("--max-gap-steps", type=int, default=MAX_GAP_STEPS)
     p.set_defaults(handler=_cmd_predict)
 
     p = sub.add_parser("evaluate", help="metrics and comparison over run dirs")

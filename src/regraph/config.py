@@ -11,9 +11,10 @@ is ``evaluate --literal-eq14``.
 
 import dataclasses
 import json
+import typing
 from pathlib import Path
 
-from regraph.data import SyntheticConfig
+from regraph.data import GRID_STEP_MIN, MAX_GAP_STEPS, SyntheticConfig
 from regraph.errors import ConfigError
 from regraph.models import ModelSpec
 from regraph.models.architectures import ARCHITECTURES, CONNECTIVITY_OF
@@ -35,8 +36,10 @@ _JSON_TYPES = {bool: (bool,), int: (int,), float: (int, float), str: (str,),
 
 
 def _field_leaves(cls, defaults=None, nullable=(), skip=()) -> dict:
-    """One (default, accepted types) leaf per field of a config dataclass."""
+    """One leaf per field of a config dataclass; a tuple field's leaf also
+    takes its item types and length from the field's annotation."""
     defaults = defaults or {}
+    hints = typing.get_type_hints(cls)
     leaves = {}
     for f in dataclasses.fields(cls):
         if f.name in skip:
@@ -45,21 +48,26 @@ def _field_leaves(cls, defaults=None, nullable=(), skip=()) -> dict:
         types = _JSON_TYPES[type(default)]
         if f.name in nullable:
             types += (type(None),)
-        leaves[f.name] = (list(default) if isinstance(default, tuple) else default,
-                          types)
+        if isinstance(default, tuple):
+            items = typing.get_args(hints[f.name])  # (int, ...) or (float, float)
+            length = None if items[-1] is Ellipsis else len(items)
+            leaves[f.name] = (list(default), types, _JSON_TYPES[items[0]], length)
+        else:
+            leaves[f.name] = (default, types)
     return leaves
 
 
-# (default, accepted types); None defaults carry their concrete type.
+# (default, accepted types[, item types, length or None for any]); None
+# defaults carry their concrete type.
 # Train leaves that differ from their TrainConfig field: epochs has no
 # dataclass default, grad_clip_norm may be null (no clipping), and horizons
 # is data.horizons.
 _SCHEMA = {
     "data": {
-        "grid_step_min": (10, int),
-        "max_gap_steps": (6, int),
+        "grid_step_min": (GRID_STEP_MIN, int),
+        "max_gap_steps": (MAX_GAP_STEPS, int),
         "k": (6, int),
-        "horizons": ([1, 3, 12, 36], list),
+        "horizons": ([1, 3, 12, 36], list, (int,), None),
         "train_weeks": ([], list),
         "test_weeks": ([], list),
         "generality_weeks": ([], list),
@@ -91,19 +99,29 @@ def _resolve_section(schema: dict, given, path: str) -> dict:
             out[key] = _resolve_section(node, {} if value is _MISSING else value,
                                         child_path)
             continue
-        default, types = node
+        default, types, *items = node
         if value is _MISSING:
             out[key] = default
             continue
-        if isinstance(value, bool) and bool not in _as_tuple(types):
-            raise ConfigError(f"config key {child_path} has the wrong type: "
-                              f"expected {_type_names(types)}, got bool")
-        if not isinstance(value, types):
-            raise ConfigError(f"config key {child_path} has the wrong type: "
-                              f"expected {_type_names(types)}, "
-                              f"got {type(value).__name__}")
+        _check_type(value, types, child_path)
+        if items:
+            _check_items(value, child_path, *items)
         out[key] = value
     return out
+
+
+def _check_type(value, types, path: str) -> None:
+    if (isinstance(value, bool) and bool not in _as_tuple(types)
+            or not isinstance(value, types)):
+        raise ConfigError(f"config key {path} has the wrong type: expected "
+                          f"{_type_names(types)}, got {type(value).__name__}")
+
+
+def _check_items(values: list, path: str, types, length) -> None:
+    if length is not None and len(values) != length:
+        raise ConfigError(f"config key {path} must hold {length} items, got {len(values)}")
+    for i, value in enumerate(values):
+        _check_type(value, types, f"{path}[{i}]")
 
 
 def _as_tuple(types):

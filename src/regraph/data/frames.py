@@ -22,13 +22,16 @@ from ..errors import DataError
 from ..graph.build import SiteMeta
 from .ingest import EPOCH, MICROSECOND
 
-__all__ = ["FEATURE_COLUMNS", "FeatureGrid", "interpolate_to_grid", "occupancy_rate"]
+__all__ = ["FEATURE_COLUMNS", "GRID_STEP_MIN", "MAX_GAP_STEPS", "OCCUPANCY_COL", "SCALED_COLUMNS",
+           "FeatureGrid", "interpolate_to_grid", "occupancy_rate"]
 
 FEATURE_COLUMNS = ["week_id", "day_id", "hour_id", "travel_time",
                    "owner", "amenity", "capacity", "occupancy_rate"]
 
 OCCUPANCY_COL = 7
 SCALED_COLUMNS = (0, 1, 2, 3, 5, 6)  # owner is already 0/1, occupancy stays raw
+GRID_STEP_MIN = 10  # default grid spacing, minutes
+MAX_GAP_STEPS = 6  # default longest gap bridged, grid steps
 GRID_CELLS_PER_RECORD = 64  # most (step, site) cells a grid may hold per record read
 
 
@@ -77,8 +80,8 @@ class FeatureGrid:
 
 def interpolate_to_grid(records: Mapping[str, np.ndarray],
                         sites: Sequence[SiteMeta],
-                        grid_step_min: int = 10,
-                        max_gap: int = 6) -> FeatureGrid:
+                        grid_step_min: int = GRID_STEP_MIN,
+                        max_gap: int = MAX_GAP_STEPS) -> FeatureGrid:
     """Resample per-site ``RECORD_DTYPE`` streams onto a shared uniform grid.
 
     The grid spans the data. A step is valid only when every site has a

@@ -11,7 +11,7 @@ from typing import Iterable, Sequence
 import numpy as np
 
 from ..errors import ConfigError, DataError
-from .frames import FEATURE_COLUMNS, OCCUPANCY_COL, SCALED_COLUMNS, FeatureGrid
+from .frames import FEATURE_COLUMNS, GRID_STEP_MIN, OCCUPANCY_COL, SCALED_COLUMNS, FeatureGrid
 
 __all__ = [
     "WindowSample",
@@ -49,7 +49,7 @@ class WindowSample:
 
 
 def make_windows(grid: FeatureGrid, k: int, horizons: Sequence[int],
-                 grid_step_min: int = 10) -> list[WindowSample]:
+                 grid_step_min: int = GRID_STEP_MIN) -> list[WindowSample]:
     """Stride-1 windows over maximal runs of valid grid steps.
 
     A run of F steps yields F - k - max(horizons) + 1 samples; no window

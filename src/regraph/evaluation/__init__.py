@@ -1,39 +1,7 @@
 """Metrics and report generation for trained forecasters."""
 
-from regraph.evaluation.metrics import (
-    MIN_Q95_OBSERVATIONS,
-    MetricSet,
-    compute_metrics,
-    q95_reference,
-    q95_table,
-)
-from regraph.evaluation.reports import (
-    METRICS_COLUMNS,
-    EvalReport,
-    aggregate_comparison,
-    evaluate_model,
-    generality_inference,
-    metric_rows,
-    predict_samples,
-    write_comparison_json,
-    write_metrics_csv,
-    write_timeseries,
-)
+from regraph.evaluation import metrics, reports
+from regraph.evaluation.metrics import *  # noqa: F403
+from regraph.evaluation.reports import *  # noqa: F403
 
-__all__ = [
-    "MIN_Q95_OBSERVATIONS",
-    "METRICS_COLUMNS",
-    "EvalReport",
-    "MetricSet",
-    "aggregate_comparison",
-    "compute_metrics",
-    "evaluate_model",
-    "generality_inference",
-    "metric_rows",
-    "predict_samples",
-    "q95_reference",
-    "q95_table",
-    "write_comparison_json",
-    "write_metrics_csv",
-    "write_timeseries",
-]
+__all__ = metrics.__all__ + reports.__all__

@@ -15,6 +15,7 @@ import numpy as np
 from regraph.errors import ShapeError
 
 __all__ = [
+    "MIN_Q95_OBSERVATIONS",
     "MetricSet",
     "compute_metrics",
     "q95_reference",

@@ -9,7 +9,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from regraph.data import apply_scaling, step_positions, week_label
+from regraph.data import GRID_STEP_MIN, apply_scaling, step_positions, week_label
 from regraph.errors import ConfigError, ShapeError
 from regraph.evaluation.metrics import MetricSet, compute_metrics, q95_table
 from regraph.files import atomic_open
@@ -67,7 +67,7 @@ def predict_samples(model, samples, scaling_lo, scaling_hi):
 
 
 def evaluate_model(model, samples, scaling_lo, scaling_hi,
-                   grid_step_min: int = 10) -> EvalReport:
+                   grid_step_min: int = GRID_STEP_MIN) -> EvalReport:
     """Frozen inference over the samples, metrics per horizon."""
     samples = list(samples)
     if not samples:
@@ -89,7 +89,7 @@ def evaluate_model(model, samples, scaling_lo, scaling_hi,
                       site_ids=site_ids, n_samples=len(samples), predictions=preds)
 
 
-def generality_inference(model, bundle, samples, grid_step_min: int = 10) -> EvalReport:
+def generality_inference(model, bundle, samples, grid_step_min: int = GRID_STEP_MIN) -> EvalReport:
     """Evaluate a trained checkpoint's model on weeks it has never seen.
 
     ``model`` is restored from ``bundle``, which gives the training weeks and
@@ -170,7 +170,7 @@ def write_comparison_json(path, rows, overlap_costs=None,
 
 
 def write_timeseries(path, samples, preds, site_ids,
-                     grid_step_min: int = 10) -> None:
+                     grid_step_min: int = GRID_STEP_MIN) -> None:
     """Target-time-aligned truth and predictions, one row per (site, time).
 
     preds is the (n_samples, n_sites, n_horizons) stack from predict_samples,

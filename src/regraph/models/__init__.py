@@ -1,53 +1,8 @@
 """Forecasting architectures, their layers, and checkpoint storage."""
 
-from regraph.models.architectures import (
-    ARCHITECTURES,
-    IN_WIDTH,
-    ForecastModel,
-    GraphContext,
-    ModelSpec,
-    build_model,
-)
-from regraph.models.checkpoint import (
-    CheckpointBundle,
-    load_checkpoint,
-    restore_model,
-    save_checkpoint,
-)
-from regraph.models.layers import (
-    AttentionAggregator,
-    Decoder,
-    GcnGruCell,
-    GcnLayer,
-    StructuralConv,
-    affine,
-    attention_aggregate,
-    gcn_forward,
-    gru_step,
-    structural_conv,
-    uniform_init,
-)
+from regraph.models import architectures, checkpoint, layers
+from regraph.models.architectures import *  # noqa: F403
+from regraph.models.checkpoint import *  # noqa: F403
+from regraph.models.layers import *  # noqa: F403
 
-__all__ = [
-    "ARCHITECTURES",
-    "IN_WIDTH",
-    "AttentionAggregator",
-    "CheckpointBundle",
-    "Decoder",
-    "ForecastModel",
-    "GcnGruCell",
-    "GcnLayer",
-    "GraphContext",
-    "ModelSpec",
-    "StructuralConv",
-    "affine",
-    "attention_aggregate",
-    "build_model",
-    "gcn_forward",
-    "gru_step",
-    "load_checkpoint",
-    "restore_model",
-    "save_checkpoint",
-    "structural_conv",
-    "uniform_init",
-]
+__all__ = architectures.__all__ + checkpoint.__all__ + layers.__all__

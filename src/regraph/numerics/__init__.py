@@ -1,57 +1,7 @@
 """Reverse-mode autodiff on dense float64 arrays, plus the optimizer."""
 
-from regraph.numerics.optim import RmsProp
-from regraph.numerics.tensor import (
-    DiffTensor,
-    add,
-    add_row,
-    backward,
-    clear_tape,
-    concat,
-    constant,
-    gru_update,
-    matmul,
-    mean_all,
-    mul,
-    no_grad,
-    parameter,
-    propagate,
-    relu,
-    reshape,
-    segment_gcn,
-    sigmoid,
-    softmax,
-    sub,
-    sum_all,
-    take_rows,
-    tanh,
-    tape_length,
-)
+from regraph.numerics import optim, tensor
+from regraph.numerics.optim import *  # noqa: F403
+from regraph.numerics.tensor import *  # noqa: F403
 
-__all__ = [
-    "DiffTensor",
-    "RmsProp",
-    "add",
-    "add_row",
-    "backward",
-    "clear_tape",
-    "concat",
-    "constant",
-    "gru_update",
-    "matmul",
-    "mean_all",
-    "mul",
-    "no_grad",
-    "parameter",
-    "propagate",
-    "relu",
-    "reshape",
-    "segment_gcn",
-    "sigmoid",
-    "softmax",
-    "sub",
-    "sum_all",
-    "take_rows",
-    "tanh",
-    "tape_length",
-]
+__all__ = optim.__all__ + tensor.__all__

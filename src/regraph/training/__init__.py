@@ -1,23 +1,6 @@
 """Model fitting: loss, validation split, and the epoch loop."""
 
-from regraph.training.loop import (
-    BEST_CHECKPOINT,
-    LOSS_TRACE,
-    REPORT_FILE,
-    TrainConfig,
-    TrainReport,
-    mse_loss,
-    split_validation,
-    train,
-)
+from regraph.training import loop
+from regraph.training.loop import *  # noqa: F403
 
-__all__ = [
-    "BEST_CHECKPOINT",
-    "LOSS_TRACE",
-    "REPORT_FILE",
-    "TrainConfig",
-    "TrainReport",
-    "mse_loss",
-    "split_validation",
-    "train",
-]
+__all__ = loop.__all__

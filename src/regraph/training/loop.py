@@ -25,6 +25,9 @@ except ImportError:  # not on every platform; faults then read 0
     resource = None
 
 __all__ = [
+    "BEST_CHECKPOINT",
+    "LOSS_TRACE",
+    "REPORT_FILE",
     "TrainConfig",
     "TrainReport",
     "mse_loss",

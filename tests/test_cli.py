@@ -2,6 +2,7 @@
 
 import dataclasses
 import json
+import re
 import shutil
 
 import numpy as np
@@ -101,11 +102,31 @@ def test_int_for_a_float_key_reaches_the_dataclass_as_a_float(tmp_path):
     assert b'"noise_level": 0.0' in sidecars[0]
 
 
-def test_type_errors_name_key():
+# Each list element is checked against its field's item type, and a pair's
+# length too; run through the CLI, each config exits 2 naming the key.
+MALFORMED_LISTS = [
+    ({"horizons": ["a"]}, r"data\.horizons\[0\] has the wrong type: expected int, got str"),
+    ({"horizons": [None]}, r"data\.horizons\[0\] has the wrong type"),
+    ({"horizons": [1, True]}, r"data\.horizons\[1\] has the wrong type: expected int, got bool"),
+    ({"synth": {"base_range": ["a", 1]}}, r"data\.synth\.base_range\[0\] has the wrong type"),
+    ({"synth": {"base_range": [0.1, 0.2, 0.3]}}, r"data\.synth\.base_range must hold 2 items, got 3"),
+    ({"synth": {"forced_full": ["x"]}}, r"data\.synth\.forced_full\[0\] has the wrong type"),
+    ({"synth": {"capacity_range": [1.5, 3]}},
+     r"data\.synth\.capacity_range\[0\] has the wrong type: expected int, got float"),
+]
+
+
+def test_type_errors_name_key(tmp_path, capsys):
     with pytest.raises(ConfigError, match="train.epochs"):
         resolve_config({"train": {"epochs": "ten"}})
     with pytest.raises(ConfigError, match="expected int or float, got bool"):
         resolve_config({"train": {"learning_rate": True}})
+    for i, (data, message) in enumerate(MALFORMED_LISTS):
+        with pytest.raises(ConfigError, match=message):
+            resolve_config({"data": data})
+        cfg = write_config(tmp_path / f"cfg{i}.json", data=data)
+        assert main(["synth", "--config", str(cfg), "--out", str(tmp_path / f"out{i}")]) == 2
+        assert re.search(message, capsys.readouterr().err)
 
 
 def test_load_config_reports_json_position(tmp_path):

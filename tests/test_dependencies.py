@@ -93,3 +93,25 @@ def test_only_the_tape_switch_reads_the_recording_flag():
         and any(isinstance(node, ast.Name) and node.id == "_RECORDING"
                 and isinstance(node.ctx, ast.Load) for node in ast.walk(fn)))
     assert readers == ["_record", "no_grad"]
+
+
+def test_package_all_is_its_modules_all_concatenated():
+    # A name is declared once, in its module's __all__; the subpackage's
+    # __init__ star-imports the modules and holds no name list of its own.
+    inits = sorted(PACKAGE.glob("*/__init__.py"))
+    assert len(inits) == 6
+    for path in inits:
+        package = importlib.import_module(f"regraph.{path.parent.name}")
+        modules = [importlib.import_module(f"{package.__name__}.{p.stem}")
+                   for p in sorted(path.parent.glob("*.py")) if p.stem != "__init__"]
+        declared = [name for module in modules for name in module.__all__]
+        assert package.__all__ == declared, package.__name__
+        assert len(set(declared)) == len(declared), package.__name__
+        assert all(getattr(package, name) is getattr(module, name)
+                   for module in modules for name in module.__all__)
+        # it imports only its modules and their stars, and spells out no names
+        tree = ast.parse(path.read_text(encoding="utf-8"))
+        imported = {alias.name for node in ast.walk(tree) if isinstance(node, ast.ImportFrom)
+                    for alias in node.names}
+        assert imported == {"*"} | {p.stem for p in path.parent.glob("*.py")} - {"__init__"}
+        assert not any(isinstance(node, (ast.List, ast.Tuple, ast.Set)) for node in ast.walk(tree))
