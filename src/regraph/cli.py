@@ -56,8 +56,7 @@ from regraph.models.checkpoint import (
     partition_from_payload,
     partition_payload,
 )
-from regraph.training import split_validation, train
-from regraph.training.loop import _val_rmse
+from regraph.training import split_validation, train, val_rmse
 
 __all__ = ["main"]
 
@@ -296,8 +295,8 @@ def _cmd_evaluate(args) -> int:
             _, val_raw = split_validation(
                 train_s, resolved["train"]["val_fraction"])
             if val_raw:
-                check = float(np.mean(_val_rmse(model, val_raw, bundle.scaling_lo,
-                                                bundle.scaling_hi)))
+                check = float(np.mean(val_rmse(model, val_raw, bundle.scaling_lo,
+                                               bundle.scaling_hi)))
                 summary["val_rmse_check"] = check
                 summary["val_rmse_reported"] = val_reported
         if gen_s:

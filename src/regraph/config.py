@@ -114,7 +114,7 @@ def _check_type(value, types, path: str) -> None:
     if (isinstance(value, bool) and bool not in _as_tuple(types)
             or not isinstance(value, types)):
         raise ConfigError(f"config key {path} has the wrong type: expected "
-                          f"{_type_names(types)}, got {type(value).__name__}")
+                          f"{_type_names(types)}, got {_type_names(type(value))}")
 
 
 def _check_items(values: list, path: str, types, length) -> None:

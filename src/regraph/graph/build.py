@@ -3,7 +3,8 @@
 A graph connects parking sites whose pairwise distance is at or below a
 threshold (default 40 miles, roughly a 30-minute drive). It keeps only its
 edges with their raw miles and kernel weights; ``dense_operator`` builds
-from them the n x n operator a model multiplies by. Two decompositions
+from them an n x n operator a model multiplies by, and ``neighbor_lists``
+the binary adjacency as sorted neighbor lists. Two decompositions
 split the graph into independent blocks: one per state label, and one
 into seeded random groups that are fully connected internally.
 """
@@ -32,6 +33,7 @@ __all__ = [
     "degree",
     "dense_operator",
     "load_sites",
+    "neighbor_lists",
     "overlap_cost",
     "partition_from_assignment",
 ]
@@ -171,6 +173,31 @@ def _assemble_graph(nodes: Sequence[SiteMeta], edges: Sequence[tuple[int, int, f
     )
 
 
+def _edge_ends(g: SiteGraph) -> np.ndarray:
+    """The (i, j) of every edge, in edge order, as an edges x 2 array.
+
+    Filled straight from the edge tuples, with no list of pairs between.
+    """
+    return np.fromiter((v for e in g.edges for v in e[:2]), np.int64,
+                       2 * len(g.edges)).reshape(-1, 2)
+
+
+def neighbor_lists(g: SiteGraph) -> tuple[np.ndarray, np.ndarray]:
+    """The binary adjacency in CSR form: ``(starts, neighbors)``.
+
+    Node i's neighbors, the other ends of its edges of positive weight, are
+    ``neighbors[starts[i]:starts[i + 1]]``, in ascending order; ``starts``
+    has n + 1 entries. Each edge appears from both ends. Arrays are
+    read-only.
+    """
+    ends = _edge_ends(g)[g.weights > 0]
+    rows = np.concatenate([ends[:, 0], ends[:, 1]])
+    cols = np.concatenate([ends[:, 1], ends[:, 0]])
+    starts = np.zeros(g.n + 1, dtype=np.int64)
+    np.cumsum(g.degrees, out=starts[1:])
+    return _freeze(starts), _freeze(cols[np.lexsort((cols, rows))])
+
+
 def dense_operator(g: SiteGraph, kind: str) -> np.ndarray:
     """One n x n operator of the graph, built from its edges.
 
@@ -178,7 +205,7 @@ def dense_operator(g: SiteGraph, kind: str) -> np.ndarray:
     ``normalized``: the symmetric normalization with self-loops of the
     kernel weights A, D^-1/2 (A+I) D^-1/2.
     """
-    ends = np.array([e[:2] for e in g.edges], dtype=np.int64).reshape(-1, 2)
+    ends = _edge_ends(g)
     weights = g.weights
     if kind == "binary":
         ends, weights = ends[weights > 0], 1.0

@@ -40,7 +40,7 @@ import numpy as np
 
 from ..data.frames import FEATURE_COLUMNS
 from ..errors import ConfigError, ShapeError
-from ..graph.build import RegionalPartition, SiteGraph, dense_operator
+from ..graph.build import RegionalPartition, SiteGraph, dense_operator, neighbor_lists
 from ..numerics import DiffTensor, concat, constant, gru_update, no_grad, segment_gcn, take_rows
 # gru_step and attention_aggregate are not called here, but perfbench's layer
 # tracer wraps them where this module looks them up.
@@ -130,11 +130,13 @@ class ModelSpec:
 class GraphContext:
     """Frozen graph operators shared by a model's forward passes.
 
-    Holds ``operator``, the one dense n x n full-graph operator its model
-    multiplies by (``dense_operator`` of the named kind, or None), and,
-    when a partition is attached, each subgraph's normalized operator and
-    ``groups``: each subgraph's rows in global order (the partition's
-    ``node_indices``), in region order.
+    Holds ``operator``, the one full-graph operator its model multiplies
+    by: for the kind ``neighbors`` the binary adjacency as the neighbor
+    lists of ``neighbor_lists``, with no n x n array; for ``binary`` or
+    ``normalized`` the dense n x n ``dense_operator`` of that kind; or
+    None. When a partition is attached it also holds each subgraph's dense
+    normalized operator and ``groups``: each subgraph's rows in global
+    order (the partition's ``node_indices``), in region order.
     """
 
     def __init__(self, graph: SiteGraph, operator: str | None,
@@ -142,7 +144,10 @@ class GraphContext:
         self.graph = graph
         self.partition = partition
         self.n = graph.n
-        self.operator = None if operator is None else constant(dense_operator(graph, operator))
+        if operator == "neighbors":
+            self.operator = neighbor_lists(graph)
+        else:
+            self.operator = None if operator is None else constant(dense_operator(graph, operator))
 
         self.region_order: tuple[str, ...] = ()
         self.sub_normalized: dict[str, DiffTensor] = {}
@@ -348,7 +353,9 @@ class _GruAttention(ForecastModel):
     flight is (h, attention sum, lags taken).
     """
 
-    operator_kind = "binary"
+    # The one structural conv multiplies the 8-wide model input, which
+    # neighbor lists sum without an n x n array.
+    operator_kind = "neighbors"
 
     def _gru_input(self, x: DiffTensor) -> tuple[DiffTensor, DiffTensor | None]:
         raise NotImplementedError
@@ -403,6 +410,9 @@ class CstGcn(TGcn):
     """TGcn with a five-deep structural conv chain."""
 
     conv_depth = CST_DEPTH
+    # The deeper convs multiply hidden-wide taped features, where dense BLAS
+    # is many times faster than summing neighbor lists.
+    operator_kind = "binary"
 
 
 class PartitionedTGcn(_GruAttention):

@@ -14,6 +14,7 @@ training runs write identical bytes.
 from __future__ import annotations
 
 import json
+import math
 import struct
 from dataclasses import dataclass
 from pathlib import Path
@@ -204,7 +205,10 @@ def load_checkpoint(path: str | Path) -> CheckpointBundle:
         offset = start + header_len
         for entry in header["weights"]:
             shape = tuple(entry["shape"])
-            count = int(np.prod(shape)) if shape else 1
+            if not all(type(d) is int and d >= 0 for d in shape):  # no bool, no float
+                raise DataError(f"{path}: weight {entry['name']} has shape {list(shape)}, "
+                                f"not a list of non-negative ints")
+            count = math.prod(shape)
             end = offset + count * 8
             if end > len(raw):
                 raise DataError(f"{path}: truncated checkpoint at weight {entry['name']}")

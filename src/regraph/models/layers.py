@@ -90,12 +90,14 @@ class StructuralConv:
         return [("w", self.w)]
 
 
-def structural_conv(layer: StructuralConv, binary_adjacency: DiffTensor,
+def structural_conv(layer: StructuralConv, binary_adjacency,
                     eta: DiffTensor) -> DiffTensor:
     """The conv of ``eta``, which may stack several steps of n rows each.
 
-    The whole stack goes through the weight in one product. For a constant
-    ``eta`` (the model input) ``eta + A eta`` records nothing on the tape.
+    ``binary_adjacency`` is the dense n x n matrix or its neighbor lists
+    (see ``propagate``). The whole stack goes through the weight in one
+    product. For a constant ``eta`` (the model input) ``eta + A eta``
+    records nothing on the tape.
     """
     if eta.shape[1] != layer.w.shape[0]:
         raise ShapeError(

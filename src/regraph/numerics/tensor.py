@@ -326,24 +326,67 @@ def _blocks(x: DiffTensor, n: int, op: str) -> int:
     return x.values.shape[0] // n
 
 
-def propagate(operator, x) -> DiffTensor:
-    """The constant n x n ``operator`` times each n-row block of ``x``.
+def _neighbor_sum(starts: np.ndarray, neighbors: np.ndarray, v: np.ndarray) -> np.ndarray:
+    """Per n-row block of ``v``, each node's neighbor rows added in
+    ascending index order; a node of degree 0 gets a zero row.
 
-    ``x`` stacks m steps of n rows; each block's product is the one
-    ``matmul(operator, block)`` takes, bit for bit. Only ``x`` is
-    differentiated.
+    Nodes go in order of falling degree, so the nodes that have an s-th
+    neighbor are a prefix, and slot s adds those neighbors' rows (of every
+    block at once) to that prefix in one gather.
     """
-    operator, x = _as_tensor(operator), _as_tensor(x)
-    a = operator.values
-    if a.ndim != 2 or a.shape[0] != a.shape[1]:
-        raise ShapeError(f"propagate: expected a square operator, got shape {a.shape}")
-    n = a.shape[0]
-    m = _blocks(x, n, "propagate")
-    width = x.values.shape[1]
-    out = DiffTensor(np.matmul(a, x.values.reshape(m, n, width)).reshape(m * n, width))
+    n = len(starts) - 1
+    m, width = v.shape[0] // n, v.shape[1]
+    node_rows = v.reshape(m, n, width).transpose(1, 0, 2).reshape(n, m * width)
+    degrees = np.diff(starts)
+    order = np.argsort(-degrees, kind="stable")
+    first = starts[order]
+    acc = np.zeros((n, m * width))
+    slots = np.searchsorted(-degrees[order], -np.arange(degrees.max(initial=0)))
+    for s, taking in enumerate(slots):
+        acc[:taking] += node_rows[neighbors[first[:taking] + s]]
+    out = np.empty_like(acc)
+    out[order] = acc
+    return out.reshape(n, m, width).transpose(1, 0, 2).reshape(m * n, width)
+
+
+def propagate(operator, x) -> DiffTensor:
+    """A constant n x n ``operator`` times each n-row block of ``x``.
+
+    ``x`` stacks m steps of n rows. A square ``operator`` (array or
+    tensor) gives each block the product ``matmul(operator, block)`` takes,
+    bit for bit. The pair ``(starts, neighbors)`` of ``neighbor_lists``
+    stands for the binary adjacency: each block's rows of a node's
+    neighbors are added in ascending index order, with no n x n array,
+    and the gradient is the same sum over ``g``, the adjacency being
+    symmetric. Only ``x`` is differentiated.
+    """
+    x = _as_tensor(x)
+    if isinstance(operator, tuple):
+        starts, neighbors = operator
+        if np.ndim(starts) != 1 or np.ndim(neighbors) != 1 or len(starts) < 2 \
+                or starts[-1] != len(neighbors):
+            raise ShapeError("propagate: expected neighbor lists (starts, neighbors)")
+        _blocks(x, len(starts) - 1, "propagate")
+
+        def product(v):
+            return _neighbor_sum(starts, neighbors, v)
+        transposed = product
+    else:
+        a = _as_tensor(operator).values
+        if a.ndim != 2 or a.shape[0] != a.shape[1]:
+            raise ShapeError(f"propagate: expected a square operator, got shape {a.shape}")
+        n = a.shape[0]
+        m = _blocks(x, n, "propagate")
+
+        def product(v, op=a):
+            return np.matmul(op, v.reshape(m, n, -1)).reshape(v.shape)
+
+        def transposed(v):
+            return product(v, a.T)
+    out = DiffTensor(product(x.values))
 
     def grad_fn(g):
-        return (np.matmul(a.T, g.reshape(m, n, width)).reshape(m * n, width),)
+        return (transposed(g),)
 
     _record((x,), out, grad_fn)
     return out

@@ -33,6 +33,7 @@ __all__ = [
     "mse_loss",
     "split_validation",
     "train",
+    "val_rmse",
 ]
 
 BEST_CHECKPOINT = "checkpoint_best.ckpt"
@@ -178,7 +179,7 @@ def _minor_faults() -> int:
     return 0 if resource is None else resource.getrusage(resource.RUSAGE_SELF).ru_minflt
 
 
-def _val_rmse(model, samples, lo, hi) -> tuple[float, ...]:
+def val_rmse(model, samples, lo, hi) -> tuple[float, ...]:
     """RMSE per horizon of the model on raw samples, scaled by (lo, hi)."""
     preds, _ = predict_samples(model, samples, lo, hi)
     sq = np.zeros(model.spec.n_horizons)
@@ -188,6 +189,11 @@ def _val_rmse(model, samples, lo, hi) -> tuple[float, ...]:
         sq += np.sum(err * err, axis=0)
         count += err.shape[0]
     return tuple(float(np.sqrt(v / count)) for v in sq)
+
+
+# ``train`` validates through this module-level name, which perfbench's
+# tracer wraps to time validation.
+_val_rmse = val_rmse
 
 
 def _write_trace(path, report: TrainReport) -> None:

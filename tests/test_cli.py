@@ -103,10 +103,12 @@ def test_int_for_a_float_key_reaches_the_dataclass_as_a_float(tmp_path):
 
 
 # Each list element is checked against its field's item type, and a pair's
-# length too; run through the CLI, each config exits 2 naming the key.
+# length too; a JSON null is named as the schema names it. Run through the
+# CLI, each config exits 2 naming the key.
 MALFORMED_LISTS = [
     ({"horizons": ["a"]}, r"data\.horizons\[0\] has the wrong type: expected int, got str"),
-    ({"horizons": [None]}, r"data\.horizons\[0\] has the wrong type"),
+    ({"horizons": [None]}, r"data\.horizons\[0\] has the wrong type: expected int, got null$"),
+    ({"k": None}, r"data\.k has the wrong type: expected int, got null$"),
     ({"horizons": [1, True]}, r"data\.horizons\[1\] has the wrong type: expected int, got bool"),
     ({"synth": {"base_range": ["a", 1]}}, r"data\.synth\.base_range\[0\] has the wrong type"),
     ({"synth": {"base_range": [0.1, 0.2, 0.3]}}, r"data\.synth\.base_range must hold 2 items, got 3"),

@@ -44,8 +44,7 @@ from regraph.models import (
     save_checkpoint,
 )
 from regraph.numerics import clear_tape
-from regraph.training import TrainConfig, train
-from regraph.training.loop import _val_rmse
+from regraph.training import TrainConfig, train, val_rmse
 
 RNG = np.random.default_rng
 
@@ -324,7 +323,7 @@ def test_predict_samples_embeds_each_step_once(windows):
     predict_samples(model, samples, np.zeros(8), np.ones(8))
     assert len(calls) == windows + 4 - 1
     calls.clear()
-    _val_rmse(model, samples, np.zeros(8), np.ones(8))
+    val_rmse(model, samples, np.zeros(8), np.ones(8))
     assert len(calls) == windows + 4 - 1
     calls.clear()
     model.predict(samples[0].inputs)

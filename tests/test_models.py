@@ -3,6 +3,7 @@
 import json
 import struct
 import tracemalloc
+import warnings
 
 import numpy as np
 import pytest
@@ -36,7 +37,17 @@ from regraph.models import (
     save_checkpoint,
     structural_conv,
 )
-from regraph.models.architectures import CONNECTIVITY_OF, CstGcn, GraphContext, TGcn
+from regraph.models.architectures import (
+    ARCHITECTURES,
+    CONNECTIVITY_OF,
+    CstGcn,
+    GraphContext,
+    RanTGcn,
+    RegTGcn,
+    StackedGcn,
+    StackedGru,
+    TGcn,
+)
 from regraph.models.checkpoint import (
     graph_from_payload,
     graph_payload,
@@ -717,6 +728,34 @@ def check_degrees(g, adjacency):
     assert [degree(g, i) for i in range(g.n)] == rows.tolist()
 
 
+# The full-graph operator each model's context holds: the T-GCN models with one
+# structural conv of the model input hold neighbor lists; CSTGCN, whose deeper
+# convs multiply hidden-wide features, and StackedGCN hold a dense matrix.
+OPERATOR_OF = {StackedGru: None, StackedGcn: "normalized", TGcn: "neighbors",
+               CstGcn: "binary", RanTGcn: "neighbors", RegTGcn: "neighbors"}
+
+
+def expected_operators(adjacency):
+    """Per operator kind, what the dense construction says a context holds."""
+    binary = dense_binary(adjacency)
+    lists = (np.concatenate([[0], np.cumsum(np.count_nonzero(binary, axis=1))]),
+             np.nonzero(binary)[1])
+    return {None: None, "binary": binary, "normalized": dense_normalized(adjacency),
+            "neighbors": lists}
+
+
+def check_operator(held, expected):
+    if expected is None:
+        assert held is None
+    elif isinstance(expected, tuple):  # neighbor lists: (starts, neighbors), read-only
+        assert isinstance(held, tuple) and len(held) == 2
+        for got, want in zip(held, expected):
+            assert got.dtype == np.int64 and not got.flags.writeable
+            np.testing.assert_array_equal(got, want)
+    else:
+        np.testing.assert_array_equal(held.values, expected)
+
+
 @pytest.mark.parametrize("n", [1, 18])
 @pytest.mark.parametrize("kernel", ["gaussian", "binary", "raw"])
 def test_graph_context_operators_equal_the_dense_construction(kernel, n):
@@ -730,11 +769,10 @@ def test_graph_context_operators_equal_the_dense_construction(kernel, n):
         assert (0, n - 2, 0.0) in pairs  # the twins, an edge unless their weight is 0
         assert ((0, n - 2, 0.0) in g.edges) == (kernel != "raw")
     check_degrees(g, adjacency)
-    np.testing.assert_array_equal(GraphContext(g, "binary").operator.values,
-                                  dense_binary(adjacency))
-    np.testing.assert_array_equal(GraphContext(g, "normalized").operator.values,
-                                  dense_normalized(adjacency))
-    assert GraphContext(g, None).operator is None
+    expected = expected_operators(adjacency)
+    for cls, kind in OPERATOR_OF.items():
+        assert cls.operator_kind == kind
+        check_operator(GraphContext(g, kind).operator, expected[kind])
     with pytest.raises(ConfigError):
         GraphContext(g, "kernel")
 
@@ -742,8 +780,9 @@ def test_graph_context_operators_equal_the_dense_construction(kernel, n):
         g2, part2 = reloaded(g, part)
         assert g2.edges == g.edges
         np.testing.assert_array_equal(g2.degrees, g.degrees)
-        ctx = GraphContext(g2, "binary", part2)
-        np.testing.assert_array_equal(ctx.operator.values, dense_binary(adjacency))
+        for kind in ("binary", "neighbors"):
+            ctx = GraphContext(g2, kind, part2)
+            check_operator(ctx.operator, expected[kind])
         for label in part2.region_order:
             idx = part2.node_indices[label].tolist()
             local = {p: k for k, p in enumerate(idx)}
@@ -768,7 +807,7 @@ def state_sites(n, regions):
             for i in range(n)]
 
 
-def test_graphs_rebuild_without_an_n_by_n_array_and_tgcn_holds_one():
+def test_graphs_rebuild_without_an_n_by_n_array():
     n = 800
     g = build_connected(state_sites(n, 64), HaversineProvider())
     doc = json.loads(json.dumps({"graph": graph_payload(g),
@@ -783,10 +822,40 @@ def test_graphs_rebuild_without_an_n_by_n_array_and_tgcn_holds_one():
     assert g2.edges == g.edges and len(part.region_order) == 64
     assert peak < n * n * 8, f"rebuilding peaked at {peak} bytes"
 
-    ctx = build_model(ModelSpec("TGCN", 4, 2, (1,), "connected"), g2).ctx
-    held = [v.values if isinstance(v, DiffTensor) else v
-            for v in [*vars(ctx).values(), *vars(ctx.graph).values()]]
-    assert sum(np.shape(a) == (n, n) for a in held if isinstance(a, np.ndarray)) == 1
+
+def held_arrays(value):
+    """Every array reachable from ``value`` through tensors, tuples, lists and dicts."""
+    if isinstance(value, DiffTensor):
+        value = value.values
+    if isinstance(value, np.ndarray):
+        return [value]
+    if isinstance(value, dict):
+        value = list(value.values())
+    if isinstance(value, (tuple, list)):
+        return [a for v in value for a in held_arrays(v)]
+    return []
+
+
+def test_only_dense_operator_models_hold_an_n_by_n_array():
+    n = 1000
+    g = build_connected(state_sites(n, 80), HaversineProvider())
+    parts = {"connected": None, "regional": decompose_regional(g),
+             "random": decompose_random(g, r=80, seed=2)}
+    tracemalloc.start()
+    try:
+        GraphContext(g, RegTGcn.operator_kind, parts["regional"])
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < n * n * 8, f"a 1k-site RegTGCN context peaked at {peak} bytes"
+
+    for arch in ARCHITECTURES:
+        conn = CONNECTIVITY_OF[arch]
+        spec = ModelSpec(arch, 4, 2, (1,), conn, region_count=80 if conn == "random" else None)
+        ctx = build_model(spec, g, parts[conn]).ctx
+        held = held_arrays([*vars(ctx).values(), *vars(ctx.graph).values()])
+        big = sum(a.size >= n * n for a in held)
+        assert big == (1 if arch in ("StackedGCN", "CSTGCN") else 0), arch
 
 
 # -------------------------------------------------------------- checkpoints
@@ -910,8 +979,12 @@ def _rewrite_header(path, edit):
     lambda h: h["graph"].update(threshold_miles="x"),
     lambda h: h["graph"]["sites"][0].__setitem__(5, True),
     lambda h: h["graph"]["sites"][0].__setitem__(7, 1e308),
+    lambda h: h["weights"][0].update(shape=[1e308, 1e308]),
+    lambda h: h["weights"][0].update(shape=[True, 6]),
+    lambda h: h["weights"][0].update(shape=[-6, -8]),
 ], ids=["no_hyperparams", "short_site_row", "regional_edge_dropped", "unknown_site_label",
-        "zero_sigma", "string_threshold", "bool_owner", "float_capacity"])
+        "zero_sigma", "string_threshold", "bool_owner", "float_capacity",
+        "overflowing_shape", "bool_shape", "negative_shape"])
 def test_checkpoint_malformed_header_is_data_error(tmp_path, edit):
     g = two_region_graph()
     spec = ModelSpec("RegTGCN", 6, 3, (1,), "regional", seed=1)
@@ -919,8 +992,10 @@ def test_checkpoint_malformed_header_is_data_error(tmp_path, edit):
     save_checkpoint(path, build_model(spec, g, decompose_regional(g)),
                     np.zeros(8), np.ones(8), [1])
     _rewrite_header(path, edit)
-    with pytest.raises(DataError):
-        load_checkpoint(path)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")  # a DataError, with no warning on the way
+        with pytest.raises(DataError):
+            load_checkpoint(path)
 
 
 def test_checkpoint_random_partition_round_trip(tmp_path):

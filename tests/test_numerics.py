@@ -420,6 +420,87 @@ def test_propagate_equals_a_matmul_per_block_and_matches_fd():
         propagate(constant(op), constant(np.ones((6, 3))))
 
 
+def random_binary(n, rng, density=0.3):
+    """A symmetric 0/1 matrix with zero diagonal; past 2 nodes, node 1 is isolated."""
+    upper = np.triu(rng.random((n, n)) < density, k=1)
+    a = (upper | upper.T).astype(np.float64)
+    if n > 2:
+        a[1, :] = a[:, 1] = 0.0
+    return a
+
+
+def as_neighbor_lists(a):
+    """The CSR pair (starts, neighbors) of a dense 0/1 matrix, neighbors ascending."""
+    starts = np.concatenate([[0], np.cumsum(np.count_nonzero(a, axis=1))])
+    return starts, np.nonzero(a)[1]
+
+
+def ascending_sums(a, x, m):
+    """Per block, node i's neighbor rows added one at a time in ascending index order."""
+    n = a.shape[0]
+    out = np.zeros_like(x)
+    for b in range(m):
+        for i in range(n):
+            for j in np.flatnonzero(a[i]):
+                out[b * n + i] = out[b * n + i] + x[b * n + j]
+    return out
+
+
+@pytest.mark.parametrize("n", [1, 2, 9, 40])
+@pytest.mark.parametrize("m", [1, 6])
+def test_propagate_over_neighbor_lists_equals_the_dense_product(n, m):
+    rng = np.random.default_rng(100 * n + m)
+    for density in (0.1, 0.5, 1.0):
+        a = random_binary(n, rng, density)
+        x = rng.normal(size=(m * n, 5))
+        out = propagate(as_neighbor_lists(a), x).values
+        assert_same_bits(out, ascending_sums(a, x, m))
+        for b in range(m):
+            rows = slice(b * n, (b + 1) * n)
+            dense = a @ x[rows]
+            # relative to the sum of the magnitudes each entry adds up
+            assert np.all(np.abs(out[rows] - dense) <= 1e-15 * (a @ np.abs(x[rows])))
+        if n > 2:
+            assert not out[1::n].any()  # the isolated node
+    # integer-valued rows add exactly, in any order
+    a = random_binary(n, rng)
+    x = rng.integers(-50, 50, size=(m * n, 3)).astype(np.float64)
+    dense = propagate(constant(a), x).values
+    np.testing.assert_array_equal(propagate(as_neighbor_lists(a), x).values, dense)
+
+
+def test_propagate_over_neighbor_lists_gradient_is_the_transpose_product():
+    rng = np.random.default_rng(43)
+    n, m = 7, 3
+    a = random_binary(n, rng, 0.5)
+    x_vals, k = rng.normal(size=(m * n, 4)), rng.normal(size=(m * n, 4))
+    x = parameter(x_vals)
+    backward(sum_all(mul(tanh(propagate(as_neighbor_lists(a), x)), constant(k))))
+
+    x_dense = parameter(x_vals)
+    backward(sum_all(mul(tanh(propagate(constant(a), x_dense)), constant(k))))
+    np.testing.assert_allclose(x.grad, x_dense.grad, rtol=1e-14, atol=1e-15)
+
+    def f(v):
+        return float(np.sum(np.tanh(np.concatenate([a @ v[b * n:(b + 1) * n]
+                                                    for b in range(m)])) * k))
+    assert rel_err(x.grad, finite_diff_grad(f, x_vals.copy())) < 1e-8
+    # the model input is a constant: nothing to record
+    before = tape_length()
+    propagate(as_neighbor_lists(a), constant(x_vals))
+    assert tape_length() == before
+
+
+def test_propagate_rejects_malformed_neighbor_lists():
+    starts, neighbors = as_neighbor_lists(random_binary(4, np.random.default_rng(0), 0.6))
+    with pytest.raises(ShapeError, match="propagate"):
+        propagate((starts, neighbors), constant(np.ones((6, 3))))
+    with pytest.raises(ShapeError, match="propagate"):
+        propagate((starts, neighbors[:-1]), constant(np.ones((4, 3))))
+    with pytest.raises(ShapeError, match="propagate"):
+        propagate((np.zeros(0, dtype=np.int64), neighbors), constant(np.ones((4, 3))))
+
+
 # ------------------------------------------------------------ segment_gcn
 
 # interleaved groups in node order, one of them a single node

@@ -24,8 +24,8 @@ from regraph.training import (
     mse_loss,
     split_validation,
     train,
+    val_rmse,
 )
-from regraph.training.loop import _val_rmse
 
 RNG = np.random.default_rng
 
@@ -259,7 +259,7 @@ def test_best_checkpoint_round_trip(tmp_path):
 
     restored = restore_model(bundle)
     _, val_raw = split_validation(samples)
-    rmse = _val_rmse(restored, val_raw, bundle.scaling_lo, bundle.scaling_hi)
+    rmse = val_rmse(restored, val_raw, bundle.scaling_lo, bundle.scaling_hi)
     assert float(np.mean(rmse)) == pytest.approx(report.best_score, abs=1e-15)
     assert bundle.train_weeks == ["2024-W01", "2024-W02"]
 
