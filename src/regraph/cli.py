@@ -40,7 +40,7 @@ from regraph.evaluation import (
     write_metrics_csv,
     write_timeseries,
 )
-from regraph.files import atomic_open, read_json, stored
+from regraph.files import atomic_open, read_json, stored, write_json
 from regraph.graph import (
     build_connected,
     decompose_random,
@@ -50,12 +50,7 @@ from regraph.graph import (
     overlap_cost,
 )
 from regraph.models import build_model, load_checkpoint, restore_model
-from regraph.models.checkpoint import (
-    graph_from_payload,
-    graph_payload,
-    partition_from_payload,
-    partition_payload,
-)
+from regraph.models.checkpoint import graph_payload, partition_payload, read_graph_document
 from regraph.training import split_validation, train, val_rmse
 
 __all__ = ["main"]
@@ -68,32 +63,22 @@ def _now() -> str:
     return datetime.now().isoformat(timespec="seconds")
 
 
-def _write_json(path, doc) -> None:
-    with atomic_open(path) as fh:
-        fh.write(json.dumps(doc, indent=2, sort_keys=True) + "\n")
-
-
 def _write_meta(out_dir: Path, command: str, started: str, extra=None) -> None:
     meta = {"command": command, "started": started, "finished": _now()}
     if extra:
         meta.update(extra)
-    _write_json(out_dir / META_FILE, meta)
+    write_json(out_dir / META_FILE, meta)
 
 
 def _echo_config(out_dir: Path, resolved: dict, args: dict) -> None:
-    doc = {"args": args, "config": resolved}
-    _write_json(out_dir / RESOLVED_CONFIG, doc)
+    write_json(out_dir / RESOLVED_CONFIG, {"args": args, "config": resolved})
 
 
 def _read_graph_file(path: Path):
     doc = read_json(path, "graph file")
-    for key in ("strategy", "graph"):
-        if key not in doc:
-            raise DataError(f"graph file {path} is missing the '{key}' entry")
-    graph = graph_from_payload(doc["graph"])
-    partition = None
-    if doc.get("partition") is not None:
-        partition = partition_from_payload(graph, doc["partition"])
+    if "strategy" not in doc:
+        raise DataError(f"graph file {path} is missing the 'strategy' entry")
+    graph, partition = read_graph_document(doc, f"graph file {path}")
     if doc["strategy"] != ("connected" if partition is None else partition.strategy):
         raise DataError(f"graph file {path}: strategy {doc['strategy']!r} does not match "
                         f"its partition")
@@ -146,7 +131,7 @@ def _cmd_build_graph(args) -> int:
     elif args.strategy == "random":
         if args.regions is None:
             raise ConfigError("--regions is required for the random strategy")
-        partition = decompose_random(graph, r=args.regions, seed=args.seed)
+        partition = decompose_random(graph, r=args.regions, seed=args.seed, provider=provider)
     doc = {
         "strategy": args.strategy,
         "graph": graph_payload(graph),
@@ -155,7 +140,7 @@ def _cmd_build_graph(args) -> int:
     out = Path(args.out)
     if out.parent != Path(""):
         out.parent.mkdir(parents=True, exist_ok=True)
-    _write_json(out, doc)
+    write_json(out, doc)
     return 0
 
 
@@ -319,7 +304,7 @@ def _cmd_evaluate(args) -> int:
         write_comparison_json(out / "comparison.json", rows,
                               overlap_costs=overlap_costs,
                               literal_headline=args.literal_eq14)
-    _write_json(out / "evaluation.json", summaries)
+    write_json(out / "evaluation.json", summaries)
     _write_meta(out, "evaluate", started)
     return 0
 
@@ -337,8 +322,8 @@ def _cmd_analyze_graph(args) -> int:
     if partition is not None:
         groups = {label: partition.subgraphs[label].n
                   for label in partition.region_order}
-        # Loading checked the partition, so a degree-monotonicity violation
-        # never gets this far: the file is rejected with exit 3.
+        # Construction guarantees degree monotonicity, and loading rejects
+        # stored sub-edges that differ from the rebuilt ones (exit 3).
         doc["partition"] = {
             "strategy": partition.strategy,
             "groups": groups,
@@ -346,11 +331,9 @@ def _cmd_analyze_graph(args) -> int:
             "violations": 0,
         }
         doc["overlap_cost"][partition.strategy] = overlap_cost(partition, l_avg)
-    text = json.dumps(doc, indent=2, sort_keys=True)
-    print(text)
+    print(json.dumps(doc, indent=2, sort_keys=True))
     if args.out:
-        with atomic_open(args.out) as fh:
-            fh.write(text + "\n")
+        write_json(args.out, doc)
     return 0
 
 

@@ -17,7 +17,7 @@ from pathlib import Path
 from regraph.data import GRID_STEP_MIN, MAX_GAP_STEPS, SyntheticConfig
 from regraph.errors import ConfigError
 from regraph.models import ModelSpec
-from regraph.models.architectures import ARCHITECTURES, CONNECTIVITY_OF
+from regraph.models.architectures import CONNECTIVITY_OF
 from regraph.training import TrainConfig
 
 __all__ = [
@@ -165,10 +165,7 @@ def resolve_hidden(architecture: str, hidden) -> int:
 def model_spec_from(resolved: dict, region_count=None) -> ModelSpec:
     m = resolved["model"]
     architecture = m["architecture"]
-    if architecture not in ARCHITECTURES:
-        raise ConfigError(f"unknown architecture '{architecture}' "
-                          f"(choose from {', '.join(ARCHITECTURES)})")
-    connectivity = CONNECTIVITY_OF[architecture]
+    connectivity = CONNECTIVITY_OF.get(architecture)
     return ModelSpec(
         architecture=architecture,
         hidden=resolve_hidden(architecture, m["hidden"]),

@@ -17,7 +17,6 @@ from __future__ import annotations
 
 import csv
 import dataclasses
-import json
 from dataclasses import dataclass
 from datetime import date, datetime, time, timedelta
 from pathlib import Path
@@ -25,7 +24,7 @@ from pathlib import Path
 import numpy as np
 
 from ..errors import ConfigError
-from ..files import atomic_open
+from ..files import atomic_open, write_json
 from ..graph.build import SITES_HEADER
 from .ingest import RECORDS_HEADER
 
@@ -74,6 +73,8 @@ class SyntheticConfig:
                 f"got {self.n_regions}")
         if self.days < 1:
             raise ConfigError(f"days must be >= 1, got {self.days}")
+        if self.seed < 0:
+            raise ConfigError(f"synth seed must be >= 0, got {self.seed}")
         if self.grid_step_min < 1:
             raise ConfigError(f"grid_step_min must be >= 1, got {self.grid_step_min}")
         if not 0.0 <= self.coupling <= 1.0:
@@ -212,8 +213,6 @@ def generate_synthetic(cfg: SyntheticConfig, out_dir: str | Path) -> tuple[Path,
             for i in range(n)
         ],
     }
-    with atomic_open(sidecar_path, encoding="utf-8") as fh:
-        json.dump(payload, fh, indent=2, sort_keys=True)
-        fh.write("\n")
+    write_json(sidecar_path, payload)
 
     return sites_path, records_path, sidecar_path

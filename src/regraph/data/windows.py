@@ -93,23 +93,22 @@ def make_windows(grid: FeatureGrid, k: int, horizons: Sequence[int],
 
 
 def _normalize_week(spec) -> tuple[int | None, int]:
-    """Accept an ISO week number, a (year, week) pair, or 'YYYY-Www'."""
-    if isinstance(spec, bool):
-        raise ConfigError(f"bad week spec {spec!r}")
-    if isinstance(spec, int):
-        if not 1 <= spec <= 53:
-            raise ConfigError(f"week number {spec} outside 1..53")
-        return (None, spec)
-    if isinstance(spec, (tuple, list)) and len(spec) == 2:
-        return (int(spec[0]), int(spec[1]))
-    if isinstance(spec, str):
-        parts = spec.upper().split("-W")
-        if len(parts) == 2:
-            try:
-                return (int(parts[0]), int(parts[1]))
-            except ValueError:
-                pass
-    raise ConfigError(f"bad week spec {spec!r}: use 3, (2024, 3), or '2024-W03'")
+    """Accept an ISO week number, a (year, week) pair, or 'YYYY-Www'; weeks run 1..53."""
+    week = None
+    try:
+        if isinstance(spec, int) and not isinstance(spec, bool):
+            week = (None, spec)
+        elif isinstance(spec, (tuple, list)) and len(spec) == 2:
+            week = (int(spec[0]), int(spec[1]))
+        elif isinstance(spec, str) and len(parts := spec.upper().split("-W")) == 2:
+            week = (int(parts[0]), int(parts[1]))
+    except (TypeError, ValueError, OverflowError):  # a pair of non-numbers
+        pass
+    if week is None:
+        raise ConfigError(f"bad week spec {spec!r}: use 3, (2024, 3), or '2024-W03'")
+    if not 1 <= week[1] <= 53:
+        raise ConfigError(f"week number {week[1]} outside 1..53")
+    return week
 
 
 def week_label(week: tuple[int, int]) -> str:

@@ -4,7 +4,6 @@ All writers emit deterministic bytes for identical inputs: rows are sorted by
 explicit keys, floats are serialized with repr, and no timestamps appear.
 """
 
-import json
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -12,7 +11,7 @@ import numpy as np
 from regraph.data import GRID_STEP_MIN, apply_scaling, step_positions, week_label
 from regraph.errors import ConfigError, ShapeError
 from regraph.evaluation.metrics import MetricSet, compute_metrics, q95_table
-from regraph.files import atomic_open
+from regraph.files import atomic_open, write_json
 
 __all__ = [
     "METRICS_COLUMNS",
@@ -165,8 +164,7 @@ def write_comparison_json(path, rows, overlap_costs=None,
     }
     if overlap_costs is not None:
         doc["overlap_cost"] = overlap_costs
-    with atomic_open(path) as fh:
-        fh.write(json.dumps(doc, indent=2, sort_keys=True) + "\n")
+    write_json(path, doc)
 
 
 def write_timeseries(path, samples, preds, site_ids,

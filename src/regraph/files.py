@@ -12,7 +12,7 @@ from pathlib import Path
 
 from .errors import DataError
 
-__all__ = ["atomic_open", "json_object", "open_csv", "read_json", "stored"]
+__all__ = ["atomic_open", "json_object", "open_csv", "read_json", "stored", "write_json"]
 
 
 @contextlib.contextmanager
@@ -91,3 +91,9 @@ def atomic_open(path, mode: str = "w", **open_kwargs):
     except BaseException:
         tmp.unlink(missing_ok=True)
         raise
+
+
+def write_json(path, doc) -> None:
+    """Write a JSON artifact: indent 2, sorted keys, a trailing newline, replaced atomically."""
+    with atomic_open(path, encoding="utf-8") as fh:
+        fh.write(json.dumps(doc, indent=2, sort_keys=True) + "\n")

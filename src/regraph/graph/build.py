@@ -231,7 +231,7 @@ def build_connected(sites: Sequence[SiteMeta], provider: DistanceProvider | None
     """Connect every pair of sites within the distance threshold."""
     if not sites:
         raise DataError("build_connected: no sites")
-    if threshold_miles <= 0:
+    if not threshold_miles > 0:
         raise ConfigError(f"threshold_miles must be > 0, got {threshold_miles}")
     if adjacency_weights not in ADJACENCY_KERNELS:
         raise ConfigError(
@@ -274,31 +274,17 @@ class RegionalPartition:
     node_indices: Mapping[str, np.ndarray] = field(repr=False)
 
 
-def _check_partition(parent: SiteGraph, part: RegionalPartition) -> None:
-    all_ids: list[str] = []
-    for label in part.region_order:
-        all_ids.extend(s.site_id for s in part.subgraphs[label].nodes)
-    parent_ids = [s.site_id for s in parent.nodes]
-    if sorted(all_ids) != sorted(parent_ids):
-        raise DataError("partition: subgraph node sets are not a partition of the graph")
-    if part.strategy == "regional":
-        for label in part.region_order:
-            sub = part.subgraphs[label]
-            gained = np.flatnonzero(sub.degrees > parent.degrees[part.node_indices[label]])
-            if gained.size:
-                raise DataError(f"partition: node {sub.nodes[gained[0]].site_id} "
-                                f"gained degree in region {label}")
-
-
 def partition_from_assignment(g: SiteGraph, assignment: Mapping[str, str],
                               strategy: str,
                               provider: DistanceProvider | None = None) -> RegionalPartition:
-    """The one path from a site-id to label mapping to a checked partition.
+    """The one path from a site-id to label mapping to a partition.
 
     Labels are ordered by ``sorted``, the order a stored partition is read
     back in. A regional subgraph keeps the parent's edges whose endpoints
     share a label; a random subgraph is complete, with ``provider``
     (haversine when not given) measuring each pair (nodes in parent order).
+    So each node lands in its label's group alone, and a regional subgraph,
+    holding parent edges under the parent's kernel, adds no node degree.
     """
     if strategy not in ("regional", "random"):
         raise ConfigError(f"partition strategy must be regional or random, got {strategy!r}")
@@ -330,13 +316,11 @@ def partition_from_assignment(g: SiteGraph, assignment: Mapping[str, str],
         subgraphs[label] = _assemble_graph(sub_nodes, sub_edges[label], g.threshold_miles,
                                            g.adjacency_weights, g.sigma_miles)
 
-    part = RegionalPartition(
+    return RegionalPartition(
         strategy=strategy, region_of={s.site_id: label for s, label in zip(g.nodes, label_of)},
         subgraphs=subgraphs, region_order=tuple(members),
         node_indices={label: _freeze(np.array(idx, dtype=np.int64))
                       for label, idx in members.items()})
-    _check_partition(g, part)
-    return part
 
 
 def decompose_regional(g: SiteGraph) -> RegionalPartition:
@@ -358,6 +342,8 @@ def decompose_random(g: SiteGraph, r: int, seed: int,
     n = g.n
     if not 1 <= r <= n:
         raise ConfigError(f"decompose_random: need 1 <= r <= {n}, got r={r}")
+    if seed < 0:
+        raise ConfigError(f"decompose_random: seed must be >= 0, got {seed}")
     order = np.random.default_rng(seed).permutation(n)
     base, extra = divmod(n, r)
     group = np.repeat(np.arange(r), [base + (1 if k < extra else 0) for k in range(r)])

@@ -73,17 +73,6 @@ __all__ = [
 
 IN_WIDTH = len(FEATURE_COLUMNS)
 
-ARCHITECTURES = ("StackedGRU", "StackedGCN", "TGCN", "CSTGCN", "RanTGCN", "RegTGCN")
-
-CONNECTIVITY_OF = {
-    "StackedGRU": "connected",
-    "StackedGCN": "connected",
-    "TGCN": "connected",
-    "CSTGCN": "connected",
-    "RanTGCN": "random",
-    "RegTGCN": "regional",
-}
-
 CST_DEPTH = 5
 
 
@@ -105,6 +94,8 @@ class ModelSpec:
             raise ConfigError(f"hidden size must be >= 1, got {self.hidden}")
         if self.k < 1:
             raise ConfigError(f"window length k must be >= 1, got {self.k}")
+        if self.seed < 0:
+            raise ConfigError(f"model seed must be >= 0, got {self.seed}")
         horizons = tuple(self.horizons)
         if not horizons or any(h < 1 for h in horizons):
             raise ConfigError(f"horizons must be positive steps, got {horizons}")
@@ -171,6 +162,7 @@ class ForecastModel:
     """
 
     operator_kind: str | None = None  # the full-graph operator its context builds
+    connectivity = "connected"  # the partition it needs: none, "regional" or "random"
 
     def __init__(self, spec: ModelSpec, ctx: GraphContext):
         self.spec = spec
@@ -346,7 +338,8 @@ class _GruAttention(ForecastModel):
     """The T-GCN recurrence: a GRU over the encoded steps, attention over its
     K hidden states as a running sum, then the decoder.
 
-    Subclasses give ``_gru_input``: the GRU input block of stacked steps,
+    Subclasses give ``_input_layers``, run before the GRU cell draws its
+    weights, and ``_gru_input``: the GRU input block of stacked steps,
     and their gamma or None. Encoded steps are (the gates' input halves,
     gamma); a lag reads its step's rows of them. Gamma seeds h at a
     window's oldest lag, and None seeds the all-zero state. A window in
@@ -356,6 +349,20 @@ class _GruAttention(ForecastModel):
     # The one structural conv multiplies the 8-wide model input, which
     # neighbor lists sum without an n x n array.
     operator_kind = "neighbors"
+
+    def __init__(self, spec: ModelSpec, ctx: GraphContext):
+        super().__init__(spec, ctx)
+        rng = np.random.default_rng(spec.seed)
+        self.cell = GcnGruCell(rng, self._input_layers(rng), spec.hidden)
+        self.attention = AttentionAggregator(rng, spec.k)
+        self.decoder = Decoder(rng, spec.hidden, spec.hidden, spec.n_horizons)
+        self._register("gru", self.cell)
+        self._register("attention", self.attention)
+        self._register("decoder", self.decoder)
+
+    def _input_layers(self, rng: np.random.Generator) -> int:
+        """Make and register the layers ahead of the GRU; return its input width."""
+        raise NotImplementedError
 
     def _gru_input(self, x: DiffTensor) -> tuple[DiffTensor, DiffTensor | None]:
         raise NotImplementedError
@@ -384,20 +391,13 @@ class TGcn(_GruAttention):
 
     conv_depth = 1
 
-    def __init__(self, spec: ModelSpec, ctx: GraphContext):
-        super().__init__(spec, ctx)
-        rng = np.random.default_rng(spec.seed)
-        self.convs = [StructuralConv(rng, IN_WIDTH, spec.hidden)]
-        for _ in range(self.conv_depth - 1):
-            self.convs.append(StructuralConv(rng, spec.hidden, spec.hidden))
-        self.cell = GcnGruCell(rng, spec.hidden, spec.hidden)
-        self.attention = AttentionAggregator(rng, spec.k)
-        self.decoder = Decoder(rng, spec.hidden, spec.hidden, spec.n_horizons)
+    def _input_layers(self, rng: np.random.Generator) -> int:
+        h = self.spec.hidden
+        self.convs = [StructuralConv(rng, IN_WIDTH if d == 0 else h, h)
+                      for d in range(self.conv_depth)]
         for d, conv in enumerate(self.convs):
             self._register(f"conv{d}", conv)
-        self._register("gru", self.cell)
-        self._register("attention", self.attention)
-        self._register("decoder", self.decoder)
+        return h
 
     def _gru_input(self, x: DiffTensor) -> tuple[DiffTensor, None]:
         out = x
@@ -423,33 +423,25 @@ class PartitionedTGcn(_GruAttention):
     state is seeded with the oldest lag's gamma.
     """
 
-    strategy = "regional"
+    connectivity = "regional"
     group_prefix = "regional"
 
-    def __init__(self, spec: ModelSpec, ctx: GraphContext):
-        super().__init__(spec, ctx)
-        if ctx.partition is None or ctx.partition.strategy != self.strategy:
-            raise ConfigError(
-                f"{spec.architecture} needs a {self.strategy} partition in its graph context")
-        rng = np.random.default_rng(spec.seed)
-        h = spec.hidden
+    def _input_layers(self, rng: np.random.Generator) -> int:
+        ctx, h = self.ctx, self.spec.hidden
+        if ctx.partition is None or ctx.partition.strategy != self.connectivity:
+            raise ConfigError(f"{self.spec.architecture} needs a {self.connectivity} "
+                              f"partition in its graph context")
         self.structural = StructuralConv(rng, IN_WIDTH, h)
         self.region_layers: dict[str, GcnLayer] = {
             label: GcnLayer(rng, IN_WIDTH, h) for label in ctx.region_order}
         self.mixer_w = uniform_init(rng, (h, h), h)
         self.mixer_b = uniform_init(rng, (1, h), h)
-        self.cell = GcnGruCell(rng, 2 * h, h)
-        self.attention = AttentionAggregator(rng, spec.k)
-        self.decoder = Decoder(rng, h, h, spec.n_horizons)
-
         self._register("structural", self.structural)
         for label in ctx.region_order:
             self._register(f"{self.group_prefix}.{label}", self.region_layers[label])
         self._register_param("mixer.w", self.mixer_w)
         self._register_param("mixer.b", self.mixer_b)
-        self._register("gru", self.cell)
-        self._register("attention", self.attention)
-        self._register("decoder", self.decoder)
+        return 2 * h
 
     def regional_embedding(self, x: DiffTensor) -> DiffTensor:
         """Per-group conv of stacked steps in global row order, shared affine mix."""
@@ -471,7 +463,7 @@ class RegTGcn(PartitionedTGcn):
 
 
 class RanTGcn(PartitionedTGcn):
-    strategy = "random"
+    connectivity = "random"
     group_prefix = "group"
 
 
@@ -484,11 +476,15 @@ _MODEL_CLASSES = {
     "RegTGCN": RegTGcn,
 }
 
+ARCHITECTURES = tuple(_MODEL_CLASSES)
+
+CONNECTIVITY_OF = {name: cls.connectivity for name, cls in _MODEL_CLASSES.items()}
+
 
 def build_model(spec: ModelSpec, graph: SiteGraph,
                 partition: RegionalPartition | None = None) -> ForecastModel:
     """Construct the architecture named by the spec over the given graph."""
-    needs_partition = spec.connectivity in ("regional", "random")
+    needs_partition = spec.connectivity != "connected"
     if needs_partition and partition is None:
         raise ConfigError(f"{spec.architecture} requires a partition")
     if not needs_partition and partition is not None:
@@ -497,5 +493,9 @@ def build_model(spec: ModelSpec, graph: SiteGraph,
         raise ConfigError(
             f"partition strategy {partition.strategy!r} does not match "
             f"connectivity {spec.connectivity!r}")
+    if spec.connectivity == "random" and len(partition.region_order) != spec.region_count:
+        raise ConfigError(
+            f"{spec.architecture}: region_count {spec.region_count} does not match the "
+            f"partition's {len(partition.region_order)} groups")
     cls = _MODEL_CLASSES[spec.architecture]
     return cls(spec, GraphContext(graph, cls.operator_kind, partition))

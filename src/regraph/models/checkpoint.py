@@ -123,6 +123,18 @@ def partition_from_payload(g: SiteGraph, d: dict) -> RegionalPartition:
     return part
 
 
+def read_graph_document(doc: dict, what: str) -> tuple[SiteGraph, RegionalPartition | None]:
+    """The graph and partition (both required; ``null`` is none) a graph file
+    or checkpoint header stores."""
+    for key in ("graph", "partition"):
+        if key not in doc:
+            raise DataError(f"{what} is missing the '{key}' entry")
+    graph = graph_from_payload(doc["graph"])
+    if doc["partition"] is None:
+        return graph, None
+    return graph, partition_from_payload(graph, doc["partition"])
+
+
 @dataclass(frozen=True)
 class CheckpointBundle:
     spec: ModelSpec
@@ -197,9 +209,7 @@ def load_checkpoint(path: str | Path) -> CheckpointBundle:
             region_count=hp["region_count"],
             seed=hp["seed"],
         )
-        graph = graph_from_payload(header["graph"])
-        partition = (partition_from_payload(graph, header["partition"])
-                     if header["partition"] is not None else None)
+        graph, partition = read_graph_document(header, f"checkpoint header in {path}")
 
         weights: dict = {}
         offset = start + header_len

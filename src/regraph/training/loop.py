@@ -6,7 +6,6 @@ whenever at least two samples are present.
 """
 
 import ctypes
-import json
 import time
 from dataclasses import dataclass
 
@@ -15,7 +14,7 @@ import numpy as np
 from regraph.data import apply_scaling, compute_scaling, week_label
 from regraph.errors import ConfigError, DataError, NumericError
 from regraph.evaluation import predict_samples
-from regraph.files import atomic_open
+from regraph.files import atomic_open, write_json
 from regraph.models import save_checkpoint, load_checkpoint
 from regraph.numerics import RmsProp, backward, constant, mean_all, mul, sub
 
@@ -77,6 +76,8 @@ class TrainConfig:
             raise ConfigError("learning_rate must be non-negative")
         if self.weight_decay < 0:
             raise ConfigError("weight_decay must be non-negative")
+        if self.seed < 0:
+            raise ConfigError(f"train seed must be non-negative, got {self.seed}")
         if not (0.0 < self.rmsprop_decay < 1.0):
             raise ConfigError("rmsprop_decay must lie in (0, 1)")
         if self.rmsprop_smoothing <= 0:
@@ -330,8 +331,7 @@ def train(model, samples, cfg: TrainConfig, out_dir):
         checkpoint_name=BEST_CHECKPOINT,
         train_weeks=train_weeks,
     )
-    with atomic_open(out_dir / REPORT_FILE) as fh:
-        fh.write(json.dumps(report.to_json_dict(), indent=2, sort_keys=True) + "\n")
+    write_json(out_dir / REPORT_FILE, report.to_json_dict())
     _write_trace(out_dir / LOSS_TRACE, report)
 
     bundle = load_checkpoint(best_path)

@@ -278,6 +278,33 @@ def test_build_graph_zero_sigma_exits_2(tmp_path, capsys):
     assert "sigma_miles must be > 0" in capsys.readouterr().err
 
 
+def test_build_graph_nan_threshold_exits_2(tmp_path, capsys):
+    data = make_dataset(tmp_path)
+    out = tmp_path / "g.json"
+    argv = ["build-graph", "--sites", str(data / "sites.csv"), "--strategy", "connected",
+            "--out", str(out), "--threshold-miles"]
+    assert main(argv + ["nan"]) == 2
+    assert "threshold_miles must be > 0, got nan" in capsys.readouterr().err
+    assert not out.exists()
+    assert main(argv + ["inf"]) == 0  # every pair is an edge
+    assert len(json.loads(out.read_text())["graph"]["edges"]) == 6 * 5 // 2
+
+
+def test_random_groups_use_the_configured_distance_provider(tmp_path, monkeypatch):
+    sites = tmp_path / "sites.csv"
+    sites.write_bytes(SITES_CSV_HEADER + b"site_000,WI,43.0,-89.0,10.0,0,1,40\n"
+                      b"site_001,WI,43.1,-89.4,12.5,1,4,80\n")
+    cache = tmp_path / "miles.csv"
+    cache.write_text("site_a,site_b,miles\nsite_000,site_001,1.5\n")
+    monkeypatch.setenv("REGRAPH_DISTANCE_CACHE", str(cache))
+    out = tmp_path / "g.json"
+    assert main(["build-graph", "--sites", str(sites), "--strategy", "random",
+                 "--regions", "1", "--out", str(out)]) == 0
+    doc = json.loads(out.read_text())
+    assert doc["graph"]["edges"] == [[0, 1, 1.5]]
+    assert doc["partition"]["subgraph_edges"] == {"group_0": [["site_000", "site_001", 1.5]]}
+
+
 def test_build_graph_deterministic(tmp_path):
     data = make_dataset(tmp_path)
     a, b = tmp_path / "a.json", tmp_path / "b.json"
@@ -329,6 +356,21 @@ def test_analyze_graph_malformed_file_exits_3(tmp_path, capsys, tamper):
     capsys.readouterr()
     assert main(["analyze-graph", "--graph", str(graph_file)]) == 3
     assert "data error:" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("strategy", ["connected", "regional"])
+def test_graph_file_without_a_partition_entry_exits_3(tmp_path, capsys, strategy):
+    # build-graph always writes the entry, null for no partition
+    data = make_dataset(tmp_path)
+    graph_file = tmp_path / "g.json"
+    assert main(["build-graph", "--sites", str(data / "sites.csv"),
+                 "--strategy", strategy, "--out", str(graph_file)]) == 0
+    doc = json.loads(graph_file.read_text())
+    del doc["partition"]
+    graph_file.write_text(json.dumps(doc))
+    capsys.readouterr()
+    assert main(["analyze-graph", "--graph", str(graph_file)]) == 3
+    assert f"graph file {graph_file} is missing the 'partition' entry" in capsys.readouterr().err
 
 
 def test_analyze_graph_non_object_file_exits_3(tmp_path, capsys):
@@ -668,6 +710,45 @@ def test_train_week_overlap_exits_2(pipeline, capsys):
                  "--graph", str(graph_file), "--out", str(root / "run2")])
     assert code == 2
     assert "config error" in capsys.readouterr().err
+
+
+def test_train_week_label_outside_1_to_53_exits_2(pipeline, capsys, tmp_path):
+    cfg = write_config(tmp_path / "w99.json",
+                       data={**PIPELINE_DATA, "train_weeks": ["2024-W99"],
+                             "synth": {**BASE_SYNTH, "days": 21}},
+                       model=PIPELINE_MODEL, train=PIPELINE_TRAIN)
+    code = main(["train", "--config", str(cfg), "--data", str(pipeline["data"]),
+                 "--graph", str(pipeline["graph"]), "--out", str(tmp_path / "run")])
+    assert code == 2
+    assert "week number 99 outside 1..53" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("case, message", [
+    ("model", "model seed must be >= 0, got -1"),
+    ("train", "train seed must be non-negative, got -1"),
+    ("synth", "synth seed must be >= 0, got -1"),
+    ("build-graph", "decompose_random: seed must be >= 0, got -1"),
+], ids=["model", "train", "synth", "build-graph"])
+def test_negative_seed_exits_2(pipeline, capsys, tmp_path, case, message):
+    run = ["--data", str(pipeline["data"]), "--graph", str(pipeline["graph"]),
+           "--out", str(tmp_path / "run")]
+    if case == "build-graph":
+        argv = ["build-graph", "--sites", str(pipeline["data"] / "sites.csv"),
+                "--strategy", "random", "--regions", "2", "--seed", "-1",
+                "--out", str(tmp_path / "g.json")]
+    elif case == "synth":
+        cfg = write_config(tmp_path / "cfg.json", data={"synth": {"seed": -1}})
+        argv = ["synth", "--config", str(cfg), "--out", str(tmp_path / "data")]
+    else:
+        sections = {"model": PIPELINE_MODEL, "train": PIPELINE_TRAIN}
+        sections[case] = {**sections[case], "seed": -1}
+        cfg = write_config(tmp_path / "cfg.json",
+                           data={**PIPELINE_DATA, "synth": {**BASE_SYNTH, "days": 21}},
+                           **sections)
+        argv = ["train", "--config", str(cfg)] + run
+    assert main(argv) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("config error:") and message in err
 
 
 def test_train_with_a_graph_section_exits_2(pipeline, capsys):

@@ -300,6 +300,25 @@ def test_split_week_string_and_tuple_forms():
     assert len(t1) == len(t2) and len(s1) == len(s2)
 
 
+@pytest.mark.parametrize("spec", [0, 54, "2024-W00", "2024-W99", "2024-w54", (2024, 0),
+                                  [2024, 99]])
+def test_week_spec_outside_1_to_53_is_rejected(spec):
+    # Labels and (year, week) pairs get the week-number range check too.
+    grid = hourly_grid(14)
+    samples = make_windows(grid, k=6, horizons=[1], grid_step_min=60)
+    with pytest.raises(ConfigError, match=r"week number -?\d+ outside 1\.\.53"):
+        split_by_weeks(samples, [1], [spec])
+
+
+@pytest.mark.parametrize("spec", [True, 2.0, "2024-03", "2024-Wx", [2024, "x"],
+                                  [2024, None], (2024, 3, 1)])
+def test_malformed_week_spec_is_a_config_error(spec):
+    grid = hourly_grid(14)
+    samples = make_windows(grid, k=6, horizons=[1], grid_step_min=60)
+    with pytest.raises(ConfigError, match="bad week spec"):
+        split_by_weeks(samples, [1], [spec])
+
+
 def test_split_requires_train_and_test():
     grid = hourly_grid(14)
     samples = make_windows(grid, k=6, horizons=[1], grid_step_min=60)

@@ -364,6 +364,15 @@ def test_build_model_partition_rules():
         build_model(spec, g, rand)  # strategy mismatch
 
 
+def test_build_model_rejects_a_region_count_other_than_the_group_count():
+    # Else the checkpoint would record 5 beside the partition's 2 groups.
+    g = two_region_graph()
+    rand = decompose_random(g, r=2, seed=0)
+    build_model(ModelSpec("RanTGCN", 6, 3, (1,), "random", region_count=2), g, rand)
+    with pytest.raises(ConfigError, match="region_count 5 does not match the partition's 2"):
+        build_model(ModelSpec("RanTGCN", 6, 3, (1,), "random", region_count=5), g, rand)
+
+
 # ------------------------------------------------------------ architectures
 
 @pytest.mark.parametrize("arch,conn", [
