@@ -281,10 +281,12 @@ def partition_from_assignment(g: SiteGraph, assignment: Mapping[str, str],
 
     Labels are ordered by ``sorted``, the order a stored partition is read
     back in. A regional subgraph keeps the parent's edges whose endpoints
-    share a label; a random subgraph is complete, with ``provider``
-    (haversine when not given) measuring each pair (nodes in parent order).
-    So each node lands in its label's group alone, and a regional subgraph,
-    holding parent edges under the parent's kernel, adds no node degree.
+    share a label; a random subgraph is complete. A random pair the parent
+    links keeps the parent edge's miles, and ``provider`` (haversine when
+    not given) measures the others (nodes in parent order). So each node
+    lands in its label's group alone, a regional subgraph, holding parent
+    edges under the parent's kernel, adds no node degree, and every parent
+    edge inside a group is a sub-edge of the same miles.
     """
     if strategy not in ("regional", "random"):
         raise ConfigError(f"partition strategy must be regional or random, got {strategy!r}")
@@ -305,14 +307,17 @@ def partition_from_assignment(g: SiteGraph, assignment: Mapping[str, str],
         for i, j, miles in g.edges:
             if label_of[i] == label_of[j]:
                 sub_edges[label_of[i]].append((local[i], local[j], miles))
+    linked = {(i, j): miles for i, j, miles in g.edges} if strategy == "random" else {}
     pair_miles = (provider or HaversineProvider()).miles
 
     subgraphs: dict[str, SiteGraph] = {}
     for label, idx in members.items():
         sub_nodes = [g.nodes[p] for p in idx]
         if strategy == "random":
-            sub_edges[label] = [(a, b, float(pair_miles(sub_nodes[a], sub_nodes[b])))
-                                for a in range(len(idx)) for b in range(a + 1, len(idx))]
+            sub_edges[label] = [
+                (a, b, linked[idx[a], idx[b]] if (idx[a], idx[b]) in linked
+                 else float(pair_miles(sub_nodes[a], sub_nodes[b])))
+                for a in range(len(idx)) for b in range(a + 1, len(idx))]
         subgraphs[label] = _assemble_graph(sub_nodes, sub_edges[label], g.threshold_miles,
                                            g.adjacency_weights, g.sigma_miles)
 

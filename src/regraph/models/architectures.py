@@ -276,6 +276,7 @@ class ForecastModel:
                     if lag == k - 1:
                         out[b] = self.readout(weights, states.pop(b)).values
                         del windows[b]
+                del step  # before the next step is encoded
         return out
 
 

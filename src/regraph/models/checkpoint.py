@@ -104,7 +104,11 @@ def partition_from_payload(g: SiteGraph, d: dict) -> RegionalPartition:
 
     Random subgraphs take their distances from the stored edges, since the
     provider that measured them may not be at hand when loading. A pair they
-    leave out has zero kernel weight, which no binary pair has.
+    leave out has zero kernel weight, which no binary pair has. A pair the
+    graph links takes the graph's miles, so a graph edge inside a random
+    group that is dropped or altered is caught; a pair beyond the threshold
+    has nothing to be checked against. A mismatch names the first pair
+    that differs.
     """
     with stored("partition"):
         sub_edges = d["subgraph_edges"]
@@ -117,10 +121,22 @@ def partition_from_payload(g: SiteGraph, d: dict) -> RegionalPartition:
             return UNLINKED_MILES[g.adjacency_weights]
         part = partition_from_assignment(g, d["region_of"], d["strategy"],
                                          SimpleNamespace(miles=pair_miles))
-    if partition_payload(part)["subgraph_edges"] != sub_edges:
+    rebuilt = partition_payload(part)["subgraph_edges"]
+    if rebuilt != sub_edges:
         raise DataError(f"partition: stored {part.strategy} sub-edges do not match "
-                        f"the ones rebuilt from region_of")
+                        f"the ones rebuilt from region_of{_first_difference(rebuilt, sub_edges)}")
     return part
+
+
+def _first_difference(rebuilt: dict, stored: dict) -> str:
+    """The first group and pair whose rebuilt and stored sub-edges differ, if any."""
+    for label, edges in rebuilt.items():
+        want = {(a, b): m for a, b, m in edges}
+        got = {(a, b): m for a, b, m in stored.get(label, ())}
+        for pair in [*want, *got]:
+            if want.get(pair) != got.get(pair):
+                return f": {label} pair ({pair[0]}, {pair[1]})"
+    return ""
 
 
 def read_graph_document(doc: dict, what: str) -> tuple[SiteGraph, RegionalPartition | None]:
@@ -222,7 +238,7 @@ def load_checkpoint(path: str | Path) -> CheckpointBundle:
             end = offset + count * 8
             if end > len(raw):
                 raise DataError(f"{path}: truncated checkpoint at weight {entry['name']}")
-            arr = np.frombuffer(raw[offset:end], dtype="<f8").reshape(shape).copy()
+            arr = np.frombuffer(raw, "<f8", count, offset).reshape(shape).copy()
             weights[entry["name"]] = arr
             offset = end
         if offset != len(raw):

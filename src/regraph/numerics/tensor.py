@@ -6,6 +6,17 @@ into ``DiffTensor.grad``. Values live in numpy arrays, so the heavy kernels
 (matmul, elementwise transcendentals) run in compiled code while every
 gradient rule stays visible here.
 
+The tape keeps only what ``backward`` reads. A tape entry points at its
+tensors' gradient nodes (shape, dtype, ``requires_grad`` and ``grad``),
+never at their values, and each op's gradient rule holds just the arrays
+it reads: ``matmul`` and ``mul`` the operand the other one's gradient
+needs, ``sigmoid``, ``tanh`` and ``softmax`` their outputs, ``relu`` its
+mask, ``propagate`` its operator, ``segment_gcn`` its output and each
+group's propagated rows, ``gru_update`` the state, its gates and the
+hidden weights; ``add``, ``sub``, ``add_row``, ``concat``, ``take_rows``,
+``reshape`` and ``sum_all`` hold shapes alone. A forward array lives as
+long as user code or a gradient rule holds it.
+
 Supported broadcasting is deliberately narrow: equal shapes, a scalar
 against a tensor, or (through ``add_row`` alone) a 1 x m bias row against
 an n x m matrix. Wider broadcasting would complicate the gradient rules
@@ -49,16 +60,41 @@ __all__ = [
 ]
 
 
-class DiffTensor:
-    """A dense float64 array plus an optional gradient of the same shape."""
+class _Node:
+    """Where the tape routes a tensor's gradient: its shape and dtype, whether
+    it takes a gradient, and the gradient. It holds no forward values."""
 
-    __slots__ = ("values", "grad", "requires_grad")
+    __slots__ = ("shape", "dtype", "requires_grad", "grad")
+
+    def __init__(self, values: np.ndarray, requires_grad: bool):
+        self.shape = values.shape
+        self.dtype = values.dtype
+        self.requires_grad = requires_grad
+        self.grad: np.ndarray | None = None
+
+
+class DiffTensor:
+    """A dense float64 array plus an optional gradient of the same shape,
+    kept on its gradient node."""
+
+    __slots__ = ("values", "node")
 
     def __init__(self, values, requires_grad: bool = False):
         arr = np.asarray(values, dtype=np.float64)
         self.values = arr
-        self.grad: np.ndarray | None = None
-        self.requires_grad = bool(requires_grad)
+        self.node = _Node(arr, bool(requires_grad))
+
+    @property
+    def grad(self) -> np.ndarray | None:
+        return self.node.grad
+
+    @grad.setter
+    def grad(self, g: np.ndarray | None) -> None:
+        self.node.grad = g
+
+    @property
+    def requires_grad(self) -> bool:
+        return self.node.requires_grad
 
     @property
     def shape(self) -> tuple[int, ...]:
@@ -91,7 +127,8 @@ class _TapeEntry:
 
 # The forward pass appends in execution order, so the tape is already
 # topologically sorted: an entry's inputs were produced by earlier entries
-# (or are leaves), and reverse replay visits each recorded node once.
+# (or are leaves), and reverse replay visits each recorded node once. An
+# entry holds gradient nodes, and its grad_fn the arrays its rule reads.
 _TAPE: list[_TapeEntry] = []
 _RECORDING = True
 
@@ -117,11 +154,15 @@ def no_grad():
         _RECORDING = prev
 
 
-def _record(inputs: tuple[DiffTensor, ...], output: DiffTensor,
-            grad_fn: Callable[[np.ndarray], tuple]) -> None:
-    if _RECORDING and any(t.requires_grad for t in inputs):
-        output.requires_grad = True
-        _TAPE.append(_TapeEntry(inputs, output, grad_fn))
+def _record(inputs: tuple[DiffTensor, ...], output: DiffTensor | None = None,
+            grad_fn: Callable[[np.ndarray], tuple] | None = None) -> bool:
+    """Whether an op on ``inputs`` is taped; given its ``output`` and
+    ``grad_fn``, tape it."""
+    taped = _RECORDING and any(t.requires_grad for t in inputs)
+    if taped and output is not None:
+        output.node.requires_grad = True
+        _TAPE.append(_TapeEntry(tuple(t.node for t in inputs), output.node, grad_fn))
+    return taped
 
 
 def _as_tensor(x) -> DiffTensor:
@@ -134,11 +175,16 @@ def _is_scalar(t: DiffTensor) -> bool:
     return t.values.ndim == 0 or t.values.size == 1
 
 
-def _reduce_to(grad: np.ndarray, t: DiffTensor) -> np.ndarray:
+def _wanted(t: DiffTensor) -> tuple[int, ...] | None:
+    """The shape of ``t``'s gradient, or None when it takes none."""
+    return t.values.shape if t.requires_grad else None
+
+
+def _reduce_to(grad: np.ndarray, shape: tuple[int, ...]) -> np.ndarray:
     """Collapse a broadcast gradient back onto a scalar operand's shape."""
-    if grad.shape == t.values.shape:
+    if grad.shape == shape:
         return grad
-    return np.sum(grad).reshape(t.values.shape)
+    return np.sum(grad).reshape(shape)
 
 
 def _check_binary(a: DiffTensor, b: DiffTensor, op: str) -> None:
@@ -153,10 +199,11 @@ def add(a, b) -> DiffTensor:
     a, b = _as_tensor(a), _as_tensor(b)
     _check_binary(a, b, "add")
     out = DiffTensor(a.values + b.values)
+    sa, sb = _wanted(a), _wanted(b)
 
     def grad_fn(g):
-        ga = _reduce_to(g, a) if a.requires_grad else None
-        gb = _reduce_to(g, b) if b.requires_grad else None
+        ga = None if sa is None else _reduce_to(g, sa)
+        gb = None if sb is None else _reduce_to(g, sb)
         return ga, gb
 
     _record((a, b), out, grad_fn)
@@ -167,10 +214,11 @@ def sub(a, b) -> DiffTensor:
     a, b = _as_tensor(a), _as_tensor(b)
     _check_binary(a, b, "sub")
     out = DiffTensor(a.values - b.values)
+    sa, sb = _wanted(a), _wanted(b)
 
     def grad_fn(g):
-        ga = _reduce_to(g, a) if a.requires_grad else None
-        gb = _reduce_to(-g, b) if b.requires_grad else None
+        ga = None if sa is None else _reduce_to(g, sa)
+        gb = None if sb is None else _reduce_to(-g, sb)
         return ga, gb
 
     _record((a, b), out, grad_fn)
@@ -181,10 +229,14 @@ def mul(a, b) -> DiffTensor:
     a, b = _as_tensor(a), _as_tensor(b)
     _check_binary(a, b, "mul")
     out = DiffTensor(a.values * b.values)
+    sa, sb = a.values.shape, b.values.shape
+    # each operand is kept only for the other one's gradient
+    av = a.values if b.requires_grad else None
+    bv = b.values if a.requires_grad else None
 
     def grad_fn(g):
-        ga = _reduce_to(g * b.values, a) if a.requires_grad else None
-        gb = _reduce_to(g * a.values, b) if b.requires_grad else None
+        ga = None if bv is None else _reduce_to(g * bv, sa)
+        gb = None if av is None else _reduce_to(g * av, sb)
         return ga, gb
 
     _record((a, b), out, grad_fn)
@@ -196,10 +248,12 @@ def matmul(a, b) -> DiffTensor:
     if a.values.ndim != 2 or b.values.ndim != 2 or a.values.shape[1] != b.values.shape[0]:
         raise ShapeError(f"matmul: incompatible shapes {a.values.shape} and {b.values.shape}")
     out = DiffTensor(a.values @ b.values)
+    av = a.values if b.requires_grad else None
+    bv = b.values if a.requires_grad else None
 
     def grad_fn(g):
-        ga = g @ b.values.T if a.requires_grad else None
-        gb = a.values.T @ g if b.requires_grad else None
+        ga = None if bv is None else g @ bv.T
+        gb = None if av is None else av.T @ g
         return ga, gb
 
     _record((a, b), out, grad_fn)
@@ -213,12 +267,13 @@ def add_row(x, row) -> DiffTensor:
         raise ShapeError(f"add_row: expected a matrix and a 1 x m row, "
                          f"got shapes {x.values.shape} and {row.values.shape}")
     out = DiffTensor(x.values + row.values)
+    need_x, need_row = x.requires_grad, row.requires_grad
 
     def grad_fn(g):
         # Summed as ones(1, n) @ g, not g.sum(axis=0): the two round
         # differently, and recorded training trajectories use the matmul.
-        grow = np.ones((g.shape[0], 1)).T @ g if row.requires_grad else None
-        return (g if x.requires_grad else None), grow
+        grow = np.ones((g.shape[0], 1)).T @ g if need_row else None
+        return (g if need_x else None), grow
 
     _record((x, row), out, grad_fn)
     return out
@@ -291,12 +346,12 @@ def concat(tensors: Sequence[DiffTensor], axis: int = 0) -> DiffTensor:
         if len(s) != len(first) or any(s[d] != first[d] for d in range(len(s)) if d != axis):
             raise ShapeError(f"concat: non-axis dims differ, {first} vs {s}")
     out = DiffTensor(np.concatenate([t.values for t in tensors], axis=axis))
-    extents = [t.values.shape[axis] for t in tensors]
-    offsets = np.cumsum(extents)[:-1]
+    offsets = np.cumsum([t.values.shape[axis] for t in tensors])[:-1]
+    needs = [t.requires_grad for t in tensors]
 
     def grad_fn(g):
         pieces = np.split(g, offsets, axis=axis)
-        return tuple(p if t.requires_grad else None for p, t in zip(pieces, tensors))
+        return tuple(p if need else None for p, need in zip(pieces, needs))
 
     _record(tuple(tensors), out, grad_fn)
     return out
@@ -429,19 +484,24 @@ def segment_gcn(x, groups, operators, weights, biases) -> DiffTensor:
     pre = pre.reshape(m * n, h)
     s = _sigmoid_into(pre, np.empty_like(pre), pre)
     out = DiffTensor(s)
+    need_x = x.requires_grad
+    # a weight is read only for the gradient of x
+    w_values = [w.values if need_x else None for w in weights]
+    needs = [(w.requires_grad, b.requires_grad) for w, b in zip(weights, biases)]
 
     def grad_fn(g):
         gs = g * s
         gs *= 1.0 - s
         gs3 = gs.reshape(m, n, h)
-        gx = np.empty((m, n, f)) if x.requires_grad else None
+        gx = np.empty((m, n, f)) if need_x else None
         gws, gbs = [], []
-        for idx, a, w, b, p in zip(groups, operators, weights, biases, propagated):
+        for idx, a, p, w, (need_w, need_b) in zip(groups, operators, propagated,
+                                                  w_values, needs):
             gz = gs3[:, idx].reshape(-1, h)
-            gws.append(p.T @ gz if w.requires_grad else None)
-            gbs.append(np.ones((gz.shape[0], 1)).T @ gz if b.requires_grad else None)
+            gws.append(p.T @ gz if need_w else None)
+            gbs.append(np.ones((gz.shape[0], 1)).T @ gz if need_b else None)
             if gx is not None:
-                gx[:, idx] = np.matmul(a.T, (gz @ w.values.T).reshape(m, len(idx), f))
+                gx[:, idx] = np.matmul(a.T, (gz @ w.T).reshape(m, len(idx), f))
         return (None if gx is None else gx.reshape(m * n, f), *gws, *gbs)
 
     _record((x, *weights, *biases), out, grad_fn)
@@ -461,7 +521,9 @@ def gru_update(gate_x, rows: slice, h_prev, hidden) -> DiffTensor:
     by one, bit for bit. The backward replays their gradient rules in
     reverse tape order, so every gradient matches too, as long as
     ``h_prev`` takes its first gradient here (true wherever each update
-    consumes the state the last one made).
+    consumes the state the last one made). Only the buffers depend on
+    whether the update is taped: off the tape, r, c and the update share
+    three n-row arrays instead of keeping r and c for the backward.
     """
     xz, xr, xc = (_as_tensor(t) for t in gate_x)
     vz, vr, vc = xz.values[rows], xr.values[rows], xc.values[rows]
@@ -476,10 +538,11 @@ def gru_update(gate_x, rows: slice, h_prev, hidden) -> DiffTensor:
         raise ShapeError(f"gru_update: gate rows {vz.shape} do not match the state "
                          f"{getattr(h_prev, 'shape', None)} or the hidden weights")
 
+    taped = _record(inputs)
     if h_prev is None:
         z = _sigmoid_into(vz, np.empty_like(vz), np.empty_like(vz))
         c = np.tanh(vc)
-        out = DiffTensor(z * c)
+        out = DiffTensor(z * c if taped else np.multiply(c, z, out=c))
 
         def grad_fn(g):
             gz = g * c
@@ -500,14 +563,19 @@ def gru_update(gate_x, rows: slice, h_prev, hidden) -> DiffTensor:
     np.matmul(h, wr, out=a)
     a += vr
     r = _sigmoid_into(a, np.empty_like(a), a)
-    # r is kept and h * r is taken again in the backward
-    hr = np.multiply(h, r, out=a)
-    c = hr @ wc
+    # Taped, r and c are kept and h * r is taken again in the backward.
+    # Frozen, h * r overwrites r, c goes into a, and the update into r.
+    hr = np.multiply(h, r, out=a if taped else r)
+    c = np.matmul(hr, wc, out=None if taped else a)
     c += vc
     np.tanh(c, out=c)
     new = np.subtract(1.0, z, out=hr)
     new *= h
-    new += z * c
+    if taped:
+        new += z * c
+    else:
+        c *= z
+        new += c
     out = DiffTensor(new)
 
     def grad_fn(g):
@@ -568,9 +636,10 @@ def softmax(v) -> DiffTensor:
 def sum_all(x) -> DiffTensor:
     x = _as_tensor(x)
     out = DiffTensor(np.sum(x.values))
+    shape = x.values.shape
 
     def grad_fn(g):
-        return (np.full(x.values.shape, float(g)),)
+        return (np.full(shape, float(g)),)
 
     _record((x,), out, grad_fn)
     return out
@@ -585,10 +654,10 @@ def backward(loss: DiffTensor) -> None:
     """Populate grads of every requires_grad leaf (e.g. parameter) of a scalar loss.
 
     Replays the active tape once in reverse, popping each entry, so the
-    forward values only that entry held are freed during the replay and
-    their memory serves the gradients that follow. Gradients accumulate
-    into existing ``.grad`` arrays (zero them, e.g. via the optimizer,
-    between steps). An op's output has its gradient dropped once it has
+    forward values only that entry's gradient rule held are freed during
+    the replay and their memory serves the gradients that follow.
+    Gradients accumulate into existing ``.grad`` arrays (zero them, e.g.
+    via the optimizer, between steps). An op's output has its gradient dropped once it has
     been passed on, so intermediate gradients do not pile up.
 
     A grad_fn gives an array per input, or ``(rows, g)``: the gradient
@@ -609,8 +678,8 @@ def backward(loss: DiffTensor) -> None:
 
     seed = np.ones(loss.values.shape)
     loss.grad = seed if loss.grad is None else loss.grad + seed
-    # ids of the tensors whose .grad backward allocated; the replay makes no
-    # tensor, so no id is reused while it runs
+    # ids of the nodes whose .grad backward allocated; the replay makes no
+    # node, so no id is reused while it runs
     owned: set[int] = set()
     while _TAPE:
         entry = _TAPE.pop()
@@ -625,7 +694,7 @@ def backward(loss: DiffTensor) -> None:
             if type(g) is tuple:
                 rows, g = g
                 if t.grad is None:
-                    t.grad = np.zeros_like(t.values)
+                    t.grad = np.zeros(t.shape, t.dtype)
                 elif id(t) not in owned:
                     t.grad = t.grad.copy()
                 t.grad[rows] += g

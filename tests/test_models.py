@@ -1,9 +1,12 @@
 """Unit tests for layers, architectures, and checkpoints."""
 
+import copy
+import hashlib
 import json
 import struct
 import tracemalloc
 import warnings
+import weakref
 
 import numpy as np
 import pytest
@@ -53,6 +56,7 @@ from regraph.models.checkpoint import (
     graph_payload,
     partition_from_payload,
     partition_payload,
+    read_graph_document,
 )
 from regraph.numerics import (
     DiffTensor,
@@ -593,6 +597,49 @@ def stepwise_forward(model, w):
     return model.readout(weights, state)
 
 
+# sha256 of the forecast and every gradient, in parameter order, of the case
+# below, as the code gave them when each tape entry still held its inputs'
+# values (x86-64, NumPy with OpenBLAS).
+RETENTION_DIGESTS = {
+    "RegTGCN": "6129862c06e71a19a6b2c957b8fd8abd6813ca9f5576e7819b922c23b0d48c41",
+    "TGCN": "cf7e3f69b8ceb15367829de2ca66e3a922a9f0292f0dc1fd373b46f6dc4a5270",
+}
+
+
+@pytest.mark.parametrize("arch", ["RegTGCN", "TGCN"])
+def test_taped_forward_keeps_only_what_backward_reads(arch, monkeypatch):
+    from regraph.models import architectures
+    if arch == "RegTGCN":
+        model = interleaved_model(arch)
+    else:
+        model = build_model(ModelSpec(arch, 6, 3, (1, 3), "connected", seed=2),
+                            two_region_graph())
+    blocks, products = [], []
+    gate_inputs = architectures.gate_inputs
+
+    def watched(gates, conv_out):
+        out = gate_inputs(gates, conv_out)
+        blocks.append(weakref.ref(conv_out.values))
+        products.extend(weakref.ref(t.values) for t in out)
+        return out
+    monkeypatch.setattr(architectures, "gate_inputs", watched)
+
+    tensor_core.clear_tape()
+    out = model.forward(window(3, model.ctx.n, seed=21))
+    # the gates' input products were read by the updates alone; the GRU
+    # input block (RegTGCN: the concat of conv and gamma) is what the
+    # products' weight gradients read
+    assert len(products) == 3 and all(r() is None for r in products)
+    assert len(blocks) == 1 and blocks[0]() is not None
+    backward(sum_all(mul(out, out)))
+    digest = hashlib.sha256(out.values.tobytes())
+    for name, p in model.named_params().items():
+        digest.update(name.encode())
+        digest.update(p.grad.tobytes())
+    assert digest.hexdigest() == RETENTION_DIGESTS[arch]
+    assert blocks[0]() is None  # the replay let go of it
+
+
 @pytest.mark.parametrize("arch", ["StackedGRU", "TGCN", "CSTGCN", "RanTGCN", "RegTGCN"])
 def test_stacked_forward_equals_one_step_at_a_time(arch):
     if arch in ("RanTGCN", "RegTGCN"):
@@ -1005,6 +1052,29 @@ def test_checkpoint_malformed_header_is_data_error(tmp_path, edit):
         warnings.simplefilter("error")  # a DataError, with no warning on the way
         with pytest.raises(DataError):
             load_checkpoint(path)
+
+
+def test_random_partition_sub_edge_edits_are_rejected_on_load():
+    # 8 sites close enough that every pair is a graph edge
+    sites = [site(f"s{i}", lat=43.0 + 0.01 * i, lon=-89.0 + 0.013 * (i % 3)) for i in range(8)]
+    g = build_connected(sites)
+    assert len(g.edges) == 28
+    doc = json.loads(json.dumps({"graph": graph_payload(g),
+                                 "partition": partition_payload(decompose_random(g, r=2,
+                                                                                 seed=1))}))
+    _, part = read_graph_document(copy.deepcopy(doc), "graph file")
+    assert part.strategy == "random" and len(part.region_order) == 2
+
+    dropped = copy.deepcopy(doc)
+    a, b, _ = dropped["partition"]["subgraph_edges"]["group_0"].pop(2)
+    with pytest.raises(DataError, match=rf"group_0 pair \({a}, {b}\)"):
+        read_graph_document(dropped, "graph file")
+
+    altered = copy.deepcopy(doc)
+    edge = altered["partition"]["subgraph_edges"]["group_1"][0]
+    edge[2] += 5.0
+    with pytest.raises(DataError, match=rf"group_1 pair \({edge[0]}, {edge[1]}\)"):
+        read_graph_document(altered, "graph file")
 
 
 def test_checkpoint_random_partition_round_trip(tmp_path):

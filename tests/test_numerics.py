@@ -1,10 +1,14 @@
 """Unit tests for the autodiff core and the optimizer."""
 
+import tracemalloc
+import types
+
 import numpy as np
 import pytest
 
 from regraph.errors import NumericError, ShapeError
 from regraph.numerics import (
+    DiffTensor,
     RmsProp,
     add,
     add_row,
@@ -680,6 +684,117 @@ def test_gru_update_shape_errors():
         gru_update(g_ts, slice(0, 5), constant(h_vals[:4]), [constant(w) for w in hidden])
     with pytest.raises(ShapeError, match="gru_update"):
         gru_update(g_ts, slice(0, 5), constant(h_vals), [constant(w[:3]) for w in hidden])
+
+
+@pytest.mark.parametrize("with_state", [False, True])
+def test_frozen_gru_update_equals_the_taped_one_in_three_arrays(with_state):
+    rng = np.random.default_rng(51)
+    n, h = 128, 32
+    gates, h_vals, hidden = gru_case(rng, n, h)
+    g_ts = [parameter(v) for v in gates]
+    h_t = parameter(h_vals) if with_state else None
+    w_ts = [parameter(v) for v in hidden]
+    before = tape_length()
+    taped = gru_update(g_ts, slice(n, 2 * n), h_t, w_ts)
+    assert tape_length() == before + 1
+    with no_grad():
+        tracemalloc.start()
+        try:
+            frozen = gru_update(g_ts, slice(n, 2 * n), h_t, w_ts)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+    assert tape_length() == before + 1
+    assert_same_bits(frozen.values, taped.values)
+    # off the tape r, c and the update share three n x h arrays
+    assert peak < 3.5 * n * h * 8, f"a frozen update peaked at {peak} bytes"
+
+
+# ------------------------------------------------------ what the tape keeps
+
+# The exported names that record nothing themselves: mean_all records through
+# sum_all and mul.
+NOT_RECORDING = {"DiffTensor", "backward", "clear_tape", "constant", "mean_all",
+                 "no_grad", "parameter", "tape_length"}
+
+
+def recording_calls():
+    """Per recording op, taped calls that cover its branches."""
+    rng = np.random.default_rng(52)
+
+    def p(*shape):
+        return parameter(rng.normal(size=shape))
+    gates, h_vals, hidden = gru_case(rng)
+    x_vals, ops, ws, bs, _ = segment_case(rng)
+    a = random_binary(6, rng, 0.5)
+    return {
+        "add": lambda: [add(p(3, 2), p(3, 2)), add(p(3, 2), 1.0)],
+        "sub": lambda: [sub(p(3, 2), p(3, 2)), sub(2.0, p(3, 2))],
+        "mul": lambda: [mul(p(3, 2), p(3, 2)), mul(p(3, 2), constant(2.0))],
+        "matmul": lambda: [matmul(p(3, 2), p(2, 4)), matmul(constant(np.ones((3, 2))), p(2, 4)),
+                           matmul(p(3, 2), constant(np.ones((2, 4))))],
+        "add_row": lambda: [add_row(p(3, 2), p(1, 2))],
+        "sigmoid": lambda: [sigmoid(p(3, 2))],
+        "tanh": lambda: [tanh(p(3, 2))],
+        "relu": lambda: [relu(p(3, 2))],
+        "softmax": lambda: [softmax(p(4))],
+        "concat": lambda: [concat([p(2, 2), constant(np.ones((3, 2))), p(1, 2)])],
+        "take_rows": lambda: [take_rows(p(4, 2), slice(1, 3))],
+        "reshape": lambda: [reshape(p(3, 2), (2, 3))],
+        "sum_all": lambda: [sum_all(p(3, 2))],
+        "propagate": lambda: [propagate(constant(a), p(12, 2)),
+                              propagate(as_neighbor_lists(a), p(12, 2))],
+        "segment_gcn": lambda: [
+            segment_gcn(constant(x_vals), SEGMENTS, ops, [parameter(w) for w in ws],
+                        [parameter(b) for b in bs]),
+            segment_gcn(parameter(x_vals), SEGMENTS, ops, [parameter(w) for w in ws],
+                        [parameter(b) for b in bs])],
+        "gru_update": lambda: [
+            gru_update([parameter(v) for v in gates], slice(0, 5), None, None),
+            gru_update([parameter(v) for v in gates], slice(5, 10), parameter(h_vals),
+                       [parameter(w) for w in hidden])],
+    }
+
+
+def reachable(fn):
+    """Every object a gradient rule holds: its closure cells and defaults,
+    and through them nested functions and containers."""
+    seen, stack, found = set(), [fn], []
+    while stack:
+        obj = stack.pop()
+        if id(obj) in seen:
+            continue
+        seen.add(id(obj))
+        found.append(obj)
+        if isinstance(obj, types.FunctionType):
+            stack += [cell.cell_contents for cell in obj.__closure__ or ()]
+            stack += list(obj.__defaults__ or ())
+        elif isinstance(obj, dict):
+            stack += list(obj.values())
+        elif isinstance(obj, (list, tuple)):
+            stack += list(obj)
+    return found
+
+
+def test_no_gradient_rule_holds_a_tensor():
+    # a tape entry points at gradient nodes, and its grad_fn at the arrays
+    # its rule reads: no tensor, so no forward value the rule does not read
+    import regraph.numerics.tensor as core
+    calls = recording_calls()
+    assert set(core.__all__) - NOT_RECORDING == set(calls)
+    for name, call in calls.items():
+        core.clear_tape()
+        outputs = call()
+        entries = list(core._TAPE)
+        core.clear_tape()
+        assert [e.grad_fn.__qualname__.split(".")[0] for e in entries] == \
+            [name] * len(outputs)
+        for entry, out in zip(entries, outputs):
+            assert entry.output is out.node
+            assert not any(isinstance(t, DiffTensor) for t in (entry.output, *entry.inputs))
+            held = [type(obj).__name__ for obj in reachable(entry.grad_fn)
+                    if isinstance(obj, DiffTensor)]
+            assert held == [], name
 
 
 # --------------------------------------------------------------- softmax
