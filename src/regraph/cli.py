@@ -1,9 +1,9 @@
 """Command-line surface: synth, build-graph, train, predict, evaluate, analyze-graph.
 
 Every command exits 0 on success, 2 on configuration or schema problems, and
-3 on data problems. All randomness is derived from config seeds, so reruns
-with identical inputs produce identical bytes; wall-clock timestamps are
-confined to meta.json.
+3 on data problems or an output file it cannot write. All randomness is
+derived from config seeds, so reruns with identical inputs produce identical
+bytes; wall-clock timestamps are confined to meta.json.
 """
 
 import argparse
@@ -40,7 +40,7 @@ from regraph.evaluation import (
     write_metrics_csv,
     write_timeseries,
 )
-from regraph.files import atomic_open, read_json, stored, write_json
+from regraph.files import read_json, stored, write_json, write_lines
 from regraph.graph import (
     build_connected,
     decompose_random,
@@ -51,7 +51,7 @@ from regraph.graph import (
 )
 from regraph.models import build_model, load_checkpoint, restore_model
 from regraph.models.checkpoint import graph_payload, partition_payload, read_graph_document
-from regraph.training import split_validation, train, val_rmse
+from regraph.training import BEST_CHECKPOINT, REPORT_FILE, split_validation, train, val_rmse
 
 __all__ = ["main"]
 
@@ -111,7 +111,6 @@ def _cmd_synth(args) -> int:
     started = _now()
     resolved = load_config(args.config)
     out = Path(args.out)
-    out.mkdir(parents=True, exist_ok=True)
     generate_synthetic(synth_config_from(resolved), out)
     _echo_config(out, resolved, {"config": str(args.config), "out": str(args.out)})
     _write_meta(out, "synth", started)
@@ -137,10 +136,7 @@ def _cmd_build_graph(args) -> int:
         "graph": graph_payload(graph),
         "partition": None if partition is None else partition_payload(partition),
     }
-    out = Path(args.out)
-    if out.parent != Path(""):
-        out.parent.mkdir(parents=True, exist_ok=True)
-    write_json(out, doc)
+    write_json(args.out, doc)
     return 0
 
 
@@ -167,14 +163,15 @@ def _cmd_train(args) -> int:
     if spec.connectivity == "connected":
         partition = None  # connected models ignore any stored partition
     model = build_model(spec, graph, partition)
+    train_cfg = train_config_from(resolved)
 
+    # the first write: an unusable --out fails here, before any epoch runs
     out = Path(args.out)
-    out.mkdir(parents=True, exist_ok=True)
-    _, report = train(model, train_samples, train_config_from(resolved), out)
     _echo_config(out, resolved, {"config": str(args.config),
                                  "data": str(args.data),
                                  "graph": str(args.graph),
                                  "out": str(args.out)})
+    _, report = train(model, train_samples, train_cfg, out)
     _write_meta(out, "train", started,
                 {"epoch_seconds": list(report.epoch_seconds),
                  "epoch_minor_faults": list(report.epoch_minor_faults),
@@ -202,11 +199,7 @@ def _cmd_predict(args) -> int:
             row = [sid, sample.anchor_time.isoformat()]
             row += [repr(float(v)) for v in preds[s_idx, i]]
             lines.append(",".join(row))
-    out = Path(args.out)
-    if out.parent != Path(""):
-        out.parent.mkdir(parents=True, exist_ok=True)
-    with atomic_open(out) as fh:
-        fh.write("\n".join(lines) + "\n")
+    write_lines(args.out, lines)
     return 0
 
 
@@ -223,7 +216,7 @@ _RUN_KEYS = {"data": ("grid_step_min", "max_gap_steps", "train_weeks", "test_wee
 def _read_run(run: Path):
     """A run's data directory, the config echo sections evaluate reads, and
     the validation RMSE its train report states (None without validation)."""
-    cfg_path, report_path = run / RESOLVED_CONFIG, run / "train_report.json"
+    cfg_path, report_path = run / RESOLVED_CONFIG, run / REPORT_FILE
     echo = read_json(cfg_path, "run config")
     report = read_json(report_path, "train report")
     with stored(f"run config {cfg_path}"):
@@ -238,13 +231,12 @@ def _read_run(run: Path):
 def _cmd_evaluate(args) -> int:
     started = _now()
     out = Path(args.out)
-    out.mkdir(parents=True, exist_ok=True)
     rows = []
     summaries = {}
     overlap_costs = {}
     for run in (Path(r) for r in args.runs):
         name = _run_name(run)
-        ckpt_path = run / "checkpoint_best.ckpt"
+        ckpt_path = run / BEST_CHECKPOINT
         cfg_path = run / RESOLVED_CONFIG
         if not ckpt_path.exists() or not cfg_path.exists():
             print(f"warning: skipping {run}: missing checkpoint or config",

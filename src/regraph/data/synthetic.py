@@ -108,7 +108,6 @@ def _site_rng(seed: int, i: int) -> np.random.Generator:
 def generate_synthetic(cfg: SyntheticConfig, out_dir: str | Path) -> tuple[Path, Path, Path]:
     """Write sites.csv, records.csv, and a synth_config.json sidecar."""
     out_dir = Path(out_dir)
-    out_dir.mkdir(parents=True, exist_ok=True)
 
     master = np.random.default_rng(np.random.SeedSequence(cfg.seed))
     region_phase = master.uniform(cfg.phase_range[0], cfg.phase_range[1], size=cfg.n_regions)

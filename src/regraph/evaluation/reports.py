@@ -11,7 +11,7 @@ import numpy as np
 from regraph.data import GRID_STEP_MIN, apply_scaling, step_positions, week_label
 from regraph.errors import ConfigError, ShapeError
 from regraph.evaluation.metrics import MetricSet, compute_metrics, q95_table
-from regraph.files import atomic_open, write_json
+from regraph.files import write_json, write_lines
 
 __all__ = [
     "METRICS_COLUMNS",
@@ -128,8 +128,7 @@ def write_metrics_csv(path, rows) -> None:
             value = row[col]
             cells.append(repr(value) if isinstance(value, float) else str(value))
         lines.append(",".join(cells))
-    with atomic_open(path) as fh:
-        fh.write("\n".join(lines) + "\n")
+    write_lines(path, lines)
 
 
 def aggregate_comparison(rows) -> dict:
@@ -198,5 +197,4 @@ def write_timeseries(path, samples, preds, site_ids,
         row += [repr(table[(sid, t)][h]) if h in table[(sid, t)] else ""
                 for h in horizons]
         lines.append(",".join(row))
-    with atomic_open(path) as fh:
-        fh.write("\n".join(lines) + "\n")
+    write_lines(path, lines)

@@ -12,7 +12,8 @@ from pathlib import Path
 
 from .errors import DataError
 
-__all__ = ["atomic_open", "json_object", "open_csv", "read_json", "stored", "write_json"]
+__all__ = ["atomic_open", "json_object", "open_csv", "read_json", "stored", "write_json",
+           "write_lines"]
 
 
 @contextlib.contextmanager
@@ -75,22 +76,35 @@ def read_json(path, kind: str) -> dict:
 def atomic_open(path, mode: str = "w", **open_kwargs):
     """Open a temp file beside ``path`` that replaces it when the block ends.
 
-    ``mode`` is ``"w"`` or ``"wb"``; ``open_kwargs`` go to ``open``. If the
-    block raises, the temp file is removed and ``path`` keeps its old
-    contents. The data is not fsynced, so this guards against a failed or
-    interrupted writer, not against a power loss.
+    ``mode`` is ``"w"`` or ``"wb"``; ``open_kwargs`` go to ``open``. The
+    parent directory is made when it is missing. If anything on the way
+    raises, the temp file is removed and ``path`` keeps its old contents;
+    an ``OSError`` (making the directory, opening, the block's writes, the
+    replace) becomes a ``DataError`` that names ``path``. The data is not
+    fsynced, so this guards against a failed or interrupted writer, not
+    against a power loss.
     """
     path = Path(path)
     # Not tempfile.mkstemp: its files are owner-only, whatever the umask says.
     tmp = path.with_name(f".{path.name}.{os.getpid()}-{secrets.token_hex(4)}.tmp")
-    fh = open(tmp, mode.replace("w", "x"), **open_kwargs)
     try:
-        with fh:
-            yield fh
-        os.replace(tmp, path)
-    except BaseException:
-        tmp.unlink(missing_ok=True)
-        raise
+        path.parent.mkdir(parents=True, exist_ok=True)
+        fh = open(tmp, mode.replace("w", "x"), **open_kwargs)
+        try:
+            with fh:
+                yield fh
+            os.replace(tmp, path)
+        except BaseException:
+            tmp.unlink(missing_ok=True)
+            raise
+    except OSError as exc:
+        raise DataError(f"cannot write {path}: {exc}") from exc
+
+
+def write_lines(path, lines) -> None:
+    """Write a text artifact, each line followed by a newline, replaced atomically."""
+    with atomic_open(path, encoding="utf-8") as fh:
+        fh.writelines(f"{line}\n" for line in lines)
 
 
 def write_json(path, doc) -> None:

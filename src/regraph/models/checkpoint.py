@@ -3,9 +3,10 @@
 Layout: an 8-byte magic, a little-endian uint64 header length, a compact
 JSON header, then the raw weight arrays (float64, little-endian, C order)
 concatenated in the order the header lists them. The file holds the
-architecture and hyper parameters, feature-scaling constants, the
-training week set, the full graph (sites, edges, kernel), and the
-partition with its stored edge distances. The grid step and max gap the
+model's ``ModelSpec`` (its architecture, and exactly its other fields
+under ``hyperparams``), feature-scaling constants, the training week
+set, the full graph (sites, edges, kernel), and the partition with its
+stored edge distances. The grid step and max gap the
 model was trained on are not stored: a caller that grids new records
 must pass the training config's values. No timestamps, so identical
 training runs write identical bytes.
@@ -16,7 +17,7 @@ from __future__ import annotations
 import json
 import math
 import struct
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass, fields
 from pathlib import Path
 from types import SimpleNamespace
 
@@ -39,6 +40,8 @@ __all__ = ["CheckpointBundle", "FORMAT_VERSION", "load_checkpoint", "restore_mod
 
 MAGIC = b"RGCKPT01"
 FORMAT_VERSION = 1
+# the header stores the architecture on its own and ModelSpec's other fields here
+_HYPERPARAMS = sorted(f.name for f in fields(ModelSpec) if f.name != "architecture")
 
 
 def _site_to_row(s: SiteMeta) -> list:
@@ -171,17 +174,11 @@ def save_checkpoint(path: str | Path, model: ForecastModel,
     named = model.named_params()
     weight_index = [{"name": name, "shape": list(p.values.shape)}
                     for name, p in named.items()]
+    hyperparams = asdict(spec)
     header = {
         "format_version": FORMAT_VERSION,
-        "architecture": spec.architecture,
-        "hyperparams": {
-            "hidden": spec.hidden,
-            "k": spec.k,
-            "horizons": list(spec.horizons),
-            "connectivity": spec.connectivity,
-            "region_count": spec.region_count,
-            "seed": spec.seed,
-        },
+        "architecture": hyperparams.pop("architecture"),
+        "hyperparams": hyperparams,
         "scaling": {"lo": [float(x) for x in scaling_lo],
                     "hi": [float(x) for x in scaling_hi]},
         "train_weeks": list(train_weeks),
@@ -195,8 +192,8 @@ def save_checkpoint(path: str | Path, model: ForecastModel,
         fh.write(MAGIC)
         fh.write(struct.pack("<Q", len(blob)))
         fh.write(blob)
-        for name, p in named.items():
-            fh.write(np.ascontiguousarray(p.values, dtype="<f8").tobytes())
+        for p in named.values():
+            fh.write(np.ascontiguousarray(p.values, dtype="<f8"))
 
 
 def load_checkpoint(path: str | Path) -> CheckpointBundle:
@@ -216,15 +213,10 @@ def load_checkpoint(path: str | Path) -> CheckpointBundle:
 
     with stored(f"checkpoint header in {path}"):
         hp = header["hyperparams"]
-        spec = ModelSpec(
-            architecture=header["architecture"],
-            hidden=hp["hidden"],
-            k=hp["k"],
-            horizons=tuple(hp["horizons"]),
-            connectivity=hp["connectivity"],
-            region_count=hp["region_count"],
-            seed=hp["seed"],
-        )
+        if sorted(hp) != _HYPERPARAMS:
+            raise DataError(f"{path}: checkpoint hyperparams hold {sorted(hp)}, "
+                            f"not {_HYPERPARAMS}")
+        spec = ModelSpec(architecture=header["architecture"], **hp)
         graph, partition = read_graph_document(header, f"checkpoint header in {path}")
 
         weights: dict = {}

@@ -577,6 +577,8 @@ def gru_update(gate_x, rows: slice, h_prev, hidden) -> DiffTensor:
         c *= z
         new += c
     out = DiffTensor(new)
+    if taped and h.base is not None:
+        h = h.copy()  # the rule reads these rows, not the whole array they view
 
     def grad_fn(g):
         gz = g * c

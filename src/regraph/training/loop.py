@@ -8,13 +8,14 @@ whenever at least two samples are present.
 import ctypes
 import time
 from dataclasses import dataclass
+from pathlib import Path
 
 import numpy as np
 
 from regraph.data import apply_scaling, compute_scaling, week_label
-from regraph.errors import ConfigError, DataError, NumericError
+from regraph.errors import ConfigError, NumericError
 from regraph.evaluation import predict_samples
-from regraph.files import atomic_open, write_json
+from regraph.files import write_json, write_lines
 from regraph.models import save_checkpoint, load_checkpoint
 from regraph.numerics import RmsProp, backward, constant, mean_all, mul, sub
 
@@ -207,15 +208,7 @@ def _write_trace(path, report: TrainReport) -> None:
         if report.has_validation:
             row += [repr(v) for v in report.val_rmse[i]]
         lines.append(",".join(row))
-    with atomic_open(path) as fh:
-        fh.write("\n".join(lines) + "\n")
-
-
-def _save(path, model, lo, hi, weeks) -> None:
-    try:
-        save_checkpoint(path, model, lo, hi, weeks)
-    except OSError as exc:
-        raise DataError(f"failed to write checkpoint {path}: {exc}") from exc
+    write_lines(path, lines)
 
 
 def train(model, samples, cfg: TrainConfig, out_dir):
@@ -224,8 +217,6 @@ def train(model, samples, cfg: TrainConfig, out_dir):
     Scaling parameters are computed over all provided samples and stored in
     every checkpoint. The model is left holding the best-epoch weights.
     """
-    from pathlib import Path
-
     samples = list(samples)
     if not samples:
         raise ConfigError("training requires at least one sample")
@@ -243,7 +234,6 @@ def train(model, samples, cfg: TrainConfig, out_dir):
             f"horizons {model.spec.horizons}")
 
     out_dir = Path(out_dir)
-    out_dir.mkdir(parents=True, exist_ok=True)
     _pin_heap()
 
     lo, hi = compute_scaling(samples)
@@ -303,13 +293,13 @@ def train(model, samples, cfg: TrainConfig, out_dir):
             best_score = score
             best_epoch = epoch
             since_best = 0
-            _save(best_path, model, lo, hi, train_weeks)
+            save_checkpoint(best_path, model, lo, hi, train_weeks)
         else:
             since_best += 1
 
         if cfg.checkpoint_every and epoch % cfg.checkpoint_every == 0:
-            _save(out_dir / f"checkpoint_epoch_{epoch:04d}.ckpt",
-                  model, lo, hi, train_weeks)
+            save_checkpoint(out_dir / f"checkpoint_epoch_{epoch:04d}.ckpt",
+                            model, lo, hi, train_weeks)
 
         seconds.append(time.perf_counter() - started)
         faults.append(_minor_faults() - faults_before)

@@ -14,6 +14,7 @@ from regraph import cli
 from regraph.cli import main
 from regraph.config import (
     load_config,
+    model_spec_from,
     resolve_config,
     synth_config_from,
     train_config_from,
@@ -129,6 +130,12 @@ def test_type_errors_name_key(tmp_path, capsys):
         cfg = write_config(tmp_path / f"cfg{i}.json", data=data)
         assert main(["synth", "--config", str(cfg), "--out", str(tmp_path / f"out{i}")]) == 2
         assert re.search(message, capsys.readouterr().err)
+
+
+def test_hidden_null_resolves_by_architecture():
+    for architecture, hidden in (("TGCN", 512), ("RegTGCN", 256)):
+        cfg = resolve_config({"model": {"architecture": architecture, "hidden": None}})
+        assert model_spec_from(cfg).hidden == hidden
 
 
 def test_load_config_reports_json_position(tmp_path):
@@ -322,14 +329,15 @@ def test_analyze_graph_reports_overlap(tmp_path, capsys):
     assert main(["build-graph", "--sites", str(data / "sites.csv"),
                  "--strategy", "regional", "--out", str(graph_file)]) == 0
     capsys.readouterr()
-    out_file = tmp_path / "analysis.json"
+    out_file = tmp_path / "new" / "dir" / "analysis.json"  # made as needed
     assert main(["analyze-graph", "--graph", str(graph_file),
                  "--out", str(out_file)]) == 0
-    doc = json.loads(capsys.readouterr().out)
+    printed = capsys.readouterr().out
+    doc = json.loads(printed)
     assert doc["nodes"] == 6
     assert doc["partition"]["degree_monotone"] is True
     assert doc["overlap_cost"]["regional"] < doc["overlap_cost"]["connected"]
-    assert json.loads(out_file.read_text()) == doc
+    assert out_file.read_text() == printed
 
 
 @pytest.mark.parametrize("tamper", [
@@ -552,6 +560,33 @@ def test_predict_missing_checkpoint_exits_3(pipeline):
                  "--data", str(data), "--out", str(root / "p.csv")]) == 3
 
 
+def test_predict_out_under_a_regular_file_exits_3(pipeline, tmp_path, capsys):
+    blocker = tmp_path / "file"
+    blocker.write_bytes(b"x")
+    target = blocker / "p.csv"
+    assert main(["predict", "--checkpoint", str(pipeline["run"] / "checkpoint_best.ckpt"),
+                 "--data", str(pipeline["data"]), "--out", str(target)]) == 3
+    err = capsys.readouterr().err
+    assert err.startswith(f"data error: cannot write {target}:")
+    assert "Traceback" not in err
+
+
+def test_predict_without_a_usable_window_exits_3(pipeline, tmp_path, capsys):
+    # three grid steps of records, fewer than k = 4 inputs and 3 steps ahead
+    data = tmp_path / "data"
+    shutil.copytree(pipeline["data"], data)
+    header, *rows = (data / "records.csv").read_text().splitlines(keepends=True)
+    stamps = sorted({row.split(",")[1] for row in rows})[:3]
+    (data / "records.csv").write_text(
+        "".join([header] + [row for row in rows if row.split(",")[1] in stamps]))
+    with pytest.warns(UserWarning, match="need at least 7 contiguous valid grid steps"):
+        code = main(["predict", "--checkpoint", str(pipeline["run"] / "checkpoint_best.ckpt"),
+                     "--data", str(data), "--out", str(tmp_path / "p.csv")])
+    assert code == 3
+    assert f"no usable prediction windows in {data}" in capsys.readouterr().err
+    assert not (tmp_path / "p.csv").exists()
+
+
 def test_predict_on_records_with_a_stray_year_exits_3(tmp_path, capsys):
     # two sites with one day of records, plus one record ten years earlier
     data = make_dataset(tmp_path, n_sites=2, n_regions=1, days=1)
@@ -676,6 +711,16 @@ def test_evaluate_skips_missing_run(pipeline, capsys):
     assert summary["run"]["status"] == "ok"
 
 
+def test_evaluate_with_no_samples_in_test_weeks_exits_3(pipeline, tmp_path, capsys):
+    run = tmp_path / "run"
+    shutil.copytree(pipeline["run"], run)
+    echo = json.loads((run / "resolved_config.json").read_text())
+    echo["config"]["data"]["test_weeks"] = ["2024-W40"]
+    (run / "resolved_config.json").write_text(json.dumps(echo))
+    assert main(["evaluate", "--runs", str(run), "--out", str(tmp_path / "out")]) == 3
+    assert f"run {run}: no samples fall inside test_weeks" in capsys.readouterr().err
+
+
 def drop_test_weeks(run):
     echo = json.loads((run / "resolved_config.json").read_text())
     del echo["config"]["data"]["test_weeks"]
@@ -762,6 +807,51 @@ def test_train_with_a_graph_section_exits_2(pipeline, capsys):
     assert code == 2
     assert "unknown config key: graph" in capsys.readouterr().err
     assert not (root / "run_graph").exists()
+
+
+def test_train_with_no_samples_in_train_weeks_exits_3(pipeline, capsys, tmp_path):
+    cfg = write_config(tmp_path / "w40.json",
+                       data={**PIPELINE_DATA, "train_weeks": ["2024-W40"],
+                             "synth": {**BASE_SYNTH, "days": 21}},
+                       model=PIPELINE_MODEL, train=PIPELINE_TRAIN)
+    code = main(["train", "--config", str(cfg), "--data", str(pipeline["data"]),
+                 "--graph", str(pipeline["graph"]), "--out", str(tmp_path / "run")])
+    assert code == 3
+    assert "no training samples fall inside train_weeks" in capsys.readouterr().err
+    assert not (tmp_path / "run").exists()
+
+
+def test_train_out_a_regular_file_exits_3_before_training(pipeline, capsys, tmp_path,
+                                                          monkeypatch):
+    def no_training(*args, **kwargs):
+        raise AssertionError("train ran")
+    monkeypatch.setattr(cli, "train", no_training)
+    out = tmp_path / "run"
+    out.write_bytes(b"x")
+    code = main(["train", "--config", str(pipeline["cfg"]), "--data", str(pipeline["data"]),
+                 "--graph", str(pipeline["graph"]), "--out", str(out)])
+    assert code == 3
+    err = capsys.readouterr().err
+    assert err.startswith(f"data error: cannot write {out / 'resolved_config.json'}:")
+    assert out.read_bytes() == b"x"
+    assert not list(tmp_path.rglob("*.ckpt"))
+
+
+def test_a_diverging_learning_rate_exits_1(tmp_path, capsys):
+    data = make_dataset(tmp_path, days=8)
+    graph_file = tmp_path / "graph.json"
+    assert main(["build-graph", "--sites", str(data / "sites.csv"),
+                 "--strategy", "connected", "--out", str(graph_file)]) == 0
+    cfg = write_config(tmp_path / "lr.json",
+                       data={**PIPELINE_DATA, "synth": {**BASE_SYNTH, "days": 8}},
+                       model={"architecture": "TGCN", "hidden": 8, "seed": 1},
+                       train={"epochs": 1, "seed": 3, "learning_rate": 1e300})
+    with pytest.warns(RuntimeWarning, match="overflow"):
+        code = main(["train", "--config", str(cfg), "--data", str(data),
+                     "--graph", str(graph_file), "--out", str(tmp_path / "run")])
+    assert code == 1
+    err = capsys.readouterr().err
+    assert err.startswith("numeric error: non-finite training loss at epoch 1")
 
 
 def test_train_mismatched_sites_exits_3(pipeline, tmp_path):

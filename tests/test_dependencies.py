@@ -95,6 +95,34 @@ def test_only_the_tape_switch_reads_the_recording_flag():
     assert readers == ["_record", "no_grad"]
 
 
+def _opens_for_writing(call: ast.Call) -> bool:
+    """An ``open`` whose mode is not a constant holding only read letters."""
+    mode = call.args[1] if len(call.args) > 1 else next(
+        (kw.value for kw in call.keywords if kw.arg == "mode"), None)
+    return mode is not None and not (isinstance(mode, ast.Constant)
+                                     and set(mode.value) <= set("rbt"))
+
+
+def test_only_files_makes_directories_and_writes_files():
+    # An artifact reaches disk one way: files.atomic_open makes its directory
+    # and replaces it whole. The distance cache alone appends, in place.
+    makers, writers = set(), set()
+    for path in sorted(PACKAGE.rglob("*.py")):
+        module = path.relative_to(PACKAGE).as_posix()
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if not isinstance(node, ast.Call):
+                continue
+            func = node.func
+            called = func.attr if isinstance(func, ast.Attribute) else getattr(func, "id", None)
+            if called in ("mkdir", "makedirs"):
+                makers.add(module)
+            elif called in ("write_text", "write_bytes") or \
+                    called == "open" and _opens_for_writing(node):
+                writers.add(module)
+    assert makers == {"files.py"}
+    assert writers == {"files.py", "graph/distance.py"}
+
+
 def test_package_all_is_its_modules_all_concatenated():
     # A name is declared once, in its module's __all__; the subpackage's
     # __init__ star-imports the modules and holds no name list of its own.

@@ -640,6 +640,26 @@ def test_taped_forward_keeps_only_what_backward_reads(arch, monkeypatch):
     assert blocks[0]() is None  # the replay let go of it
 
 
+def test_taped_forward_lets_go_of_the_regional_embedding(monkeypatch):
+    # gamma seeds each window's state at its oldest lag; the taped update
+    # keeps that lag's rows, not the whole stacked embedding they are cut from
+    from regraph.models import architectures
+    model = interleaved_model("RegTGCN")
+    embeddings = []
+    regional_embedding = architectures.PartitionedTGcn.regional_embedding
+
+    def watched(self, x):
+        out = regional_embedding(self, x)
+        embeddings.append(weakref.ref(out.values))
+        return out
+    monkeypatch.setattr(architectures.PartitionedTGcn, "regional_embedding", watched)
+
+    tensor_core.clear_tape()
+    out = model.forward(window(3, model.ctx.n, seed=21))
+    assert len(embeddings) == 1 and embeddings[0]() is None
+    backward(sum_all(mul(out, out)))
+
+
 @pytest.mark.parametrize("arch", ["StackedGRU", "TGCN", "CSTGCN", "RanTGCN", "RegTGCN"])
 def test_stacked_forward_equals_one_step_at_a_time(arch):
     if arch in ("RanTGCN", "RegTGCN"):
@@ -1038,9 +1058,12 @@ def _rewrite_header(path, edit):
     lambda h: h["weights"][0].update(shape=[1e308, 1e308]),
     lambda h: h["weights"][0].update(shape=[True, 6]),
     lambda h: h["weights"][0].update(shape=[-6, -8]),
+    lambda h: h["hyperparams"].update(dropout=0.5),
+    lambda h: h["hyperparams"].pop("seed"),
 ], ids=["no_hyperparams", "short_site_row", "regional_edge_dropped", "unknown_site_label",
         "zero_sigma", "string_threshold", "bool_owner", "float_capacity",
-        "overflowing_shape", "bool_shape", "negative_shape"])
+        "overflowing_shape", "bool_shape", "negative_shape", "extra_hyperparam",
+        "no_seed"])
 def test_checkpoint_malformed_header_is_data_error(tmp_path, edit):
     g = two_region_graph()
     spec = ModelSpec("RegTGCN", 6, 3, (1,), "regional", seed=1)
