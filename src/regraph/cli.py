@@ -85,8 +85,8 @@ def _read_graph_file(path: Path):
     return graph, partition
 
 
-def _grid_for_nodes(data_dir: Path, nodes, grid_step_min: int, max_gap: int):
-    """Build the feature grid with sites ordered like the model's node list."""
+def _check_sites(data_dir: Path, nodes) -> None:
+    """The data directory's sites must be the graph's nodes, metadata and all."""
     sites = load_sites(data_dir / "sites.csv")
     by_id = {s.site_id: s for s in sites}
     wanted = [n.site_id for n in nodes]
@@ -101,6 +101,11 @@ def _grid_for_nodes(data_dir: Path, nodes, grid_step_min: int, max_gap: int):
             raise DataError(
                 f"site {node.site_id} metadata differs between {data_dir} "
                 f"and the graph")
+
+
+def _grid_for_nodes(data_dir: Path, nodes, grid_step_min: int, max_gap: int):
+    """Build the feature grid with sites ordered like the model's node list."""
+    _check_sites(data_dir, nodes)
     records = load_records(data_dir / "records.csv")
     return interpolate_to_grid(records, list(nodes), grid_step_min, max_gap)
 
@@ -186,8 +191,6 @@ def _cmd_predict(args) -> int:
     grid = _grid_for_nodes(Path(args.data), bundle.graph.nodes,
                            args.grid_step_min, args.max_gap_steps)
     samples = make_windows(grid, spec.k, spec.horizons, args.grid_step_min)
-    if not samples:
-        raise DataError(f"no usable prediction windows in {args.data}")
     preds, _ = predict_samples(model, samples, bundle.scaling_lo,
                                bundle.scaling_hi)
     header = ["site_id", "anchor_time"] + [
@@ -234,6 +237,7 @@ def _cmd_evaluate(args) -> int:
     rows = []
     summaries = {}
     overlap_costs = {}
+    grid_key = grid = None  # consecutive runs over the same grid read records.csv once
     for run in (Path(r) for r in args.runs):
         name = _run_name(run)
         ckpt_path = run / BEST_CHECKPOINT
@@ -247,9 +251,12 @@ def _cmd_evaluate(args) -> int:
         bundle = load_checkpoint(ckpt_path)
         model = restore_model(bundle)
         data_cfg = resolved["data"]
-        grid = _grid_for_nodes(data_dir, bundle.graph.nodes,
-                               data_cfg["grid_step_min"],
-                               data_cfg["max_gap_steps"])
+        key = (data_dir.resolve(), bundle.graph.nodes, data_cfg["grid_step_min"],
+               data_cfg["max_gap_steps"])
+        if key == grid_key:
+            _check_sites(data_dir, bundle.graph.nodes)
+        else:
+            grid, grid_key = _grid_for_nodes(data_dir, *key[1:]), key
         # the checkpoint's model fixes the window length and horizons
         train_s, test_s, gen_s = _split_from_config(data_cfg, grid, bundle.spec.k,
                                                     bundle.spec.horizons)

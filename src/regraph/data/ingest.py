@@ -31,16 +31,26 @@ def load_records(path: str | Path) -> dict[str, np.ndarray]:
     last row read for a given site and timestamp wins), so timestamps are
     strictly increasing per site. Blank lines are skipped; any other row
     must have exactly the three header fields.
+
+    A timestamp is parsed only when its text differs from the previous
+    row's, so the rows of one report time written together (as ``synth``
+    writes every site of a grid step) parse it once.
     """
     columns: defaultdict[str, list[int]] = defaultdict(list)  # time_us, available, ...
+    last_ts, time_us = None, 0  # the previous row's timestamp text, parsed
     with open_csv(path, RECORDS_HEADER, "records") as reader:
         for row in filter(None, reader):  # blank lines are empty rows
             try:
                 site_id, raw_ts, raw_available = row  # exactly three fields
-                ts = datetime.fromisoformat(raw_ts)
-                if ts.tzinfo is not None:
-                    ts = ts.astimezone(timezone.utc).replace(tzinfo=None)
-                columns[site_id].extend(((ts - EPOCH) // MICROSECOND, int(raw_available)))
+                if raw_ts != last_ts:
+                    ts = datetime.fromisoformat(raw_ts)
+                    if ts.tzinfo is not None:
+                        ts = ts.astimezone(timezone.utc).replace(tzinfo=None)
+                    since = ts - EPOCH  # whole microseconds as since // MICROSECOND, cheaper
+                    time_us = ((since.days * 86_400 + since.seconds) * 1_000_000
+                               + since.microseconds)
+                    last_ts = raw_ts
+                columns[site_id].extend((time_us, int(raw_available)))
             except ValueError as exc:
                 raise DataError(f"records file {path} line {reader.line_num}: {exc}") from exc
             if not site_id:

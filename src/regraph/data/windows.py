@@ -3,7 +3,6 @@
 from __future__ import annotations
 
 import dataclasses
-import warnings
 from dataclasses import dataclass, field
 from datetime import datetime
 from typing import Iterable, Sequence
@@ -54,7 +53,8 @@ def make_windows(grid: FeatureGrid, k: int, horizons: Sequence[int],
 
     A run of F steps yields F - k - max(horizons) + 1 samples; no window
     spans an invalid step. Each sample's inputs are a read-only view into
-    ``grid.X``. ``grid_step_min`` must equal the grid's own step.
+    ``grid.X``. ``grid_step_min`` must equal the grid's own step. A grid
+    that yields no window is a ``DataError``.
     """
     if k < 1:
         raise ConfigError(f"window length k must be >= 1, got {k}")
@@ -86,9 +86,8 @@ def make_windows(grid: FeatureGrid, k: int, horizons: Sequence[int],
                 first_step=int(s),
             ))
     if not samples:
-        warnings.warn(
-            f"no windows: need at least {k + max_h} contiguous valid grid steps",
-            stacklevel=2)
+        raise DataError(f"no usable windows: need at least {k + max_h} contiguous valid "
+                        "grid steps")
     return samples
 
 

@@ -270,7 +270,9 @@ def train(model, samples, cfg: TrainConfig, out_dir):
         for step, idx in enumerate(order, start=1):
             # scaled in the step that uses it, so no scaled copy of the fit set is held
             sample = apply_scaling(fit[idx], lo, hi)
-            loss = mse_loss(model.forward(sample.inputs), constant(sample.targets))
+            # a diverged model overflows here: the finiteness check reports it, not NumPy
+            with np.errstate(over="ignore", invalid="ignore"):
+                loss = mse_loss(model.forward(sample.inputs), constant(sample.targets))
             value = float(loss.values)
             if not np.isfinite(value):
                 raise NumericError(
@@ -281,7 +283,8 @@ def train(model, samples, cfg: TrainConfig, out_dir):
         losses.append(total / len(fit))
 
         if has_val:
-            rmse = _val_rmse(model, val, lo, hi)
+            with np.errstate(over="ignore", invalid="ignore"):
+                rmse = _val_rmse(model, val, lo, hi)
             if not all(np.isfinite(rmse)):
                 raise NumericError(f"non-finite validation RMSE at epoch {epoch}")
             val_curve.append(rmse)

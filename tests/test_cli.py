@@ -4,6 +4,7 @@ import dataclasses
 import json
 import re
 import shutil
+import warnings
 
 import numpy as np
 import pytest
@@ -571,20 +572,48 @@ def test_predict_out_under_a_regular_file_exits_3(pipeline, tmp_path, capsys):
     assert "Traceback" not in err
 
 
-def test_predict_without_a_usable_window_exits_3(pipeline, tmp_path, capsys):
-    # three grid steps of records, fewer than k = 4 inputs and 3 steps ahead
+@pytest.fixture
+def three_steps_of_data(pipeline, tmp_path):
+    """The pipeline's data cut to three grid steps, fewer than k = 4 inputs and
+    3 steps ahead."""
     data = tmp_path / "data"
     shutil.copytree(pipeline["data"], data)
     header, *rows = (data / "records.csv").read_text().splitlines(keepends=True)
     stamps = sorted({row.split(",")[1] for row in rows})[:3]
     (data / "records.csv").write_text(
         "".join([header] + [row for row in rows if row.split(",")[1] in stamps]))
-    with pytest.warns(UserWarning, match="need at least 7 contiguous valid grid steps"):
-        code = main(["predict", "--checkpoint", str(pipeline["run"] / "checkpoint_best.ckpt"),
-                     "--data", str(data), "--out", str(tmp_path / "p.csv")])
+    return data
+
+
+NO_WINDOW = "data error: no usable windows: need at least 7 contiguous valid grid steps\n"
+
+
+def main_showing_no_warning(argv):
+    """``main``, failing the test if the command showed any warning on the way."""
+    with warnings.catch_warnings(record=True) as caught:
+        code = main(argv)
+    assert [str(w.message) for w in caught] == []
+    return code
+
+
+def test_predict_without_a_usable_window_exits_3(pipeline, three_steps_of_data, tmp_path,
+                                                 capsys):
+    code = main_showing_no_warning([
+        "predict", "--checkpoint", str(pipeline["run"] / "checkpoint_best.ckpt"),
+        "--data", str(three_steps_of_data), "--out", str(tmp_path / "p.csv")])
     assert code == 3
-    assert f"no usable prediction windows in {data}" in capsys.readouterr().err
+    assert capsys.readouterr().err == NO_WINDOW
     assert not (tmp_path / "p.csv").exists()
+
+
+def test_train_without_a_usable_window_exits_3(pipeline, three_steps_of_data, tmp_path,
+                                               capsys):
+    code = main_showing_no_warning([
+        "train", "--config", str(pipeline["cfg"]), "--data", str(three_steps_of_data),
+        "--graph", str(pipeline["graph"]), "--out", str(tmp_path / "run")])
+    assert code == 3
+    assert capsys.readouterr().err == NO_WINDOW
+    assert not (tmp_path / "run").exists()
 
 
 def test_predict_on_records_with_a_stray_year_exits_3(tmp_path, capsys):
@@ -680,6 +709,32 @@ def test_evaluate_builds_one_model_per_run(pipeline, monkeypatch, tmp_path):
     summaries = json.loads((out / "evaluation.json").read_text())
     assert all("generality" in summaries[name] for name in ("run", "copy"))
     assert calls == ["RegTGCN", "RegTGCN"]
+
+
+def test_evaluate_reads_a_data_directory_once(pipeline, monkeypatch, tmp_path):
+    # runs over one data directory share its grid; each run still checks its sites
+    copy = tmp_path / "copy"
+    shutil.copytree(pipeline["run"], copy)
+    alone = []
+    for run in (pipeline["run"], copy):
+        out = tmp_path / f"alone_{run.name}"
+        assert main(["evaluate", "--runs", str(run), "--out", str(out)]) == 0
+        alone.append(out)
+    calls = {"load_records": 0, "load_sites": 0}
+    for name in calls:
+        def counting(path, _original=getattr(cli, name), _name=name):
+            calls[_name] += 1
+            return _original(path)
+        monkeypatch.setattr(cli, name, counting)
+    both = tmp_path / "both"
+    assert main(["evaluate", "--runs", str(pipeline["run"]), str(copy), "--out", str(both)]) == 0
+    assert calls == {"load_records": 1, "load_sites": 2}
+    summaries = json.loads((both / "evaluation.json").read_text())
+    for run, out in zip((pipeline["run"], copy), alone):
+        name = run.name
+        assert (both / f"timeseries_{name}.csv").read_bytes() == \
+            (out / f"timeseries_{name}.csv").read_bytes()
+        assert summaries[name] == json.loads((out / "evaluation.json").read_text())[name]
 
 
 def test_evaluate_takes_window_length_and_horizons_from_the_checkpoint(pipeline, tmp_path):
@@ -846,12 +901,12 @@ def test_a_diverging_learning_rate_exits_1(tmp_path, capsys):
                        data={**PIPELINE_DATA, "synth": {**BASE_SYNTH, "days": 8}},
                        model={"architecture": "TGCN", "hidden": 8, "seed": 1},
                        train={"epochs": 1, "seed": 3, "learning_rate": 1e300})
-    with pytest.warns(RuntimeWarning, match="overflow"):
-        code = main(["train", "--config", str(cfg), "--data", str(data),
-                     "--graph", str(graph_file), "--out", str(tmp_path / "run")])
+    capsys.readouterr()
+    # the numeric error alone: no NumPy overflow warning before it
+    code = main_showing_no_warning(["train", "--config", str(cfg), "--data", str(data),
+                                    "--graph", str(graph_file), "--out", str(tmp_path / "run")])
     assert code == 1
-    err = capsys.readouterr().err
-    assert err.startswith("numeric error: non-finite training loss at epoch 1")
+    assert capsys.readouterr().err == "numeric error: non-finite training loss at epoch 1, step 2\n"
 
 
 def test_train_mismatched_sites_exits_3(pipeline, tmp_path):

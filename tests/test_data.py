@@ -222,11 +222,10 @@ def test_windows_respect_invalid_runs():
     assert [s.anchor_time for s in samples] == [grid.time(c) for c in (3, 4, 29, 30)]
 
 
-def test_insufficient_frames_warns_and_returns_empty():
+def test_insufficient_frames_is_a_data_error():
     grid = make_grid(np.zeros(4))
-    with pytest.warns(UserWarning):
-        samples = make_windows(grid, k=6, horizons=[3])
-    assert samples == []
+    with pytest.raises(DataError, match="need at least 9 contiguous valid grid steps"):
+        make_windows(grid, k=6, horizons=[3])
 
 
 def test_window_config_validation():
@@ -643,6 +642,78 @@ def test_load_records_rejects_available_beyond_64_bits(tmp_path):
                     "s,2024-01-01T00:10:00,99999999999999999999\n", encoding="utf-8")
     with pytest.raises(DataError, match="records file"):
         load_records(path)
+
+
+class CountingDatetime(datetime):
+    """``datetime`` whose ``fromisoformat`` counts its calls."""
+
+    parses = 0
+
+    @classmethod
+    def fromisoformat(cls, text):
+        CountingDatetime.parses += 1
+        return datetime.fromisoformat(text)
+
+
+@pytest.fixture
+def count_parses(monkeypatch):
+    from regraph.data import ingest
+    monkeypatch.setattr(ingest, "datetime", CountingDatetime)
+    monkeypatch.setattr(CountingDatetime, "parses", 0)
+    return CountingDatetime
+
+
+def write_records(path, lines):
+    path.write_text("site_id,timestamp_iso8601,available\n" + "".join(
+        line + "\n" for line in lines), encoding="utf-8")
+    return path
+
+
+def test_load_records_parses_each_run_of_equal_timestamps_once(tmp_path, count_parses):
+    cfg = SyntheticConfig(n_sites=105, n_regions=8, days=1, seed=5)
+    _, records_path, _ = generate_synthetic(cfg, tmp_path)
+    streams = load_records(records_path)
+    assert count_parses.parses == 144  # one per grid step, not one per row
+    _, *rows = records_path.read_text(encoding="utf-8").splitlines()
+    site_major = write_records(tmp_path / "site_major.csv",
+                               sorted(rows, key=lambda row: row.split(",")[0]))
+    again = load_records(site_major)
+    assert again.keys() == streams.keys()
+    for site_id, stream in streams.items():
+        assert again[site_id].tobytes() == stream.tobytes()
+
+
+def test_load_records_equal_instants_in_other_forms_agree(tmp_path, count_parses):
+    streams = load_records(write_records(tmp_path / "records.csv", [
+        "a,2024-01-01T00:00:00,5", "b,2024-01-01T00:00:00+00:00,6",
+        "c,2024-01-01T02:00:00+02:00,7", "d,2024-01-01T00:00:00,8"]))
+    assert {site: s["time_us"].tolist() for site, s in streams.items()} == {
+        site: [us(T0)] for site in "abcd"}
+    assert count_parses.parses == 4  # each text differs from the row before
+
+
+def test_load_records_blank_lines_keep_the_parsed_timestamp(tmp_path, count_parses):
+    streams = load_records(write_records(tmp_path / "records.csv", [
+        "a,2024-01-01T00:00:00,5", "", "b,2024-01-01T00:00:00,6", "", "",
+        "c,2024-01-01T00:00:00,7"]))
+    assert {site: s.tolist() for site, s in streams.items()} == {
+        "a": [(us(T0), 5)], "b": [(us(T0), 6)], "c": [(us(T0), 7)]}
+    assert count_parses.parses == 1
+
+
+def test_load_records_bad_value_after_a_reused_timestamp_names_its_line(tmp_path):
+    path = write_records(tmp_path / "records.csv", [
+        "a,2024-01-01T00:00:00,5", "b,2024-01-01T00:00:00,x"])
+    with pytest.raises(DataError, match=r"line 3: invalid literal for int\(\)"):
+        load_records(path)
+
+
+def test_load_records_repeated_bad_timestamp_names_its_first_line(tmp_path, count_parses):
+    path = write_records(tmp_path / "records.csv", [
+        "a,2024-01-01T00:00:00,5", "a,2024-13-01T00:00:00,5", "b,2024-13-01T00:00:00,5"])
+    with pytest.raises(DataError, match="line 3: month must be in 1..12"):
+        load_records(path)
+    assert count_parses.parses == 2
 
 
 # A row is ("ok", site, naive UTC time, UTC offset in minutes or None, available),
