@@ -11,6 +11,7 @@ is ``evaluate --literal-eq14``.
 
 import dataclasses
 import json
+import math
 import typing
 from pathlib import Path
 
@@ -115,6 +116,9 @@ def _check_type(value, types, path: str) -> None:
             or not isinstance(value, types)):
         raise ConfigError(f"config key {path} has the wrong type: expected "
                           f"{_type_names(types)}, got {_type_names(type(value))}")
+    # json reads NaN, Infinity and -Infinity, and an overflowing 1e999 as inf
+    if isinstance(value, float) and not math.isfinite(value):
+        raise ConfigError(f"config key {path} must be a finite number, got {value}")
 
 
 def _check_items(values: list, path: str, types, length) -> None:

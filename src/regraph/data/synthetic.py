@@ -79,7 +79,7 @@ class SyntheticConfig:
             raise ConfigError(f"grid_step_min must be >= 1, got {self.grid_step_min}")
         if not 0.0 <= self.coupling <= 1.0:
             raise ConfigError(f"coupling must be in [0, 1], got {self.coupling}")
-        if self.noise_level < 0:
+        if not self.noise_level >= 0:
             raise ConfigError(f"noise_level must be >= 0, got {self.noise_level}")
         if not 0.0 <= self.drop_rate < 1.0:
             raise ConfigError(f"drop_rate must be in [0, 1), got {self.drop_rate}")
@@ -93,7 +93,7 @@ class SyntheticConfig:
         for idx in self.forced_full:
             if not 0 <= idx < self.n_sites:
                 raise ConfigError(f"forced_full index {idx} outside 0..{self.n_sites - 1}")
-        if self.forced_level <= 1.0:
+        if not self.forced_level > 1.0:
             raise ConfigError(f"forced_level must exceed 1.0, got {self.forced_level}")
         try:
             date.fromisoformat(self.start_date)

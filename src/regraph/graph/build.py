@@ -4,7 +4,8 @@ A graph connects parking sites whose pairwise distance is at or below a
 threshold (default 40 miles, roughly a 30-minute drive). It keeps only its
 edges with their raw miles and kernel weights; ``dense_operator`` builds
 from them an n x n operator a model multiplies by, and ``neighbor_lists``
-the binary adjacency as sorted neighbor lists. Two decompositions
+the binary adjacency as sorted neighbor lists, which ``neighbor_sum``
+multiplies by in NumPy. Two decompositions
 split the graph into independent blocks: one per state label, and one
 into seeded random groups that are fully connected internally.
 """
@@ -34,6 +35,7 @@ __all__ = [
     "dense_operator",
     "load_sites",
     "neighbor_lists",
+    "neighbor_sum",
     "overlap_cost",
     "partition_from_assignment",
 ]
@@ -196,6 +198,30 @@ def neighbor_lists(g: SiteGraph) -> tuple[np.ndarray, np.ndarray]:
     starts = np.zeros(g.n + 1, dtype=np.int64)
     np.cumsum(g.degrees, out=starts[1:])
     return _freeze(starts), _freeze(cols[np.lexsort((cols, rows))])
+
+
+def neighbor_sum(lists: tuple[np.ndarray, np.ndarray], v: np.ndarray) -> np.ndarray:
+    """``A v`` per n-row block of ``v``, for A the binary adjacency of
+    ``neighbor_lists``: a node's neighbor rows added in ascending order.
+
+    Nodes go in order of falling degree, so the nodes that have an s-th
+    neighbor are a prefix, and slot s adds those neighbors' rows (of every
+    block at once) to that prefix in one gather.
+    """
+    starts, neighbors = lists
+    n = len(starts) - 1
+    m, width = v.shape[0] // n, v.shape[1]
+    node_rows = v.reshape(m, n, width).transpose(1, 0, 2).reshape(n, m * width)
+    degrees = np.diff(starts)
+    order = np.argsort(-degrees, kind="stable")
+    first = starts[order]
+    acc = np.zeros((n, m * width))
+    slots = np.searchsorted(-degrees[order], -np.arange(degrees.max(initial=0)))
+    for s, taking in enumerate(slots):
+        acc[:taking] += node_rows[neighbors[first[:taking] + s]]
+    out = np.empty_like(acc)
+    out[order] = acc
+    return out.reshape(n, m, width).transpose(1, 0, 2).reshape(m * n, width)
 
 
 def dense_operator(g: SiteGraph, kind: str) -> np.ndarray:

@@ -5,6 +5,12 @@ prediction matrix of n sites x |horizons| occupancy rates. Graph inputs
 enter as fixed constants; all learnable weights are node-shared, which is
 what makes the models permutation-equivariant.
 
+In TGCN, RanTGCN and RegTGCN the graph touches only the constant model
+input: ``x + A x`` and each group's ``N_g x_g`` are NumPy features taken
+off the tape (``GraphContext``), and all after them is row-wise, so a
+site's forecast depends on its own feature rows alone. CSTGCN's deeper
+convs and StackedGCN multiply taped features by dense taped operators.
+
 Architectures:
     StackedGRU  two plain GRU layers over the lag sequence, no graph
     StackedGCN  two graph convolutions over the lag-concatenated features
@@ -13,9 +19,9 @@ Architectures:
     RanTGCN     TGCN plus a per-group embedding path (random partition)
     RegTGCN     TGCN plus a per-region embedding path (state partition)
 
-The partition path ("gamma"): each subgraph runs its own graph conv on its
-nodes' rows, written straight back to those rows (one ``segment_gcn`` op),
-and one shared per-node affine mixes them. The GRU of
+The partition path ("gamma"): each subgraph's conv of its nodes' rows,
+from their propagated features, is written straight back to those rows
+(one ``segment_gcn`` op), and one shared per-node affine mixes them. The GRU of
 the partition models consumes the feature concatenation of the full-graph
 conv and gamma, and its hidden state starts from the oldest lag's gamma
 rather than zeros.
@@ -40,8 +46,10 @@ import numpy as np
 
 from ..data.frames import FEATURE_COLUMNS
 from ..errors import ConfigError, ShapeError
-from ..graph.build import RegionalPartition, SiteGraph, dense_operator, neighbor_lists
-from ..numerics import DiffTensor, concat, constant, gru_update, no_grad, segment_gcn, take_rows
+from ..graph.build import (RegionalPartition, SiteGraph, dense_operator, neighbor_lists,
+                           neighbor_sum)
+from ..numerics import (DiffTensor, concat, constant, gru_update, matmul, no_grad, segment_gcn,
+                        sigmoid, take_rows)
 # gru_step and attention_aggregate are not called here, but perfbench's layer
 # tracer wraps them where this module looks them up.
 from .layers import (  # noqa: F401
@@ -119,15 +127,17 @@ class ModelSpec:
 
 
 class GraphContext:
-    """Frozen graph operators shared by a model's forward passes.
+    """Frozen graph constants shared by a model's forward passes, as NumPy
+    arrays, and the untaped graph features of the model input.
 
-    Holds ``operator``, the one full-graph operator its model multiplies
-    by: for the kind ``neighbors`` the binary adjacency as the neighbor
-    lists of ``neighbor_lists``, with no n x n array; for ``binary`` or
+    Holds ``operator``, the one full-graph operator its model uses: for
+    the kind ``neighbors`` the binary adjacency as the neighbor lists of
+    ``neighbor_lists``, with no n x n array; for ``binary`` or
     ``normalized`` the dense n x n ``dense_operator`` of that kind; or
-    None. When a partition is attached it also holds each subgraph's dense
-    normalized operator and ``groups``: each subgraph's rows in global
-    order (the partition's ``node_indices``), in region order.
+    None. When a partition is attached it also holds ``groups``, each
+    subgraph's rows in global order (the partition's ``node_indices``),
+    and ``sub_normalized``, each subgraph's dense normalized operator,
+    both in region order.
     """
 
     def __init__(self, graph: SiteGraph, operator: str | None,
@@ -138,19 +148,25 @@ class GraphContext:
         if operator == "neighbors":
             self.operator = neighbor_lists(graph)
         else:
-            self.operator = None if operator is None else constant(dense_operator(graph, operator))
+            self.operator = None if operator is None else dense_operator(graph, operator)
+        self.region_order = () if partition is None else tuple(partition.region_order)
+        self.groups = tuple(partition.node_indices[label] for label in self.region_order)
+        if self.groups and not np.array_equal(np.sort(np.concatenate(self.groups)),
+                                              np.arange(graph.n)):
+            raise ConfigError("partition does not cover the graph's nodes exactly")
+        self.sub_normalized = tuple(dense_operator(partition.subgraphs[label], "normalized")
+                                    for label in self.region_order)
 
-        self.region_order: tuple[str, ...] = ()
-        self.sub_normalized: dict[str, DiffTensor] = {}
-        self.groups: tuple[np.ndarray, ...] = ()
-        if partition is not None:
-            self.region_order = tuple(partition.region_order)
-            self.groups = tuple(partition.node_indices[label] for label in self.region_order)
-            if not np.array_equal(np.sort(np.concatenate(self.groups)), np.arange(graph.n)):
-                raise ConfigError("partition does not cover the graph's nodes exactly")
-            self.sub_normalized = {
-                label: constant(dense_operator(partition.subgraphs[label], "normalized"))
-                for label in self.region_order}
+    def neighbor_features(self, v: np.ndarray) -> np.ndarray:
+        """``v + A v`` of m stacked steps ``v`` (m*n x f), over the neighbor lists."""
+        return v + neighbor_sum(self.operator, v)
+
+    def group_features(self, v: np.ndarray) -> list[np.ndarray]:
+        """Each group's ``N_g v_g`` of m stacked steps ``v`` (m*n x f): its
+        rows of every step, m*|g| x f, in region order."""
+        steps = v.reshape(-1, self.n, v.shape[1])
+        return [np.matmul(a, steps[:, idx]).reshape(-1, v.shape[1])
+                for idx, a in zip(self.groups, self.sub_normalized)]
 
 
 class ForecastModel:
@@ -386,6 +402,10 @@ class _GruAttention(ForecastModel):
     def readout(self, weights, state) -> DiffTensor:
         return self.decoder.forward(state[1])
 
+    def _input_conv(self, conv: StructuralConv, x: DiffTensor) -> DiffTensor:
+        """The structural conv of the model input, from its NumPy feature ``x + A x``."""
+        return sigmoid(matmul(constant(self.ctx.neighbor_features(x.values)), conv.w))
+
 
 class TGcn(_GruAttention):
     """Structural conv into a GRU, attention over the K hidden states."""
@@ -401,10 +421,7 @@ class TGcn(_GruAttention):
         return h
 
     def _gru_input(self, x: DiffTensor) -> tuple[DiffTensor, None]:
-        out = x
-        for conv in self.convs:
-            out = structural_conv(conv, self.ctx.operator, out)
-        return out, None
+        return self._input_conv(self.convs[0], x), None
 
 
 class CstGcn(TGcn):
@@ -414,6 +431,12 @@ class CstGcn(TGcn):
     # The deeper convs multiply hidden-wide taped features, where dense BLAS
     # is many times faster than summing neighbor lists.
     operator_kind = "binary"
+
+    def _gru_input(self, x: DiffTensor) -> tuple[DiffTensor, None]:
+        out = x
+        for conv in self.convs:
+            out = structural_conv(conv, self.ctx.operator, out)
+        return out, None
 
 
 class PartitionedTGcn(_GruAttention):
@@ -445,17 +468,17 @@ class PartitionedTGcn(_GruAttention):
         return 2 * h
 
     def regional_embedding(self, x: DiffTensor) -> DiffTensor:
-        """Per-group conv of stacked steps in global row order, shared affine mix."""
+        """Per-group conv of stacked input steps in global row order, from
+        the groups' NumPy features, then the shared affine mix."""
         ctx = self.ctx
         layers = [self.region_layers[label] for label in ctx.region_order]
-        placed = segment_gcn(x, ctx.groups,
-                             [ctx.sub_normalized[label].values for label in ctx.region_order],
+        placed = segment_gcn(ctx.group_features(x.values), ctx.groups,
                              [layer.w for layer in layers], [layer.b for layer in layers])
         return affine(placed, self.mixer_w, self.mixer_b)
 
     def _gru_input(self, x: DiffTensor) -> tuple[DiffTensor, DiffTensor]:
         gamma = self.regional_embedding(x)
-        structural = structural_conv(self.structural, self.ctx.operator, x)
+        structural = self._input_conv(self.structural, x)
         return concat([structural, gamma], axis=1), gamma
 
 

@@ -94,10 +94,10 @@ def structural_conv(layer: StructuralConv, binary_adjacency,
                     eta: DiffTensor) -> DiffTensor:
     """The conv of ``eta``, which may stack several steps of n rows each.
 
-    ``binary_adjacency`` is the dense n x n matrix or its neighbor lists
-    (see ``propagate``). The whole stack goes through the weight in one
-    product. For a constant ``eta`` (the model input) ``eta + A eta``
-    records nothing on the tape.
+    ``binary_adjacency`` is the dense n x n matrix (see ``propagate``). The
+    whole stack goes through the weight in one product. CSTGCN chains it over
+    taped features; the 1-hop models instead take ``eta + A eta`` of their
+    constant input as a NumPy feature (``GraphContext.neighbor_features``).
     """
     if eta.shape[1] != layer.w.shape[0]:
         raise ShapeError(

@@ -33,7 +33,7 @@ class RmsProp:
     def __init__(self, params: list[DiffTensor], *, learning_rate: float,
                  weight_decay: float, decay_rate: float, smoothing: float,
                  clip_norm: float | None):
-        if learning_rate < 0:
+        if not learning_rate >= 0:
             raise ValueError("learning_rate must be >= 0")
         self.params = list(params)
         self.learning_rate = float(learning_rate)

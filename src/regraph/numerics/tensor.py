@@ -11,11 +11,15 @@ tensors' gradient nodes (shape, dtype, ``requires_grad`` and ``grad``),
 never at their values, and each op's gradient rule holds just the arrays
 it reads: ``matmul`` and ``mul`` the operand the other one's gradient
 needs, ``sigmoid``, ``tanh`` and ``softmax`` their outputs, ``relu`` its
-mask, ``propagate`` its operator, ``segment_gcn`` its output and each
-group's propagated rows, ``gru_update`` the state, its gates and the
+mask, ``propagate`` its operator, ``segment_gcn`` its output and the
+propagated rows it was given, ``gru_update`` the state, its gates and the
 hidden weights; ``add``, ``sub``, ``add_row``, ``concat``, ``take_rows``,
 ``reshape`` and ``sum_all`` hold shapes alone. A forward array lives as
 long as user code or a gradient rule holds it.
+
+Only what a model differentiates is an op: ``propagate`` multiplies
+taped features by a dense operator, while the graph terms of the constant
+model input are NumPy features that ``segment_gcn``, say, takes as given.
 
 Supported broadcasting is deliberately narrow: equal shapes, a scalar
 against a tensor, or (through ``add_row`` alone) a 1 x m bias row against
@@ -373,138 +377,78 @@ def take_rows(x, rows: slice) -> DiffTensor:
     return out
 
 
-def _blocks(x: DiffTensor, n: int, op: str) -> int:
-    """How many n-row blocks (stacked steps) the matrix ``x`` holds."""
-    if x.values.ndim != 2 or n < 1 or x.values.shape[0] % n:
-        raise ShapeError(f"{op}: expected a matrix of whole {n}-row blocks, "
-                         f"got shape {x.values.shape}")
-    return x.values.shape[0] // n
-
-
-def _neighbor_sum(starts: np.ndarray, neighbors: np.ndarray, v: np.ndarray) -> np.ndarray:
-    """Per n-row block of ``v``, each node's neighbor rows added in
-    ascending index order; a node of degree 0 gets a zero row.
-
-    Nodes go in order of falling degree, so the nodes that have an s-th
-    neighbor are a prefix, and slot s adds those neighbors' rows (of every
-    block at once) to that prefix in one gather.
-    """
-    n = len(starts) - 1
-    m, width = v.shape[0] // n, v.shape[1]
-    node_rows = v.reshape(m, n, width).transpose(1, 0, 2).reshape(n, m * width)
-    degrees = np.diff(starts)
-    order = np.argsort(-degrees, kind="stable")
-    first = starts[order]
-    acc = np.zeros((n, m * width))
-    slots = np.searchsorted(-degrees[order], -np.arange(degrees.max(initial=0)))
-    for s, taking in enumerate(slots):
-        acc[:taking] += node_rows[neighbors[first[:taking] + s]]
-    out = np.empty_like(acc)
-    out[order] = acc
-    return out.reshape(n, m, width).transpose(1, 0, 2).reshape(m * n, width)
-
-
 def propagate(operator, x) -> DiffTensor:
     """A constant n x n ``operator`` times each n-row block of ``x``.
 
-    ``x`` stacks m steps of n rows. A square ``operator`` (array or
-    tensor) gives each block the product ``matmul(operator, block)`` takes,
-    bit for bit. The pair ``(starts, neighbors)`` of ``neighbor_lists``
-    stands for the binary adjacency: each block's rows of a node's
-    neighbors are added in ascending index order, with no n x n array,
-    and the gradient is the same sum over ``g``, the adjacency being
-    symmetric. Only ``x`` is differentiated.
+    ``x`` stacks m steps of n rows, and each block gets the product
+    ``matmul(operator, block)`` takes, bit for bit. Only ``x`` is
+    differentiated.
     """
     x = _as_tensor(x)
-    if isinstance(operator, tuple):
-        starts, neighbors = operator
-        if np.ndim(starts) != 1 or np.ndim(neighbors) != 1 or len(starts) < 2 \
-                or starts[-1] != len(neighbors):
-            raise ShapeError("propagate: expected neighbor lists (starts, neighbors)")
-        _blocks(x, len(starts) - 1, "propagate")
+    a = _as_tensor(operator).values
+    n = a.shape[0] if a.ndim == 2 and a.shape[0] == a.shape[1] else 0
+    if n < 1 or x.values.ndim != 2 or x.values.shape[0] % n:
+        raise ShapeError(f"propagate: expected a square operator and a matrix of whole "
+                         f"n-row blocks, got shapes {a.shape} and {x.values.shape}")
+    m = x.values.shape[0] // n
 
-        def product(v):
-            return _neighbor_sum(starts, neighbors, v)
-        transposed = product
-    else:
-        a = _as_tensor(operator).values
-        if a.ndim != 2 or a.shape[0] != a.shape[1]:
-            raise ShapeError(f"propagate: expected a square operator, got shape {a.shape}")
-        n = a.shape[0]
-        m = _blocks(x, n, "propagate")
-
-        def product(v, op=a):
-            return np.matmul(op, v.reshape(m, n, -1)).reshape(v.shape)
-
-        def transposed(v):
-            return product(v, a.T)
-    out = DiffTensor(product(x.values))
+    def product(v, op):
+        return np.matmul(op, v.reshape(m, n, -1)).reshape(v.shape)
+    out = DiffTensor(product(x.values, a))
 
     def grad_fn(g):
-        return (transposed(g),)
+        return (product(g, a.T),)
 
     _record((x,), out, grad_fn)
     return out
 
 
-def segment_gcn(x, groups, operators, weights, biases) -> DiffTensor:
+def segment_gcn(propagated, groups, weights, biases) -> DiffTensor:
     """A graph convolution per group of rows, over stacked steps, as one op.
 
-    ``x`` stacks m steps of n rows (m*n x f). ``groups`` are index arrays
-    that partition a step's n rows. Each group g maps its rows of every
-    step to sigmoid(N_g @ x_g @ W_g + b_g), with a constant |g| x |g|
-    operator N_g (an array), a weight W_g (f x h) and a 1 x h bias row b_g,
-    and the result fills the same rows of the m*n x h output. The values
-    equal ``sigmoid(add_row(matmul(matmul(N_g, x_g), W_g), b_g))`` taken
-    step by step and group by group, bit for bit; the gradients of W_g and
-    b_g are summed over all m steps in one product.
+    ``groups`` are index arrays that partition a step's n rows. For each
+    group g, ``propagated`` holds its rows of m stacked steps already
+    multiplied by its operator, N_g @ x_g step by step: a constant
+    m*|g| x f array. The group maps them to sigmoid(N_g x_g @ W_g + b_g),
+    with a weight W_g (f x h) and a 1 x h bias row b_g, and the result
+    fills the group's rows of every step of the m*n x h output. The
+    values equal ``sigmoid(add_row(matmul(N_g x_g, W_g), b_g))`` taken
+    group by group, bit for bit; the gradients of W_g and b_g are summed
+    over all m steps in one product.
     """
-    x = _as_tensor(x)
     weights = [_as_tensor(w) for w in weights]
     biases = [_as_tensor(b) for b in biases]
     n = sum(len(idx) for idx in groups)
-    m = _blocks(x, n, "segment_gcn")
-    f = x.values.shape[1]
-    h = weights[0].values.shape[1] if weights else 0
-    if not (len(groups) == len(operators) == len(weights) == len(biases)) or any(
-            w.values.shape != (f, h) or b.values.shape != (1, h) or
-            np.shape(a) != (len(idx), len(idx))
-            for idx, a, w, b in zip(groups, operators, weights, biases)):
-        raise ShapeError("segment_gcn: each group needs a square operator of its size, "
-                         f"an {f} x h weight and a 1 x h bias row")
-    x3 = x.values.reshape(m, n, f)
+    m = len(propagated[0]) // len(groups[0]) if groups and propagated else 0
+    f = np.shape(propagated[0])[-1] if m else 0
+    h = weights[0].values.shape[-1] if weights else 0
+    if m < 1 or not (len(groups) == len(propagated) == len(weights) == len(biases)) or any(
+            np.shape(p) != (m * len(idx), f) or w.values.shape != (f, h) or b.values.shape != (1, h)
+            for idx, p, w, b in zip(groups, propagated, weights, biases)):
+        raise ShapeError("segment_gcn: each group needs m x |g| propagated rows of one "
+                         "width f, an f x h weight and a 1 x h bias row")
     pre = np.empty((m, n, h))
-    propagated = []
-    for idx, a, w, b in zip(groups, operators, weights, biases):
-        p = np.matmul(a, x3[:, idx]).reshape(-1, f)
+    for idx, p, w, b in zip(groups, propagated, weights, biases):
         z = p @ w.values
         z += b.values
         pre[:, idx] = z.reshape(m, len(idx), h)
-        propagated.append(p)
     pre = pre.reshape(m * n, h)
     s = _sigmoid_into(pre, np.empty_like(pre), pre)
     out = DiffTensor(s)
-    need_x = x.requires_grad
-    # a weight is read only for the gradient of x
-    w_values = [w.values if need_x else None for w in weights]
     needs = [(w.requires_grad, b.requires_grad) for w, b in zip(weights, biases)]
 
     def grad_fn(g):
         gs = g * s
         gs *= 1.0 - s
         gs3 = gs.reshape(m, n, h)
-        gx = np.empty((m, n, f)) if need_x else None
         gws, gbs = [], []
-        for idx, a, p, w, (need_w, need_b) in zip(groups, operators, propagated,
-                                                  w_values, needs):
+        for idx, p, (need_w, need_b) in zip(groups, propagated, needs):
             gz = gs3[:, idx].reshape(-1, h)
             gws.append(p.T @ gz if need_w else None)
             gbs.append(np.ones((gz.shape[0], 1)).T @ gz if need_b else None)
-            if gx is not None:
-                gx[:, idx] = np.matmul(a.T, (gz @ w.T).reshape(m, len(idx), f))
-        return (None if gx is None else gx.reshape(m * n, f), *gws, *gbs)
+        return (*gws, *gbs)
 
-    _record((x, *weights, *biases), out, grad_fn)
+    _record((*weights, *biases), out, grad_fn)
     return out
 
 

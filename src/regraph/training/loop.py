@@ -73,21 +73,21 @@ class TrainConfig:
     def __post_init__(self):
         if self.epochs < 1:
             raise ConfigError("epochs must be at least 1")
-        if self.learning_rate < 0:
+        if not self.learning_rate >= 0:
             raise ConfigError("learning_rate must be non-negative")
-        if self.weight_decay < 0:
+        if not self.weight_decay >= 0:
             raise ConfigError("weight_decay must be non-negative")
         if self.seed < 0:
             raise ConfigError(f"train seed must be non-negative, got {self.seed}")
         if not (0.0 < self.rmsprop_decay < 1.0):
             raise ConfigError("rmsprop_decay must lie in (0, 1)")
-        if self.rmsprop_smoothing <= 0:
+        if not self.rmsprop_smoothing > 0:
             raise ConfigError("rmsprop_smoothing must be positive")
         if self.patience < 0:
             raise ConfigError("patience must be non-negative")
         if self.checkpoint_every < 0:
             raise ConfigError("checkpoint_every must be non-negative")
-        if self.grad_clip_norm is not None and self.grad_clip_norm <= 0:
+        if self.grad_clip_norm is not None and not self.grad_clip_norm > 0:
             raise ConfigError("grad_clip_norm must be positive or None")
         if not (0.0 < self.val_fraction < 1.0):
             raise ConfigError("val_fraction must lie in (0, 1)")

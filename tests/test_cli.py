@@ -12,6 +12,7 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from regraph import cli
+from regraph import config as config_module
 from regraph.cli import main
 from regraph.config import (
     load_config,
@@ -131,6 +132,43 @@ def test_type_errors_name_key(tmp_path, capsys):
         cfg = write_config(tmp_path / f"cfg{i}.json", data=data)
         assert main(["synth", "--config", str(cfg), "--out", str(tmp_path / f"out{i}")]) == 2
         assert re.search(message, capsys.readouterr().err)
+
+
+def float_leaves(schema, path=""):
+    """(key path, default, list index or None) of every float the schema takes:
+    a float leaf, or the first item of a list of floats."""
+    for key, node in schema.items():
+        name = f"{path}.{key}" if path else key
+        if isinstance(node, dict):
+            yield from float_leaves(node, name)
+        elif len(node) > 2:
+            if float in node[2]:
+                yield name, node[0], 0
+        elif isinstance(node[1], tuple) and float in node[1]:
+            yield name, node[0], None
+
+
+# JSON texts json.loads reads as a non-finite float, and what the error shows
+NON_FINITE = {"NaN": "nan", "Infinity": "inf", "-Infinity": "-inf", "1e999": "inf"}
+
+
+def test_a_non_finite_config_number_exits_2_naming_its_key(tmp_path, capsys):
+    leaves = list(float_leaves(config_module._SCHEMA))
+    assert {"train.learning_rate", "train.grad_clip_norm", "train.rmsprop_smoothing",
+            "data.synth.noise_level", "data.synth.base_range"} <= {n for n, _, _ in leaves}
+    for i, (name, default, item) in enumerate(leaves):
+        for text, shown in NON_FINITE.items():
+            cfg = section = {}
+            *parents, key = name.split(".")
+            for parent in parents:
+                section = section.setdefault(parent, {})
+            section[key] = "VALUE" if item is None else ["VALUE", *default[1:]]
+            path = tmp_path / f"cfg{i}-{shown}.json"
+            path.write_text(json.dumps(cfg).replace('"VALUE"', text))
+            key_shown = name if item is None else f"{name}[{item}]"
+            assert main(["synth", "--config", str(path), "--out", str(tmp_path / "out")]) == 2
+            assert capsys.readouterr().err == (f"config error: config key {key_shown} "
+                                               f"must be a finite number, got {shown}\n")
 
 
 def test_hidden_null_resolves_by_architecture():

@@ -520,6 +520,12 @@ def test_synthetic_config_validation():
         SyntheticConfig(start_date="not-a-date")
 
 
+@pytest.mark.parametrize("field", ["noise_level", "forced_level", "coupling", "drop_rate"])
+def test_synthetic_config_rejects_nan(field):
+    with pytest.raises(ConfigError, match=field):
+        SyntheticConfig(**{field: float("nan")})
+
+
 def test_synthetic_end_to_end_windows(tmp_path):
     cfg = SyntheticConfig(n_sites=8, n_regions=2, days=7, seed=5)
     sites_path, records_path, _ = generate_synthetic(cfg, tmp_path)

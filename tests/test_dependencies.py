@@ -8,7 +8,16 @@ import subprocess
 import sys
 from pathlib import Path
 
+import numpy as np
+
 import regraph
+from regraph.graph import (HaversineProvider, SiteMeta, build_connected, decompose_random,
+                           decompose_regional)
+from regraph.models import ARCHITECTURES, ModelSpec, build_model
+from regraph.models.architectures import CONNECTIVITY_OF
+from regraph.numerics import clear_tape, constant
+from regraph.numerics import tensor as tensor_core
+from regraph.training import mse_loss
 
 ALLOWED = ("numpy", "regraph")
 PACKAGE = Path(regraph.__file__).resolve().parent
@@ -143,3 +152,43 @@ def test_package_all_is_its_modules_all_concatenated():
                     for alias in node.names}
         assert imported == {"*"} | {p.stem for p in path.parent.glob("*.py")} - {"__init__"}
         assert not any(isinstance(node, (ast.List, ast.Tuple, ast.Set)) for node in ast.walk(tree))
+
+
+# Ops of the tensor core that record a gradient rule no architecture's train
+# step runs, each kept for a job outside the models.
+UNTRAINED_RULES = {
+    "tanh": "the reference op the gru_update bit-identity test builds the update from",
+}
+
+
+def train_step_ops(arch):
+    """The ops on the tape of one train step of ``arch``: forward and mse_loss."""
+    sites = [SiteMeta(f"s{i}", "AB"[i % 2], 43.0 + 0.1 * i, -89.0, 10.0, 1, 3, 50)
+             for i in range(4)]
+    graph = build_connected(sites, HaversineProvider())
+    connectivity = CONNECTIVITY_OF[arch]
+    partition = {"connected": None, "regional": decompose_regional(graph),
+                 "random": decompose_random(graph, r=2, seed=0)}[connectivity]
+    spec = ModelSpec(arch, 4, 2, (1, 2), connectivity,
+                     region_count=2 if connectivity == "random" else None)
+    model = build_model(spec, graph, partition)
+    window = np.random.default_rng(0).uniform(size=(2, 4, 8))
+    clear_tape()
+    mse_loss(model.forward(window), constant(np.zeros((4, 2))))
+    ops = {entry.grad_fn.__qualname__.split(".")[0] for entry in tensor_core._TAPE}
+    clear_tape()
+    return ops
+
+
+def test_every_gradient_rule_runs_in_some_train_step():
+    # An exported op that defines a gradient rule (a grad_fn) must be on the
+    # tape of some architecture's train step, or be named above with a reason.
+    tree = ast.parse((PACKAGE / "numerics" / "tensor.py").read_text(encoding="utf-8"))
+    with_rules = {fn.name for fn in tree.body
+                  if isinstance(fn, ast.FunctionDef) and fn.name in tensor_core.__all__
+                  and any(isinstance(node, ast.FunctionDef) and node.name == "grad_fn"
+                          for node in ast.walk(fn))}
+    assert {"matmul", "propagate", "segment_gcn", "gru_update", "tanh"} <= with_rules
+    taped = set().union(*(train_step_ops(arch) for arch in ARCHITECTURES))
+    assert sorted(with_rules - taped - set(UNTRAINED_RULES)) == []
+    assert sorted(set(UNTRAINED_RULES) - (with_rules - taped)) == []

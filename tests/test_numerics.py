@@ -7,6 +7,7 @@ import numpy as np
 import pytest
 
 from regraph.errors import NumericError, ShapeError
+from regraph.graph import neighbor_sum
 from regraph.numerics import (
     DiffTensor,
     RmsProp,
@@ -450,6 +451,7 @@ def ascending_sums(a, x, m):
     return out
 
 
+# The 1-hop models' neighbor sum of their constant input, off the tape.
 @pytest.mark.parametrize("n", [1, 2, 9, 40])
 @pytest.mark.parametrize("m", [1, 6])
 def test_propagate_over_neighbor_lists_equals_the_dense_product(n, m):
@@ -457,7 +459,7 @@ def test_propagate_over_neighbor_lists_equals_the_dense_product(n, m):
     for density in (0.1, 0.5, 1.0):
         a = random_binary(n, rng, density)
         x = rng.normal(size=(m * n, 5))
-        out = propagate(as_neighbor_lists(a), x).values
+        out = neighbor_sum(as_neighbor_lists(a), x)
         assert_same_bits(out, ascending_sums(a, x, m))
         for b in range(m):
             rows = slice(b * n, (b + 1) * n)
@@ -470,39 +472,7 @@ def test_propagate_over_neighbor_lists_equals_the_dense_product(n, m):
     a = random_binary(n, rng)
     x = rng.integers(-50, 50, size=(m * n, 3)).astype(np.float64)
     dense = propagate(constant(a), x).values
-    np.testing.assert_array_equal(propagate(as_neighbor_lists(a), x).values, dense)
-
-
-def test_propagate_over_neighbor_lists_gradient_is_the_transpose_product():
-    rng = np.random.default_rng(43)
-    n, m = 7, 3
-    a = random_binary(n, rng, 0.5)
-    x_vals, k = rng.normal(size=(m * n, 4)), rng.normal(size=(m * n, 4))
-    x = parameter(x_vals)
-    backward(sum_all(mul(tanh(propagate(as_neighbor_lists(a), x)), constant(k))))
-
-    x_dense = parameter(x_vals)
-    backward(sum_all(mul(tanh(propagate(constant(a), x_dense)), constant(k))))
-    np.testing.assert_allclose(x.grad, x_dense.grad, rtol=1e-14, atol=1e-15)
-
-    def f(v):
-        return float(np.sum(np.tanh(np.concatenate([a @ v[b * n:(b + 1) * n]
-                                                    for b in range(m)])) * k))
-    assert rel_err(x.grad, finite_diff_grad(f, x_vals.copy())) < 1e-8
-    # the model input is a constant: nothing to record
-    before = tape_length()
-    propagate(as_neighbor_lists(a), constant(x_vals))
-    assert tape_length() == before
-
-
-def test_propagate_rejects_malformed_neighbor_lists():
-    starts, neighbors = as_neighbor_lists(random_binary(4, np.random.default_rng(0), 0.6))
-    with pytest.raises(ShapeError, match="propagate"):
-        propagate((starts, neighbors), constant(np.ones((6, 3))))
-    with pytest.raises(ShapeError, match="propagate"):
-        propagate((starts, neighbors[:-1]), constant(np.ones((4, 3))))
-    with pytest.raises(ShapeError, match="propagate"):
-        propagate((np.zeros(0, dtype=np.int64), neighbors), constant(np.ones((4, 3))))
+    np.testing.assert_array_equal(neighbor_sum(as_neighbor_lists(a), x), dense)
 
 
 # ------------------------------------------------------------ segment_gcn
@@ -512,6 +482,8 @@ SEGMENTS = (np.array([0, 3]), np.array([4, 1, 5]), np.array([2]))
 
 
 def segment_case(rng, m=3, f=4, h=5):
+    """Each group's propagated rows N_g x_g of m steps, weights, biases and an
+    output weighting, then the steps and operators the rows come from."""
     n = sum(len(idx) for idx in SEGMENTS)
     ops = []
     for idx in SEGMENTS:
@@ -519,55 +491,66 @@ def segment_case(rng, m=3, f=4, h=5):
         ops.append(a + a.T)
     ws = [rng.normal(size=(f, h)) for _ in SEGMENTS]
     bs = [rng.normal(size=(1, h)) for _ in SEGMENTS]
-    return rng.normal(size=(m * n, f)), ops, ws, bs, rng.normal(size=(m * n, h))
+    x3 = rng.normal(size=(m * n, f)).reshape(m, n, f)
+    rows = [np.matmul(a, x3[:, idx]).reshape(-1, f) for idx, a in zip(SEGMENTS, ops)]
+    return rows, ws, bs, rng.normal(size=(m * n, h)), x3, ops
 
 
 def test_segment_gcn_equals_the_ops_step_by_step_and_group_by_group():
     rng = np.random.default_rng(43)
-    x_vals, ops, ws, bs, _ = segment_case(rng)
-    out = segment_gcn(constant(x_vals), SEGMENTS, ops, [parameter(w) for w in ws],
+    rows, ws, bs, _, x3, ops = segment_case(rng)
+    out = segment_gcn(rows, SEGMENTS, [parameter(w) for w in ws],
                       [parameter(b) for b in bs])
     assert out.requires_grad
-    x3 = x_vals.reshape(3, 6, 4)
+    got = out.values.reshape(3, 6, 5)
+    for idx, p, w, b in zip(SEGMENTS, rows, ws, bs):
+        ref = sigmoid(add_row(matmul(constant(p), constant(w)), constant(b)))
+        assert_same_bits(got[:, idx], ref.values.reshape(3, len(idx), 5))
+    # one step at a time: the same bits here, though BLAS may round a product
+    # of |g| rows differently from one of m*|g| rows
     for step in range(3):
         for idx, a, w, b in zip(SEGMENTS, ops, ws, bs):
             ref = sigmoid(add_row(matmul(matmul(constant(a), constant(x3[step, idx])),
                                          constant(w)), constant(b)))
-            assert_same_bits(out.values.reshape(3, 6, 5)[step, idx], ref.values)
+            assert_same_bits(got[step, idx], ref.values)
 
 
 def test_segment_gcn_gradients_match_fd():
     rng = np.random.default_rng(44)
-    x_vals, ops, ws, bs, k = segment_case(rng)
-    x = parameter(x_vals)
+    rows, ws, bs, k, _, _ = segment_case(rng)
     w_ts, b_ts = [parameter(w) for w in ws], [parameter(b) for b in bs]
-    backward(sum_all(mul(segment_gcn(x, SEGMENTS, ops, w_ts, b_ts), constant(k))))
+    backward(sum_all(mul(segment_gcn(rows, SEGMENTS, w_ts, b_ts), constant(k))))
 
-    def f(xv, wv, bv):
-        x3, out = xv.reshape(3, 6, 4), np.empty((3, 6, 5))
-        for idx, a, w, b in zip(SEGMENTS, ops, wv, bv):
-            out[:, idx] = 1.0 / (1.0 + np.exp(-(np.matmul(a, x3[:, idx]) @ w + b)))
+    def f(wv, bv):
+        out = np.empty((3, 6, 5))
+        for idx, p, w, b in zip(SEGMENTS, rows, wv, bv):
+            out[:, idx] = (1.0 / (1.0 + np.exp(-(p @ w + b)))).reshape(3, len(idx), 5)
         return float(np.sum(out.reshape(18, 5) * k))
-    assert rel_err(x.grad, finite_diff_grad(lambda v: f(v, ws, bs), x_vals.copy())) < 1e-8
     for g in range(len(SEGMENTS)):
         def f_w(v, g=g):
-            return f(x_vals, ws[:g] + [v] + ws[g + 1:], bs)
+            return f(ws[:g] + [v] + ws[g + 1:], bs)
 
         def f_b(v, g=g):
-            return f(x_vals, ws, bs[:g] + [v] + bs[g + 1:])
+            return f(ws, bs[:g] + [v] + bs[g + 1:])
         assert rel_err(w_ts[g].grad, finite_diff_grad(f_w, ws[g].copy())) < 1e-8
         assert rel_err(b_ts[g].grad, finite_diff_grad(f_b, bs[g].copy())) < 1e-8
 
 
 def test_segment_gcn_shape_errors():
     rng = np.random.default_rng(45)
-    x_vals, ops, ws, bs, _ = segment_case(rng)
+    rows, ws, bs, _, _, _ = segment_case(rng)
     with pytest.raises(ShapeError, match="segment_gcn"):
-        segment_gcn(constant(x_vals[:-1]), SEGMENTS, ops, ws, bs)
+        segment_gcn([rows[0][:-1], *rows[1:]], SEGMENTS, ws, bs)
     with pytest.raises(ShapeError, match="segment_gcn"):
-        segment_gcn(constant(x_vals), SEGMENTS, ops[::-1], ws, bs)
+        segment_gcn(rows[::-1], SEGMENTS, ws, bs)
     with pytest.raises(ShapeError, match="segment_gcn"):
-        segment_gcn(constant(x_vals), SEGMENTS, ops, ws[:2], bs)
+        segment_gcn([p[:, :-1] for p in rows], SEGMENTS, ws, bs)
+    with pytest.raises(ShapeError, match="segment_gcn"):
+        segment_gcn(rows, SEGMENTS, ws[:2], bs)
+    with pytest.raises(ShapeError, match="segment_gcn"):
+        segment_gcn(rows, SEGMENTS, ws, [b.T for b in bs])
+    with pytest.raises(ShapeError, match="segment_gcn"):
+        segment_gcn([], (), [], [])
 
 
 # ------------------------------------------------------------- gru_update
@@ -725,7 +708,7 @@ def recording_calls():
     def p(*shape):
         return parameter(rng.normal(size=shape))
     gates, h_vals, hidden = gru_case(rng)
-    x_vals, ops, ws, bs, _ = segment_case(rng)
+    rows, ws, bs, _, _, _ = segment_case(rng)
     a = random_binary(6, rng, 0.5)
     return {
         "add": lambda: [add(p(3, 2), p(3, 2)), add(p(3, 2), 1.0)],
@@ -742,12 +725,11 @@ def recording_calls():
         "take_rows": lambda: [take_rows(p(4, 2), slice(1, 3))],
         "reshape": lambda: [reshape(p(3, 2), (2, 3))],
         "sum_all": lambda: [sum_all(p(3, 2))],
-        "propagate": lambda: [propagate(constant(a), p(12, 2)),
-                              propagate(as_neighbor_lists(a), p(12, 2))],
+        "propagate": lambda: [propagate(constant(a), p(12, 2))],
         "segment_gcn": lambda: [
-            segment_gcn(constant(x_vals), SEGMENTS, ops, [parameter(w) for w in ws],
+            segment_gcn(rows, SEGMENTS, [parameter(w) for w in ws],
                         [parameter(b) for b in bs]),
-            segment_gcn(parameter(x_vals), SEGMENTS, ops, [parameter(w) for w in ws],
+            segment_gcn(rows, SEGMENTS, [constant(w) for w in ws],
                         [parameter(b) for b in bs])],
         "gru_update": lambda: [
             gru_update([parameter(v) for v in gates], slice(0, 5), None, None),
@@ -943,6 +925,12 @@ def test_composed_network_gradient_matches_fd():
 
 
 # --------------------------------------------------------------- rmsprop
+
+def test_rmsprop_rejects_a_nan_learning_rate():
+    with pytest.raises(ValueError, match="learning_rate"):
+        RmsProp([parameter([1.0])], learning_rate=float("nan"), weight_decay=0.0,
+                decay_rate=0.99, smoothing=1e-8, clip_norm=None)
+
 
 def test_rmsprop_null_step():
     p = parameter([1.0, 2.0, 3.0])

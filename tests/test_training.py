@@ -148,6 +148,13 @@ def test_train_config_validation():
         TrainConfig(epochs=1, horizons=(1,), val_fraction=1.0)
 
 
+@pytest.mark.parametrize("field", ["learning_rate", "weight_decay", "rmsprop_smoothing",
+                                   "grad_clip_norm", "val_fraction", "rmsprop_decay"])
+def test_train_config_rejects_nan(field):
+    with pytest.raises(ConfigError, match=field):
+        TrainConfig(epochs=1, horizons=(1,), **{field: float("nan")})
+
+
 # ------------------------------------------------------------------- train
 
 def test_null_step_leaves_parameters_unchanged(tmp_path):
