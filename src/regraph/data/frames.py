@@ -1,13 +1,15 @@
 """Features of every site on a uniform time grid.
 
-The grid is one read-only (T, n, 8) tensor: one n x 8 feature matrix per
-grid step, columns [week_id, day_id, hour_id, travel_time, owner, amenity,
-capacity, occupancy_rate]. Occupancy is (capacity - available) / capacity;
-values above 1 are over-capacity and kept as-is. Missing grid points between
-two known neighbors are filled with their average; runs longer than
-``max_gap`` grid steps invalidate the affected steps instead of fabricating
-a bridge. Calendar ids are recomputed from the grid timestamp, not copied
-from the nearest record.
+Each feature is stored once, at its own resolution: occupancy per (step,
+site), the week, day and hour ids per step, and the travel time, owner,
+amenity count and capacity per site. ``FeatureGrid.block`` assembles the
+n x 8 feature matrices of consecutive steps, columns [week_id, day_id,
+hour_id, travel_time, owner, amenity, capacity, occupancy_rate]. Occupancy
+is (capacity - available) / capacity; values above 1 are over-capacity and
+kept as-is. Missing grid points between two known neighbors are filled with
+their average; runs longer than ``max_gap`` grid steps invalidate the
+affected steps instead of fabricating a bridge. Calendar ids are recomputed
+from the grid timestamp, not copied from the nearest record.
 """
 
 from __future__ import annotations
@@ -54,28 +56,48 @@ def occupancy_rate(capacity, available):
 class FeatureGrid:
     """Every site's features at every grid step from ``start`` on.
 
-    ``X[t]`` is the n x 8 feature matrix of step ``t``, taken at
-    ``time(t)``. ``valid[t]`` is true when every site has a known or
-    fillable occupancy there; windowing skips the other steps. Both arrays
-    are read-only.
+    ``occupancy[t]`` holds the n sites' occupancy rates at step ``t``, taken
+    at ``time(t)``, and ``calendar[t]`` its week, day and hour ids;
+    ``attributes[i]`` holds site i's travel time, owner, amenity count and
+    capacity. ``valid[t]`` is true when every site has a known or fillable
+    occupancy there; windowing skips the other steps. Every array is
+    read-only.
     """
 
     start: datetime
     step_min: int
-    X: np.ndarray = field(repr=False)      # T x n x 8
-    valid: np.ndarray = field(repr=False)  # T
+    occupancy: np.ndarray = field(repr=False)   # T x n
+    calendar: np.ndarray = field(repr=False)    # T x 3
+    attributes: np.ndarray = field(repr=False)  # n x 4
+    valid: np.ndarray = field(repr=False)       # T
 
     def __post_init__(self):
-        if self.X.ndim != 3 or self.X.shape[2] != len(FEATURE_COLUMNS) \
-                or self.valid.shape != self.X.shape[:1]:
+        steps, n = len(self.valid), len(self.attributes)
+        shapes = (self.occupancy.shape, self.calendar.shape, self.attributes.shape,
+                  self.valid.shape)
+        if shapes != ((steps, n), (steps, 3), (n, 4), (steps,)):
             raise DataError(
-                f"feature grid: expected T x n x {len(FEATURE_COLUMNS)} features and "
-                f"T validity flags, got {self.X.shape} and {self.valid.shape}")
-        self.X.flags.writeable = False
-        self.valid.flags.writeable = False
+                f"feature grid: expected T x n occupancy, T x 3 calendar ids, n x 4 site "
+                f"attributes and T validity flags, got shapes {', '.join(map(str, shapes))}")
+        for array in (self.occupancy, self.calendar, self.attributes, self.valid):
+            array.flags.writeable = False
 
     def time(self, cell: int) -> datetime:
         return self.start + cell * timedelta(minutes=self.step_min)
+
+    def block(self, first: int, k: int) -> np.ndarray:
+        """The k x n x 8 features of steps ``first`` to ``first + k - 1``, a new array.
+
+        Columns follow ``FEATURE_COLUMNS``.
+        """
+        if not 0 <= first <= first + k <= len(self.valid):
+            raise DataError(f"feature grid: steps {first} to {first + k - 1} "
+                            f"outside 0 to {len(self.valid) - 1}")
+        out = np.empty((k, len(self.attributes), len(FEATURE_COLUMNS)))
+        out[:, :, :3] = self.calendar[first:first + k, None, :]
+        out[:, :, 3:7] = self.attributes
+        out[:, :, OCCUPANCY_COL] = self.occupancy[first:first + k]
+        return out
 
 
 def interpolate_to_grid(records: Mapping[str, np.ndarray],
@@ -135,11 +157,11 @@ def interpolate_to_grid(records: Mapping[str, np.ndarray],
     cell, site = np.nonzero(fill)
     occ[cell, site] = (occ[left[cell, site], site] + occ[right[cell, site], site]) / 2.0
 
-    times = [grid_start + c * step for c in range(n_cells)]
-    X = np.empty((n_cells, n, len(FEATURE_COLUMNS)))
-    X[:, :, :3] = np.array([[ts.isocalendar()[1], ts.weekday(), ts.hour]
-                            for ts in times], dtype=float)[:, None, :]
-    X[:, :, 3:7] = [[s.travel_time, s.owner, s.amenity_count, s.capacity] for s in sites]
-    X[:, :, OCCUPANCY_COL] = occ
-    return FeatureGrid(start=grid_start, step_min=grid_step_min, X=X,
+    times = (grid_start + c * step for c in range(n_cells))
+    calendar = np.array([[ts.isocalendar()[1], ts.weekday(), ts.hour] for ts in times],
+                        dtype=float)
+    attributes = np.array([[s.travel_time, s.owner, s.amenity_count, s.capacity]
+                           for s in sites], dtype=float)
+    return FeatureGrid(start=grid_start, step_min=grid_step_min, occupancy=occ,
+                       calendar=calendar, attributes=attributes,
                        valid=np.all(known | fill, axis=1))

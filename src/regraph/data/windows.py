@@ -2,8 +2,6 @@
 
 from __future__ import annotations
 
-import dataclasses
-from dataclasses import dataclass, field
 from datetime import datetime
 from typing import Iterable, Sequence
 
@@ -23,28 +21,60 @@ __all__ = [
 ]
 
 
-@dataclass(frozen=True)
 class WindowSample:
     """K input grid steps and the occupancy targets at each requested horizon.
 
-    ``weeks`` holds the ISO (year, week) labels of every grid step the
-    sample touches, inputs and targets alike, so split logic can keep whole
-    windows on one side of a boundary. ``first_step`` is the grid row of
-    ``inputs[0]`` when ``inputs`` is a view of a grid's rows; windows viewing
-    the same grid row share that step (see ``step_positions``).
+    A window from ``make_windows`` holds its ``grid`` and ``first_step`` and
+    no array: it builds its K x n x 8 ``inputs`` (``FeatureGrid.block``) and
+    its n x |horizons| ``targets`` from the grid each time they are read. A
+    sample made by hand, or by ``apply_scaling``, is given both arrays and
+    has no grid. Either way the arrays are read-only. ``weeks`` holds the
+    ISO (year, week) labels of every grid step the sample touches, inputs
+    and targets alike, so split logic can keep whole windows on one side of
+    a boundary.
     """
 
-    inputs: np.ndarray = field(repr=False)   # K x n x 8
-    targets: np.ndarray = field(repr=False)  # n x T
-    anchor_time: datetime
-    target_times: tuple[datetime, ...]
-    horizons: tuple[int, ...]
-    weeks: frozenset = field(repr=False)
-    first_step: int | None = None
+    __slots__ = ("anchor_time", "target_times", "horizons", "weeks", "first_step", "grid",
+                 "k", "_inputs", "_targets")
 
-    def __post_init__(self):
-        self.inputs.flags.writeable = False
-        self.targets.flags.writeable = False
+    def __init__(self, inputs: np.ndarray | None = None, targets: np.ndarray | None = None,
+                 *, anchor_time: datetime, target_times: tuple[datetime, ...],
+                 horizons: tuple[int, ...], weeks: frozenset, first_step: int | None = None,
+                 grid: FeatureGrid | None = None, k: int | None = None):
+        if grid is None:
+            if inputs is None or targets is None:
+                raise TypeError("a sample without a grid takes inputs and targets")
+            inputs.flags.writeable = False
+            targets.flags.writeable = False
+            k = len(inputs)
+        elif inputs is not None or targets is not None or first_step is None or k is None:
+            raise TypeError("a grid window takes its first step and k, and no arrays")
+        self.anchor_time = anchor_time
+        self.target_times = target_times
+        self.horizons = horizons
+        self.weeks = weeks
+        self.first_step = first_step
+        self.grid = grid
+        self.k = k
+        self._inputs = inputs
+        self._targets = targets
+
+    @property
+    def inputs(self) -> np.ndarray:  # K x n x 8
+        if self.grid is None:
+            return self._inputs
+        out = self.grid.block(self.first_step, self.k)
+        out.flags.writeable = False
+        return out
+
+    @property
+    def targets(self) -> np.ndarray:  # n x |horizons|
+        if self.grid is None:
+            return self._targets
+        cells = np.add(self.first_step + self.k - 1, self.horizons)
+        out = np.ascontiguousarray(self.grid.occupancy[cells].T)
+        out.flags.writeable = False
+        return out
 
 
 def make_windows(grid: FeatureGrid, k: int, horizons: Sequence[int],
@@ -52,9 +82,9 @@ def make_windows(grid: FeatureGrid, k: int, horizons: Sequence[int],
     """Stride-1 windows over maximal runs of valid grid steps.
 
     A run of F steps yields F - k - max(horizons) + 1 samples; no window
-    spans an invalid step. Each sample's inputs are a read-only view into
-    ``grid.X``. ``grid_step_min`` must equal the grid's own step. A grid
-    that yields no window is a ``DataError``.
+    spans an invalid step. Each sample reads its arrays from ``grid``.
+    ``grid_step_min`` must equal the grid's own step. A grid that yields no
+    window is a ``DataError``.
     """
     if k < 1:
         raise ConfigError(f"window length k must be >= 1, got {k}")
@@ -68,22 +98,18 @@ def make_windows(grid: FeatureGrid, k: int, horizons: Sequence[int],
 
     times = [grid.time(c) for c in range(len(grid.valid))]
     weeks = [t.isocalendar()[:2] for t in times]
-    occupancy = np.ascontiguousarray(grid.X[:, :, OCCUPANCY_COL].T)  # n x T
-    offsets = np.array(horizons)
     edges = np.diff(grid.valid.astype(np.int8), prepend=0, append=0)
     samples: list[WindowSample] = []
     for first, stop in zip(np.flatnonzero(edges == 1), np.flatnonzero(edges == -1)):
-        for s in range(first, stop - k - max_h + 1):
+        for s in range(int(first), int(stop) - k - max_h + 1):
             anchor = s + k - 1
-            target_cells = anchor + offsets
+            target_cells = [anchor + h for h in horizons]
             samples.append(WindowSample(
-                inputs=grid.X[s:s + k],
-                targets=occupancy.take(target_cells, axis=1),
                 anchor_time=times[anchor],
                 target_times=tuple(times[c] for c in target_cells),
                 horizons=horizons,
                 weeks=frozenset(weeks[s:s + k]) | frozenset(weeks[c] for c in target_cells),
-                first_step=int(s),
+                first_step=s, grid=grid, k=k,
             ))
     if not samples:
         raise DataError(f"no usable windows: need at least {k + max_h} contiguous valid "
@@ -158,76 +184,68 @@ def split_by_weeks(samples: Iterable[WindowSample],
     return out
 
 
-def _input_blocks(samples: Sequence[WindowSample]):
-    """(key, array, first row) per sample; samples viewing one grid share its key.
-
-    A view is checked, not assumed from ``first_step``: a scaled copy keeps
-    that field but owns its values, and such a sample is a block of its own.
-    """
-    keys: dict[int, int] = {}
-    for i, s in enumerate(samples):
-        grid, first = s.inputs.base, s.first_step
-        if first is not None and isinstance(grid, np.ndarray) and grid.ndim == 3:
-            rows = grid[first:first + len(s.inputs)]
-            if (rows.shape, rows.strides, rows.ctypes.data) == \
-                    (s.inputs.shape, s.inputs.strides, s.inputs.ctypes.data):
-                yield ("grid", keys.setdefault(id(grid), len(keys))), grid, first
-                continue
-        yield ("own", i), s.inputs, 0
-
-
 def step_positions(samples: Sequence[WindowSample]) -> np.ndarray:
     """Number each sample's K input steps so that shared steps share a number.
 
-    Two samples share a step exactly when both view the same row of the
-    same grid array; every other sample's steps are its own. Numbers rise
-    with the grid row, and grids (and samples of their own) take disjoint
-    ranges in order of first appearance, so visiting steps by increasing
-    number takes every sample's lags in order. Returns a B x K int array.
+    Two samples share a step exactly when both are windows of the same grid
+    holding the same grid step; every other sample's steps are its own.
+    Numbers rise with the grid step, and grids (and samples of their own)
+    take disjoint ranges in order of first appearance, so visiting steps by
+    increasing number takes every sample's lags in order. Returns a B x K
+    int array.
     """
-    offsets: dict[tuple, int] = {}
+    offsets: dict[int, int] = {}
     end = 0
     out = []
-    for s, (key, array, first) in zip(samples, _input_blocks(samples)):
-        if key not in offsets:
-            offsets[key] = end
-            end += len(array)
-        out.append(offsets[key] + first + np.arange(len(s.inputs)))
+    for s in samples:
+        if s.grid is None:
+            offset, end = end, end + s.k
+        else:
+            if id(s.grid) not in offsets:
+                offsets[id(s.grid)] = end
+                end += len(s.grid.valid)
+            offset = offsets[id(s.grid)] + s.first_step
+        out.append(offset + np.arange(s.k))
     return np.array(out, dtype=np.int64) if out else np.zeros((0, 0), dtype=np.int64)
 
 
 def compute_scaling(samples: Sequence[WindowSample]) -> tuple[np.ndarray, np.ndarray]:
     """Per-column min and max over every input step of the given samples.
 
-    Each grid row the samples cover is read once, however many windows
-    hold it. Only the calendar/static columns are ever rescaled; the
-    returned arrays still cover all 8 columns, with identity bounds (0, 1)
-    on the untouched ones, so they can be stored and applied uniformly.
+    A grid's calendar rows are read once for all its windows that cover
+    them, and its site attributes once. Only the calendar/static columns are
+    ever rescaled; the returned arrays still cover all 8 columns, with
+    identity bounds (0, 1) on the untouched ones, so they can be stored and
+    applied uniformly.
     """
     if not samples:
         raise DataError("compute_scaling: no samples")
-    covered: dict[tuple, tuple[np.ndarray, np.ndarray]] = {}
-    for s, (key, array, first) in zip(samples, _input_blocks(samples)):
-        mask = covered.setdefault(key, (array, np.zeros(len(array), dtype=np.int8)))[1]
-        mask[first:first + len(s.inputs)] = 1
-    runs = []
-    for array, mask in covered.values():
-        edges = np.diff(mask, prepend=0, append=0)
-        runs += [array[a:b] for a, b in zip(np.flatnonzero(edges == 1),
-                                            np.flatnonzero(edges == -1))]
-    n_cols = len(FEATURE_COLUMNS)
-    lo = np.zeros(n_cols)
-    hi = np.ones(n_cols)
+    covered: dict[int, tuple[FeatureGrid, np.ndarray]] = {}
+    lows, highs = [], []  # min and max of the columns before occupancy, per source
+    for s in samples:
+        if s.grid is None:
+            values = s.inputs[..., :OCCUPANCY_COL]
+            lows.append(values.min(axis=(0, 1)))
+            highs.append(values.max(axis=(0, 1)))
+        else:
+            steps = covered.setdefault(id(s.grid), (s.grid, np.zeros(len(s.grid.valid), bool)))[1]
+            steps[s.first_step:s.first_step + s.k] = True
+    for grid, steps in covered.values():
+        calendar = grid.calendar[steps]
+        lows.append(np.concatenate([calendar.min(axis=0), grid.attributes.min(axis=0)]))
+        highs.append(np.concatenate([calendar.max(axis=0), grid.attributes.max(axis=0)]))
+    lo = np.zeros(len(FEATURE_COLUMNS))
+    hi = np.ones(len(FEATURE_COLUMNS))
     cols = list(SCALED_COLUMNS)
-    lo[cols] = np.min([r.min(axis=(0, 1)) for r in runs], axis=0)[cols]
-    hi[cols] = np.max([r.max(axis=(0, 1)) for r in runs], axis=0)[cols]
+    lo[cols] = np.min(lows, axis=0)[cols]
+    hi[cols] = np.max(highs, axis=0)[cols]
     return lo, hi
 
 
 def apply_scaling(sample: WindowSample, lo: np.ndarray, hi: np.ndarray) -> WindowSample:
     """Min-max scale the input features of one sample into a new array.
 
-    Targets stay raw and are shared with ``sample``: both are read-only.
+    Targets stay raw; the new sample holds them, read-only.
     """
     scaled = np.array(sample.inputs, copy=True)
     for c in SCALED_COLUMNS:
@@ -236,4 +254,6 @@ def apply_scaling(sample: WindowSample, lo: np.ndarray, hi: np.ndarray) -> Windo
             scaled[..., c] = (scaled[..., c] - lo[c]) / span
         else:
             scaled[..., c] = 0.0
-    return dataclasses.replace(sample, inputs=scaled)
+    return WindowSample(scaled, sample.targets, anchor_time=sample.anchor_time,
+                        target_times=sample.target_times, horizons=sample.horizons,
+                        weeks=sample.weeks, first_step=sample.first_step)

@@ -53,9 +53,9 @@ class EvalReport:
 def predict_samples(model, samples, scaling_lo, scaling_hi):
     """Stack predictions and truths as (n_samples, n_sites, n_horizons).
 
-    Samples that view one grid share their common steps, and each of those
-    is encoded once (``ForecastModel.predict_windows``). Each sample is
-    scaled when its first step comes up.
+    Windows of one grid share their common steps, and each of those is
+    encoded once (``ForecastModel.predict_windows``). Each sample is built
+    and scaled when its first step comes up.
     """
     samples = list(samples)
     truths = np.stack([s.targets for s in samples])
@@ -183,11 +183,12 @@ def write_timeseries(path, samples, preds, site_ids,
     table: dict[tuple, dict[int, float]] = {}
     truth_at: dict[tuple, float] = {}
     for s_idx, s in enumerate(samples):
+        targets = s.targets  # a grid window builds them on each read
         for j, h in enumerate(horizons):
             t = s.target_times[j]
             for i, sid in enumerate(site_ids):
                 key = (sid, t)
-                truth_at[key] = float(s.targets[i, j])
+                truth_at[key] = float(targets[i, j])
                 table.setdefault(key, {})[h] = float(preds[s_idx, i, j])
     header = ["site_id", "time", "truth"] + [
         f"pred_h{h * grid_step_min}" for h in horizons]

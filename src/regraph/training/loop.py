@@ -75,8 +75,8 @@ class TrainConfig:
             raise ConfigError("epochs must be at least 1")
         if not self.learning_rate >= 0:
             raise ConfigError("learning_rate must be non-negative")
-        if not self.weight_decay >= 0:
-            raise ConfigError("weight_decay must be non-negative")
+        if not 0 <= self.weight_decay <= 1:
+            raise ConfigError(f"weight_decay must lie in [0, 1], got {self.weight_decay!r}")
         if self.seed < 0:
             raise ConfigError(f"train seed must be non-negative, got {self.seed}")
         if not (0.0 < self.rmsprop_decay < 1.0):
@@ -220,7 +220,7 @@ def train(model, samples, cfg: TrainConfig, out_dir):
     samples = list(samples)
     if not samples:
         raise ConfigError("training requires at least one sample")
-    k = samples[0].inputs.shape[0]
+    k = samples[0].k
     if model.spec.k != k:
         raise ConfigError(
             f"model expects {model.spec.k} input steps, samples carry {k}")

@@ -947,6 +947,25 @@ def test_a_diverging_learning_rate_exits_1(tmp_path, capsys):
     assert capsys.readouterr().err == "numeric error: non-finite training loss at epoch 1, step 2\n"
 
 
+def test_a_weight_decay_above_1_exits_2(tmp_path, capsys):
+    # 1e300 overflowed RMSProp's decay term: every update was 0 and train exited 0
+    data = make_dataset(tmp_path, days=8)
+    graph_file = tmp_path / "graph.json"
+    assert main(["build-graph", "--sites", str(data / "sites.csv"),
+                 "--strategy", "connected", "--out", str(graph_file)]) == 0
+    cfg = write_config(tmp_path / "decay.json",
+                       data={**PIPELINE_DATA, "synth": {**BASE_SYNTH, "days": 8}},
+                       model={"architecture": "TGCN", "hidden": 8, "seed": 1},
+                       train={"epochs": 2, "seed": 3, "weight_decay": 1e300})
+    capsys.readouterr()
+    code = main_showing_no_warning(["train", "--config", str(cfg), "--data", str(data),
+                                    "--graph", str(graph_file), "--out", str(tmp_path / "run")])
+    assert code == 2
+    assert capsys.readouterr().err == \
+        "config error: weight_decay must lie in [0, 1], got 1e+300\n"
+    assert not (tmp_path / "run").exists()
+
+
 def test_train_mismatched_sites_exits_3(pipeline, tmp_path):
     other = make_dataset(tmp_path, seed=99, n_sites=5, n_regions=1)
     code = main(["train", "--config", str(pipeline["cfg"]),

@@ -1,6 +1,7 @@
 """Unit tests for ingestion, gridding, windowing, splits, and the generator."""
 
 import csv
+import tracemalloc
 from datetime import datetime, timedelta, timezone
 
 import numpy as np
@@ -47,6 +48,11 @@ def stream(*points):
     return np.array([(us(T0 + timedelta(minutes=m)), a) for m, a in points], RECORD_DTYPE)
 
 
+def features(grid):
+    """The T x n x 8 features of every grid step, read as one block."""
+    return grid.block(0, len(grid.valid))
+
+
 # ----------------------------------------------------------- interpolation
 
 def test_occupancy_arithmetic():
@@ -63,9 +69,9 @@ def test_single_missing_point_filled_with_flanking_average():
     site = meta(capacity=10)
     records = {"s": stream((0, 6), (20, 4))}  # 0.4 ... 0.6
     grid = interpolate_to_grid(records, [site])
-    assert grid.X.shape == (3, 1, 8)
+    assert features(grid).shape == (3, 1, 8)
     assert grid.valid.all()
-    assert grid.X[:, 0, OCCUPANCY_COL] == pytest.approx([0.4, 0.5, 0.6])
+    assert features(grid)[:, 0, OCCUPANCY_COL] == pytest.approx([0.4, 0.5, 0.6])
 
 
 def test_complete_grid_is_identity():
@@ -73,7 +79,7 @@ def test_complete_grid_is_identity():
     avail = [20, 15, 10, 5, 0]
     records = {"s": stream(*[(10 * k, a) for k, a in enumerate(avail)])}
     grid = interpolate_to_grid(records, [site])
-    assert grid.X[:, 0, OCCUPANCY_COL] == pytest.approx([0.0, 0.25, 0.5, 0.75, 1.0])
+    assert features(grid)[:, 0, OCCUPANCY_COL] == pytest.approx([0.0, 0.25, 0.5, 0.75, 1.0])
     assert grid.valid.all()
 
 
@@ -82,7 +88,7 @@ def test_last_record_in_a_grid_step_wins():
     # 00:05 and 00:00 share the first step; the later one in the stream wins
     records = {"s": stream((5, 2), (0, 8), (10, 5), (19, 4))}
     grid = interpolate_to_grid(records, [site])
-    assert grid.X[:, 0, OCCUPANCY_COL] == pytest.approx([0.2, 0.6])
+    assert features(grid)[:, 0, OCCUPANCY_COL] == pytest.approx([0.2, 0.6])
 
 
 def test_wide_gap_invalidates_frames():
@@ -98,7 +104,7 @@ def test_gap_at_max_gap_still_fills():
     records = {"s": stream((0, 8), (70, 2))}  # 6 missing steps
     grid = interpolate_to_grid(records, [site], max_gap=6)
     assert grid.valid.all()
-    assert grid.X[3, 0, OCCUPANCY_COL] == pytest.approx(0.5)
+    assert features(grid)[3, 0, OCCUPANCY_COL] == pytest.approx(0.5)
 
 
 def test_unknown_site_rejected():
@@ -115,8 +121,8 @@ def test_calendar_and_static_columns():
     site = meta(capacity=10)
     records = {"s": stream((0, 5), (10, 5), (20, 5))}
     grid = interpolate_to_grid(records, [site])
-    assert grid.X.shape == (3, 1, 8)
-    for t, x in enumerate(grid.X):
+    assert features(grid).shape == (3, 1, 8)
+    for t, x in enumerate(features(grid)):
         assert x[0, 0] == 1.0            # ISO week of 2024-01-01
         assert x[0, 1] == 0.0            # Monday
         assert x[0, 2] == float(grid.time(t).hour)
@@ -142,7 +148,7 @@ def test_frame_valid_requires_every_site():
 
 def test_grid_holds_at_most_64_cells_per_record():
     at_bound = {"s": stream((0, 5), (10 * 127, 5))}  # 128 steps x 1 site, 2 records
-    assert interpolate_to_grid(at_bound, [meta()]).X.shape == (128, 1, 8)
+    assert features(interpolate_to_grid(at_bound, [meta()])).shape == (128, 1, 8)
     past_bound = {"s": stream((0, 5), (10 * 128, 5))}
     with pytest.raises(DataError, match="129 grid steps x 1 sites .* 2 records"):
         interpolate_to_grid(past_bound, [meta()])
@@ -162,15 +168,13 @@ def test_stray_record_years_early_is_a_data_error(tmp_path):
 # --------------------------------------------------------------- windowing
 
 def make_grid(occs, start=T0, step_min=10, invalid=()):
-    x = np.zeros((len(occs), 2, 8))
-    for k, occ in enumerate(occs):
-        t = start + timedelta(minutes=step_min * k)
-        x[k, :, 0] = float(t.isocalendar()[1])
-        x[k, :, 1] = float(t.weekday())
-        x[k, :, 2] = float(t.hour)
-        x[k, :, OCCUPANCY_COL] = [occ, occ + 100.0]
+    """Two sites with occupancy ``occs`` and ``occs + 100`` and all-zero attributes."""
+    times = [start + timedelta(minutes=step_min * k) for k in range(len(occs))]
+    calendar = np.array([[t.isocalendar()[1], t.weekday(), t.hour] for t in times], dtype=float)
+    occupancy = np.column_stack([occs, np.add(occs, 100.0)])
     valid = np.array([k not in invalid for k in range(len(occs))])
-    return FeatureGrid(start=start, step_min=step_min, X=x, valid=valid)
+    return FeatureGrid(start=start, step_min=step_min, occupancy=occupancy, calendar=calendar,
+                       attributes=np.zeros((2, 4)), valid=valid)
 
 
 def test_window_count_formula():
@@ -351,11 +355,13 @@ def test_scaling_varies_with_hour_column():
     assert scaled.inputs[..., 2].max() <= 1.0
 
 
-def random_grid(steps, seed, invalid=()):
-    """A grid of random features, so every step and column differs."""
-    x = np.random.default_rng(seed).uniform(-5.0, 50.0, size=(steps, 3, 8))
+def random_grid(steps, seed, invalid=(), n=3):
+    """A grid of random features, so every step, site and column differs."""
+    rng = np.random.default_rng(seed)
     valid = np.array([k not in invalid for k in range(steps)])
-    return FeatureGrid(start=T0, step_min=10, X=x, valid=valid)
+    return FeatureGrid(start=T0, step_min=10, occupancy=rng.uniform(-5.0, 50.0, (steps, n)),
+                       calendar=rng.uniform(-5.0, 50.0, (steps, 3)),
+                       attributes=rng.uniform(-5.0, 50.0, (n, 4)), valid=valid)
 
 
 def window_lists():
@@ -411,6 +417,64 @@ def test_step_positions_share_exactly_the_same_grid_rows():
     pos = step_positions(scaled + [loose, first[0]])
     assert len(set(pos.ravel())) == 4 * 4
     assert step_positions([]).shape == (0, 0)
+
+
+def dense_grid(grid):
+    """The T x n x 8 features of a grid, each column broadcast from where it is stored."""
+    steps, n = grid.occupancy.shape
+    return np.concatenate([np.broadcast_to(grid.calendar[:, None, :], (steps, n, 3)),
+                           np.broadcast_to(grid.attributes, (steps, n, 4)),
+                           grid.occupancy[:, :, None]], axis=2)
+
+
+def scaled_whole(x, lo, hi):
+    """A K x n x 8 window scaled column by column over all its cells."""
+    x = x.copy()
+    for c in SCALED_COLUMNS:
+        x[..., c] = (x[..., c] - lo[c]) / (hi[c] - lo[c]) if hi[c] > lo[c] else 0.0
+    return x
+
+
+def test_windows_of_two_grids_equal_the_dense_construction():
+    grids = [random_grid(30, 1, invalid=(14,)), random_grid(16, 2, n=3)]
+    samples = [w for g in grids for w in make_windows(g, k=4, horizons=[1, 3])]
+    lo, hi = compute_scaling(samples)
+    lo[2] = hi[2]  # an empty range scales to zero
+    for w in samples:
+        dense = dense_grid(w.grid)
+        anchor = w.first_step + w.k - 1
+        inputs = np.ascontiguousarray(dense[w.first_step:anchor + 1])
+        targets = np.ascontiguousarray(dense[[anchor + 1, anchor + 3], :, OCCUPANCY_COL].T)
+        assert w.inputs.tobytes() == inputs.tobytes()
+        assert w.targets.tobytes() == targets.tobytes()
+        scaled = apply_scaling(w, lo, hi)
+        assert scaled.grid is None and scaled.inputs.flags.c_contiguous
+        assert scaled.inputs.tobytes() == scaled_whole(inputs, lo, hi).tobytes()
+        assert scaled.targets.tobytes() == targets.tobytes()
+        again = apply_scaling(scaled, np.zeros(8), np.ones(8))
+        assert again.inputs.tobytes() == scaled.inputs.tobytes()
+
+
+def test_scaling_and_positions_over_grid_scaled_and_hand_made_samples():
+    first = make_windows(random_grid(30, 1), k=4, horizons=[1, 2])
+    second = make_windows(random_grid(16, 2), k=4, horizons=[1, 2])
+    scaled = apply_scaling(first[1], *compute_scaling(first[9:12]))
+    loose = WindowSample(inputs=np.random.default_rng(3).uniform(-9.0, 60.0, (4, 3, 8)),
+                         targets=np.zeros((3, 2)), anchor_time=T0, target_times=(T0, T0),
+                         horizons=(1, 2), weeks=frozenset(), first_step=2)
+    mixed = first[:3] + [scaled] + second[:2] + [loose] + first[5:6]
+    np.testing.assert_array_equal(step_positions(mixed), [
+        [0, 1, 2, 3], [1, 2, 3, 4], [2, 3, 4, 5],  # the first grid, 30 steps
+        [30, 31, 32, 33],                          # a scaled copy is its own
+        [34, 35, 36, 37], [35, 36, 37, 38],        # the second grid, 16 steps
+        [50, 51, 52, 53],                          # and so is a hand-made sample
+        [5, 6, 7, 8]])
+    lo, hi = compute_scaling(mixed)
+    cols = list(SCALED_COLUMNS)
+    ref_lo, ref_hi = np.zeros(8), np.ones(8)
+    ref_lo[cols] = np.min([s.inputs.min(axis=(0, 1)) for s in mixed], axis=0)[cols]
+    ref_hi[cols] = np.max([s.inputs.max(axis=(0, 1)) for s in mixed], axis=0)[cols]
+    assert (lo.tobytes(), hi.tobytes()) == (ref_lo.tobytes(), ref_hi.tobytes())
 
 
 # --------------------------------------------------------------- synthetic
@@ -561,6 +625,17 @@ def per_step_reference(streams, sites, max_gap):
     return occ, ok.all(axis=1)
 
 
+def dense_features(start, occ, sites):
+    """T x n x 8 features written cell by cell, with each step's calendar ids."""
+    x = np.empty(occ.shape + (len(FEATURE_COLUMNS),))
+    for c in range(len(occ)):
+        t = start + timedelta(minutes=10 * c)
+        for i, s in enumerate(sites):
+            x[c, i] = [t.isocalendar()[1], t.weekday(), t.hour, s.travel_time, s.owner,
+                       s.amenity_count, s.capacity, occ[c, i]]
+    return x
+
+
 @pytest.mark.parametrize("max_gap", [1, 6])
 def test_drop_rate_windows_match_per_step_reference(tmp_path, max_gap):
     sites_path, records_path, _ = generate_synthetic(small_cfg(drop_rate=0.05), tmp_path)
@@ -568,12 +643,11 @@ def test_drop_rate_windows_match_per_step_reference(tmp_path, max_gap):
     streams = load_records(records_path)
     grid = interpolate_to_grid(streams, sites, max_gap=max_gap)
     occ, valid = per_step_reference(streams, sites, max_gap)
-    np.testing.assert_array_equal(grid.X[:, :, OCCUPANCY_COL], occ)
+    dense = dense_features(grid.start, occ, sites)
+    np.testing.assert_array_equal(grid.occupancy, occ)
     np.testing.assert_array_equal(grid.valid, valid)
     assert valid.all() == (max_gap == 6)  # gap 1 leaves invalid steps to skip
-    for c, x in enumerate(grid.X):
-        t = grid.time(c)
-        assert (x[:, 0] == t.isocalendar()[1]).all() and (x[:, 2] == t.hour).all()
+    assert features(grid).tobytes() == dense.tobytes()
 
     k, horizons = 6, (1, 3)
     expected, run = [], []
@@ -584,7 +658,7 @@ def test_drop_rate_windows_match_per_step_reference(tmp_path, max_gap):
         for s in range(len(run) - k - horizons[-1] + 1):
             cells = run[s:s + k]
             targets = [cells[-1] + h for h in horizons]
-            expected.append((np.stack([grid.X[i] for i in cells]),
+            expected.append((np.stack([dense[i] for i in cells]),
                              np.column_stack([occ[i] for i in targets]),
                              grid.time(cells[-1]), tuple(grid.time(i) for i in targets),
                              {grid.time(i).isocalendar()[:2] for i in cells + targets}))
@@ -592,11 +666,31 @@ def test_drop_rate_windows_match_per_step_reference(tmp_path, max_gap):
     samples = make_windows(grid, k, horizons)
     assert len(samples) == len(expected) > 0
     for sample, (inputs, targets, anchor, target_times, weeks) in zip(samples, expected):
-        np.testing.assert_array_equal(sample.inputs, inputs)
-        np.testing.assert_array_equal(sample.targets, targets)
+        assert sample.inputs.tobytes() == inputs.tobytes()
+        assert sample.targets.tobytes() == targets.tobytes()
         assert sample.targets.flags.c_contiguous
         assert (sample.anchor_time, sample.target_times) == (anchor, target_times)
         assert sample.weeks == weeks
+
+
+def test_a_grid_and_its_windows_hold_little_more_than_the_occupancy(tmp_path):
+    sites_path, records_path, _ = generate_synthetic(small_cfg(n_sites=60, days=2), tmp_path)
+    sites, streams = load_sites(sites_path), load_records(records_path)
+    tracemalloc.start()
+    try:
+        grid = interpolate_to_grid(streams, sites)
+        samples = make_windows(grid, 6, (1, 3, 12, 36))
+        held = tracemalloc.get_traced_memory()[0]
+    finally:
+        tracemalloc.stop()
+    steps, n = len(grid.valid), len(sites)
+    # the float occupancy of every (step, site) cell; per step its calendar ids,
+    # its flag and its datetime; per site its attributes; per window the slotted
+    # object (104 B), its target-times tuple (72 B), its week set (216 B) and its
+    # list entry; and a fixed allowance
+    bound = (8 * steps * n + 100 * steps + 32 * n + 400 * len(samples) + 64 * 1024)
+    assert (steps, n, len(samples)) == (288, 60, 247)
+    assert held < bound, f"{held} bytes held, bound {bound}"
 
 
 # ------------------------------------------------------------------ ingest
@@ -786,11 +880,36 @@ def test_load_records_matches_sorted_last_wins_reference(tmp_path, rows):
 def test_window_sample_arrays_read_only():
     grid = make_grid(np.zeros(10))
     sample = make_windows(grid, k=6, horizons=[1])[0]
-    assert np.shares_memory(sample.inputs, grid.X)
-    assert not np.shares_memory(sample.targets, grid.X)
+    # a window holds its grid and first step, and builds its arrays when read
+    assert sample.grid is grid and (sample.first_step, sample.k) == (0, 6)
+    assert sample.inputs is not sample.inputs
+    assert not np.shares_memory(sample.targets, grid.occupancy)
     with pytest.raises(ValueError):
         sample.inputs[0, 0, 0] = 5.0
     with pytest.raises(ValueError):
         sample.targets[0, 0] = 5.0
+    for array in (grid.occupancy, grid.calendar, grid.attributes, grid.valid):
+        with pytest.raises(ValueError):
+            array[0] = 5.0
+    loose = WindowSample(inputs=np.zeros((2, 2, 8)), targets=np.zeros((2, 1)), anchor_time=T0,
+                         target_times=(T0,), horizons=(1,), weeks=frozenset())
+    assert (loose.grid, loose.k) == (None, 2) and loose.inputs is loose.inputs
     with pytest.raises(ValueError):
-        grid.X[0, 0, 0] = 5.0
+        loose.inputs[0, 0, 0] = 5.0
+    with pytest.raises(TypeError, match="takes inputs and targets"):
+        WindowSample(inputs=np.zeros((2, 2, 8)), anchor_time=T0, target_times=(T0,),
+                     horizons=(1,), weeks=frozenset())
+    with pytest.raises(TypeError, match="no arrays"):
+        WindowSample(inputs=np.zeros((2, 2, 8)), targets=np.zeros((2, 1)), anchor_time=T0,
+                     target_times=(T0,), horizons=(1,), weeks=frozenset(), grid=grid,
+                     first_step=0, k=2)
+
+
+def test_feature_grid_checks_its_shapes_and_block_range():
+    grid = random_grid(5, seed=1, n=2)
+    with pytest.raises(DataError, match=r"got shapes \(5, 2\), \(5, 3\), \(3, 4\), \(5,\)"):
+        FeatureGrid(start=T0, step_min=10, occupancy=grid.occupancy, calendar=grid.calendar,
+                    attributes=np.zeros((3, 4)), valid=grid.valid)
+    with pytest.raises(DataError, match="steps 3 to 5 outside 0 to 4"):
+        grid.block(3, 3)
+    assert grid.block(2, 3).shape == (3, 2, 8)

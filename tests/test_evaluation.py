@@ -266,9 +266,12 @@ def test_predict_samples_stack_shape():
 # --------------------------------------------- step-major predict_samples
 
 def feature_grid(steps, n, seed):
-    x = RNG(seed).uniform(0.0, 1.0, size=(steps, n, 8))
-    x[..., 2] *= 23.0  # an hour column, so scaling moves it
-    return FeatureGrid(start=datetime(2024, 1, 1), step_min=10, X=x,
+    rng = RNG(seed)
+    calendar = rng.uniform(0.0, 1.0, size=(steps, 3))
+    calendar[:, 2] *= 23.0  # an hour column, so scaling moves it
+    return FeatureGrid(start=datetime(2024, 1, 1), step_min=10,
+                       occupancy=rng.uniform(0.0, 1.0, size=(steps, n)), calendar=calendar,
+                       attributes=rng.uniform(0.0, 1.0, size=(n, 4)),
                        valid=np.ones(steps, dtype=bool))
 
 

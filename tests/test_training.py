@@ -146,6 +146,10 @@ def test_train_config_validation():
         TrainConfig(epochs=1, horizons=(1,), grad_clip_norm=0.0)
     with pytest.raises(ConfigError):
         TrainConfig(epochs=1, horizons=(1,), val_fraction=1.0)
+    TrainConfig(epochs=1, horizons=(1,), weight_decay=1.0)
+    for decay in (-1e-4, 1.5, 1e300):
+        with pytest.raises(ConfigError, match=r"weight_decay must lie in \[0, 1\]"):
+            TrainConfig(epochs=1, horizons=(1,), weight_decay=decay)
 
 
 @pytest.mark.parametrize("field", ["learning_rate", "weight_decay", "rmsprop_smoothing",
