@@ -12,6 +12,7 @@ from regraph.data import GRID_STEP_MIN, apply_scaling, step_positions, week_labe
 from regraph.errors import ConfigError, ShapeError
 from regraph.evaluation.metrics import MetricSet, compute_metrics, q95_table
 from regraph.files import write_json, write_lines
+from regraph.heap import pin_heap
 
 __all__ = [
     "METRICS_COLUMNS",
@@ -55,8 +56,10 @@ def predict_samples(model, samples, scaling_lo, scaling_hi):
 
     Windows of one grid share their common steps, and each of those is
     encoded once (``ForecastModel.predict_windows``). Each sample is built
-    and scaled when its first step comes up.
+    and scaled when its first step comes up. The heap is pinned first
+    (``heap.pin_heap``), since each step frees and re-allocates its arrays.
     """
+    pin_heap()
     samples = list(samples)
     truths = np.stack([s.targets for s in samples])
     preds = model.predict_windows(

@@ -7,7 +7,6 @@ import contextlib
 import csv
 import json
 import os
-import secrets
 from pathlib import Path
 
 from .errors import DataError
@@ -86,7 +85,7 @@ def atomic_open(path, mode: str = "w", **open_kwargs):
     """
     path = Path(path)
     # Not tempfile.mkstemp: its files are owner-only, whatever the umask says.
-    tmp = path.with_name(f".{path.name}.{os.getpid()}-{secrets.token_hex(4)}.tmp")
+    tmp = path.with_name(f".{path.name}.{os.getpid()}-{os.urandom(4).hex()}.tmp")
     try:
         path.parent.mkdir(parents=True, exist_ok=True)
         fh = open(tmp, mode.replace("w", "x"), **open_kwargs)

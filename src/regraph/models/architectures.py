@@ -172,18 +172,31 @@ class GraphContext:
 class ForecastModel:
     """Shared parameter registry, the two-stage forward, and frozen inference.
 
-    A subclass defines ``readout`` and may refine ``call_weights``,
-    ``encode`` and ``advance``; by default a step is encoded as itself and
-    a window's state is the tuple of its encoded steps.
+    The weights are drawn from ``spec.seed``, or, given ``weights`` (name to
+    array, as ``load_state`` reads them), made unfilled and read from
+    those. A subclass defines ``_layers`` and ``readout`` and may refine
+    ``call_weights``, ``encode`` and ``advance``; by default a step is
+    encoded as itself and a window's state is the tuple of its encoded
+    steps.
     """
 
     operator_kind: str | None = None  # the full-graph operator its context builds
     connectivity = "connected"  # the partition it needs: none, "regional" or "random"
 
-    def __init__(self, spec: ModelSpec, ctx: GraphContext):
+    def __init__(self, spec: ModelSpec, ctx: GraphContext, weights=None):
         self.spec = spec
         self.ctx = ctx
         self._named: list[tuple[str, DiffTensor]] = []
+        if weights is None:
+            self._layers(np.random.default_rng(spec.seed))
+        else:
+            self._layers(None)  # unfilled arrays, which load_state fills
+            self.load_state(weights)
+
+    def _layers(self, rng: np.random.Generator | None) -> None:
+        """Make and register the layers, drawing their weights from ``rng``
+        in registration order; with ``rng`` None they are left unfilled."""
+        raise NotImplementedError
 
     def _register(self, prefix: str, layer) -> None:
         for name, p in layer.params():
@@ -199,6 +212,11 @@ class ForecastModel:
         return [p for _, p in self._named]
 
     def load_state(self, arrays) -> None:
+        """Copy each named array into its parameter's array, in place.
+
+        A missing or extra name and a wrong shape are refused before any
+        parameter is written.
+        """
         names = [name for name, _ in self._named]
         missing = [n for n in names if n not in arrays]
         extra = [n for n in arrays if n not in names]
@@ -206,11 +224,12 @@ class ForecastModel:
             raise ConfigError(
                 f"weight set mismatch: missing {missing[:3]}, unexpected {extra[:3]}")
         for name, p in self._named:
-            arr = np.asarray(arrays[name], dtype=np.float64)
-            if arr.shape != p.values.shape:
+            shape = np.shape(arrays[name])
+            if shape != p.values.shape:
                 raise ShapeError(
-                    f"weight {name}: stored shape {arr.shape} != model shape {p.values.shape}")
-            p.values = arr.copy()
+                    f"weight {name}: stored shape {shape} != model shape {p.values.shape}")
+        for name, p in self._named:
+            p.values[...] = arrays[name]
 
     def _check_window(self, inputs: np.ndarray) -> np.ndarray:
         inputs = np.asarray(inputs, dtype=np.float64)
@@ -303,9 +322,8 @@ class StackedGru(ForecastModel):
     is (h1, h2), both starting from the all-zero state.
     """
 
-    def __init__(self, spec: ModelSpec, ctx: GraphContext):
-        super().__init__(spec, ctx)
-        rng = np.random.default_rng(spec.seed)
+    def _layers(self, rng):
+        spec = self.spec
         self.cell1 = GcnGruCell(rng, IN_WIDTH, spec.hidden)
         self.cell2 = GcnGruCell(rng, spec.hidden, spec.hidden)
         self.decoder = Decoder(rng, spec.hidden, spec.hidden, spec.n_horizons)
@@ -334,9 +352,8 @@ class StackedGcn(ForecastModel):
 
     operator_kind = "normalized"
 
-    def __init__(self, spec: ModelSpec, ctx: GraphContext):
-        super().__init__(spec, ctx)
-        rng = np.random.default_rng(spec.seed)
+    def _layers(self, rng):
+        spec = self.spec
         self.layer1 = GcnLayer(rng, IN_WIDTH * spec.k, spec.hidden)
         self.layer2 = GcnLayer(rng, spec.hidden, spec.hidden)
         self.decoder = Decoder(rng, spec.hidden, spec.hidden, spec.n_horizons)
@@ -367,9 +384,8 @@ class _GruAttention(ForecastModel):
     # neighbor lists sum without an n x n array.
     operator_kind = "neighbors"
 
-    def __init__(self, spec: ModelSpec, ctx: GraphContext):
-        super().__init__(spec, ctx)
-        rng = np.random.default_rng(spec.seed)
+    def _layers(self, rng):
+        spec = self.spec
         self.cell = GcnGruCell(rng, self._input_layers(rng), spec.hidden)
         self.attention = AttentionAggregator(rng, spec.k)
         self.decoder = Decoder(rng, spec.hidden, spec.hidden, spec.n_horizons)
@@ -377,7 +393,7 @@ class _GruAttention(ForecastModel):
         self._register("attention", self.attention)
         self._register("decoder", self.decoder)
 
-    def _input_layers(self, rng: np.random.Generator) -> int:
+    def _input_layers(self, rng: np.random.Generator | None) -> int:
         """Make and register the layers ahead of the GRU; return its input width."""
         raise NotImplementedError
 
@@ -412,7 +428,7 @@ class TGcn(_GruAttention):
 
     conv_depth = 1
 
-    def _input_layers(self, rng: np.random.Generator) -> int:
+    def _input_layers(self, rng: np.random.Generator | None) -> int:
         h = self.spec.hidden
         self.convs = [StructuralConv(rng, IN_WIDTH if d == 0 else h, h)
                       for d in range(self.conv_depth)]
@@ -450,7 +466,7 @@ class PartitionedTGcn(_GruAttention):
     connectivity = "regional"
     group_prefix = "regional"
 
-    def _input_layers(self, rng: np.random.Generator) -> int:
+    def _input_layers(self, rng: np.random.Generator | None) -> int:
         ctx, h = self.ctx, self.spec.hidden
         if ctx.partition is None or ctx.partition.strategy != self.connectivity:
             raise ConfigError(f"{self.spec.architecture} needs a {self.connectivity} "
@@ -506,8 +522,9 @@ CONNECTIVITY_OF = {name: cls.connectivity for name, cls in _MODEL_CLASSES.items(
 
 
 def build_model(spec: ModelSpec, graph: SiteGraph,
-                partition: RegionalPartition | None = None) -> ForecastModel:
-    """Construct the architecture named by the spec over the given graph."""
+                partition: RegionalPartition | None = None, weights=None) -> ForecastModel:
+    """Construct the architecture named by the spec over the given graph,
+    with weights drawn from ``spec.seed`` or read from ``weights``."""
     needs_partition = spec.connectivity != "connected"
     if needs_partition and partition is None:
         raise ConfigError(f"{spec.architecture} requires a partition")
@@ -522,4 +539,4 @@ def build_model(spec: ModelSpec, graph: SiteGraph,
             f"{spec.architecture}: region_count {spec.region_count} does not match the "
             f"partition's {len(partition.region_order)} groups")
     cls = _MODEL_CLASSES[spec.architecture]
-    return cls(spec, GraphContext(graph, cls.operator_kind, partition))
+    return cls(spec, GraphContext(graph, cls.operator_kind, partition), weights)

@@ -248,7 +248,10 @@ def load_checkpoint(path: str | Path) -> CheckpointBundle:
 
 
 def restore_model(bundle: CheckpointBundle) -> ForecastModel:
-    """Rebuild the architecture from a bundle and load its weights."""
-    model = build_model(bundle.spec, bundle.graph, bundle.partition)
-    model.load_state(bundle.weights)
-    return model
+    """Rebuild the architecture from a bundle with its weights; none are drawn.
+
+    Weights that do not fit the stored spec (a name missing or extra, a
+    shape off) are a malformed checkpoint: a DataError.
+    """
+    with stored("checkpoint"):
+        return build_model(bundle.spec, bundle.graph, bundle.partition, bundle.weights)

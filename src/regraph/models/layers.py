@@ -44,8 +44,12 @@ __all__ = [
     "uniform_init",
 ]
 
-def uniform_init(rng: np.random.Generator, shape: tuple[int, ...], fan_in: int) -> DiffTensor:
-    """Uniform(-1/sqrt(fan_in), +1/sqrt(fan_in)) parameter."""
+def uniform_init(rng: np.random.Generator | None, shape: tuple[int, ...],
+                 fan_in: int) -> DiffTensor:
+    """Uniform(-1/sqrt(fan_in), +1/sqrt(fan_in)) parameter; with ``rng``
+    None an unfilled one, for ``ForecastModel.load_state`` to fill."""
+    if rng is None:
+        return DiffTensor(np.empty(shape), requires_grad=True)
     bound = 1.0 / np.sqrt(fan_in)
     return parameter(rng.uniform(-bound, bound, size=shape))
 
@@ -58,7 +62,7 @@ def affine(x: DiffTensor, w: DiffTensor, b: DiffTensor) -> DiffTensor:
 class GcnLayer:
     """Graph convolution: sigmoid(N @ H @ W + b) over a normalized operator N."""
 
-    def __init__(self, rng: np.random.Generator, in_width: int, out_width: int):
+    def __init__(self, rng: np.random.Generator | None, in_width: int, out_width: int):
         if out_width < 1:
             raise ShapeError(f"gcn layer: out_width must be >= 1, got {out_width}")
         self.w = uniform_init(rng, (in_width, out_width), in_width)
@@ -83,7 +87,7 @@ class StructuralConv:
     No bias, matching the printed form.
     """
 
-    def __init__(self, rng: np.random.Generator, in_width: int, out_width: int):
+    def __init__(self, rng: np.random.Generator | None, in_width: int, out_width: int):
         self.w = uniform_init(rng, (in_width, out_width), in_width)
 
     def params(self) -> list[tuple[str, DiffTensor]]:
@@ -115,7 +119,7 @@ class GcnGruCell:
     so the input block's products can be taken once per grid step.
     """
 
-    def __init__(self, rng: np.random.Generator, in_width: int, hidden: int):
+    def __init__(self, rng: np.random.Generator | None, in_width: int, hidden: int):
         width = in_width + hidden
         self.hidden = hidden
         self.in_width = in_width
@@ -163,7 +167,7 @@ def gru_step(cell: GcnGruCell, conv_out: DiffTensor, h_prev: DiffTensor | None) 
 class AttentionAggregator:
     """Learnable per-lag scores softmaxed into mixture weights."""
 
-    def __init__(self, rng: np.random.Generator, k: int):
+    def __init__(self, rng: np.random.Generator | None, k: int):
         if k < 1:
             raise ShapeError(f"attention: need k >= 1, got {k}")
         self.k = k
@@ -201,7 +205,8 @@ def attention_aggregate(agg: AttentionAggregator,
 class Decoder:
     """Two affine maps with a ReLU between; emits all horizons at once."""
 
-    def __init__(self, rng: np.random.Generator, in_width: int, hidden: int, out_width: int):
+    def __init__(self, rng: np.random.Generator | None, in_width: int, hidden: int,
+                 out_width: int):
         if out_width < 1:
             raise ShapeError(f"decoder: out_width must be >= 1, got {out_width}")
         self.w0 = uniform_init(rng, (in_width, hidden), in_width)

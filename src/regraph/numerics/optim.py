@@ -13,11 +13,14 @@ step is exactly the plain RMSProp step. ``norm`` is ``grad_norm()``, the
 L2 norm over every parameter's gradient, taken once per step; with
 clip_norm None nothing is clipped. Grads are cleared after the step.
 
-A step writes its temporaries into two scratch arrays the size of the
-largest parameter, made once, so a train loop does not allocate (and the
-C allocator does not hand back and fault in again) parameter-sized arrays
-on every step. The float operations and their order are those of the
-formulas above. A grad array is only read: it may alias another's.
+The update walks each parameter in blocks of ``SCRATCH_BLOCK`` elements
+and writes its temporaries into two scratch blocks made once, so it
+allocates no parameter-sized array, and the scratch does not grow with
+the largest parameter. Each element takes the float operations of the
+formulas above in their order, so blocking changes no bit. ``grad_norm``
+squares each gradient whole, into a new array, since a sum taken block
+by block would round differently. A grad array is only read: it may
+alias another's.
 """
 
 from __future__ import annotations
@@ -26,7 +29,9 @@ import numpy as np
 
 from .tensor import DiffTensor
 
-__all__ = ["RmsProp"]
+__all__ = ["RmsProp", "SCRATCH_BLOCK"]
+
+SCRATCH_BLOCK = 1 << 14  # elements per scratch block: 128 KiB of float64
 
 
 class RmsProp:
@@ -41,20 +46,17 @@ class RmsProp:
         self.decay_rate = float(decay_rate)
         self.smoothing = float(smoothing)
         self.clip_norm = clip_norm
-        self.sq_avg = [np.zeros_like(p.values) for p in self.params]
-        largest = max((p.values.size for p in self.params), default=0)
-        scratch = (np.empty(largest), np.empty(largest))
-        # per parameter, two views of its shape into the scratch arrays
-        self._scratch = [tuple(row[:p.values.size].reshape(p.values.shape) for row in scratch)
-                         for p in self.params]
+        self.sq_avg = [np.zeros(p.values.shape) for p in self.params]
+        size = min(SCRATCH_BLOCK, max((p.values.size for p in self.params), default=0))
+        self._scratch = (np.empty(size), np.empty(size))
 
     def grad_norm(self) -> float:
         """The L2 norm of all present gradients: each one's sum of squares,
         added in parameter order, under one square root."""
         total = 0.0
-        for p, (sq, _) in zip(self.params, self._scratch):
+        for p in self.params:
             if p.grad is not None:
-                total += float(np.sum(np.multiply(p.grad, p.grad, out=sq)))
+                total += float(np.sum(np.multiply(p.grad, p.grad, order="C")))
         return float(np.sqrt(total))
 
     def step(self) -> None:
@@ -66,22 +68,29 @@ class RmsProp:
             norm = self.grad_norm()
             if norm > self.clip_norm:
                 factor = self.clip_norm / norm
-        for i, p in enumerate(self.params):
-            g = p.grad
-            buf, tmp = self._scratch[i]
-            if factor is not None:
-                g = np.multiply(g, factor, out=buf)
-            if self.weight_decay:
-                np.multiply(self.weight_decay, p.values, out=tmp)
-                g = np.add(g, tmp, out=buf)
-            acc = self.sq_avg[i]
-            acc *= self.decay_rate
-            np.multiply(1.0 - self.decay_rate, g, out=tmp)
-            tmp *= g
-            acc += tmp
-            np.sqrt(acc, out=tmp)
-            tmp += self.smoothing
-            np.divide(g, tmp, out=tmp)
-            np.multiply(self.learning_rate, tmp, out=tmp)
-            p.values -= tmp
+        for p, acc in zip(self.params, self.sq_avg):
+            if not p.values.flags.c_contiguous:
+                p.values = np.ascontiguousarray(p.values)  # so its flat view writes through
+            values, acc, grad = p.values.reshape(-1), acc.reshape(-1), np.reshape(p.grad, -1)
+            for lo in range(0, values.size, SCRATCH_BLOCK):
+                block = slice(lo, lo + SCRATCH_BLOCK)
+                self._update(values[block], acc[block], grad[block], factor)
             p.grad = None
+
+    def _update(self, values, acc, g, factor) -> None:
+        """One block of the step, in place on ``values`` and ``acc``."""
+        buf, tmp = (row[:g.size] for row in self._scratch)
+        if factor is not None:
+            g = np.multiply(g, factor, out=buf)
+        if self.weight_decay:
+            np.multiply(self.weight_decay, values, out=tmp)
+            g = np.add(g, tmp, out=buf)
+        acc *= self.decay_rate
+        np.multiply(1.0 - self.decay_rate, g, out=tmp)
+        tmp *= g
+        acc += tmp
+        np.sqrt(acc, out=tmp)
+        tmp += self.smoothing
+        np.divide(g, tmp, out=tmp)
+        np.multiply(self.learning_rate, tmp, out=tmp)
+        values -= tmp

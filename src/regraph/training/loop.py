@@ -5,7 +5,6 @@ Validation is the most recent tenth of the samples by anchor time, held out
 whenever at least two samples are present.
 """
 
-import ctypes
 import time
 from dataclasses import dataclass
 from pathlib import Path
@@ -16,6 +15,7 @@ from regraph.data import apply_scaling, compute_scaling, week_label
 from regraph.errors import ConfigError, NumericError
 from regraph.evaluation import predict_samples
 from regraph.files import write_json, write_lines
+from regraph.heap import pin_heap
 from regraph.models import save_checkpoint, load_checkpoint
 from regraph.numerics import RmsProp, backward, constant, mean_all, mul, sub
 
@@ -39,14 +39,6 @@ __all__ = [
 BEST_CHECKPOINT = "checkpoint_best.ckpt"
 LOSS_TRACE = "loss_trace.csv"
 REPORT_FILE = "train_report.json"
-
-# glibc mallopt parameters, and the values train pins them to: arrays up to
-# 32 MiB (glibc's largest mmap threshold) come from the heap, and up to
-# 1 GiB of free heap top is kept rather than given back.
-M_TRIM_THRESHOLD = -1
-M_MMAP_THRESHOLD = -3
-PINNED_MMAP_THRESHOLD = 32 << 20
-PINNED_TRIM_THRESHOLD = 1 << 30
 
 
 @dataclass(frozen=True)
@@ -156,26 +148,6 @@ def split_validation(samples, val_fraction: float = 0.1):
     return ordered[:-n_val], ordered[-n_val:]
 
 
-def _pin_heap() -> None:
-    """Keep glibc's heap from being trimmed and faulted back in every step.
-
-    Each train step frees and re-allocates the same few megabytes of
-    arrays. Left to glibc's dynamic thresholds, the freed top of the heap
-    is given back to the system and faulted in again on the next window,
-    a page fault per 4 KiB. Fixed thresholds keep those pages mapped. A
-    no-op wherever the C library is not glibc or cannot be loaded.
-    """
-    try:
-        libc = ctypes.CDLL(None)
-        libc.gnu_get_libc_version  # glibc's own symbol: the parameters are glibc's
-        mallopt = libc.mallopt
-    except (OSError, AttributeError, TypeError):
-        return
-    mallopt.argtypes = (ctypes.c_int, ctypes.c_int)
-    mallopt(M_MMAP_THRESHOLD, PINNED_MMAP_THRESHOLD)
-    mallopt(M_TRIM_THRESHOLD, PINNED_TRIM_THRESHOLD)
-
-
 def _minor_faults() -> int:
     """Minor page faults this process has taken so far (0 without ``resource``)."""
     return 0 if resource is None else resource.getrusage(resource.RUSAGE_SELF).ru_minflt
@@ -234,7 +206,7 @@ def train(model, samples, cfg: TrainConfig, out_dir):
             f"horizons {model.spec.horizons}")
 
     out_dir = Path(out_dir)
-    _pin_heap()
+    pin_heap()
 
     lo, hi = compute_scaling(samples)
     train_weeks = tuple(

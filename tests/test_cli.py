@@ -4,6 +4,7 @@ import dataclasses
 import json
 import re
 import shutil
+import struct
 import warnings
 
 import numpy as np
@@ -23,9 +24,10 @@ from regraph.config import (
 )
 from regraph.data import SyntheticConfig
 from regraph.errors import ConfigError
-from regraph.graph import load_sites
+from regraph.graph import build_connected, decompose_random, decompose_regional, load_sites
 from regraph.evaluation import reports
-from regraph.models import ModelSpec, build_model, save_checkpoint
+from regraph.models import ARCHITECTURES, ModelSpec, build_model, save_checkpoint
+from regraph.models.architectures import CONNECTIVITY_OF
 from regraph.models.checkpoint import graph_from_payload
 from regraph.training import TrainConfig
 
@@ -669,6 +671,49 @@ def test_predict_on_records_with_a_stray_year_exits_3(tmp_path, capsys):
     assert main(["predict", "--checkpoint", str(ckpt), "--data", str(data),
                  "--out", str(tmp_path / "p.csv")]) == 3
     assert "records span 2014-01-01" in capsys.readouterr().err
+    assert not (tmp_path / "p.csv").exists()
+
+
+def write_tampered_checkpoint(path, model, tamper):
+    """Save ``model``, then rewrite its weight index (and bytes) with ``tamper``."""
+    save_checkpoint(path, model, np.zeros(8), np.ones(8), [1])
+    raw = path.read_bytes()
+    (length,) = struct.unpack_from("<Q", raw, 8)
+    header = json.loads(raw[16:16 + length])
+    weights = raw[16 + length:]
+    last = header["weights"][-1]
+    if tamper == "missing":
+        header["weights"].pop()
+        weights = weights[:len(weights) - 8 * int(np.prod(last["shape"]))]
+    else:
+        last["shape"] = last["shape"][::-1]
+    blob = json.dumps(header).encode()
+    path.write_bytes(raw[:8] + struct.pack("<Q", len(blob)) + blob + weights)
+    return last["name"]
+
+
+@pytest.mark.parametrize("tamper", ["missing", "transposed"])
+@pytest.mark.parametrize("arch", ARCHITECTURES)
+def test_predict_on_a_checkpoint_whose_weights_do_not_fit_exits_3(tmp_path, capsys,
+                                                                  monkeypatch, arch, tamper):
+    data = make_dataset(tmp_path, n_sites=4, n_regions=2, days=1)
+    graph = build_connected(load_sites(data / "sites.csv"))
+    conn = CONNECTIVITY_OF[arch]
+    partition = {"connected": None, "regional": decompose_regional(graph),
+                 "random": decompose_random(graph, r=2, seed=1)}[conn]
+    spec = ModelSpec(arch, 3, 3, (1, 3), conn, region_count=2 if conn == "random" else None)
+    ckpt = tmp_path / "model.ckpt"
+    name = write_tampered_checkpoint(ckpt, build_model(spec, graph, partition), tamper)
+
+    def no_generator(*args, **kwargs):
+        raise AssertionError("restoring a model drew random weights")
+    monkeypatch.setattr(np.random, "default_rng", no_generator)
+    capsys.readouterr()
+    assert main(["predict", "--checkpoint", str(ckpt), "--data", str(data),
+                 "--out", str(tmp_path / "p.csv")]) == 3
+    err = capsys.readouterr().err
+    assert err.startswith("data error: malformed checkpoint: ")
+    assert (f"missing ['{name}']" if tamper == "missing" else f"weight {name}:") in err
     assert not (tmp_path / "p.csv").exists()
 
 

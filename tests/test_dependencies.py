@@ -11,9 +11,10 @@ from pathlib import Path
 import numpy as np
 
 import regraph
+from regraph import cli
 from regraph.graph import (HaversineProvider, SiteMeta, build_connected, decompose_random,
-                           decompose_regional)
-from regraph.models import ARCHITECTURES, ModelSpec, build_model
+                           decompose_regional, load_sites)
+from regraph.models import ARCHITECTURES, ModelSpec, build_model, save_checkpoint
 from regraph.models.architectures import CONNECTIVITY_OF
 from regraph.numerics import clear_tape, constant
 from regraph.numerics import tensor as tensor_core
@@ -37,14 +38,53 @@ def undeclared(names):
                   if name not in sys.stdlib_module_names and name not in ALLOWED)
 
 
-def test_cli_imports_only_stdlib_numpy_and_regraph():
+def run_probe(probe: str, *args: str) -> object:
+    """What a fresh interpreter running ``probe`` with ``args`` prints, read as JSON."""
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(
         [str(PACKAGE.parent)] + [p for p in [os.environ.get("PYTHONPATH")] if p]))
-    out = subprocess.run([sys.executable, "-c", PROBE], env=env, check=True,
+    out = subprocess.run([sys.executable, "-c", probe, *args], env=env, check=True,
                          capture_output=True, text=True).stdout
-    loaded = json.loads(out)
+    return json.loads(out)
+
+
+def test_cli_imports_only_stdlib_numpy_and_regraph():
+    loaded = run_probe(PROBE)
     assert set(ALLOWED) <= set(loaded)
     assert undeclared(loaded) == []
+
+
+# Modules inference has no use for: hashing with OpenSSL behind it, and the
+# random generators, whose draws a restored model would overwrite.
+UNUSED_BY_INFERENCE = ("secrets", "hashlib", "numpy.random")
+
+# Which of the modules named in argv[1] importing the CLI loads, and which
+# are loaded once ``main`` has run on the rest of argv, with its exit code.
+INFER_PROBE = """
+import json, sys
+import regraph.cli
+unused = sys.argv[1].split(",")
+imported = [name for name in unused if name in sys.modules]
+code = regraph.cli.main(sys.argv[2:])
+print(json.dumps([imported, code, [name for name in unused if name in sys.modules]]))
+"""
+
+
+def test_inference_loads_neither_hashing_nor_random_generators(tmp_path):
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"data": {"synth": {"n_sites": 6, "n_regions": 2, "days": 2}}}))
+    data = tmp_path / "data"
+    assert cli.main(["synth", "--config", str(cfg), "--out", str(data)]) == 0
+    graph = build_connected(load_sites(data / "sites.csv"), HaversineProvider())
+    model = build_model(ModelSpec("RegTGCN", 4, 3, (1, 3), "regional"), graph,
+                        decompose_regional(graph))
+    save_checkpoint(tmp_path / "model.ckpt", model, np.zeros(8), np.ones(8), [])
+    out = tmp_path / "preds.csv"
+    imported, code, predicted = run_probe(
+        INFER_PROBE, ",".join(UNUSED_BY_INFERENCE), "predict",
+        "--checkpoint", str(tmp_path / "model.ckpt"), "--data", str(data), "--out", str(out))
+    assert code == 0 and len(out.read_text().splitlines()) > 1
+    assert imported == []
+    assert predicted == []
 
 
 def test_no_import_statement_names_another_package():

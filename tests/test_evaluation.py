@@ -247,6 +247,22 @@ def test_evaluate_model_shapes_and_determinism():
     assert r1.horizon_minutes(2) == 20
 
 
+def test_evaluate_model_pins_the_heap_before_predicting(monkeypatch):
+    # frozen inference frees and re-allocates its per-step arrays, as a train step does
+    from regraph.evaluation import reports
+    calls = []
+    model = toy_model()
+    original = type(model).predict_windows
+
+    def predicting(self, *args):
+        calls.append("predict")
+        return original(self, *args)
+    monkeypatch.setattr(reports, "pin_heap", lambda: calls.append("pin"))
+    monkeypatch.setattr(type(model), "predict_windows", predicting)
+    evaluate_model(model, [sample(seed=i) for i in range(10)], np.zeros(8), np.ones(8))
+    assert calls == ["pin", "predict"]
+
+
 def test_evaluate_model_horizon_mismatch():
     model = toy_model()
     with pytest.raises(ConfigError):

@@ -1024,6 +1024,50 @@ def test_checkpoint_round_trip(tmp_path):
     np.testing.assert_array_equal(restored.predict(w), model.predict(w))
 
 
+def model_of(arch, g, seed):
+    """``arch`` over ``g``, hidden 6, k 3, horizons (1, 3), with the partition it needs."""
+    conn = CONNECTIVITY_OF[arch]
+    partition = {"connected": None, "regional": decompose_regional(g),
+                 "random": decompose_random(g, r=2, seed=1)}[conn]
+    spec = ModelSpec(arch, 6, 3, (1, 3), conn,
+                     region_count=2 if conn == "random" else None, seed=seed)
+    return build_model(spec, g, partition)
+
+
+@pytest.mark.parametrize("arch", ARCHITECTURES)
+def test_restore_reads_every_weight_and_draws_none(arch, tmp_path, monkeypatch):
+    model = model_of(arch, two_region_graph(), seed=9)
+    path = tmp_path / "model.ckpt"
+    save_checkpoint(path, model, np.zeros(8), np.ones(8), [1])
+    w = window(3, 4, seed=21)
+    forecast = model.predict(w)
+
+    def no_generator(*args, **kwargs):
+        raise AssertionError("restoring a model drew random weights")
+    monkeypatch.setattr(np.random, "default_rng", no_generator)
+    restored = restore_model(load_checkpoint(path))
+    saved = model.named_params()
+    assert list(restored.named_params()) == list(saved)
+    for name, p in restored.named_params().items():
+        assert p.values.tobytes() == saved[name].values.tobytes(), name
+    assert restored.predict(w).tobytes() == forecast.tobytes()
+
+
+def test_load_state_fills_the_parameters_in_place_or_writes_none():
+    model = build_model(ModelSpec("TGCN", 6, 3, (1,), "connected", seed=1), two_region_graph())
+    arrays = [p.values for p in model.params()]
+    before = [a.copy() for a in arrays]
+    state = {name: np.full(p.shape, 0.5) for name, p in model.named_params().items()}
+    *_, last = state
+    state[last] = np.zeros((1, 2))
+    with pytest.raises(ShapeError, match=f"weight {last}: stored shape"):
+        model.load_state(state)
+    assert all(a.tobytes() == b.tobytes() for a, b in zip(arrays, before))
+    state[last] = np.full(model.named_params()[last].shape, 0.5)
+    model.load_state(state)
+    assert all(p.values is a and np.all(a == 0.5) for p, a in zip(model.params(), arrays))
+
+
 def test_checkpoint_saves_identical_bytes(tmp_path):
     g = two_region_graph()
     spec = ModelSpec("TGCN", 6, 3, (1,), "connected", seed=1)

@@ -10,6 +10,7 @@ from regraph.errors import NumericError, ShapeError
 from regraph.graph import neighbor_sum
 from regraph.numerics import (
     DiffTensor,
+    SCRATCH_BLOCK,
     RmsProp,
     add,
     add_row,
@@ -1043,6 +1044,49 @@ def test_rmsprop_steps_equal_the_textbook_formula(weight_decay):
             assert_same_bits(params[i].values, values[i])
             assert_same_bits(opt.sq_avg[i], accs[i])
             assert params[i].grad is None
+
+
+@pytest.mark.parametrize("clip_norm", [1e-3, 1e6], ids=["clipped", "unclipped"])
+@pytest.mark.parametrize("weight_decay", [0.0, 1e-4])
+def test_rmsprop_blocks_take_the_whole_array_formula_bit_for_bit(weight_decay, clip_norm):
+    # an odd size over three blocks, a (rows, cols) shape across block edges, one small
+    rng = np.random.default_rng(15)
+    shapes = [(3 * SCRATCH_BLOCK + 7,), (129, 2 * SCRATCH_BLOCK // 129 + 5), (5, 3)]
+    params = [parameter(rng.normal(size=s)) for s in shapes]
+    opt = RmsProp(params, learning_rate=1e-2, weight_decay=weight_decay, decay_rate=0.99,
+                  smoothing=1e-8, clip_norm=clip_norm)
+    values = [p.values.copy() for p in params]
+    accs = [np.zeros(s) for s in shapes]
+    for _ in range(4):
+        grads = [rng.normal(size=s) for s in shapes]
+        for p, grad in zip(params, grads):
+            p.grad = grad
+        opt.step()
+        norm = np.sqrt(sum(float(np.sum(g * g)) for g in grads))
+        assert (norm > clip_norm) == (clip_norm == 1e-3)
+        for i, grad in enumerate(grads):
+            g = grad * (clip_norm / norm) if norm > clip_norm else grad
+            g = g + weight_decay * values[i] if weight_decay else g
+            accs[i] = 0.99 * accs[i] + (1.0 - 0.99) * g * g
+            values[i] = values[i] - 1e-2 * (g / (np.sqrt(accs[i]) + 1e-8))
+            assert_same_bits(params[i].values, values[i])
+            assert_same_bits(opt.sq_avg[i], accs[i])
+
+
+def test_rmsprop_scratch_does_not_grow_with_the_largest_parameter():
+    # beside its accumulators, the optimizer holds two blocks, however large a parameter
+    held = {}
+    for blocks in (3, 12):
+        params = [parameter(np.zeros(blocks * SCRATCH_BLOCK + 7)), parameter(np.zeros(5))]
+        tracemalloc.start()
+        try:
+            opt = RmsProp(params, learning_rate=1e-3, weight_decay=1e-4, decay_rate=0.99,
+                          smoothing=1e-8, clip_norm=5.0)
+            held[blocks] = tracemalloc.get_traced_memory()[0] - sum(a.nbytes for a in opt.sq_avg)
+        finally:
+            tracemalloc.stop()
+    for bytes_held in held.values():
+        assert 2 * SCRATCH_BLOCK * 8 <= bytes_held < 2 * SCRATCH_BLOCK * 8 + 4096
 
 
 @pytest.mark.parametrize("weight_decay", [0.0, 1e-4])

@@ -5,6 +5,7 @@ from datetime import datetime, timedelta
 import numpy as np
 import pytest
 
+from regraph import heap
 from regraph.data import (
     SyntheticConfig,
     WindowSample,
@@ -16,6 +17,7 @@ from regraph.data import (
 )
 from regraph.errors import ConfigError, NumericError
 from regraph.graph import SiteMeta, build_connected, decompose_regional, load_sites
+from regraph.heap import pin_heap
 from regraph.models import ModelSpec, build_model, load_checkpoint, restore_model
 from regraph.numerics import constant
 from regraph.training import (
@@ -221,21 +223,32 @@ class FakeLibc:
             self.gnu_get_libc_version = lambda: b"2.0"
 
 
-def test_train_pins_glibc_heap_thresholds(monkeypatch):
+@pytest.fixture
+def unpinned():
+    """A process whose heap is not pinned yet, as far as ``pin_heap`` knows."""
+    pin_heap.cache_clear()
+    yield
+    pin_heap.cache_clear()
+
+
+def test_train_pins_glibc_heap_thresholds(monkeypatch, unpinned, tmp_path):
     import ctypes
-    from regraph.training import loop
     libc = FakeLibc()
     monkeypatch.setattr(ctypes, "CDLL", lambda name: libc)
-    loop._pin_heap()
-    assert libc.calls == [(loop.M_MMAP_THRESHOLD, loop.PINNED_MMAP_THRESHOLD),
-                          (loop.M_TRIM_THRESHOLD, loop.PINNED_TRIM_THRESHOLD)]
+    train(toy_model(), [sample(seed=i) for i in range(3)],
+          TrainConfig(epochs=2, horizons=(1, 2)), tmp_path)
+    pin_heap()
+    # once per process, though train and its validation each ask
+    assert libc.calls == [(heap.M_MMAP_THRESHOLD, heap.PINNED_MMAP_THRESHOLD),
+                          (heap.M_TRIM_THRESHOLD, heap.PINNED_TRIM_THRESHOLD)]
     other = FakeLibc(glibc=False)  # another C library's parameters differ
     monkeypatch.setattr(ctypes, "CDLL", lambda name: other)
-    loop._pin_heap()
+    pin_heap.cache_clear()
+    pin_heap()
     assert other.calls == []
 
 
-def test_train_runs_where_libc_cannot_be_loaded(tmp_path, monkeypatch):
+def test_train_runs_where_libc_cannot_be_loaded(tmp_path, monkeypatch, unpinned):
     import ctypes
 
     def no_libc(name):
