@@ -7,6 +7,7 @@ bytes; wall-clock timestamps are confined to meta.json.
 """
 
 import argparse
+import dataclasses
 import json
 import sys
 import warnings
@@ -184,9 +185,15 @@ def _cmd_train(args) -> int:
     return 0
 
 
-def _cmd_predict(args) -> int:
-    bundle = load_checkpoint(Path(args.checkpoint))
+def _restore(path: Path):
+    """A checkpoint's model, and its bundle without the weights the model now holds."""
+    bundle = load_checkpoint(path)
     model = restore_model(bundle)
+    return model, dataclasses.replace(bundle, weights={})
+
+
+def _cmd_predict(args) -> int:
+    model, bundle = _restore(Path(args.checkpoint))
     spec = bundle.spec
     grid = _grid_for_nodes(Path(args.data), bundle.graph.nodes,
                            args.grid_step_min, args.max_gap_steps)
@@ -248,8 +255,7 @@ def _cmd_evaluate(args) -> int:
             summaries[name] = {"status": "absent"}
             continue
         data_dir, resolved, val_reported = _read_run(run)
-        bundle = load_checkpoint(ckpt_path)
-        model = restore_model(bundle)
+        model, bundle = _restore(ckpt_path)
         data_cfg = resolved["data"]
         key = (data_dir.resolve(), bundle.graph.nodes, data_cfg["grid_step_min"],
                data_cfg["max_gap_steps"])

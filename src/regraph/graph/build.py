@@ -61,6 +61,9 @@ class SiteMeta:
     owner: int
     amenity_count: int
     capacity: int
+    # derived for the haversine provider: the latitude in radians and its cosine
+    phi: float = field(init=False, repr=False, compare=False)
+    cos_phi: float = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         if not self.site_id:
@@ -77,6 +80,9 @@ class SiteMeta:
             raise DataError(f"site {self.site_id}: negative amenity count")
         if self.capacity < 1:
             raise DataError(f"site {self.site_id}: capacity must be >= 1")
+        phi = math.radians(self.latitude)
+        object.__setattr__(self, "phi", phi)
+        object.__setattr__(self, "cos_phi", math.cos(phi))
 
 
 def load_sites(path: str | Path) -> list[SiteMeta]:
@@ -269,16 +275,18 @@ def build_connected(sites: Sequence[SiteMeta], provider: DistanceProvider | None
     provider = provider or HaversineProvider()
 
     edges: list[tuple[int, int, float]] = []
-    for i in range(len(sites)):
+    distance = provider.miles
+    for i, a in enumerate(sites):
         for j in range(i + 1, len(sites)):
+            b = sites[j]
             try:
-                miles = float(provider.miles(sites[i], sites[j]))
+                miles = float(distance(a, b))
             except DataError:
                 raise
             except Exception as exc:
                 raise DataError(
-                    f"distance provider failed for pair ({sites[i].site_id}, "
-                    f"{sites[j].site_id}): {exc}") from exc
+                    f"distance provider failed for pair ({a.site_id}, {b.site_id}): {exc}"
+                ) from exc
             if miles <= threshold_miles:
                 edges.append((i, j, miles))
     return _assemble_graph(sites, edges, threshold_miles, adjacency_weights, sigma_miles)

@@ -49,10 +49,18 @@ class DistanceProvider(Protocol):
 
 
 class HaversineProvider:
-    """Straight-line provider; needs nothing but the site coordinates."""
+    """Straight-line provider; needs nothing but the site coordinates.
+
+    ``haversine_miles`` inlined, with each site's latitude in radians and
+    its cosine taken from the site: the same operations in the same order,
+    so the same bits.
+    """
 
     def miles(self, a: "SiteMeta", b: "SiteMeta") -> float:
-        return haversine_miles(a.latitude, a.longitude, b.latitude, b.longitude)
+        dl = math.radians(b.longitude - a.longitude)
+        s = math.sqrt(math.sin((b.phi - a.phi) / 2.0) ** 2
+                      + a.cos_phi * b.cos_phi * math.sin(dl / 2.0) ** 2)
+        return 2.0 * EARTH_RADIUS_MILES * math.asin(s if s < 1.0 else 1.0)
 
 
 class RoutingProvider:

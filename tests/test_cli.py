@@ -1,11 +1,13 @@
 """End-to-end tests for the command-line pipeline."""
 
 import dataclasses
+import gc
 import json
 import re
 import shutil
 import struct
 import warnings
+import weakref
 
 import numpy as np
 import pytest
@@ -593,6 +595,32 @@ def test_predict_writes_rows_and_is_deterministic(pipeline):
     cells = lines[1].split(",")
     assert cells[0] == "site_000"
     float(cells[2]), float(cells[3])
+
+
+@pytest.mark.parametrize("command", ["predict", "evaluate"])
+def test_inference_releases_the_checkpoint_weights_once_the_model_holds_them(
+        pipeline, monkeypatch, tmp_path, command):
+    loaded, seen = [], []
+    original_restore, original_predict = cli.restore_model, reports.predict_samples
+
+    def restore(bundle):
+        loaded.extend(weakref.ref(array) for array in bundle.weights.values())
+        return original_restore(bundle)
+
+    def predict(model, samples, lo, hi):
+        gc.collect()
+        seen.append(sum(ref() is not None for ref in loaded))
+        return original_predict(model, samples, lo, hi)
+
+    monkeypatch.setattr(cli, "restore_model", restore)
+    monkeypatch.setattr(cli, "predict_samples", predict)
+    monkeypatch.setattr(reports, "predict_samples", predict)
+    run, data = pipeline["run"], pipeline["data"]
+    argv = (["predict", "--checkpoint", str(run / "checkpoint_best.ckpt"), "--data", str(data),
+             "--out", str(tmp_path / "preds.csv")] if command == "predict" else
+            ["evaluate", "--runs", str(run), "--out", str(tmp_path / "report")])
+    assert main(argv) == 0
+    assert len(loaded) > 0 and seen and seen == [0] * len(seen)
 
 
 def test_predict_missing_checkpoint_exits_3(pipeline):

@@ -27,6 +27,7 @@ from regraph.data import (
     split_by_weeks,
     step_positions,
 )
+from regraph.data import ingest
 from regraph.errors import ConfigError, DataError
 from regraph.graph import SiteMeta, load_sites
 
@@ -875,6 +876,138 @@ def test_load_records_matches_sorted_last_wins_reference(tmp_path, rows):
         return
     streams = load_records(path)
     assert {site: stream.tolist() for site, stream in streams.items()} == expected
+
+
+# ------------------------------------------------- columns path and row loop
+
+HEADER = "site_id,timestamp_iso8601,available"
+# one byte, several ASCII bytes, 9 bytes (two words), multi-byte UTF-8, the widest taken
+PLAIN_SITES = ["a", "b", "site_000", "site_1000", "ü", "站点", "x" * ingest.FIELD_BYTES]
+PLAIN_ROWS = st.one_of(
+    st.tuples(st.just("ok"), st.sampled_from(PLAIN_SITES),
+              st.integers(0, 5).map(lambda m: T0 + timedelta(minutes=10 * m)),
+              st.sampled_from([None, -90, 0, 330]),
+              st.one_of(st.integers(-20, 200),
+                        st.integers(-(10 ** ingest.DIGITS - 1), 10 ** ingest.DIGITS - 1))),
+    st.just(("blank",)))
+
+
+def read_with(read, path):
+    """What ``read`` makes of ``path`` (each stream's site, dtype and bytes in
+    order, or the DataError's text), and the timestamps it parsed."""
+    CountingDatetime.parses = 0
+    try:
+        streams = read(path)
+    except DataError as exc:
+        return str(exc), CountingDatetime.parses
+    if streams is None:
+        return None, CountingDatetime.parses
+    return [(site, s.dtype, s.tobytes()) for site, s in streams.items()], CountingDatetime.parses
+
+
+@settings(max_examples=200, deadline=None,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(rows=st.lists(PLAIN_ROWS, max_size=30),
+       order=st.sampled_from(["as drawn", "time-major", "site-major"]),
+       endings=st.lists(st.sampled_from(["\n", "\r\n"]), min_size=1, max_size=3),
+       last_newline=st.booleans(),
+       bad=st.sampled_from([None, None, None, "2024-13-01T00:00:00", "soon",
+                            "2024-01-01T00:00:00+25:00"]),
+       bad_at=st.integers(0, 30), block=st.sampled_from([1, 7, 64, 1 << 20]))
+def test_plain_files_read_the_same_through_columns_and_rows(
+        tmp_path, monkeypatch, rows, order, endings, last_newline, bad, bad_at, block):
+    monkeypatch.setattr(ingest, "BLOCK_BYTES", block)
+    monkeypatch.setattr(ingest, "datetime", CountingDatetime)
+    if order != "as drawn":  # blank lines first
+        rows = sorted(rows, key=lambda row: ("", T0) if row[0] == "blank" else
+                      (row[2].isoformat(), row[1]) if order == "time-major" else row[1:3])
+    lines = []
+    for row in rows:
+        if row[0] == "blank":
+            lines.append("")
+            continue
+        _, site, utc, offset, available = row
+        local = utc if offset is None else (utc + timedelta(minutes=offset)).replace(
+            tzinfo=timezone(timedelta(minutes=offset)))
+        lines.append(f"{site},{local.isoformat()},{available}")
+    if bad is not None:
+        lines.insert(min(bad_at, len(lines)), f"b,{bad},5")
+    ends = [endings[i % len(endings)] for i in range(len(lines) + 1)]
+    if lines and not last_newline:
+        ends[-1] = ""
+    text = "".join(line + end for line, end in zip([HEADER] + lines, ends))
+    path = tmp_path / "records.csv"
+    path.write_bytes(text.encode("utf-8"))
+    columns = read_with(ingest._read_columns, path)
+    assert columns[0] is not None  # a plain file takes the columns path
+    assert columns == read_with(ingest._read_rows, path)
+    assert read_with(load_records, path) == columns
+
+
+def test_a_synth_records_file_never_reaches_the_row_loop(tmp_path, monkeypatch):
+    cfg = SyntheticConfig(n_sites=12, n_regions=3, days=2, seed=3, drop_rate=0.05)
+    _, records_path, _ = generate_synthetic(cfg, tmp_path)
+    expected = ingest._read_rows(records_path)
+
+    def row_loop(path):
+        raise AssertionError(f"{path} went through the row loop")
+
+    monkeypatch.setattr(ingest, "_read_rows", row_loop)
+    monkeypatch.setattr(ingest, "BLOCK_BYTES", 4096)  # many blocks, runs cut across them
+    streams = load_records(records_path)
+    assert list(streams) == list(expected)
+    assert all(streams[site].tobytes() == expected[site].tobytes() for site in expected)
+
+
+TOP, ROW = HEADER.encode() + b"\n", b"a,2024-01-01T00:00:00,"
+NOT_PLAIN = {
+    "quoted site id": (TOP + b'"a",2024-01-01T00:00:00,5\n', {"a": [(us(T0), 5)]}),
+    "plus sign": (TOP + ROW + b"+5\n", {"a": [(us(T0), 5)]}),
+    "leading space": (TOP + ROW + b" 5\n", {"a": [(us(T0), 5)]}),
+    "19 digits": (TOP + ROW + b"1000000000000000000\n", {"a": [(us(T0), 10 ** 18)]}),
+    "lone carriage return": (TOP + ROW + b"5\rb,2024-01-01T00:10:00,6\n",
+                             {"a": [(us(T0), 5)], "b": [(us(T0) + 600_000_000, 6)]}),
+    "NUL byte": (TOP + b"a\0,2024-01-01T00:00:00,5\n", {"a\0": [(us(T0), 5)]}),
+    "byte order mark": (b"\xef\xbb\xbf" + TOP + ROW + b"5\n", "expected header"),
+    "non-UTF-8 byte": (TOP + b"a\xff,2024-01-01T00:00:00,5\n", "can't decode byte 0xff"),
+}
+
+
+@pytest.mark.parametrize("raw, expected", NOT_PLAIN.values(), ids=NOT_PLAIN)
+def test_files_that_are_not_plain_take_the_row_loop(tmp_path, monkeypatch, raw, expected):
+    path = tmp_path / "records.csv"
+    path.write_bytes(raw)
+    assert ingest._read_columns(path) is None
+    calls, original = [], ingest._read_rows
+    monkeypatch.setattr(ingest, "_read_rows", lambda p: calls.append(p) or original(p))
+    if isinstance(expected, str):
+        with pytest.raises(DataError, match=expected):
+            load_records(path)
+    else:
+        assert {site: s.tolist() for site, s in load_records(path).items()} == expected
+    assert calls == [path]
+
+
+def test_load_records_holds_a_block_and_the_columns_not_the_file(tmp_path, monkeypatch):
+    block = 1 << 16
+    monkeypatch.setattr(ingest, "BLOCK_BYTES", block)
+    times = [(T0 + timedelta(minutes=10 * k)).isoformat() for k in range(400)]
+    path = write_records(tmp_path / "records.csv", [
+        f"site_{i:03d},{stamp},{(i * k) % 97}" for k, stamp in enumerate(times)
+        for i in range(80)])
+    rows = 80 * len(times)
+    assert path.stat().st_size > 15 * block
+    tracemalloc.start()
+    try:
+        streams = load_records(path)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert sum(map(len, streams.values())) == rows
+    # a block's bytes and its per-row work, the site code, time and value of every
+    # row read so far, and the sorted streams; the file itself is 34 B a row
+    bound = 6 * block + 40 * rows
+    assert peak < bound, f"{peak} bytes at the peak, bound {bound}"
 
 
 def test_window_sample_arrays_read_only():

@@ -108,6 +108,7 @@ UNCALLED_EXPORTS = {
     "degree": "perfbench's mean degree and acceptance criterion 3's monotonicity check",
     "gru_step": "a name perfbench's tracer wraps; acceptance criteria 1 and 2 run it",
     "attention_aggregate": "a name perfbench's tracer wraps; acceptance criteria 1 and 2 run it",
+    "haversine_miles": "the reference formula HaversineProvider.miles inlines, bit for bit",
 }
 
 

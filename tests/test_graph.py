@@ -2,6 +2,7 @@
 
 import csv
 import http.server
+import math
 import threading
 import urllib.parse
 
@@ -69,6 +70,49 @@ def test_haversine_madison_to_chicago():
     # Frozen from an independent spherical law-of-cosines computation.
     d = haversine_miles(43.0731, -89.4012, 41.8781, -87.6298)
     assert d == pytest.approx(122.3326, abs=0.1)
+
+
+COORDINATES = st.tuples(st.floats(-90.0, 90.0), st.floats(-180.0, 180.0))
+SPECIAL_COORDINATES = st.sampled_from([
+    (0.0, 0.0), (0.0, 180.0), (0.0, -180.0), (90.0, 0.0), (-90.0, 0.0), (90.0, 180.0),
+    (-90.0, -180.0), (43.0731, -89.4012), (-43.0731, 90.5988), (1.0, 179.999999),
+    (1.0, -179.999999), (43.0, -89.0), (-12.0, 7.0), (45.0, 45.0), (-45.0, -135.0),
+    (43, -89), (0, 180), (-90, 0), (7, -7)])
+
+
+@settings(max_examples=300, deadline=None)
+@given(p=st.one_of(SPECIAL_COORDINATES, COORDINATES),
+       q=st.one_of(SPECIAL_COORDINATES, COORDINATES), same=st.booleans())
+def test_haversine_provider_is_haversine_miles_bit_for_bit(p, q, same):
+    q = p if same else q
+    a, b = site("a", lat=p[0], lon=p[1]), site("b", lat=q[0], lon=q[1])
+    expected = haversine_miles(p[0], p[1], q[0], q[1])
+    got = HaversineProvider().miles(a, b)
+    assert np.float64(got).tobytes() == np.float64(expected).tobytes(), (p, q, got, expected)
+
+
+def test_haversine_provider_at_equal_points_antipodes_poles_and_the_antimeridian():
+    h = HaversineProvider()
+    for p, q in [((43.07, -89.40), (43.07, -89.40)), ((0.0, 0.0), (0.0, 180.0)),
+                 ((30.0, 45.0), (-30.0, -135.0)), ((90.0, 0.0), (-90.0, 0.0)),
+                 ((90.0, 10.0), (90.0, -170.0)), ((1.0, 179.5), (-1.0, -179.5)),
+                 ((0.0, 180.0), (0.0, -180.0)), ((43, -89), (42, -88))]:
+        a, b = site("a", lat=p[0], lon=p[1]), site("b", lat=q[0], lon=q[1])
+        assert h.miles(a, b) == haversine_miles(*p, *q)
+        assert h.miles(b, a) == haversine_miles(*q, *p)
+    # antipodes clamp the arcsine at 1: half the circumference
+    assert h.miles(site("a", lat=0.0, lon=0.0), site("b", lat=0.0, lon=180.0)) == \
+        pytest.approx(np.pi * EARTH_RADIUS_MILES, rel=1e-12)
+
+
+def test_site_derived_latitude_terms_are_not_fields_a_caller_sees():
+    a = site("a", lat=30.0)
+    assert a == site("a", lat=30.0) and hash(a) == hash(site("a", lat=30.0))
+    assert "phi" not in repr(a)
+    assert (a.phi, a.cos_phi) == (math.radians(30.0), math.cos(math.radians(30.0)))
+    with pytest.raises(TypeError):
+        SiteMeta(site_id="a", region="WI", latitude=1.0, longitude=1.0, travel_time=1.0,
+                 owner=1, amenity_count=0, capacity=1, phi=0.0)
 
 
 # -------------------------------------------------------- build_connected
