@@ -319,7 +319,7 @@ def _cmd_analyze_graph(args) -> int:
     l_avg = float(np.mean(graph.degrees))
     doc = {
         "nodes": graph.n,
-        "edges": len(graph.edges),
+        "edges": len(graph.ends),
         "degree": {"min": int(graph.degrees.min()), "max": int(graph.degrees.max()),
                    "mean": l_avg},
         "overlap_cost": {"connected": overlap_cost(graph, l_avg)},
@@ -327,8 +327,8 @@ def _cmd_analyze_graph(args) -> int:
     if partition is not None:
         groups = {label: partition.subgraphs[label].n
                   for label in partition.region_order}
-        # Construction guarantees degree monotonicity, and loading rejects
-        # stored sub-edges that differ from the rebuilt ones (exit 3).
+        # Construction guarantees degree monotonicity, and a stored partition
+        # is rebuilt from its labels on load.
         doc["partition"] = {
             "strategy": partition.strategy,
             "groups": groups,

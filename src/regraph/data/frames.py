@@ -22,7 +22,7 @@ import numpy as np
 
 from ..errors import DataError
 from ..graph.build import SiteMeta
-from .ingest import EPOCH, MICROSECOND
+from .ingest import EPOCH, MICROSECOND, RECORD_DTYPE
 
 __all__ = ["FEATURE_COLUMNS", "GRID_STEP_MIN", "MAX_GAP_STEPS", "OCCUPANCY_COL", "SCALED_COLUMNS",
            "FeatureGrid", "interpolate_to_grid", "occupancy_rate"]
@@ -123,31 +123,35 @@ def interpolate_to_grid(records: Mapping[str, np.ndarray],
         if site_id not in known_ids:
             raise DataError(f"records reference site {site_id} absent from site metadata")
 
-    site_cells, rates = [], []
-    for s in sites:
-        stream = records.get(s.site_id, ())
-        if len(stream) < 2:
-            raise DataError(f"site {s.site_id}: need at least 2 records, got {len(stream)}")
-        site_cells.append(stream["time_us"] // step_us)
-        rates.append(occupancy_rate(s.capacity, stream["available"]))
-
     n = len(sites)
-    first_cell = min(int(c.min()) for c in site_cells)
-    n_cells = max(int(c.max()) for c in site_cells) - first_cell + 1
-    grid_start = EPOCH + first_cell * step
+    counts = np.array([len(records.get(s.site_id, ())) for s in sites], dtype=np.int64)
+    # the sites before the first with too few records, whose errors a site-by-site pass meets first
+    upto = next((k for k, count in enumerate(counts.tolist()) if count < 2), n)
+    streams = [records[s.site_id] for s in sites[:upto]] or [np.zeros(0, RECORD_DTYPE)]
+    rate = occupancy_rate(np.repeat([s.capacity for s in sites[:upto]], counts[:upto]),
+                          np.concatenate([st["available"] for st in streams]))
+    if upto < n:
+        raise DataError(f"site {sites[upto].site_id}: need at least 2 records, got {counts[upto]}")
 
-    flat = np.concatenate([(c - first_cell) * n + i for i, c in enumerate(site_cells)])
-    if n_cells * n > GRID_CELLS_PER_RECORD * flat.size:
+    cells = np.concatenate([st["time_us"] for st in streams]) // step_us
+    first_cell = int(cells.min())
+    n_cells = int(cells.max()) - first_cell + 1
+    grid_start = EPOCH + first_cell * step
+    if n_cells * n > GRID_CELLS_PER_RECORD * cells.size:
         raise DataError(f"records span {grid_start} to {grid_start + (n_cells - 1) * step}: "
                         f"{n_cells} grid steps x {n} sites is over {GRID_CELLS_PER_RECORD} "
-                        f"cells per record for {flat.size} records")
-    # Keep the last record of each flat (cell, site) position, in stream order.
-    _, from_end = np.unique(flat[::-1], return_index=True)
-    last = flat.size - 1 - from_end
+                        f"cells per record for {cells.size} records")
+    # Keep the last record of each (site, cell) in stream order: the last of its
+    # run once sorted stably, and the keys are in order unless a stream's cells fall.
+    site_of = np.repeat(np.arange(n), counts)
+    key = site_of * n_cells + (cells - first_cell)
+    order = np.argsort(key, kind="stable")
+    last = order[np.append(key[order][1:] != key[order][:-1], True)]
+    flat = (cells[last] - first_cell) * n + site_of[last]
     occ = np.zeros((n_cells, n))
     known = np.zeros((n_cells, n), dtype=bool)
-    occ.flat[flat[last]] = np.concatenate(rates)[last]
-    known.flat[flat[last]] = True
+    occ.flat[flat] = rate[last]
+    known.flat[flat] = True
 
     # Fill interior gaps no wider than max_gap with the flanking average.
     steps = np.arange(n_cells)[:, None]

@@ -2,7 +2,8 @@
 
 A graph connects parking sites whose pairwise distance is at or below a
 threshold (default 40 miles, roughly a 30-minute drive). It keeps only its
-edges with their raw miles and kernel weights; ``dense_operator`` builds
+edges, as columns of node pairs, raw miles and kernel weights that whole-array
+passes validate, sort and split; ``dense_operator`` builds
 from them an n x n operator a model multiplies by, and ``neighbor_lists``
 the binary adjacency as sorted neighbor lists, which ``neighbor_sum``
 multiplies by in NumPy. Two decompositions
@@ -15,7 +16,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Mapping, Sequence
+from typing import Callable, Mapping, Sequence
 
 import numpy as np
 
@@ -44,9 +45,6 @@ SITES_HEADER = ["site_id", "region", "lat", "lon", "travel_time_min",
                 "owner", "amenities", "capacity"]
 
 ADJACENCY_KERNELS = ("gaussian", "binary", "raw")
-# Per kernel, a distance of zero weight: such a pair is no edge. Every
-# binary pair has weight 1.
-UNLINKED_MILES = {"gaussian": math.inf, "raw": 0.0}
 
 
 @dataclass(frozen=True)
@@ -115,13 +113,16 @@ def load_sites(path: str | Path) -> list[SiteMeta]:
     return sites
 
 
-def _kernel_weight(miles: float, kind: str, sigma: float) -> float:
+def _kernel_weights(miles: np.ndarray, kind: str, sigma: float) -> np.ndarray:
+    """Each distance's kernel weight, a new array. The gaussian argument is
+    Python's ``-((m / sigma) ** 2)`` per distance, as NumPy's square rounds
+    some 1 ulp apart from ``** 2``; one ``np.exp`` then gives the scalar bits."""
     if kind == "gaussian":
-        return float(np.exp(-((miles / sigma) ** 2)))
+        return np.exp(np.array([-((m / sigma) ** 2) for m in miles.tolist()], dtype=np.float64))
     if kind == "binary":
-        return 1.0
+        return np.ones(len(miles))
     if kind == "raw":
-        return miles
+        return miles.copy()
     raise ConfigError(f"adjacency_weights must be one of {ADJACENCY_KERNELS}, got {kind!r}")
 
 
@@ -132,62 +133,84 @@ def _freeze(arr: np.ndarray) -> np.ndarray:
 
 @dataclass(frozen=True)
 class SiteGraph:
-    """An undirected site graph, kept as its edges.
+    """An undirected site graph, kept as edge columns.
 
-    ``edges`` holds (i, j, miles) with i < j for the pairs of nonzero
-    kernel weight, and ``weights`` each edge's kernel weight, in edge
-    order. ``degrees`` counts each node's neighbors: its edges of positive
+    ``ends`` holds each edge's node pair (i, j), i < j, as an edges x 2
+    array in ascending (i, j) order, for the pairs of nonzero kernel
+    weight; ``miles`` and ``weights`` hold each edge's distance and kernel
+    weight. ``degrees`` counts each node's neighbors: its edges of positive
     weight. Arrays are read-only.
     """
 
     nodes: tuple[SiteMeta, ...]
-    edges: tuple[tuple[int, int, float], ...]
+    ends: np.ndarray
+    miles: np.ndarray
     weights: np.ndarray
-    degrees: np.ndarray
     threshold_miles: float
     adjacency_weights: str
     sigma_miles: float
+    degrees: np.ndarray = field(init=False)
+
+    def __post_init__(self):
+        object.__setattr__(self, "nodes", tuple(self.nodes))
+        object.__setattr__(self, "degrees", np.bincount(self.ends[self.weights > 0].ravel(),
+                                                        minlength=self.n))
+        for arr in (self.ends, self.miles, self.weights, self.degrees):
+            _freeze(arr)
 
     @property
     def n(self) -> int:
         return len(self.nodes)
 
+    @property
+    def edges(self) -> tuple[tuple[int, int, float], ...]:
+        """Each edge's (i, j, miles), in edge order, built from the columns on each read."""
+        return tuple(zip(self.ends[:, 0].tolist(), self.ends[:, 1].tolist(), self.miles.tolist()))
 
-def _assemble_graph(nodes: Sequence[SiteMeta], edges: Sequence[tuple[int, int, float]],
+
+def _edge_columns(i, j, miles, n: int, what: str) -> tuple[np.ndarray, np.ndarray]:
+    """(i, j, miles) columns, built or stored, as new int64 ``ends`` (edges x 2)
+    and float64 ``miles``. A DataError names the first fault: a column that
+    is not flat integers (i, j) or numbers (miles), columns of unequal length,
+    a pair that is not i < j < ``n``, a distance that is not finite."""
+    columns = []
+    for name, values, kinds in (("i", i, "iu"), ("j", j, "iu"), ("miles", miles, "iuf")):
+        arr = np.asarray(values)
+        if arr.size and (arr.ndim != 1 or arr.dtype.kind not in kinds):
+            raise DataError(f"{what} column {name} is not a column of "
+                            f"{'numbers' if name == 'miles' else 'integers'}")
+        columns.append(arr.astype(np.float64 if name == "miles" else np.int64).reshape(-1))
+    first, second, miles = columns
+    if not len(first) == len(second) == len(miles):
+        raise DataError(f"{what}: columns i, j and miles of unequal lengths "
+                        f"{len(first)}, {len(second)} and {len(miles)}")
+    bad = np.flatnonzero((first < 0) | (first >= second) | (second >= n))
+    if bad.size:
+        k = bad[0]
+        raise DataError(f"{what} ({first[k]}, {second[k]}) is not a node pair i < j < {n}")
+    bad = np.flatnonzero(~np.isfinite(miles))
+    if bad.size:
+        k = bad[0]
+        raise DataError(f"{what} ({first[k]}, {second[k]}): miles {miles[k]} is not finite")
+    return np.stack([first, second], axis=1), miles
+
+
+def _assemble_graph(nodes: Sequence[SiteMeta], i, j, miles,
                     threshold: float, kernel: str, sigma: float) -> SiteGraph:
+    """The one path from (i, j, miles) columns, built or stored, to a graph:
+    validated, weighted, pairs of zero weight left out, sorted by (i, j)."""
     if kernel == "gaussian" and not sigma > 0:
         raise ConfigError(f"sigma_miles must be > 0 for the gaussian kernel, got {sigma}")
     n = len(nodes)
-    linked = []
-    for i, j, miles in edges:
-        if not 0 <= i < j < n:
-            raise DataError(f"graph edge ({i}, {j}) is not a node pair i < j < {n}")
-        w = _kernel_weight(miles, kernel, sigma)
-        if w != 0.0:  # e.g. two sites 0 miles apart under the raw kernel: no link
-            linked.append((i, j, miles, w))
-    linked.sort()
-    ends = np.array([e[:2] for e in linked], dtype=np.int64).reshape(-1, 2)
-    if np.any(np.all(ends[1:] == ends[:-1], axis=1)):
+    ends, miles = _edge_columns(i, j, miles, n, "graph edge")
+    weights = _kernel_weights(miles, kernel, sigma)
+    linked = np.flatnonzero(weights)  # e.g. two sites 0 miles apart under the raw kernel: no link
+    key = ends[linked, 0] * n + ends[linked, 1]
+    order = np.argsort(key, kind="stable")
+    if np.any(np.diff(key[order]) == 0):
         raise DataError("graph: a node pair has more than one edge")
-    weights = np.array([e[3] for e in linked], dtype=np.float64)
-    return SiteGraph(
-        nodes=tuple(nodes),
-        edges=tuple(e[:3] for e in linked),
-        weights=_freeze(weights),
-        degrees=_freeze(np.bincount(ends[weights > 0].ravel(), minlength=n)),
-        threshold_miles=threshold,
-        adjacency_weights=kernel,
-        sigma_miles=sigma,
-    )
-
-
-def _edge_ends(g: SiteGraph) -> np.ndarray:
-    """The (i, j) of every edge, in edge order, as an edges x 2 array.
-
-    Filled straight from the edge tuples, with no list of pairs between.
-    """
-    return np.fromiter((v for e in g.edges for v in e[:2]), np.int64,
-                       2 * len(g.edges)).reshape(-1, 2)
+    order = linked[order]
+    return SiteGraph(nodes, ends[order], miles[order], weights[order], threshold, kernel, sigma)
 
 
 def neighbor_lists(g: SiteGraph) -> tuple[np.ndarray, np.ndarray]:
@@ -198,7 +221,7 @@ def neighbor_lists(g: SiteGraph) -> tuple[np.ndarray, np.ndarray]:
     has n + 1 entries. Each edge appears from both ends. Arrays are
     read-only.
     """
-    ends = _edge_ends(g)[g.weights > 0]
+    ends = g.ends[g.weights > 0]
     rows = np.concatenate([ends[:, 0], ends[:, 1]])
     cols = np.concatenate([ends[:, 1], ends[:, 0]])
     starts = np.zeros(g.n + 1, dtype=np.int64)
@@ -237,8 +260,7 @@ def dense_operator(g: SiteGraph, kind: str) -> np.ndarray:
     ``normalized``: the symmetric normalization with self-loops of the
     kernel weights A, D^-1/2 (A+I) D^-1/2.
     """
-    ends = _edge_ends(g)
-    weights = g.weights
+    ends, weights = g.ends, g.weights
     if kind == "binary":
         ends, weights = ends[weights > 0], 1.0
     elif kind != "normalized":
@@ -274,22 +296,26 @@ def build_connected(sites: Sequence[SiteMeta], provider: DistanceProvider | None
         raise DataError(f"build_connected: duplicate site ids {dup}")
     provider = provider or HaversineProvider()
 
-    edges: list[tuple[int, int, float]] = []
+    # each edge's j and miles, and per i the count of edges of rows 0 to i
+    far, near_miles, row_ends = [], [], []
     distance = provider.miles
-    for i, a in enumerate(sites):
-        for j in range(i + 1, len(sites)):
-            b = sites[j]
-            try:
-                miles = float(distance(a, b))
-            except DataError:
-                raise
-            except Exception as exc:
-                raise DataError(
-                    f"distance provider failed for pair ({a.site_id}, {b.site_id}): {exc}"
-                ) from exc
-            if miles <= threshold_miles:
-                edges.append((i, j, miles))
-    return _assemble_graph(sites, edges, threshold_miles, adjacency_weights, sigma_miles)
+    n = len(sites)
+    try:
+        for i, a in enumerate(sites):
+            for j in range(i + 1, n):
+                miles = float(distance(a, sites[j]))
+                if miles <= threshold_miles:
+                    far.append(j)
+                    near_miles.append(miles)
+            row_ends.append(len(far))
+    except DataError:
+        raise
+    except Exception as exc:
+        raise DataError(f"distance provider failed for pair ({a.site_id}, {sites[j].site_id}): "
+                        f"{exc}") from exc
+    near = np.repeat(np.arange(n), np.diff(row_ends, prepend=0))
+    return _assemble_graph(sites, near, far, near_miles, threshold_miles, adjacency_weights,
+                           sigma_miles)
 
 
 @dataclass(frozen=True)
@@ -298,7 +324,9 @@ class RegionalPartition:
 
     ``node_indices`` maps each label to the parent-graph indices of its
     nodes (in parent order): the rows model code takes out of a full
-    node-feature matrix to form that group's block.
+    node-feature matrix to form that group's block. A random partition's
+    ``pairs`` are the (ends, miles) of its in-group pairs the graph does not
+    link, group by group: the distances a stored partition keeps.
     """
 
     strategy: str
@@ -306,21 +334,16 @@ class RegionalPartition:
     subgraphs: Mapping[str, SiteGraph]
     region_order: tuple[str, ...]
     node_indices: Mapping[str, np.ndarray] = field(repr=False)
+    pairs: tuple[np.ndarray, np.ndarray] | None = field(default=None, repr=False)
 
 
-def partition_from_assignment(g: SiteGraph, assignment: Mapping[str, str],
-                              strategy: str,
-                              provider: DistanceProvider | None = None) -> RegionalPartition:
-    """The one path from a site-id to label mapping to a partition.
+def _partition(g: SiteGraph, assignment: Mapping[str, str], strategy: str,
+               pair_miles: Callable[[np.ndarray], Sequence[float]]) -> RegionalPartition:
+    """The one path from a site-id to label mapping to a partition, built or stored.
 
-    Labels are ordered by ``sorted``, the order a stored partition is read
-    back in. A regional subgraph keeps the parent's edges whose endpoints
-    share a label; a random subgraph is complete. A random pair the parent
-    links keeps the parent edge's miles, and ``provider`` (haversine when
-    not given) measures the others (nodes in parent order). So each node
-    lands in its label's group alone, a regional subgraph, holding parent
-    edges under the parent's kernel, adds no node degree, and every parent
-    edge inside a group is a sub-edge of the same miles.
+    A group's subgraph holds the parent edges inside it, with the parent's
+    miles and weights; a random group's also holds its other pairs of
+    nonzero weight, whose miles ``pair_miles`` gives for their ends.
     """
     if strategy not in ("regional", "random"):
         raise ConfigError(f"partition strategy must be regional or random, got {strategy!r}")
@@ -328,38 +351,65 @@ def partition_from_assignment(g: SiteGraph, assignment: Mapping[str, str],
     if missing:
         raise DataError(f"partition assignment missing sites {missing[:5]}")
     if len(assignment) != g.n:
-        raise DataError("partition assignment names sites that are not in the graph")
-
+        ids = {s.site_id for s in g.nodes}
+        raise DataError(f"partition assignment names sites that are not in the graph: "
+                        f"{[k for k in assignment if k not in ids][:5]}")
     label_of = [assignment[s.site_id] for s in g.nodes]
-    members: dict[str, list[int]] = {label: [] for label in sorted(set(label_of))}
-    local = []
-    for i, label in enumerate(label_of):
-        local.append(len(members[label]))
-        members[label].append(i)
-    sub_edges: dict[str, list] = {label: [] for label in members}
-    if strategy == "regional":
-        for i, j, miles in g.edges:
-            if label_of[i] == label_of[j]:
-                sub_edges[label_of[i]].append((local[i], local[j], miles))
-    linked = {(i, j): miles for i, j, miles in g.edges} if strategy == "random" else {}
-    pair_miles = (provider or HaversineProvider()).miles
+    labels = sorted(set(label_of))
+    code = {label: k for k, label in enumerate(labels)}
+    codes = np.array([code[label] for label in label_of], dtype=np.int64)
+    members = [_freeze(np.flatnonzero(codes == k)) for k in range(len(labels))]
+    local = np.empty(g.n, dtype=np.int64)
+    for idx in members:
+        local[idx] = np.arange(len(idx))
 
-    subgraphs: dict[str, SiteGraph] = {}
-    for label, idx in members.items():
-        sub_nodes = [g.nodes[p] for p in idx]
-        if strategy == "random":
-            sub_edges[label] = [
-                (a, b, linked[idx[a], idx[b]] if (idx[a], idx[b]) in linked
-                 else float(pair_miles(sub_nodes[a], sub_nodes[b])))
-                for a in range(len(idx)) for b in range(a + 1, len(idx))]
-        subgraphs[label] = _assemble_graph(sub_nodes, sub_edges[label], g.threshold_miles,
-                                           g.adjacency_weights, g.sigma_miles)
-
+    inside = np.flatnonzero(codes[g.ends[:, 0]] == codes[g.ends[:, 1]])
+    ends, miles, weights = g.ends[inside], g.miles[inside], g.weights[inside]
+    pairs = None
+    if strategy == "random":
+        group_pairs = np.concatenate([idx[np.stack(np.triu_indices(len(idx), 1), axis=1)]
+                                      for idx in members])
+        key = group_pairs[:, 0] * g.n + group_pairs[:, 1]
+        unlinked = group_pairs[~np.isin(key, g.ends[:, 0] * g.n + g.ends[:, 1])]
+        pairs = _edge_columns(unlinked[:, 0], unlinked[:, 1], pair_miles(unlinked), g.n,
+                              "partition pair")
+        far_weights = _kernel_weights(pairs[1], g.adjacency_weights, g.sigma_miles)
+        far = np.flatnonzero(far_weights)
+        ends = np.concatenate([ends, pairs[0][far]])
+        miles = np.concatenate([miles, pairs[1][far]])
+        weights = np.concatenate([weights, far_weights[far]])
+        pairs = tuple(_freeze(a) for a in pairs)
+    # group by group, each in (i, j) order, which is its local order too
+    order = np.lexsort((ends[:, 1], ends[:, 0], codes[ends[:, 0]]))
+    cuts = np.searchsorted(codes[ends[order, 0]], np.arange(len(labels) + 1))
+    ends, miles, weights = local[ends[order]], miles[order], weights[order]
+    subgraphs = {}
+    for k, label in enumerate(labels):
+        edges = slice(cuts[k], cuts[k + 1])
+        subgraphs[label] = SiteGraph([g.nodes[p] for p in members[k].tolist()], ends[edges],
+                                     miles[edges], weights[edges], g.threshold_miles,
+                                     g.adjacency_weights, g.sigma_miles)
     return RegionalPartition(
         strategy=strategy, region_of={s.site_id: label for s, label in zip(g.nodes, label_of)},
-        subgraphs=subgraphs, region_order=tuple(members),
-        node_indices={label: _freeze(np.array(idx, dtype=np.int64))
-                      for label, idx in members.items()})
+        subgraphs=subgraphs, region_order=tuple(labels),
+        node_indices=dict(zip(labels, members)), pairs=pairs)
+
+
+def partition_from_assignment(g: SiteGraph, assignment: Mapping[str, str],
+                              strategy: str,
+                              provider: DistanceProvider | None = None) -> RegionalPartition:
+    """A partition of ``g`` by a site-id to label mapping, labels in ``sorted``
+    order, the order a stored partition is read back in.
+
+    A regional subgraph keeps the parent's edges whose endpoints share a
+    label, so a node lands in its label's group alone, adds no degree, and
+    keeps each parent edge inside the group at the same miles and weight. A
+    random subgraph is complete: ``provider`` (haversine when not given)
+    measures the pairs the parent does not link (nodes in parent order).
+    """
+    distance = (provider or HaversineProvider()).miles
+    return _partition(g, assignment, strategy, lambda ends: [
+        float(distance(g.nodes[i], g.nodes[j])) for i, j in ends.tolist()])
 
 
 def decompose_regional(g: SiteGraph) -> RegionalPartition:

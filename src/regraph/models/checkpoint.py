@@ -1,15 +1,17 @@
 """Versioned binary model checkpoints.
 
 Layout: an 8-byte magic, a little-endian uint64 header length, a compact
-JSON header, then the raw weight arrays (float64, little-endian, C order)
-concatenated in the order the header lists them. The file holds the
-model's ``ModelSpec`` (its architecture, and exactly its other fields
-under ``hyperparams``), feature-scaling constants, the training week
-set, the full graph (sites, edges, kernel), and the partition with its
-stored edge distances. The grid step and max gap the
-model was trained on are not stored: a caller that grids new records
-must pass the training config's values. No timestamps, so identical
-training runs write identical bytes.
+JSON header, then little-endian arrays in the order the header lists them:
+the graph's edge columns i, j (int64) and miles (float64), a random
+partition's pair columns in the same form, and the weights (float64, C
+order). The header holds the model's ``ModelSpec`` (its architecture, and
+exactly its other fields under ``hyperparams``), feature-scaling
+constants, the training week set, the graph (sites, kernel, and each edge
+column's length) and the partition as a graph file stores it, with column
+lengths for columns. The grid step and max gap the model was trained on
+are not stored: a caller that grids new records must pass the training
+config's values. No timestamps, so identical training runs write
+identical bytes.
 """
 
 from __future__ import annotations
@@ -19,19 +21,19 @@ import math
 import struct
 from dataclasses import asdict, dataclass, fields
 from pathlib import Path
-from types import SimpleNamespace
+from typing import Callable
 
 import numpy as np
 
 from ..errors import ConfigError, DataError
 from ..files import atomic_open, json_object, stored
 from ..graph.build import (
-    UNLINKED_MILES,
     RegionalPartition,
     SiteGraph,
     SiteMeta,
     _assemble_graph,
-    partition_from_assignment,
+    _edge_columns,
+    _partition,
 )
 from .architectures import ForecastModel, ModelSpec, build_model
 
@@ -39,9 +41,11 @@ __all__ = ["CheckpointBundle", "FORMAT_VERSION", "load_checkpoint", "restore_mod
            "save_checkpoint"]
 
 MAGIC = b"RGCKPT01"
-FORMAT_VERSION = 1
+FORMAT_VERSION = 2
 # the header stores the architecture on its own and ModelSpec's other fields here
 _HYPERPARAMS = sorted(f.name for f in fields(ModelSpec) if f.name != "architecture")
+# Edge and pair columns, in stored order, with their binary dtypes.
+_COLUMNS = {"i": "<i8", "j": "<i8", "miles": "<f8"}
 
 
 def _site_to_row(s: SiteMeta) -> list:
@@ -68,90 +72,102 @@ def _site_from_row(row) -> SiteMeta:
                     capacity=_typed(capacity, (int,), "capacity"))
 
 
-def graph_payload(g: SiteGraph) -> dict:
+# A column's stored form, from its array and name (without one, a graph file's
+# JSON array), and the column back from that form (without one, as it is).
+Column = Callable[[object, str], object] | None
+
+
+def _columns_payload(ends: np.ndarray, miles: np.ndarray, column: Column) -> dict:
+    return {name: column(arr, name) if column else arr.tolist()
+            for name, arr in zip(_COLUMNS, (ends[:, 0], ends[:, 1], miles))}
+
+
+def _stored_columns(d: dict, column: Column) -> list:
+    """The i, j and miles columns of a stored entry, read in stored order."""
+    if not isinstance(d, dict):  # format 1 listed (i, j, miles) triples
+        raise DataError(f"stored edges are a {type(d).__name__}, not the columns i, j and "
+                        f"miles of format {FORMAT_VERSION}")
+    return [column(d[name], name) if column else d[name] for name in _COLUMNS]
+
+
+def graph_payload(g: SiteGraph, column: Column = None) -> dict:
+    """The graph as a file stores it; ``column`` gives each edge column's stored form."""
     return {
         "sites": [_site_to_row(s) for s in g.nodes],
-        "edges": [[i, j, miles] for i, j, miles in g.edges],
+        "edges": _columns_payload(g.ends, g.miles, column),
         "threshold_miles": g.threshold_miles,
         "adjacency_weights": g.adjacency_weights,
         "sigma_miles": g.sigma_miles,
     }
 
 
-def graph_from_payload(d: dict) -> SiteGraph:
+def graph_from_payload(d: dict, column: Column = None) -> SiteGraph:
+    """The graph a graph file stores, or a checkpoint header with ``column``
+    reading each edge column from the file's binary part."""
     with stored("graph"):
         nodes = [_site_from_row(row) for row in d["sites"]]
         if not nodes:
             raise DataError("malformed graph: no sites")
-        edges = [(int(i), int(j), float(m)) for i, j, m in d["edges"]]
-        return _assemble_graph(nodes, edges,
+        return _assemble_graph(nodes, *_stored_columns(d["edges"], column),
                                _typed(d["threshold_miles"], (int, float), "threshold_miles"),
                                d["adjacency_weights"],
                                _typed(d["sigma_miles"], (int, float), "sigma_miles"))
 
 
-def partition_payload(p: RegionalPartition) -> dict:
-    return {
-        "strategy": p.strategy,
-        "region_of": dict(p.region_of),
-        "subgraph_edges": {
-            label: [[sub.nodes[i].site_id, sub.nodes[j].site_id, miles]
-                    for i, j, miles in sub.edges]
-            for label, sub in p.subgraphs.items()
-        },
-    }
+def partition_payload(p: RegionalPartition, column: Column = None) -> dict:
+    """The partition as a file stores it: its strategy, each site's label and,
+    for a random partition, the ``pairs`` columns."""
+    doc = {"strategy": p.strategy, "region_of": dict(p.region_of)}
+    if p.pairs is not None:
+        doc["pairs"] = _columns_payload(*p.pairs, column)
+    return doc
 
 
-def partition_from_payload(g: SiteGraph, d: dict) -> RegionalPartition:
-    """Rebuild a stored partition; its stored sub-edges must be the rebuilt ones.
+def _pair_miles(g: SiteGraph, ends: np.ndarray, stored_ends: np.ndarray,
+                stored_miles: np.ndarray) -> np.ndarray:
+    """The stored miles of the pairs ``ends``, which the stored pairs must be,
+    in order; else a DataError naming the first pair that differs."""
+    if not np.array_equal(stored_ends, ends):
+        same = min(len(ends), len(stored_ends))
+        differ = np.flatnonzero(np.any(stored_ends[:same] != ends[:same], axis=1))
+        k = differ[0] if differ.size else same
 
-    Random subgraphs take their distances from the stored edges, since the
-    provider that measured them may not be at hand when loading. A pair they
-    leave out has zero kernel weight, which no binary pair has. A pair the
-    graph links takes the graph's miles, so a graph edge inside a random
-    group that is dropped or altered is caught; a pair beyond the threshold
-    has nothing to be checked against. A mismatch names the first pair
-    that differs.
+        def pair(e: np.ndarray) -> str:
+            return f"({g.nodes[e[k, 0]].site_id}, {g.nodes[e[k, 1]].site_id})" \
+                if k < len(e) else "none"
+        raise DataError(f"partition: stored pair {k} is {pair(stored_ends)}, where the "
+                        f"labels give {pair(ends)}")
+    return stored_miles
+
+
+def partition_from_payload(g: SiteGraph, d: dict,
+                           column: Column = None) -> RegionalPartition:
+    """Rebuild a stored partition from its strategy and labels.
+
+    A random partition's groups take the distances of their pairs the
+    graph does not link from its stored ``pairs``, since the provider that
+    measured them may not be at hand when loading; those must be exactly
+    the pairs the labels give. Their miles have nothing to be checked
+    against but being finite.
     """
     with stored("partition"):
-        sub_edges = d["subgraph_edges"]
-        miles = {(a, b): float(m) for edges in sub_edges.values() for a, b, m in edges}
-
-        def pair_miles(a, b):
-            key = (a.site_id, b.site_id)
-            if key in miles or g.adjacency_weights not in UNLINKED_MILES:
-                return miles[key]
-            return UNLINKED_MILES[g.adjacency_weights]
-        part = partition_from_assignment(g, d["region_of"], d["strategy"],
-                                         SimpleNamespace(miles=pair_miles))
-    rebuilt = partition_payload(part)["subgraph_edges"]
-    if rebuilt != sub_edges:
-        raise DataError(f"partition: stored {part.strategy} sub-edges do not match "
-                        f"the ones rebuilt from region_of{_first_difference(rebuilt, sub_edges)}")
-    return part
+        def stored_miles(ends: np.ndarray) -> np.ndarray:
+            columns = _stored_columns(d["pairs"], column)
+            return _pair_miles(g, ends, *_edge_columns(*columns, g.n, "partition pair"))
+        return _partition(g, d["region_of"], d["strategy"], stored_miles)
 
 
-def _first_difference(rebuilt: dict, stored: dict) -> str:
-    """The first group and pair whose rebuilt and stored sub-edges differ, if any."""
-    for label, edges in rebuilt.items():
-        want = {(a, b): m for a, b, m in edges}
-        got = {(a, b): m for a, b, m in stored.get(label, ())}
-        for pair in [*want, *got]:
-            if want.get(pair) != got.get(pair):
-                return f": {label} pair ({pair[0]}, {pair[1]})"
-    return ""
-
-
-def read_graph_document(doc: dict, what: str) -> tuple[SiteGraph, RegionalPartition | None]:
+def read_graph_document(doc: dict, what: str, column: Column = None
+                        ) -> tuple[SiteGraph, RegionalPartition | None]:
     """The graph and partition (both required; ``null`` is none) a graph file
     or checkpoint header stores."""
     for key in ("graph", "partition"):
         if key not in doc:
             raise DataError(f"{what} is missing the '{key}' entry")
-    graph = graph_from_payload(doc["graph"])
+    graph = graph_from_payload(doc["graph"], column)
     if doc["partition"] is None:
         return graph, None
-    return graph, partition_from_payload(graph, doc["partition"])
+    return graph, partition_from_payload(graph, doc["partition"], column)
 
 
 @dataclass(frozen=True)
@@ -172,6 +188,11 @@ def save_checkpoint(path: str | Path, model: ForecastModel,
     path = Path(path)
     spec = model.spec
     named = model.named_params()
+    columns = []
+
+    def length(arr: np.ndarray, name: str) -> int:
+        columns.append(arr.astype(_COLUMNS[name]))
+        return len(arr)
     weight_index = [{"name": name, "shape": list(p.values.shape)}
                     for name, p in named.items()]
     hyperparams = asdict(spec)
@@ -182,8 +203,8 @@ def save_checkpoint(path: str | Path, model: ForecastModel,
         "scaling": {"lo": [float(x) for x in scaling_lo],
                     "hi": [float(x) for x in scaling_hi]},
         "train_weeks": list(train_weeks),
-        "graph": graph_payload(model.ctx.graph),
-        "partition": (partition_payload(model.ctx.partition)
+        "graph": graph_payload(model.ctx.graph, length),
+        "partition": (partition_payload(model.ctx.partition, length)
                       if model.ctx.partition is not None else None),
         "weights": weight_index,
     }
@@ -192,6 +213,8 @@ def save_checkpoint(path: str | Path, model: ForecastModel,
         fh.write(MAGIC)
         fh.write(struct.pack("<Q", len(blob)))
         fh.write(blob)
+        for arr in columns:
+            fh.write(arr)
         for p in named.values():
             fh.write(np.ascontiguousarray(p.values, dtype="<f8"))
 
@@ -209,7 +232,20 @@ def load_checkpoint(path: str | Path) -> CheckpointBundle:
     header = json_object(raw[start:start + header_len], f"{path}: corrupt checkpoint header")
     if header.get("format_version") != FORMAT_VERSION:
         raise ConfigError(
-            f"{path}: unsupported checkpoint format {header.get('format_version')}")
+            f"{path}: unsupported checkpoint format {header.get('format_version')}; "
+            f"this version reads format {FORMAT_VERSION}")
+    offset = start + header_len
+
+    def take(shape: list, dtype: str, what: str) -> np.ndarray:
+        """The next stored array of ``shape``, a view into the file's bytes."""
+        nonlocal offset
+        if not all(type(d) is int and d >= 0 for d in shape):  # no bool, no float
+            raise DataError(f"{path}: {what} has shape {shape}, not a list of non-negative ints")
+        count = math.prod(shape)
+        if offset + 8 * count > len(raw):
+            raise DataError(f"{path}: truncated checkpoint at {what}")
+        offset += 8 * count
+        return np.frombuffer(raw, dtype, count, offset - 8 * count).reshape(shape)
 
     with stored(f"checkpoint header in {path}"):
         hp = header["hyperparams"]
@@ -217,22 +253,12 @@ def load_checkpoint(path: str | Path) -> CheckpointBundle:
             raise DataError(f"{path}: checkpoint hyperparams hold {sorted(hp)}, "
                             f"not {_HYPERPARAMS}")
         spec = ModelSpec(architecture=header["architecture"], **hp)
-        graph, partition = read_graph_document(header, f"checkpoint header in {path}")
-
-        weights: dict = {}
-        offset = start + header_len
-        for entry in header["weights"]:
-            shape = tuple(entry["shape"])
-            if not all(type(d) is int and d >= 0 for d in shape):  # no bool, no float
-                raise DataError(f"{path}: weight {entry['name']} has shape {list(shape)}, "
-                                f"not a list of non-negative ints")
-            count = math.prod(shape)
-            end = offset + count * 8
-            if end > len(raw):
-                raise DataError(f"{path}: truncated checkpoint at weight {entry['name']}")
-            arr = np.frombuffer(raw, "<f8", count, offset).reshape(shape).copy()
-            weights[entry["name"]] = arr
-            offset = end
+        graph, partition = read_graph_document(
+            header, f"checkpoint header in {path}",
+            lambda length, name: take([length], _COLUMNS[name], f"column {name}"))
+        weights = {entry["name"]: take(list(entry["shape"]), "<f8",
+                                       f"weight {entry['name']}").copy()
+                   for entry in header["weights"]}
         if offset != len(raw):
             raise DataError(f"{path}: {len(raw) - offset} trailing bytes after weights")
 

@@ -3,6 +3,7 @@
 import dataclasses
 import gc
 import json
+import math
 import re
 import shutil
 import struct
@@ -28,7 +29,8 @@ from regraph.data import SyntheticConfig
 from regraph.errors import ConfigError
 from regraph.graph import build_connected, decompose_random, decompose_regional, load_sites
 from regraph.evaluation import reports
-from regraph.models import ARCHITECTURES, ModelSpec, build_model, save_checkpoint
+from regraph.models import (ARCHITECTURES, ModelSpec, build_model, load_checkpoint,
+                            save_checkpoint)
 from regraph.models.architectures import CONNECTIVITY_OF
 from regraph.models.checkpoint import graph_from_payload
 from regraph.training import TrainConfig
@@ -337,22 +339,23 @@ def test_build_graph_nan_threshold_exits_2(tmp_path, capsys):
     assert "threshold_miles must be > 0, got nan" in capsys.readouterr().err
     assert not out.exists()
     assert main(argv + ["inf"]) == 0  # every pair is an edge
-    assert len(json.loads(out.read_text())["graph"]["edges"]) == 6 * 5 // 2
+    assert len(json.loads(out.read_text())["graph"]["edges"]["i"]) == 6 * 5 // 2
 
 
 def test_random_groups_use_the_configured_distance_provider(tmp_path, monkeypatch):
+    # haversine puts the sites 22 miles apart; the cache, past the threshold
     sites = tmp_path / "sites.csv"
     sites.write_bytes(SITES_CSV_HEADER + b"site_000,WI,43.0,-89.0,10.0,0,1,40\n"
                       b"site_001,WI,43.1,-89.4,12.5,1,4,80\n")
     cache = tmp_path / "miles.csv"
-    cache.write_text("site_a,site_b,miles\nsite_000,site_001,1.5\n")
+    cache.write_text("site_a,site_b,miles\nsite_000,site_001,55.5\n")
     monkeypatch.setenv("REGRAPH_DISTANCE_CACHE", str(cache))
     out = tmp_path / "g.json"
     assert main(["build-graph", "--sites", str(sites), "--strategy", "random",
                  "--regions", "1", "--out", str(out)]) == 0
     doc = json.loads(out.read_text())
-    assert doc["graph"]["edges"] == [[0, 1, 1.5]]
-    assert doc["partition"]["subgraph_edges"] == {"group_0": [["site_000", "site_001", 1.5]]}
+    assert doc["graph"]["edges"] == {"i": [], "j": [], "miles": []}
+    assert doc["partition"]["pairs"] == {"i": [0], "j": [1], "miles": [55.5]}
 
 
 def test_build_graph_deterministic(tmp_path):
@@ -385,15 +388,15 @@ def test_analyze_graph_reports_overlap(tmp_path, capsys):
 
 @pytest.mark.parametrize("tamper", [
     lambda doc: doc["partition"]["region_of"].pop(doc["graph"]["sites"][0][0]),
-    lambda doc: next(iter(doc["partition"]["subgraph_edges"].values())).append(
-        ["ghost", doc["graph"]["sites"][0][0], 1.0]),
+    lambda doc: doc["partition"]["region_of"].update(ghost=doc["graph"]["sites"][0][1]),
     lambda doc: doc["graph"].pop("edges"),
     lambda doc: doc["partition"].update(strategy="bogus"),
     lambda doc: doc.update(strategy="random"),
     lambda doc: b'{"graph": "\xff"}',
     lambda doc: b"[" * 100_000 + b"]" * 100_000,
     lambda doc: doc.update(strategy="connected", partition=None,
-                           graph={**doc["graph"], "sites": [], "edges": []}),
+                           graph={**doc["graph"], "sites": [],
+                                  "edges": {"i": [], "j": [], "miles": []}}),
 ], ids=["unlabelled_site", "unknown_site_in_sub_edge", "no_edges", "bogus_strategy",
         "strategy_differs_from_partition", "not_utf8", "nested_too_deep", "no_sites"])
 def test_analyze_graph_malformed_file_exits_3(tmp_path, capsys, tamper):
@@ -510,7 +513,8 @@ def test_raw_kernel_sites_at_one_position_are_no_edge(tmp_path, capsys, strategy
     assert doc["edges"] == 2
     assert doc["degree"] == {"min": 1, "max": 2, "mean": 4 / 3}
     stored = json.loads(graph_file.read_text())
-    assert [e[:2] for e in stored["graph"]["edges"]] == [[0, 2], [1, 2]]
+    edges = stored["graph"]["edges"]
+    assert list(zip(edges["i"], edges["j"])) == [(0, 2), (1, 2)]
 
 
 def test_random_partition_reloads_without_its_zero_weight_pairs(tmp_path, capsys):
@@ -524,8 +528,161 @@ def test_random_partition_reloads_without_its_zero_weight_pairs(tmp_path, capsys
     assert main(["build-graph", "--sites", str(sites), "--strategy", "random", "--regions", "1",
                  "--sigma-miles", "0.5", "--out", str(graph_file)]) == 0
     stored = json.loads(graph_file.read_text())
-    assert stored["partition"]["subgraph_edges"] == {"group_0": [["a", "b", 0.0]]}
+    assert stored["graph"]["edges"] == {"i": [0], "j": [1], "miles": [0.0]}
+    # the pairs the graph leaves out are stored with their miles, and weigh 0
+    pairs = stored["partition"]["pairs"]
+    assert (pairs["i"], pairs["j"]) == ([0, 1], [2, 2]) and min(pairs["miles"]) > 69.0
     assert main(["analyze-graph", "--graph", str(graph_file)]) == 0
+    graph, partition = cli._read_graph_file(graph_file)
+    assert partition.subgraphs["group_0"].edges == graph.edges == ((0, 1, 0.0),)
+
+
+# Sites 13.8 miles apart in a line: pairs 3 or more apart are not graph edges.
+LINE_SITES = SITES_CSV_HEADER + b"".join(
+    f"s{i},WI,{43.0 + 0.2 * i:.1f},-89.0,5,1,2,40\n".encode() for i in range(8))
+COLUMN_DTYPES = {"i": "<i8", "j": "<i8", "miles": "<f8"}
+
+
+def column_tables(doc):
+    """The edge columns, and a random partition's pair columns, of a stored document."""
+    tables = [doc["graph"]["edges"], (doc["partition"] or {}).get("pairs")]
+    return [t for t in tables if t is not None]
+
+
+def read_checkpoint_columns(path):
+    """A checkpoint's header with its columns read in as lists, and its weight bytes."""
+    raw = path.read_bytes()
+    (length,) = struct.unpack_from("<Q", raw, 8)
+    header, offset = json.loads(raw[16:16 + length]), 16 + length
+    for table in column_tables(header):
+        for name, dtype in COLUMN_DTYPES.items():
+            count = table[name]
+            table[name] = np.frombuffer(raw, dtype, count, offset).tolist()
+            offset += 8 * count
+    return header, raw[offset:]
+
+
+def write_checkpoint_columns(path, header, weights):
+    columns = []
+    for table in column_tables(header):
+        for name, dtype in COLUMN_DTYPES.items():
+            columns.append(np.asarray(table[name], dtype).tobytes())
+            table[name] = len(table[name])
+    blob = json.dumps(header).encode()
+    path.write_bytes(b"RGCKPT01" + struct.pack("<Q", len(blob)) + blob + b"".join(columns)
+                     + weights)
+
+
+@pytest.fixture(scope="module")
+def stored_random_graph(tmp_path_factory):
+    """A random-strategy graph file with stored pairs, and a checkpoint on it."""
+    root = tmp_path_factory.mktemp("stored")
+    (root / "sites.csv").write_bytes(LINE_SITES)
+    graph_file = root / "graph.json"
+    assert main(["build-graph", "--sites", str(root / "sites.csv"), "--strategy", "random",
+                 "--regions", "2", "--seed", "1", "--out", str(graph_file)]) == 0
+    graph, partition = cli._read_graph_file(graph_file)
+    assert len(partition.pairs[1]) >= 2 and len(graph.edges) == 13
+    spec = ModelSpec("RanTGCN", 2, 2, (1,), "random", region_count=2)
+    ckpt = root / "model.ckpt"
+    save_checkpoint(ckpt, build_model(spec, graph, partition), np.zeros(8), np.ones(8), [1])
+    return graph_file, ckpt
+
+
+def _append_row(table, row):
+    for name, value in zip(COLUMN_DTYPES, row):
+        table[name].append(value)
+
+
+def _swap_ends(table):
+    table["i"][0], table["j"][0] = table["j"][0], table["i"][0]
+
+
+STORED_TAMPERS = {
+    "unequal_columns": (lambda d: d["graph"]["edges"]["miles"].pop(),
+                        "columns i, j and miles of unequal lengths 13, 13 and 12"),
+    "index_out_of_range": (lambda d: d["graph"]["edges"]["j"].__setitem__(-1, 8),
+                           r"graph edge \(6, 8\) is not a node pair i < j < 8"),
+    "i_not_below_j": (lambda d: _swap_ends(d["graph"]["edges"]),
+                      r"graph edge \(1, 0\) is not a node pair i < j < 8"),
+    "duplicate_pair": (lambda d: _append_row(d["graph"]["edges"], (0, 1, 13.8)),
+                       "a node pair has more than one edge"),
+    "nonfinite_miles": (lambda d: d["graph"]["edges"]["miles"].__setitem__(0, float("nan")),
+                        r"graph edge \(0, 1\): miles nan is not finite"),
+    "site_without_label": (lambda d: d["partition"]["region_of"].pop("s0"),
+                           r"partition assignment missing sites \['s0'\]"),
+    "unknown_site_label": (lambda d: d["partition"]["region_of"].update(ghost="group_0"),
+                           r"names sites that are not in the graph: \['ghost'\]"),
+    "pair_dropped": (lambda d: [column.pop(0) for column in d["partition"]["pairs"].values()],
+                     r"stored pair 0 is \(s\d, s\d\), where the labels give \(s\d, s\d\)"),
+    "pair_added": (lambda d: _append_row(d["partition"]["pairs"], (0, 1, 13.8)),
+                   r"stored pair \d+ is \(s0, s1\), where the labels give none"),
+    "pair_ends_altered": (lambda d: _swap_ends(d["partition"]["pairs"]),
+                          "is not a node pair i < j < 8"),
+    "pair_miles_altered": (lambda d: d["partition"]["pairs"]["miles"].__setitem__(0, math.inf),
+                           "miles inf is not finite"),
+}
+
+
+@pytest.mark.parametrize("kind", ["graph_file", "checkpoint"])
+@pytest.mark.parametrize("tamper", sorted(STORED_TAMPERS))
+def test_tampered_columns_and_labels_exit_3_naming_the_cause(tmp_path, capsys,
+                                                             stored_random_graph, kind, tamper):
+    graph_file, ckpt = stored_random_graph
+    edit, message = STORED_TAMPERS[tamper]
+    if kind == "graph_file":
+        doc = json.loads(graph_file.read_text())
+        edit(doc)
+        path = tmp_path / "graph.json"
+        path.write_text(json.dumps(doc))
+        argv = ["analyze-graph", "--graph", str(path)]
+    else:
+        header, weights = read_checkpoint_columns(ckpt)
+        edit(header)
+        path = tmp_path / "model.ckpt"
+        write_checkpoint_columns(path, header, weights)
+        argv = ["predict", "--checkpoint", str(path), "--data", str(tmp_path / "none"),
+                "--out", str(tmp_path / "p.csv")]
+    capsys.readouterr()
+    assert main(argv) == 3
+    err = capsys.readouterr().err
+    assert "data error:" in err and re.search(message, err), err
+
+
+def test_the_tamper_helpers_alone_change_nothing_that_loads(tmp_path, stored_random_graph):
+    _, ckpt = stored_random_graph
+    header, weights = read_checkpoint_columns(ckpt)
+    write_checkpoint_columns(tmp_path / "same.ckpt", header, weights)
+    same, want = load_checkpoint(tmp_path / "same.ckpt"), load_checkpoint(ckpt)
+    assert same.graph.edges == want.graph.edges
+    assert [a.tolist() for a in same.partition.pairs] == [a.tolist() for a in want.partition.pairs]
+
+
+def test_a_format_1_checkpoint_exits_2_naming_its_version(tmp_path, capsys, stored_random_graph):
+    _, ckpt = stored_random_graph
+    raw = ckpt.read_bytes()
+    (length,) = struct.unpack_from("<Q", raw, 8)
+    header = json.loads(raw[16:16 + length])
+    header["format_version"] = 1
+    blob = json.dumps(header).encode()
+    old = tmp_path / "old.ckpt"
+    old.write_bytes(raw[:8] + struct.pack("<Q", len(blob)) + blob + raw[16 + length:])
+    assert main(["predict", "--checkpoint", str(old), "--data", str(tmp_path),
+                 "--out", str(tmp_path / "p.csv")]) == 2
+    assert "unsupported checkpoint format 1; this version reads format 2" in \
+        capsys.readouterr().err
+
+
+def test_a_format_1_graph_file_exits_3_naming_its_layout(tmp_path, capsys, stored_random_graph):
+    graph_file, _ = stored_random_graph
+    doc = json.loads(graph_file.read_text())
+    edges = doc["graph"]["edges"]
+    doc["graph"]["edges"] = [list(e) for e in zip(edges["i"], edges["j"], edges["miles"])]
+    path = tmp_path / "old.json"
+    path.write_text(json.dumps(doc))
+    assert main(["analyze-graph", "--graph", str(path)]) == 3
+    assert "stored edges are a list, not the columns i, j and miles of format 2" in \
+        capsys.readouterr().err
 
 
 # ---------------------------------------------------------------- pipeline

@@ -637,6 +637,46 @@ def dense_features(start, occ, sites):
     return x
 
 
+def first_grid_error(streams, sites):
+    """The error a site-by-site pass meets first: too few records, or a rate below zero."""
+    for s in sites:
+        points = streams.get(s.site_id, np.zeros(0, RECORD_DTYPE))
+        if len(points) < 2:
+            return f"site {s.site_id}: need at least 2 records, got {len(points)}"
+        for available in points["available"].tolist():
+            if available > s.capacity:
+                return f"occupancy below zero: capacity={s.capacity}, available={available}"
+    return None
+
+
+SITE_STREAMS = st.lists(
+    st.lists(st.tuples(st.integers(0, 300), st.integers(-3, 11)), max_size=12),
+    min_size=1, max_size=4)
+
+
+@settings(max_examples=300, deadline=None)
+@given(points=SITE_STREAMS, max_gap=st.integers(0, 6), shuffle=st.randoms())
+def test_grid_of_unsorted_streams_matches_the_per_step_reference(points, max_gap, shuffle):
+    # site i has capacity 10, so an available of 11 is occupancy below zero;
+    # some streams come unsorted, with several records in one step
+    sites = [meta(f"s{i}") for i in range(len(points))]
+    streams = {}
+    for s, site_points in zip(sites, points):
+        if shuffle.random() < 0.5:
+            site_points = sorted(site_points)
+        streams[s.site_id] = stream(*site_points)
+    error = first_grid_error(streams, sites)
+    if error is not None:
+        with pytest.raises(DataError) as exc:
+            interpolate_to_grid(streams, sites, max_gap=max_gap)
+        assert str(exc.value) == error
+        return
+    grid = interpolate_to_grid(streams, sites, max_gap=max_gap)
+    occ, valid = per_step_reference(streams, sites, max_gap)
+    assert grid.occupancy.tobytes() == occ.tobytes()
+    np.testing.assert_array_equal(grid.valid, valid)
+
+
 @pytest.mark.parametrize("max_gap", [1, 6])
 def test_drop_rate_windows_match_per_step_reference(tmp_path, max_gap):
     sites_path, records_path, _ = generate_synthetic(small_cfg(drop_rate=0.05), tmp_path)

@@ -28,6 +28,7 @@ from regraph.graph import (
     load_sites,
     overlap_cost,
 )
+from regraph.graph.build import _assemble_graph, _kernel_weights
 
 
 def site(site_id, region="WI", lat=43.0, lon=-89.0, capacity=50):
@@ -236,10 +237,64 @@ def test_relabeling_equivariance():
 
 def test_graph_arrays_are_read_only():
     g = build_connected([site("a"), site("b")], FakeProvider({("a", "b"): 5.0}))
-    with pytest.raises(ValueError):
-        g.weights[0] = 99.0
-    with pytest.raises(ValueError):
-        g.degrees[0] = 99
+    for column in (g.ends, g.miles, g.weights, g.degrees):
+        with pytest.raises(ValueError):
+            column[0] = 99
+
+
+def scalar_kernel_weight(miles: float, kind: str, sigma: float) -> float:
+    """One pair's kernel weight, the scalar formula the edge columns must match."""
+    if kind == "gaussian":
+        return float(np.exp(-((miles / sigma) ** 2)))
+    return 1.0 if kind == "binary" else miles
+
+
+MILES = st.one_of(st.sampled_from([0.0, 40.0, 1e-300, 5e-324]),
+                  st.floats(0.0, 40.0), st.floats(0.0, 1e4))
+
+
+@settings(max_examples=200, deadline=None)
+@given(miles=st.lists(MILES, max_size=50), kind=st.sampled_from(["gaussian", "binary", "raw"]),
+       sigma=st.one_of(st.just(20.0), st.floats(0.01, 1e3), st.integers(1, 100)))
+def test_kernel_weight_columns_are_the_scalar_formula_bit_for_bit(miles, kind, sigma):
+    got = _kernel_weights(np.array(miles, dtype=np.float64), kind, sigma)
+    want = np.array([scalar_kernel_weight(m, kind, sigma) for m in miles], dtype=np.float64)
+    assert got.dtype == np.float64 and got.tobytes() == want.tobytes()
+
+
+def test_kernel_weight_columns_match_where_numpy_squares_differently():
+    # draws where NumPy's square of m / sigma and Python's ** 2 round apart
+    m = np.random.default_rng(7).uniform(0.0, 40.0, 20_000)
+    assert np.any(np.square(m / 20.0) != np.array([(x / 20.0) ** 2 for x in m.tolist()]))
+    want = np.array([scalar_kernel_weight(x, "gaussian", 20.0) for x in m.tolist()])
+    assert _kernel_weights(m, "gaussian", 20.0).tobytes() == want.tobytes()
+
+
+@pytest.mark.parametrize("i, j, miles, message", [
+    ([0, 1], [1], [1.0, 2.0], "unequal lengths 2, 1 and 2"),
+    ([0], [3], [1.0], r"graph edge \(0, 3\) is not a node pair i < j < 3"),
+    ([-1], [1], [1.0], r"graph edge \(-1, 1\) is not a node pair"),
+    ([1], [1], [1.0], r"graph edge \(1, 1\) is not a node pair"),
+    ([2], [1], [1.0], r"graph edge \(2, 1\) is not a node pair"),
+    ([0, 0], [1, 1], [1.0, 2.0], "more than one edge"),
+    ([0], [1], [float("nan")], r"graph edge \(0, 1\): miles nan is not finite"),
+    ([0], [1], [float("-inf")], "miles -inf is not finite"),
+    ([0.0], [1], [1.0], "column i is not a column of integers"),
+    ([0], [True], [1.0], "column j is not a column of integers"),
+    ([0], [1], ["1.0"], "column miles is not a column of numbers"),
+    ([[0]], [1], [1.0], "column i is not a column of integers"),
+])
+def test_malformed_edge_columns_are_named(i, j, miles, message):
+    nodes = [site("a"), site("b"), site("c")]
+    with pytest.raises(DataError, match=message):
+        _assemble_graph(nodes, i, j, miles, 40.0, "gaussian", 20.0)
+
+
+def test_edge_columns_in_any_order_assemble_sorted():
+    nodes = [site("a"), site("b"), site("c")]
+    g = _assemble_graph(nodes, [1, 0, 0], [2, 2, 1], [3.0, 2.0, 1.0], 40.0, "raw", 20.0)
+    assert g.edges == ((0, 1, 1.0), (0, 2, 2.0), (1, 2, 3.0))
+    assert g.weights.tolist() == [1.0, 2.0, 3.0] and g.ends.dtype == np.int64
 
 
 # ----------------------------------------------------- decompose_regional

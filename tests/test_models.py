@@ -3,6 +3,7 @@
 import copy
 import hashlib
 import json
+import re
 import struct
 import tracemalloc
 import warnings
@@ -965,6 +966,87 @@ def test_graphs_rebuild_without_an_n_by_n_array():
     assert peak < n * n * 8, f"rebuilding peaked at {peak} bytes"
 
 
+def same_graph(got, want):
+    """Equal edges, weights bit for bit, degrees and nodes."""
+    assert got.edges == want.edges and got.nodes == want.nodes
+    assert got.weights.tobytes() == want.weights.tobytes()
+    np.testing.assert_array_equal(got.degrees, want.degrees)
+
+
+def same_partition(got, want):
+    assert (got.strategy, got.region_order) == (want.strategy, want.region_order)
+    assert dict(got.region_of) == dict(want.region_of)
+    for label in want.region_order:
+        np.testing.assert_array_equal(got.node_indices[label], want.node_indices[label])
+        same_graph(got.subgraphs[label], want.subgraphs[label])
+    assert (got.pairs is None) == (want.pairs is None)
+    if want.pairs is not None:
+        for a, b in zip(got.pairs, want.pairs):
+            assert a.tobytes() == b.tobytes()
+
+
+@st.composite
+def stored_graphs(draw):
+    """A graph on up to 10 sites of a 9 x 9 lattice 0.1 degrees apart (some
+    sites share a position), and a regional or random partition of it."""
+    n = draw(st.integers(1, 10))
+    cells = draw(st.lists(st.tuples(st.integers(0, 8), st.integers(0, 8)),
+                          min_size=n, max_size=n))
+    regions = draw(st.lists(st.sampled_from("ABC"), min_size=n, max_size=n))
+    sites = [site(f"s{i}", region, lat=43.0 + 0.1 * a, lon=-89.0 + 0.1 * b)
+             for i, ((a, b), region) in enumerate(zip(cells, regions))]
+    kernel = draw(st.sampled_from(["gaussian", "binary", "raw"]))
+    g = build_connected(sites, adjacency_weights=kernel,
+                        threshold_miles=draw(st.sampled_from([20.0, 40.0, 80.0])),
+                        sigma_miles=draw(st.sampled_from([0.5, 20.0])))
+    if draw(st.booleans()):
+        return g, decompose_regional(g)
+    return g, decompose_random(g, draw(st.integers(1, n)), draw(st.integers(0, 99)))
+
+
+@settings(max_examples=100, deadline=None)
+@given(built=stored_graphs())
+def test_graphs_and_partitions_load_as_they_were_built(tmp_path_factory, built):
+    g, part = built
+    loaded = reloaded(g, part)
+    same_graph(loaded[0], g)
+    same_partition(loaded[1], part)
+
+    if part.strategy == "regional":
+        spec = ModelSpec("RegTGCN", 2, 2, (1,), "regional", seed=1)
+    else:
+        spec = ModelSpec("RanTGCN", 2, 2, (1,), "random",
+                         region_count=len(part.region_order), seed=1)
+    path = tmp_path_factory.mktemp("round_trip") / "model.ckpt"
+    save_checkpoint(path, build_model(spec, g, part), np.zeros(8), np.ones(8), [1])
+    bundle = load_checkpoint(path)
+    same_graph(bundle.graph, g)
+    same_partition(bundle.partition, part)
+
+
+def test_a_checkpoint_stores_edge_columns_after_its_header(tmp_path):
+    g = two_region_graph()
+    part = decompose_random(g, r=2, seed=3)
+    spec = ModelSpec("RanTGCN", 2, 2, (1,), "random", region_count=2, seed=1)
+    path = tmp_path / "model.ckpt"
+    model = build_model(spec, g, part)
+    save_checkpoint(path, model, np.zeros(8), np.ones(8), [1])
+    raw = path.read_bytes()
+    (length,) = struct.unpack_from("<Q", raw, 8)
+    header = json.loads(raw[16:16 + length])
+    assert header["format_version"] == 2
+    assert header["graph"]["edges"] == {"i": 2, "j": 2, "miles": 2}
+    count = len(part.pairs[1])
+    assert header["partition"]["pairs"] == {"i": count, "j": count, "miles": count}
+    assert set(header["partition"]) == {"strategy", "region_of", "pairs"}
+    body = np.frombuffer(raw, "<i8", 4, 16 + length)
+    assert body.tolist() == [0, 2, 1, 3]  # the i column, then the j column
+    miles = np.frombuffer(raw, "<f8", 2, 16 + length + 32)
+    assert miles.tolist() == [10.0, 15.0]
+    weights = sum(p.values.size for p in model.params())
+    assert len(raw) == 16 + length + 8 * (3 * 2 + 3 * count + weights)
+
+
 def held_arrays(value):
     """Every array reachable from ``value`` through tensors, tuples, lists and dicts."""
     if isinstance(value, DiffTensor):
@@ -1159,7 +1241,7 @@ def _rewrite_header(path, edit):
 @pytest.mark.parametrize("edit", [
     lambda h: h.pop("hyperparams"),
     lambda h: h["graph"]["sites"][0].pop(),
-    lambda h: h["partition"]["subgraph_edges"]["WI"].clear(),
+    lambda h: h["graph"]["edges"].update(j=h["graph"]["edges"]["j"] - 1),
     lambda h: h["partition"]["region_of"].update(ghost="WI"),
     lambda h: h["graph"].update(sigma_miles=0.0),
     lambda h: h["graph"].update(threshold_miles="x"),
@@ -1188,26 +1270,35 @@ def test_checkpoint_malformed_header_is_data_error(tmp_path, edit):
 
 
 def test_random_partition_sub_edge_edits_are_rejected_on_load():
-    # 8 sites close enough that every pair is a graph edge
-    sites = [site(f"s{i}", lat=43.0 + 0.01 * i, lon=-89.0 + 0.013 * (i % 3)) for i in range(8)]
+    # 8 sites 13.8 miles apart in a line: pairs 3 or more apart are not graph edges
+    sites = [site(f"s{i}", lat=43.0 + 0.2 * i) for i in range(8)]
     g = build_connected(sites)
-    assert len(g.edges) == 28
+    assert len(g.edges) == 7 + 6
     doc = json.loads(json.dumps({"graph": graph_payload(g),
                                  "partition": partition_payload(decompose_random(g, r=2,
                                                                                  seed=1))}))
     _, part = read_graph_document(copy.deepcopy(doc), "graph file")
     assert part.strategy == "random" and len(part.region_order) == 2
+    pairs = doc["partition"]["pairs"]
+    assert len(pairs["i"]) >= 2
+    first = re.escape(f"({sites[pairs['i'][0]].site_id}, {sites[pairs['j'][0]].site_id})")
 
-    dropped = copy.deepcopy(doc)
-    a, b, _ = dropped["partition"]["subgraph_edges"]["group_0"].pop(2)
-    with pytest.raises(DataError, match=rf"group_0 pair \({a}, {b}\)"):
-        read_graph_document(dropped, "graph file")
+    def edited(edit):
+        changed = copy.deepcopy(doc)
+        edit(changed["partition"]["pairs"])
+        return changed
 
-    altered = copy.deepcopy(doc)
-    edge = altered["partition"]["subgraph_edges"]["group_1"][0]
-    edge[2] += 5.0
-    with pytest.raises(DataError, match=rf"group_1 pair \({edge[0]}, {edge[1]}\)"):
-        read_graph_document(altered, "graph file")
+    for edit, message in [
+        (lambda c: [c[k].pop(0) for k in c], f"stored pair 0 is .* where the labels give {first}"),
+        (lambda c: [c[k].append(c[k][0]) for k in c], f"is {first}, where the labels give none"),
+        (lambda c: [c[k].append(v) for k, v in zip(c, g.edges[0])],
+         r"is \(s0, s1\), where the labels give none"),
+        (lambda c: c["j"].__setitem__(0, c["i"][0] + 1), f"where the labels give {first}"),
+        (lambda c: c["miles"].__setitem__(0, float("inf")), "miles inf is not finite"),
+        (lambda c: c["miles"].pop(), "columns i, j and miles of unequal lengths"),
+    ]:
+        with pytest.raises(DataError, match=message):
+            read_graph_document(edited(edit), "graph file")
 
 
 def test_checkpoint_random_partition_round_trip(tmp_path):
