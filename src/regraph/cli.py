@@ -23,8 +23,6 @@ from regraph.config import (
     synth_config_from,
 )
 from regraph.data import (
-    GRID_STEP_MIN,
-    MAX_GAP_STEPS,
     generate_synthetic,
     interpolate_to_grid,
     load_records,
@@ -104,11 +102,12 @@ def _check_sites(data_dir: Path, nodes) -> None:
                 f"and the graph")
 
 
-def _grid_for_nodes(data_dir: Path, nodes, grid_step_min: int, max_gap: int):
-    """Build the feature grid with sites ordered like the model's node list."""
+def _grid_for_nodes(data_dir: Path, nodes, spec):
+    """The feature grid the model of ``spec`` reads, with sites ordered like
+    its node list."""
     _check_sites(data_dir, nodes)
     records = load_records(data_dir / "records.csv")
-    return interpolate_to_grid(records, list(nodes), grid_step_min, max_gap)
+    return interpolate_to_grid(records, list(nodes), spec.grid_step_min, spec.max_gap_steps)
 
 
 # ---------------------------------------------------------------- commands
@@ -146,8 +145,8 @@ def _cmd_build_graph(args) -> int:
     return 0
 
 
-def _split_from_config(data_cfg: dict, grid, k: int, horizons):
-    samples = make_windows(grid, k, tuple(horizons), data_cfg["grid_step_min"])
+def _split_from_config(data_cfg: dict, grid, spec):
+    samples = make_windows(grid, spec.k, spec.horizons, spec.grid_step_min)
     return split_by_weeks(samples, data_cfg["train_weeks"],
                           data_cfg["test_weeks"], data_cfg["generality_weeks"])
 
@@ -156,16 +155,13 @@ def _cmd_train(args) -> int:
     started = _now()
     resolved = load_config(args.config)
     graph, partition = _read_graph_file(Path(args.graph))
-    data_cfg = resolved["data"]
-    grid = _grid_for_nodes(Path(args.data), graph.nodes,
-                           data_cfg["grid_step_min"],
-                           data_cfg["max_gap_steps"])
-    train_samples, _, _ = _split_from_config(data_cfg, grid, data_cfg["k"], data_cfg["horizons"])
+    region_count = None if partition is None else len(partition.region_order)
+    spec = model_spec_from(resolved, region_count=region_count)
+    grid = _grid_for_nodes(Path(args.data), graph.nodes, spec)
+    train_samples, _, _ = _split_from_config(resolved["data"], grid, spec)
     if not train_samples:
         raise DataError("no training samples fall inside train_weeks")
 
-    region_count = None if partition is None else len(partition.region_order)
-    spec = model_spec_from(resolved, region_count=region_count)
     if spec.connectivity == "connected":
         partition = None  # connected models ignore any stored partition
     model = build_model(spec, graph, partition)
@@ -195,13 +191,12 @@ def _restore(path: Path):
 def _cmd_predict(args) -> int:
     model, bundle = _restore(Path(args.checkpoint))
     spec = bundle.spec
-    grid = _grid_for_nodes(Path(args.data), bundle.graph.nodes,
-                           args.grid_step_min, args.max_gap_steps)
-    samples = make_windows(grid, spec.k, spec.horizons, args.grid_step_min)
+    grid = _grid_for_nodes(Path(args.data), bundle.graph.nodes, spec)
+    samples = make_windows(grid, spec.k, spec.horizons, spec.grid_step_min)
     preds, _ = predict_samples(model, samples, bundle.scaling_lo,
                                bundle.scaling_hi)
     header = ["site_id", "anchor_time"] + [
-        f"pred_h{h * args.grid_step_min}" for h in spec.horizons]
+        f"pred_h{h * spec.grid_step_min}" for h in spec.horizons]
     lines = [",".join(header)]
     site_ids = [n.site_id for n in bundle.graph.nodes]
     for s_idx, sample in enumerate(samples):
@@ -218,8 +213,7 @@ def _run_name(run_dir: Path) -> str:
 
 
 # The sections and keys of a run's config echo that evaluate reads.
-_RUN_KEYS = {"data": ("grid_step_min", "max_gap_steps", "train_weeks", "test_weeks",
-                      "generality_weeks"),
+_RUN_KEYS = {"data": ("train_weeks", "test_weeks", "generality_weeks"),
              "train": ("seed", "val_fraction")}
 
 
@@ -256,30 +250,27 @@ def _cmd_evaluate(args) -> int:
             continue
         data_dir, resolved, val_reported = _read_run(run)
         model, bundle = _restore(ckpt_path)
-        data_cfg = resolved["data"]
-        key = (data_dir.resolve(), bundle.graph.nodes, data_cfg["grid_step_min"],
-               data_cfg["max_gap_steps"])
+        spec = bundle.spec
+        key = (data_dir.resolve(), bundle.graph.nodes, spec.grid_step_min, spec.max_gap_steps)
         if key == grid_key:
             _check_sites(data_dir, bundle.graph.nodes)
         else:
-            grid, grid_key = _grid_for_nodes(data_dir, *key[1:]), key
-        # the checkpoint's model fixes the window length and horizons
-        train_s, test_s, gen_s = _split_from_config(data_cfg, grid, bundle.spec.k,
-                                                    bundle.spec.horizons)
+            grid, grid_key = _grid_for_nodes(data_dir, bundle.graph.nodes, spec), key
+        # the checkpoint's model fixes the grid, the window length and horizons
+        train_s, test_s, gen_s = _split_from_config(resolved["data"], grid, spec)
         if not test_s:
             raise DataError(f"run {run}: no samples fall inside test_weeks")
 
         seed = resolved["train"]["seed"]
         report = evaluate_model(model, test_s, bundle.scaling_lo,
-                                bundle.scaling_hi, data_cfg["grid_step_min"])
-        rows += metric_rows(bundle.spec.architecture, bundle.spec.connectivity,
-                            seed, report)
+                                bundle.scaling_hi, spec.grid_step_min)
+        rows += metric_rows(spec.architecture, spec.connectivity, seed, report)
 
         write_timeseries(out / f"timeseries_{name}.csv", test_s, report.predictions,
-                         report.site_ids, data_cfg["grid_step_min"])
+                         report.site_ids, spec.grid_step_min)
 
-        summary = {"status": "ok", "architecture": bundle.spec.architecture,
-                   "connectivity": bundle.spec.connectivity, "seed": seed,
+        summary = {"status": "ok", "architecture": spec.architecture,
+                   "connectivity": spec.connectivity, "seed": seed,
                    "test_samples": len(test_s)}
         if val_reported is not None:
             _, val_raw = split_validation(
@@ -290,8 +281,7 @@ def _cmd_evaluate(args) -> int:
                 summary["val_rmse_check"] = check
                 summary["val_rmse_reported"] = val_reported
         if gen_s:
-            gen_report = generality_inference(model, bundle, gen_s,
-                                              data_cfg["grid_step_min"])
+            gen_report = generality_inference(model, bundle, gen_s)
             summary["generality"] = {
                 str(gen_report.horizon_minutes(h)): gen_report.metrics[h].as_row()
                 for h in gen_report.horizons}
@@ -380,8 +370,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--checkpoint", required=True)
     p.add_argument("--data", required=True)
     p.add_argument("--out", required=True)
-    p.add_argument("--grid-step-min", type=int, default=GRID_STEP_MIN)
-    p.add_argument("--max-gap-steps", type=int, default=MAX_GAP_STEPS)
     p.set_defaults(handler=_cmd_predict)
 
     p = sub.add_parser("evaluate", help="metrics and comparison over run dirs")

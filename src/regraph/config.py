@@ -170,14 +170,17 @@ def model_spec_from(resolved: dict, region_count=None) -> ModelSpec:
     m = resolved["model"]
     architecture = m["architecture"]
     connectivity = CONNECTIVITY_OF.get(architecture)
+    data = resolved["data"]
     return ModelSpec(
         architecture=architecture,
         hidden=resolve_hidden(architecture, m["hidden"]),
-        k=resolved["data"]["k"],
-        horizons=tuple(resolved["data"]["horizons"]),
+        k=data["k"],
+        horizons=tuple(data["horizons"]),
         connectivity=connectivity,
         region_count=region_count if connectivity == "random" else None,
-        seed=m["seed"])
+        seed=m["seed"],
+        grid_step_min=data["grid_step_min"],
+        max_gap_steps=data["max_gap_steps"])
 
 
 def _dataclass_from(cls, section: dict, **given):

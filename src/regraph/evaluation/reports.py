@@ -91,13 +91,13 @@ def evaluate_model(model, samples, scaling_lo, scaling_hi,
                       site_ids=site_ids, n_samples=len(samples), predictions=preds)
 
 
-def generality_inference(model, bundle, samples, grid_step_min: int = GRID_STEP_MIN) -> EvalReport:
+def generality_inference(model, bundle, samples) -> EvalReport:
     """Evaluate a trained checkpoint's model on weeks it has never seen.
 
-    ``model`` is restored from ``bundle``, which gives the training weeks and
-    the scaling. Refuses to run when any sample touches a training week,
-    since that would silently turn a transfer experiment into a recall
-    experiment.
+    ``model`` is restored from ``bundle``, which gives the training weeks,
+    the scaling and the grid step. Refuses to run when any sample touches a
+    training week, since that would silently turn a transfer experiment
+    into a recall experiment.
     """
     trained = set(bundle.train_weeks)
     touched = sorted({week_label(w) for s in samples for w in s.weeks})
@@ -106,7 +106,7 @@ def generality_inference(model, bundle, samples, grid_step_min: int = GRID_STEP_
         raise ConfigError(
             f"held-out weeks overlap training weeks: {', '.join(overlap)}")
     return evaluate_model(model, samples, bundle.scaling_lo,
-                          bundle.scaling_hi, grid_step_min)
+                          bundle.scaling_hi, bundle.spec.grid_step_min)
 
 
 def metric_rows(model_name: str, connectivity: str, seed: int,

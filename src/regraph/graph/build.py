@@ -45,6 +45,7 @@ SITES_HEADER = ["site_id", "region", "lat", "lon", "travel_time_min",
                 "owner", "amenities", "capacity"]
 
 ADJACENCY_KERNELS = ("gaussian", "binary", "raw")
+KERNEL_BLOCK = 1 << 15  # edges whose gaussian arguments are Python floats at once
 
 
 @dataclass(frozen=True)
@@ -116,9 +117,14 @@ def load_sites(path: str | Path) -> list[SiteMeta]:
 def _kernel_weights(miles: np.ndarray, kind: str, sigma: float) -> np.ndarray:
     """Each distance's kernel weight, a new array. The gaussian argument is
     Python's ``-((m / sigma) ** 2)`` per distance, as NumPy's square rounds
-    some 1 ulp apart from ``** 2``; one ``np.exp`` then gives the scalar bits."""
+    some 1 ulp apart from ``** 2``, taken ``KERNEL_BLOCK`` edges at a time;
+    one ``np.exp`` per block then gives the scalar bits."""
     if kind == "gaussian":
-        return np.exp(np.array([-((m / sigma) ** 2) for m in miles.tolist()], dtype=np.float64))
+        out = np.empty(len(miles))
+        for start in range(0, len(miles), KERNEL_BLOCK):
+            block = slice(start, start + KERNEL_BLOCK)
+            np.exp([-((m / sigma) ** 2) for m in miles[block].tolist()], out=out[block])
+        return out
     if kind == "binary":
         return np.ones(len(miles))
     if kind == "raw":

@@ -44,7 +44,7 @@ from typing import Callable
 
 import numpy as np
 
-from ..data.frames import FEATURE_COLUMNS
+from ..data.frames import FEATURE_COLUMNS, GRID_STEP_MIN, MAX_GAP_STEPS
 from ..errors import ConfigError, ShapeError
 from ..graph.build import (RegionalPartition, SiteGraph, dense_operator, neighbor_lists,
                            neighbor_sum)
@@ -93,6 +93,8 @@ class ModelSpec:
     connectivity: str
     region_count: int | None = None
     seed: int = 0
+    grid_step_min: int = GRID_STEP_MIN  # the grid whose steps k and horizons count
+    max_gap_steps: int = MAX_GAP_STEPS
 
     def __post_init__(self):
         if self.architecture not in ARCHITECTURES:
@@ -104,6 +106,10 @@ class ModelSpec:
             raise ConfigError(f"window length k must be >= 1, got {self.k}")
         if self.seed < 0:
             raise ConfigError(f"model seed must be >= 0, got {self.seed}")
+        if self.grid_step_min < 1:
+            raise ConfigError(f"grid_step_min must be >= 1, got {self.grid_step_min}")
+        if self.max_gap_steps < 0:
+            raise ConfigError(f"max_gap_steps must be >= 0, got {self.max_gap_steps}")
         horizons = tuple(self.horizons)
         if not horizons or any(h < 1 for h in horizons):
             raise ConfigError(f"horizons must be positive steps, got {horizons}")

@@ -8,10 +8,9 @@ order). The header holds the model's ``ModelSpec`` (its architecture, and
 exactly its other fields under ``hyperparams``), feature-scaling
 constants, the training week set, the graph (sites, kernel, and each edge
 column's length) and the partition as a graph file stores it, with column
-lengths for columns. The grid step and max gap the model was trained on
-are not stored: a caller that grids new records must pass the training
-config's values. No timestamps, so identical training runs write
-identical bytes.
+lengths for columns. The spec's fields include the grid step and max gap
+the model was trained on, so a reader grids new records as training did.
+No timestamps, so identical training runs write identical bytes.
 """
 
 from __future__ import annotations
@@ -41,7 +40,7 @@ __all__ = ["CheckpointBundle", "FORMAT_VERSION", "load_checkpoint", "restore_mod
            "save_checkpoint"]
 
 MAGIC = b"RGCKPT01"
-FORMAT_VERSION = 2
+FORMAT_VERSION = 3
 # the header stores the architecture on its own and ModelSpec's other fields here
 _HYPERPARAMS = sorted(f.name for f in fields(ModelSpec) if f.name != "architecture")
 # Edge and pair columns, in stored order, with their binary dtypes.
@@ -86,7 +85,7 @@ def _stored_columns(d: dict, column: Column) -> list:
     """The i, j and miles columns of a stored entry, read in stored order."""
     if not isinstance(d, dict):  # format 1 listed (i, j, miles) triples
         raise DataError(f"stored edges are a {type(d).__name__}, not the columns i, j and "
-                        f"miles of format {FORMAT_VERSION}")
+                        "miles of format 2")  # format 2 made the edges columns
     return [column(d[name], name) if column else d[name] for name in _COLUMNS]
 
 

@@ -5,10 +5,12 @@ import gc
 import json
 import math
 import re
+import shlex
 import shutil
 import struct
 import warnings
 import weakref
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -25,12 +27,12 @@ from regraph.config import (
     synth_config_from,
     train_config_from,
 )
-from regraph.data import SyntheticConfig
+from regraph.data import SyntheticConfig, interpolate_to_grid, load_records, make_windows
 from regraph.errors import ConfigError
 from regraph.graph import build_connected, decompose_random, decompose_regional, load_sites
-from regraph.evaluation import reports
+from regraph.evaluation import predict_samples, reports
 from regraph.models import (ARCHITECTURES, ModelSpec, build_model, load_checkpoint,
-                            save_checkpoint)
+                            restore_model, save_checkpoint)
 from regraph.models.architectures import CONNECTIVITY_OF
 from regraph.models.checkpoint import graph_from_payload
 from regraph.training import TrainConfig
@@ -52,6 +54,33 @@ def write_config(path, **overrides):
                 cfg[section][key] = value
     path.write_text(json.dumps(cfg, indent=2))
     return path
+
+
+# ------------------------------------------------------------ quick start
+
+def quick_start():
+    """The config and the ``regraph`` command lines of README's Quick start block."""
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    block = re.search(r"## Quick start\n.*?```sh\n(.*?)```", readme, re.S).group(1)
+    config, commands = re.fullmatch(r"cat > config\.json << 'JSON'\n(.*?)\nJSON\n(.*)",
+                                    block, re.S).groups()
+    return json.loads(config), [shlex.split(line) for line in commands.splitlines() if line]
+
+
+def test_the_readme_quick_start_runs(tmp_path, monkeypatch):
+    config, commands = quick_start()
+    config["train"]["epochs"] = 1
+    config["model"]["hidden"] = 8
+    monkeypatch.chdir(tmp_path)
+    (tmp_path / "config.json").write_text(json.dumps(config))
+    assert [argv[:2] for argv in commands] == [
+        ["regraph", name] for name in ("synth", "build-graph", "train", "predict", "evaluate",
+                                        "analyze-graph")]
+    for argv in commands:
+        assert main(argv[1:]) == 0, argv
+    assert (tmp_path / "preds.csv").read_text().startswith(
+        "site_id,anchor_time,pred_h10,pred_h30,pred_h120,pred_h360\n")
+    assert (tmp_path / "eval" / "metrics.csv").exists()
 
 
 # ----------------------------------------------------------------- config
@@ -669,7 +698,21 @@ def test_a_format_1_checkpoint_exits_2_naming_its_version(tmp_path, capsys, stor
     old.write_bytes(raw[:8] + struct.pack("<Q", len(blob)) + blob + raw[16 + length:])
     assert main(["predict", "--checkpoint", str(old), "--data", str(tmp_path),
                  "--out", str(tmp_path / "p.csv")]) == 2
-    assert "unsupported checkpoint format 1; this version reads format 2" in \
+    assert "unsupported checkpoint format 1; this version reads format 3" in \
+        capsys.readouterr().err
+
+
+def test_a_format_2_checkpoint_exits_2_naming_format_3(tmp_path, capsys, stored_random_graph):
+    # format 2 stored no grid: its hyperparams lack the grid step and max gap
+    _, ckpt = stored_random_graph
+    header, weights = read_checkpoint_columns(ckpt)
+    header["format_version"] = 2
+    del header["hyperparams"]["grid_step_min"], header["hyperparams"]["max_gap_steps"]
+    old = tmp_path / "old.ckpt"
+    write_checkpoint_columns(old, header, weights)
+    assert main(["predict", "--checkpoint", str(old), "--data", str(tmp_path),
+                 "--out", str(tmp_path / "p.csv")]) == 2
+    assert "unsupported checkpoint format 2; this version reads format 3" in \
         capsys.readouterr().err
 
 
@@ -1019,6 +1062,76 @@ def test_evaluate_takes_window_length_and_horizons_from_the_checkpoint(pipeline,
         assert main(["evaluate", "--runs", str(source), "--out", str(out)]) == 0
         outputs.append((out / "metrics.csv").read_bytes())
     assert outputs[0] == outputs[1]
+
+
+@pytest.fixture(scope="module")
+def five_minute_run(pipeline, tmp_path_factory):
+    """A run trained on a 5-minute grid that fills gaps of up to 2 steps, over
+    the pipeline's 10-minute records less one test-week time, which leaves a
+    3-step gap."""
+    root = tmp_path_factory.mktemp("five_minute")
+    data = root / "data"
+    shutil.copytree(pipeline["data"], data)
+    lines = (data / "records.csv").read_text().splitlines(keepends=True)
+    (data / "records.csv").write_text(
+        "".join(line for line in lines if ",2024-01-10T12:10:00," not in line))
+    cfg = write_config(root / "cfg.json",
+                       data={**PIPELINE_DATA, "grid_step_min": 5, "max_gap_steps": 2,
+                             "synth": {**BASE_SYNTH, "days": 21}},
+                       model=PIPELINE_MODEL, train={**PIPELINE_TRAIN, "epochs": 1})
+    run = root / "run"
+    assert main(["train", "--config", str(cfg), "--data", str(data),
+                 "--graph", str(pipeline["graph"]), "--out", str(run)]) == 0
+    return {"data": data, "run": run}
+
+
+def test_predict_grids_as_the_checkpoint_was_trained(five_minute_run, tmp_path):
+    data, ckpt = five_minute_run["data"], five_minute_run["run"] / "checkpoint_best.ckpt"
+    out = tmp_path / "preds.csv"
+    assert main(["predict", "--checkpoint", str(ckpt), "--data", str(data),
+                 "--out", str(out)]) == 0
+    bundle = load_checkpoint(ckpt)
+    records = load_records(data / "records.csv")
+    grid = interpolate_to_grid(records, list(bundle.graph.nodes), 5, 2)
+    samples = make_windows(grid, 4, (1, 3), 5)
+    # the 3-step gap drops windows that the default gap policy would fill
+    assert len(samples) < len(make_windows(
+        interpolate_to_grid(records, list(bundle.graph.nodes), 5, 6), 4, (1, 3), 5))
+    preds, _ = predict_samples(restore_model(bundle), samples, bundle.scaling_lo,
+                               bundle.scaling_hi)
+    header, *rows = out.read_text().splitlines()
+    assert header == "site_id,anchor_time,pred_h5,pred_h15"
+    assert len(rows) == preds.shape[0] * preds.shape[1]
+    for row, (s_idx, i) in zip(rows, np.ndindex(preds.shape[:2])):
+        site_id, anchor, *values = row.split(",")
+        assert (site_id, anchor) == (bundle.graph.nodes[i].site_id,
+                                     samples[s_idx].anchor_time.isoformat())
+        assert [float(v) for v in values] == preds[s_idx, i].tolist()
+
+
+def test_evaluate_takes_the_grid_from_the_checkpoint(five_minute_run, tmp_path):
+    # the config echo's grid keys are not read
+    run = tmp_path / "run"
+    shutil.copytree(five_minute_run["run"], run)
+    echo = json.loads((run / "resolved_config.json").read_text())
+    echo["config"]["data"].update(grid_step_min=10, max_gap_steps=6)
+    (run / "resolved_config.json").write_text(json.dumps(echo))
+    outputs = []
+    for source in (five_minute_run["run"], run):
+        out = tmp_path / f"out_{len(outputs)}"
+        assert main(["evaluate", "--runs", str(source), "--out", str(out)]) == 0
+        outputs.append((out / "metrics.csv").read_bytes())
+    assert outputs[0] == outputs[1]
+    assert [line.split(",")[2] for line in outputs[0].decode().splitlines()[1:]] == ["5", "15"]
+
+
+def test_predict_has_no_grid_flags(pipeline, tmp_path, capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(["predict", "--checkpoint", str(pipeline["run"] / "checkpoint_best.ckpt"),
+              "--data", str(pipeline["data"]), "--out", str(tmp_path / "p.csv"),
+              "--grid-step-min", "10"])
+    assert exc.value.code == 2
+    assert "unrecognized arguments: --grid-step-min 10" in capsys.readouterr().err
 
 
 def test_evaluate_skips_missing_run(pipeline, capsys):

@@ -28,7 +28,7 @@ from regraph.graph import (
     load_sites,
     overlap_cost,
 )
-from regraph.graph.build import _assemble_graph, _kernel_weights
+from regraph.graph.build import KERNEL_BLOCK, _assemble_graph, _kernel_weights
 
 
 def site(site_id, region="WI", lat=43.0, lon=-89.0, capacity=50):
@@ -268,6 +268,22 @@ def test_kernel_weight_columns_match_where_numpy_squares_differently():
     assert np.any(np.square(m / 20.0) != np.array([(x / 20.0) ** 2 for x in m.tolist()]))
     want = np.array([scalar_kernel_weight(x, "gaussian", 20.0) for x in m.tolist()])
     assert _kernel_weights(m, "gaussian", 20.0).tobytes() == want.tobytes()
+
+
+def test_gaussian_weights_hold_one_block_of_python_floats_at_a_time():
+    import tracemalloc
+    m = np.random.default_rng(5).uniform(0.0, 40.0, 1_000_000)
+    tracemalloc.start()
+    try:
+        weights = _kernel_weights(m, "gaussian", 20.0)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    # the weights, and one block's list of miles, list of arguments and
+    # argument array; the whole column as Python floats took about 64 MB
+    assert peak < weights.nbytes + 100 * KERNEL_BLOCK
+    whole = np.exp(np.array([-((x / 20.0) ** 2) for x in m.tolist()]))
+    assert weights.tobytes() == whole.tobytes()
 
 
 @pytest.mark.parametrize("i, j, miles, message", [

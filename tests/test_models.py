@@ -349,6 +349,14 @@ def test_model_spec_connectivity_consistency():
         ModelSpec("Transformer", 8, 3, (1,), "connected")
 
 
+def test_model_spec_bounds_its_grid():
+    ModelSpec("TGCN", 8, 3, (1,), "connected", grid_step_min=1, max_gap_steps=0)
+    with pytest.raises(ConfigError, match="grid_step_min must be >= 1, got 0"):
+        ModelSpec("TGCN", 8, 3, (1,), "connected", grid_step_min=0)
+    with pytest.raises(ConfigError, match="max_gap_steps must be >= 0, got -1"):
+        ModelSpec("TGCN", 8, 3, (1,), "connected", max_gap_steps=-1)
+
+
 def window(k, n, seed=0):
     return RNG(seed).uniform(0.0, 1.0, size=(k, n, 8))
 
@@ -1034,7 +1042,7 @@ def test_a_checkpoint_stores_edge_columns_after_its_header(tmp_path):
     raw = path.read_bytes()
     (length,) = struct.unpack_from("<Q", raw, 8)
     header = json.loads(raw[16:16 + length])
-    assert header["format_version"] == 2
+    assert header["format_version"] == 3
     assert header["graph"]["edges"] == {"i": 2, "j": 2, "miles": 2}
     count = len(part.pairs[1])
     assert header["partition"]["pairs"] == {"i": count, "j": count, "miles": count}
@@ -1087,7 +1095,8 @@ def test_only_dense_operator_models_hold_an_n_by_n_array():
 def test_checkpoint_round_trip(tmp_path):
     g = two_region_graph()
     part = decompose_regional(g)
-    spec = ModelSpec("RegTGCN", 6, 4, (1, 3), "regional", seed=11)
+    spec = ModelSpec("RegTGCN", 6, 4, (1, 3), "regional", seed=11, grid_step_min=5,
+                     max_gap_steps=2)
     model = build_model(spec, g, part)
     lo, hi = np.zeros(8), np.ones(8)
     hi[2] = 23.0

@@ -387,6 +387,19 @@ def test_one_lag_models_train_with_a_zero_gradient_for_the_reset_gate(tmp_path, 
         np.testing.assert_array_equal(p.values, values)
 
 
+def test_train_refuses_windows_of_another_grid_step_naming_both(tmp_path):
+    data = tmp_path / "data"
+    generate_synthetic(SyntheticConfig(n_sites=3, n_regions=1, days=1, seed=2), data)
+    g = build_connected(load_sites(data / "sites.csv"))
+    grid = interpolate_to_grid(load_records(data / "records.csv"), g.nodes, 10, 6)
+    windows = make_windows(grid, 3, (1,), 10)[:4]
+    model = build_model(ModelSpec("TGCN", 4, 3, (1,), "connected", grid_step_min=5), g)
+    with pytest.raises(ConfigError, match="model reads a 5-minute grid, "
+                                          "samples carry 10-minute steps"):
+        train(model, windows, TrainConfig(epochs=1, horizons=(1,)), tmp_path / "run")
+    assert not (tmp_path / "run").exists()
+
+
 def test_default_weight_decay_trains_with_a_constant_input_column(tmp_path):
     # One train week makes the week-id column constant, so its weights get a
     # zero gradient and only the weight decay moves them.
