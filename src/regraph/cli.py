@@ -74,14 +74,7 @@ def _echo_config(out_dir: Path, resolved: dict, args: dict) -> None:
 
 
 def _read_graph_file(path: Path):
-    doc = read_json(path, "graph file")
-    if "strategy" not in doc:
-        raise DataError(f"graph file {path} is missing the 'strategy' entry")
-    graph, partition = read_graph_document(doc, f"graph file {path}")
-    if doc["strategy"] != ("connected" if partition is None else partition.strategy):
-        raise DataError(f"graph file {path}: strategy {doc['strategy']!r} does not match "
-                        f"its partition")
-    return graph, partition
+    return read_graph_document(read_json(path, "graph file"), f"graph file {path}")
 
 
 def _check_sites(data_dir: Path, nodes) -> None:
@@ -136,12 +129,10 @@ def _cmd_build_graph(args) -> int:
         if args.regions is None:
             raise ConfigError("--regions is required for the random strategy")
         partition = decompose_random(graph, r=args.regions, seed=args.seed, provider=provider)
-    doc = {
-        "strategy": args.strategy,
+    write_json(args.out, {
         "graph": graph_payload(graph),
         "partition": None if partition is None else partition_payload(partition),
-    }
-    write_json(args.out, doc)
+    })
     return 0
 
 
@@ -155,8 +146,7 @@ def _cmd_train(args) -> int:
     started = _now()
     resolved = load_config(args.config)
     graph, partition = _read_graph_file(Path(args.graph))
-    region_count = None if partition is None else len(partition.region_order)
-    spec = model_spec_from(resolved, region_count=region_count)
+    spec = model_spec_from(resolved)
     grid = _grid_for_nodes(Path(args.data), graph.nodes, spec)
     train_samples, _, _ = _split_from_config(resolved["data"], grid, spec)
     if not train_samples:
@@ -262,12 +252,10 @@ def _cmd_evaluate(args) -> int:
             raise DataError(f"run {run}: no samples fall inside test_weeks")
 
         seed = resolved["train"]["seed"]
-        report = evaluate_model(model, test_s, bundle.scaling_lo,
-                                bundle.scaling_hi, spec.grid_step_min)
+        report = evaluate_model(model, test_s, bundle.scaling_lo, bundle.scaling_hi)
         rows += metric_rows(spec.architecture, spec.connectivity, seed, report)
 
-        write_timeseries(out / f"timeseries_{name}.csv", test_s, report.predictions,
-                         report.site_ids, spec.grid_step_min)
+        write_timeseries(out / f"timeseries_{name}.csv", test_s, report)
 
         summary = {"status": "ok", "architecture": spec.architecture,
                    "connectivity": spec.connectivity, "seed": seed,

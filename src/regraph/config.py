@@ -166,18 +166,16 @@ def resolve_hidden(architecture: str, hidden) -> int:
     return 512 if architecture == "TGCN" else 256
 
 
-def model_spec_from(resolved: dict, region_count=None) -> ModelSpec:
+def model_spec_from(resolved: dict) -> ModelSpec:
     m = resolved["model"]
     architecture = m["architecture"]
-    connectivity = CONNECTIVITY_OF.get(architecture)
     data = resolved["data"]
     return ModelSpec(
         architecture=architecture,
         hidden=resolve_hidden(architecture, m["hidden"]),
         k=data["k"],
         horizons=tuple(data["horizons"]),
-        connectivity=connectivity,
-        region_count=region_count if connectivity == "random" else None,
+        connectivity=CONNECTIVITY_OF.get(architecture),
         seed=m["seed"],
         grid_step_min=data["grid_step_min"],
         max_gap_steps=data["max_gap_steps"])

@@ -8,7 +8,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from regraph.data import GRID_STEP_MIN, apply_scaling, step_positions, week_label
+from regraph.data import apply_scaling, step_positions, week_label
 from regraph.errors import ConfigError, ShapeError
 from regraph.evaluation.metrics import MetricSet, compute_metrics, q95_table
 from regraph.files import write_json, write_lines
@@ -69,8 +69,16 @@ def predict_samples(model, samples, scaling_lo, scaling_hi):
 
 
 def evaluate_model(model, samples, scaling_lo, scaling_hi,
-                   grid_step_min: int = GRID_STEP_MIN) -> EvalReport:
-    """Frozen inference over the samples, metrics per horizon."""
+                   grid_step_min: int | None = None) -> EvalReport:
+    """Frozen inference over the samples, metrics per horizon.
+
+    Horizons are counted in steps of the model's grid; ``grid_step_min``,
+    when given, must be that step.
+    """
+    step = model.spec.grid_step_min
+    if grid_step_min is not None and grid_step_min != step:
+        raise ConfigError(f"evaluation asked for a {grid_step_min}-minute step, "
+                          f"but the model reads a {step}-minute grid")
     samples = list(samples)
     if not samples:
         raise ConfigError("evaluation requires at least one sample")
@@ -87,15 +95,15 @@ def evaluate_model(model, samples, scaling_lo, scaling_hi,
         metrics[h] = compute_metrics(preds[:, :, j].T, truths[:, :, j].T, q95)
     site_ids = tuple(s.site_id for s in model.ctx.graph.nodes)
     return EvalReport(horizons=tuple(model.spec.horizons),
-                      grid_step_min=grid_step_min, metrics=metrics, q95=q95,
+                      grid_step_min=step, metrics=metrics, q95=q95,
                       site_ids=site_ids, n_samples=len(samples), predictions=preds)
 
 
 def generality_inference(model, bundle, samples) -> EvalReport:
     """Evaluate a trained checkpoint's model on weeks it has never seen.
 
-    ``model`` is restored from ``bundle``, which gives the training weeks,
-    the scaling and the grid step. Refuses to run when any sample touches a
+    ``model`` is restored from ``bundle``, which gives the training weeks
+    and the scaling. Refuses to run when any sample touches a
     training week, since that would silently turn a transfer experiment
     into a recall experiment.
     """
@@ -105,8 +113,7 @@ def generality_inference(model, bundle, samples) -> EvalReport:
     if overlap:
         raise ConfigError(
             f"held-out weeks overlap training weeks: {', '.join(overlap)}")
-    return evaluate_model(model, samples, bundle.scaling_lo,
-                          bundle.scaling_hi, bundle.spec.grid_step_min)
+    return evaluate_model(model, samples, bundle.scaling_lo, bundle.scaling_hi)
 
 
 def metric_rows(model_name: str, connectivity: str, seed: int,
@@ -169,20 +176,20 @@ def write_comparison_json(path, rows, overlap_costs=None,
     write_json(path, doc)
 
 
-def write_timeseries(path, samples, preds, site_ids,
-                     grid_step_min: int = GRID_STEP_MIN) -> None:
+def write_timeseries(path, samples, report: EvalReport) -> None:
     """Target-time-aligned truth and predictions, one row per (site, time).
 
-    preds is the (n_samples, n_sites, n_horizons) stack from predict_samples,
-    ordered like samples. A time reached by several horizons carries each
-    prediction in its own column; unreached horizon columns stay empty.
+    ``report`` is ``evaluate_model``'s over the samples, in their order; its
+    predictions, site ids, horizons and grid step fill the rows. A time
+    reached by several horizons carries each prediction in its own column;
+    unreached horizon columns stay empty.
     """
     samples = list(samples)
+    preds, site_ids, horizons = report.predictions, report.site_ids, report.horizons
     if preds.shape[:2] != (len(samples), len(site_ids)):
         raise ShapeError(
             f"prediction stack shape {preds.shape} does not match "
             f"{len(samples)} samples x {len(site_ids)} sites")
-    horizons = tuple(samples[0].horizons) if samples else ()
     table: dict[tuple, dict[int, float]] = {}
     truth_at: dict[tuple, float] = {}
     for s_idx, s in enumerate(samples):
@@ -194,7 +201,7 @@ def write_timeseries(path, samples, preds, site_ids,
                 truth_at[key] = float(targets[i, j])
                 table.setdefault(key, {})[h] = float(preds[s_idx, i, j])
     header = ["site_id", "time", "truth"] + [
-        f"pred_h{h * grid_step_min}" for h in horizons]
+        f"pred_h{report.horizon_minutes(h)}" for h in horizons]
     lines = [",".join(header)]
     for (sid, t) in sorted(table):
         row = [sid, t.isoformat(), repr(truth_at[(sid, t)])]

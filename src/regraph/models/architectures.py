@@ -91,7 +91,6 @@ class ModelSpec:
     k: int
     horizons: tuple[int, ...]
     connectivity: str
-    region_count: int | None = None
     seed: int = 0
     grid_step_min: int = GRID_STEP_MIN  # the grid whose steps k and horizons count
     max_gap_steps: int = MAX_GAP_STEPS
@@ -121,11 +120,6 @@ class ModelSpec:
             raise ConfigError(
                 f"{self.architecture} requires connectivity={expected!r}, "
                 f"got {self.connectivity!r}")
-        if self.connectivity == "random":
-            if self.region_count is None or self.region_count < 1:
-                raise ConfigError("random connectivity needs region_count >= 1")
-        elif self.region_count is not None:
-            raise ConfigError("region_count only applies to random connectivity")
 
     @property
     def n_horizons(self) -> int:
@@ -540,9 +534,5 @@ def build_model(spec: ModelSpec, graph: SiteGraph,
         raise ConfigError(
             f"partition strategy {partition.strategy!r} does not match "
             f"connectivity {spec.connectivity!r}")
-    if spec.connectivity == "random" and len(partition.region_order) != spec.region_count:
-        raise ConfigError(
-            f"{spec.architecture}: region_count {spec.region_count} does not match the "
-            f"partition's {len(partition.region_order)} groups")
     cls = _MODEL_CLASSES[spec.architecture]
     return cls(spec, GraphContext(graph, cls.operator_kind, partition), weights)

@@ -40,7 +40,7 @@ __all__ = ["CheckpointBundle", "FORMAT_VERSION", "load_checkpoint", "restore_mod
            "save_checkpoint"]
 
 MAGIC = b"RGCKPT01"
-FORMAT_VERSION = 3
+FORMAT_VERSION = 4
 # the header stores the architecture on its own and ModelSpec's other fields here
 _HYPERPARAMS = sorted(f.name for f in fields(ModelSpec) if f.name != "architecture")
 # Edge and pair columns, in stored order, with their binary dtypes.

@@ -155,11 +155,11 @@ def _minor_faults() -> int:
 
 def val_rmse(model, samples, lo, hi) -> tuple[float, ...]:
     """RMSE per horizon of the model on raw samples, scaled by (lo, hi)."""
-    preds, _ = predict_samples(model, samples, lo, hi)
+    preds, truths = predict_samples(model, samples, lo, hi)
     sq = np.zeros(model.spec.n_horizons)
     count = 0
-    for pred, s in zip(preds, samples):
-        err = pred - s.targets
+    for pred, truth in zip(preds, truths):
+        err = pred - truth
         sq += np.sum(err * err, axis=0)
         count += err.shape[0]
     return tuple(float(np.sqrt(v / count)) for v in sq)

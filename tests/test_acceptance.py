@@ -349,7 +349,6 @@ def test_criterion_4_permutation_equivariance():
                                    ("RanTGCN", "random"),
                                    ("RegTGCN", "regional")):
             spec = ModelSpec(arch, 6, 3, (1, 2), connectivity,
-                             region_count=3 if connectivity == "random" else None,
                              seed=17)
             base_part, perm_part = partitions[connectivity]
             base = build_model(spec, graph, base_part).predict(window)

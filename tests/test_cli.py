@@ -287,7 +287,7 @@ def test_build_graph_strategies(tmp_path):
     assert main(["build-graph", "--sites", sites, "--strategy", "connected",
                  "--out", str(conn)]) == 0
     doc = json.loads(conn.read_text())
-    assert doc["strategy"] == "connected"
+    assert set(doc) == {"graph", "partition"}
     assert doc["partition"] is None
     assert len(doc["graph"]["sites"]) == 6
 
@@ -420,14 +420,13 @@ def test_analyze_graph_reports_overlap(tmp_path, capsys):
     lambda doc: doc["partition"]["region_of"].update(ghost=doc["graph"]["sites"][0][1]),
     lambda doc: doc["graph"].pop("edges"),
     lambda doc: doc["partition"].update(strategy="bogus"),
-    lambda doc: doc.update(strategy="random"),
     lambda doc: b'{"graph": "\xff"}',
     lambda doc: b"[" * 100_000 + b"]" * 100_000,
     lambda doc: doc.update(strategy="connected", partition=None,
                            graph={**doc["graph"], "sites": [],
                                   "edges": {"i": [], "j": [], "miles": []}}),
 ], ids=["unlabelled_site", "unknown_site_in_sub_edge", "no_edges", "bogus_strategy",
-        "strategy_differs_from_partition", "not_utf8", "nested_too_deep", "no_sites"])
+        "not_utf8", "nested_too_deep", "no_sites"])
 def test_analyze_graph_malformed_file_exits_3(tmp_path, capsys, tamper):
     data = make_dataset(tmp_path)
     graph_file = tmp_path / "reg.json"
@@ -612,7 +611,7 @@ def stored_random_graph(tmp_path_factory):
                  "--regions", "2", "--seed", "1", "--out", str(graph_file)]) == 0
     graph, partition = cli._read_graph_file(graph_file)
     assert len(partition.pairs[1]) >= 2 and len(graph.edges) == 13
-    spec = ModelSpec("RanTGCN", 2, 2, (1,), "random", region_count=2)
+    spec = ModelSpec("RanTGCN", 2, 2, (1,), "random")
     ckpt = root / "model.ckpt"
     save_checkpoint(ckpt, build_model(spec, graph, partition), np.zeros(8), np.ones(8), [1])
     return graph_file, ckpt
@@ -698,21 +697,27 @@ def test_a_format_1_checkpoint_exits_2_naming_its_version(tmp_path, capsys, stor
     old.write_bytes(raw[:8] + struct.pack("<Q", len(blob)) + blob + raw[16 + length:])
     assert main(["predict", "--checkpoint", str(old), "--data", str(tmp_path),
                  "--out", str(tmp_path / "p.csv")]) == 2
-    assert "unsupported checkpoint format 1; this version reads format 3" in \
+    assert "unsupported checkpoint format 1; this version reads format 4" in \
         capsys.readouterr().err
 
 
-def test_a_format_2_checkpoint_exits_2_naming_format_3(tmp_path, capsys, stored_random_graph):
-    # format 2 stored no grid: its hyperparams lack the grid step and max gap
+@pytest.mark.parametrize("version", [2, 3])
+def test_an_older_checkpoint_format_exits_2_naming_format_4(tmp_path, capsys,
+                                                            stored_random_graph, version):
+    # format 3 stored a random partition's group count beside the partition, and
+    # format 2 stored that count but no grid
     _, ckpt = stored_random_graph
     header, weights = read_checkpoint_columns(ckpt)
-    header["format_version"] = 2
-    del header["hyperparams"]["grid_step_min"], header["hyperparams"]["max_gap_steps"]
+    hyperparams = header["hyperparams"]
+    assert "region_count" not in hyperparams
+    header["format_version"], hyperparams["region_count"] = version, 2
+    if version == 2:
+        del hyperparams["grid_step_min"], hyperparams["max_gap_steps"]
     old = tmp_path / "old.ckpt"
     write_checkpoint_columns(old, header, weights)
     assert main(["predict", "--checkpoint", str(old), "--data", str(tmp_path),
                  "--out", str(tmp_path / "p.csv")]) == 2
-    assert "unsupported checkpoint format 2; this version reads format 3" in \
+    assert f"unsupported checkpoint format {version}; this version reads format 4" in \
         capsys.readouterr().err
 
 
@@ -929,7 +934,7 @@ def test_predict_on_a_checkpoint_whose_weights_do_not_fit_exits_3(tmp_path, caps
     conn = CONNECTIVITY_OF[arch]
     partition = {"connected": None, "regional": decompose_regional(graph),
                  "random": decompose_random(graph, r=2, seed=1)}[conn]
-    spec = ModelSpec(arch, 3, 3, (1, 3), conn, region_count=2 if conn == "random" else None)
+    spec = ModelSpec(arch, 3, 3, (1, 3), conn)
     ckpt = tmp_path / "model.ckpt"
     name = write_tampered_checkpoint(ckpt, build_model(spec, graph, partition), tamper)
 
@@ -1315,6 +1320,26 @@ def test_train_mismatched_sites_exits_3(pipeline, tmp_path):
                  "--data", str(other), "--graph", str(pipeline["graph"]),
                  "--out", str(tmp_path / "bad_run")])
     assert code == 3
+
+
+@pytest.mark.parametrize("strategy", [None, "regional"], ids=["no_strategy", "old_strategy"])
+def test_a_graph_file_trains_and_analyzes_with_or_without_a_strategy_entry(
+        pipeline, tmp_path, capsys, strategy):
+    # build-graph writes no top-level strategy; files that still hold one load too
+    doc = json.loads(pipeline["graph"].read_text())
+    assert set(doc) == {"graph", "partition"}
+    if strategy is not None:
+        doc["strategy"] = strategy
+    graph_file = tmp_path / "graph.json"
+    graph_file.write_text(json.dumps(doc))
+    capsys.readouterr()
+    assert main(["analyze-graph", "--graph", str(graph_file)]) == 0
+    assert json.loads(capsys.readouterr().out)["partition"]["strategy"] == "regional"
+    run = tmp_path / "run"
+    assert main(["train", "--config", str(pipeline["cfg"]), "--data", str(pipeline["data"]),
+                 "--graph", str(graph_file), "--out", str(run)]) == 0
+    assert (run / "checkpoint_best.ckpt").read_bytes() == \
+        (pipeline["run"] / "checkpoint_best.ckpt").read_bytes()
 
 
 def test_connected_model_ignores_partition_in_graph_file(pipeline, tmp_path):

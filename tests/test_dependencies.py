@@ -210,8 +210,7 @@ def train_step_ops(arch):
     connectivity = CONNECTIVITY_OF[arch]
     partition = {"connected": None, "regional": decompose_regional(graph),
                  "random": decompose_random(graph, r=2, seed=0)}[connectivity]
-    spec = ModelSpec(arch, 4, 2, (1, 2), connectivity,
-                     region_count=2 if connectivity == "random" else None)
+    spec = ModelSpec(arch, 4, 2, (1, 2), connectivity)
     model = build_model(spec, graph, partition)
     window = np.random.default_rng(0).uniform(size=(2, 4, 8))
     clear_tape()

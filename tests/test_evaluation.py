@@ -1,5 +1,6 @@
 """Tests for metrics, reports, and generality inference."""
 
+import dataclasses
 import json
 import tracemalloc
 from datetime import datetime, timedelta
@@ -300,8 +301,7 @@ def arch_model(arch, connectivity, k=3, horizons=(1, 2)):
     g = toy_graph()
     part = {"connected": None, "regional": decompose_regional(g),
             "random": decompose_random(g, 2, seed=3)}[connectivity]
-    spec = ModelSpec(arch, 5, k, horizons, connectivity,
-                     region_count=2 if connectivity == "random" else None, seed=4)
+    spec = ModelSpec(arch, 5, k, horizons, connectivity, seed=4)
     return build_model(spec, g, part)
 
 
@@ -473,10 +473,11 @@ def test_comparison_json_structure(tmp_path):
 
 def test_timeseries_alignment(tmp_path):
     model = toy_model()
-    samples = [sample(seed=i) for i in range(4)]
-    preds, _ = predict_samples(model, samples, np.zeros(8), np.ones(8))
+    samples = [sample(seed=i) for i in range(10)]  # 20 truths a site for q95
+    report = evaluate_model(model, samples, np.zeros(8), np.ones(8))
+    preds = report.predictions
     path = tmp_path / "timeseries.csv"
-    write_timeseries(path, samples, preds, ("w1", "w2", "i1", "i2"))
+    write_timeseries(path, samples, report)
     lines = path.read_text().strip().split("\n")
     assert lines[0] == "site_id,time,truth,pred_h10,pred_h20"
     # sample 0 anchor 2024-01-01T00:00, horizon 1 target at 00:10
@@ -491,7 +492,39 @@ def test_timeseries_alignment(tmp_path):
 
 def test_timeseries_shape_guard(tmp_path):
     model = toy_model()
-    samples = [sample(seed=i) for i in range(2)]
-    preds, _ = predict_samples(model, samples, np.zeros(8), np.ones(8))
+    samples = [sample(seed=i) for i in range(10)]
+    report = evaluate_model(model, samples, np.zeros(8), np.ones(8))
     with pytest.raises(ShapeError):
-        write_timeseries(tmp_path / "x.csv", samples, preds, ("w1", "w2"))
+        write_timeseries(tmp_path / "x.csv", samples + samples[:1], report)
+
+
+def five_minute_run():
+    """A TGCN on a 5-minute grid, with horizons (1, 3), and its windows."""
+    g = toy_graph()
+    model = build_model(ModelSpec("TGCN", 5, 3, (1, 3), "connected", grid_step_min=5), g)
+    grid = dataclasses.replace(feature_grid(24, 4, seed=1), step_min=5)
+    return model, make_windows(grid, 3, (1, 3), 5)
+
+
+def test_evaluate_model_counts_horizons_on_the_model_grid(tmp_path):
+    model, samples = five_minute_run()
+    lo, hi = compute_scaling(samples)
+    report = evaluate_model(model, samples, lo, hi)
+    assert [report.horizon_minutes(h) for h in report.horizons] == [5, 15]
+    rows = metric_rows("TGCN", "connected", 0, report)
+    assert [r["horizon_min"] for r in rows] == [5, 15]
+    path = tmp_path / "timeseries.csv"
+    write_timeseries(path, samples, report)
+    lines = path.read_text().splitlines()
+    assert lines[0] == "site_id,time,truth,pred_h5,pred_h15"
+    # the first window's 1-step target lies 5 minutes after its anchor
+    first = samples[0].anchor_time + timedelta(minutes=5)
+    assert any(line.startswith(f"w1,{first.isoformat()},") for line in lines[1:])
+
+
+def test_evaluate_model_refuses_a_step_other_than_the_model_grid():
+    model, samples = five_minute_run()
+    lo, hi = compute_scaling(samples)
+    with pytest.raises(ConfigError, match="10-minute step, but the model reads a 5-minute"):
+        evaluate_model(model, samples, lo, hi, 10)
+    assert evaluate_model(model, samples, lo, hi, 5).horizons == (1, 3)

@@ -333,16 +333,12 @@ def test_attention_wrong_state_count():
 
 def test_model_spec_connectivity_consistency():
     ModelSpec("RegTGCN", 8, 3, (1, 3), "regional")
-    ModelSpec("RanTGCN", 8, 3, (1,), "random", region_count=2)
+    ModelSpec("RanTGCN", 8, 3, (1,), "random")
     ModelSpec("TGCN", 8, 3, (1,), "connected")
     with pytest.raises(ConfigError):
         ModelSpec("RegTGCN", 8, 3, (1,), "connected")
     with pytest.raises(ConfigError):
         ModelSpec("TGCN", 8, 3, (1,), "regional")
-    with pytest.raises(ConfigError):
-        ModelSpec("RanTGCN", 8, 3, (1,), "random")  # missing region_count
-    with pytest.raises(ConfigError):
-        ModelSpec("TGCN", 8, 3, (1,), "connected", region_count=4)
     with pytest.raises(ConfigError):
         ModelSpec("TGCN", 8, 3, (3, 1), "connected")
     with pytest.raises(ConfigError):
@@ -376,15 +372,6 @@ def test_build_model_partition_rules():
         build_model(spec, g, rand)  # strategy mismatch
 
 
-def test_build_model_rejects_a_region_count_other_than_the_group_count():
-    # Else the checkpoint would record 5 beside the partition's 2 groups.
-    g = two_region_graph()
-    rand = decompose_random(g, r=2, seed=0)
-    build_model(ModelSpec("RanTGCN", 6, 3, (1,), "random", region_count=2), g, rand)
-    with pytest.raises(ConfigError, match="region_count 5 does not match the partition's 2"):
-        build_model(ModelSpec("RanTGCN", 6, 3, (1,), "random", region_count=5), g, rand)
-
-
 # ------------------------------------------------------------ architectures
 
 @pytest.mark.parametrize("arch,conn", [
@@ -395,13 +382,11 @@ def test_build_model_rejects_a_region_count_other_than_the_group_count():
 def test_every_architecture_runs_and_is_deterministic(arch, conn):
     g = two_region_graph()
     partition = None
-    region_count = None
     if conn == "regional":
         partition = decompose_regional(g)
     elif conn == "random":
         partition = decompose_random(g, r=2, seed=1)
-        region_count = 2
-    spec = ModelSpec(arch, 6, 3, (1, 3), conn, region_count=region_count, seed=5)
+    spec = ModelSpec(arch, 6, 3, (1, 3), conn, seed=5)
     m1 = build_model(spec, g, partition)
     m2 = build_model(spec, g, partition)
     w = window(3, 4)
@@ -445,7 +430,7 @@ def test_every_parameter_gets_a_gradient_at_k1(arch):
     conn = CONNECTIVITY_OF[arch]
     part = {"regional": decompose_regional(g), "connected": None,
             "random": decompose_random(g, r=2, seed=0)}[conn]
-    spec = ModelSpec(arch, 5, 1, (1, 2), conn, region_count=2 if conn == "random" else None)
+    spec = ModelSpec(arch, 5, 1, (1, 2), conn)
     model = build_model(spec, g, part)
     backward(sum_all(model.forward(window(1, 4))))
     missing = [name for name, p in model.named_params().items() if p.grad is None]
@@ -571,7 +556,7 @@ def interleaved_model(arch):
         part, spec = decompose_regional(g), ModelSpec(arch, 6, 3, (1, 3), "regional", seed=2)
     else:
         part = partition_from_assignment(g, INTERLEAVED, "random", provider)
-        spec = ModelSpec(arch, 6, 3, (1, 3), "random", region_count=3, seed=2)
+        spec = ModelSpec(arch, 6, 3, (1, 3), "random", seed=2)
     return build_model(spec, g, part)
 
 
@@ -776,7 +761,7 @@ def test_tape_entries_per_window_at_k6(arch, entries):
         part, spec = decompose_regional(g), ModelSpec(arch, 6, 6, (1, 2), "regional")
     elif arch == "RanTGCN":
         part = decompose_random(g, r=2, seed=0)
-        spec = ModelSpec(arch, 6, 6, (1, 2), "random", region_count=2)
+        spec = ModelSpec(arch, 6, 6, (1, 2), "random")
     else:
         part, spec = None, ModelSpec(arch, 6, 6, (1, 2), "connected")
     model = build_model(spec, g, part)
@@ -1023,8 +1008,7 @@ def test_graphs_and_partitions_load_as_they_were_built(tmp_path_factory, built):
     if part.strategy == "regional":
         spec = ModelSpec("RegTGCN", 2, 2, (1,), "regional", seed=1)
     else:
-        spec = ModelSpec("RanTGCN", 2, 2, (1,), "random",
-                         region_count=len(part.region_order), seed=1)
+        spec = ModelSpec("RanTGCN", 2, 2, (1,), "random", seed=1)
     path = tmp_path_factory.mktemp("round_trip") / "model.ckpt"
     save_checkpoint(path, build_model(spec, g, part), np.zeros(8), np.ones(8), [1])
     bundle = load_checkpoint(path)
@@ -1035,14 +1019,14 @@ def test_graphs_and_partitions_load_as_they_were_built(tmp_path_factory, built):
 def test_a_checkpoint_stores_edge_columns_after_its_header(tmp_path):
     g = two_region_graph()
     part = decompose_random(g, r=2, seed=3)
-    spec = ModelSpec("RanTGCN", 2, 2, (1,), "random", region_count=2, seed=1)
+    spec = ModelSpec("RanTGCN", 2, 2, (1,), "random", seed=1)
     path = tmp_path / "model.ckpt"
     model = build_model(spec, g, part)
     save_checkpoint(path, model, np.zeros(8), np.ones(8), [1])
     raw = path.read_bytes()
     (length,) = struct.unpack_from("<Q", raw, 8)
     header = json.loads(raw[16:16 + length])
-    assert header["format_version"] == 3
+    assert header["format_version"] == 4
     assert header["graph"]["edges"] == {"i": 2, "j": 2, "miles": 2}
     count = len(part.pairs[1])
     assert header["partition"]["pairs"] == {"i": count, "j": count, "miles": count}
@@ -1083,7 +1067,7 @@ def test_only_dense_operator_models_hold_an_n_by_n_array():
 
     for arch in ARCHITECTURES:
         conn = CONNECTIVITY_OF[arch]
-        spec = ModelSpec(arch, 4, 2, (1,), conn, region_count=80 if conn == "random" else None)
+        spec = ModelSpec(arch, 4, 2, (1,), conn)
         ctx = build_model(spec, g, parts[conn]).ctx
         held = held_arrays([*vars(ctx).values(), *vars(ctx.graph).values()])
         big = sum(a.size >= n * n for a in held)
@@ -1120,8 +1104,7 @@ def model_of(arch, g, seed):
     conn = CONNECTIVITY_OF[arch]
     partition = {"connected": None, "regional": decompose_regional(g),
                  "random": decompose_random(g, r=2, seed=1)}[conn]
-    spec = ModelSpec(arch, 6, 3, (1, 3), conn,
-                     region_count=2 if conn == "random" else None, seed=seed)
+    spec = ModelSpec(arch, 6, 3, (1, 3), conn, seed=seed)
     return build_model(spec, g, partition)
 
 
@@ -1229,7 +1212,7 @@ def test_random_partition_with_twelve_groups_reloads_identically(tmp_path):
     sites = [site(f"s{i:02d}", lat=43.0 + 0.05 * i) for i in range(24)]
     g = build_connected(sites)
     part = decompose_random(g, r=12, seed=5)
-    spec = ModelSpec("RanTGCN", 4, 3, (1,), "random", region_count=12, seed=2)
+    spec = ModelSpec("RanTGCN", 4, 3, (1,), "random", seed=2)
     first, second = tmp_path / "a.ckpt", tmp_path / "b.ckpt"
     save_checkpoint(first, build_model(spec, g, part), np.zeros(8), np.ones(8), [1])
     bundle = load_checkpoint(first)
@@ -1313,7 +1296,7 @@ def test_random_partition_sub_edge_edits_are_rejected_on_load():
 def test_checkpoint_random_partition_round_trip(tmp_path):
     g = two_region_graph()
     part = decompose_random(g, r=2, seed=3)
-    spec = ModelSpec("RanTGCN", 6, 3, (1,), "random", region_count=2, seed=2)
+    spec = ModelSpec("RanTGCN", 6, 3, (1,), "random", seed=2)
     model = build_model(spec, g, part)
     path = tmp_path / "ran.ckpt"
     save_checkpoint(path, model, np.zeros(8), np.ones(8), [1, 2])
