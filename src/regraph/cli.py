@@ -190,8 +190,9 @@ def _cmd_predict(args) -> int:
     lines = [",".join(header)]
     site_ids = [n.site_id for n in bundle.graph.nodes]
     for s_idx, sample in enumerate(samples):
+        anchor = sample.anchor_time.isoformat()  # a grid window works it out on each read
         for i, sid in enumerate(site_ids):
-            row = [sid, sample.anchor_time.isoformat()]
+            row = [sid, anchor]
             row += [repr(float(v)) for v in preds[s_idx, i]]
             lines.append(",".join(row))
     write_lines(args.out, lines)

@@ -9,7 +9,9 @@ is (capacity - available) / capacity; values above 1 are over-capacity and
 kept as-is. Missing grid points between two known neighbors are filled with
 their average; runs longer than ``max_gap`` grid steps invalidate the
 affected steps instead of fabricating a bridge. Calendar ids are recomputed
-from the grid timestamp, not copied from the nearest record.
+from the grid timestamp, not copied from the nearest record: ``step_calendar``
+counts each step's time of day in whole microseconds from ``start`` and asks
+``date.isocalendar`` once per distinct day, never building a step's datetime.
 """
 
 from __future__ import annotations
@@ -25,7 +27,7 @@ from ..graph.build import SiteMeta
 from .ingest import EPOCH, MICROSECOND, RECORD_DTYPE
 
 __all__ = ["FEATURE_COLUMNS", "GRID_STEP_MIN", "MAX_GAP_STEPS", "OCCUPANCY_COL", "SCALED_COLUMNS",
-           "FeatureGrid", "interpolate_to_grid", "occupancy_rate"]
+           "FeatureGrid", "interpolate_to_grid", "occupancy_rate", "step_calendar"]
 
 FEATURE_COLUMNS = ["week_id", "day_id", "hour_id", "travel_time",
                    "owner", "amenity", "capacity", "occupancy_rate"]
@@ -50,6 +52,26 @@ def occupancy_rate(capacity, available):
         raise DataError(f"occupancy below zero: capacity={capacity.flat[i]}, "
                         f"available={available.flat[i]}")
     return rate
+
+
+def step_calendar(start: datetime, step_min: int, steps: int) -> np.ndarray:
+    """ISO year, ISO week, weekday and hour of ``steps`` grid steps from ``start``.
+
+    Returns a steps x 4 int array whose row c equals ``isocalendar()[:2]``,
+    ``weekday()`` and ``hour`` of ``start + c * step_min`` minutes.
+    """
+    midnight = start.replace(hour=0, minute=0, second=0, microsecond=0)
+    since = (start - midnight) // MICROSECOND + np.arange(steps, dtype=np.int64) * (
+        step_min * 60_000_000)
+    day, time_of_day = np.divmod(since, 86_400_000_000)  # microseconds a day
+    days, day_of_step = np.unique(day, return_inverse=True)
+    iso = np.array([(start.date() + timedelta(days=d)).isocalendar() for d in days.tolist()],
+                   dtype=np.int64).reshape(-1, 3)
+    out = np.empty((steps, 4), dtype=np.int64)
+    out[:, :2] = iso[day_of_step, :2]
+    out[:, 2] = iso[day_of_step, 2] - 1  # ISO weekdays run 1..7 from Monday
+    out[:, 3] = time_of_day // 3_600_000_000
+    return out
 
 
 @dataclass(frozen=True)
@@ -141,31 +163,34 @@ def interpolate_to_grid(records: Mapping[str, np.ndarray],
         raise DataError(f"records span {grid_start} to {grid_start + (n_cells - 1) * step}: "
                         f"{n_cells} grid steps x {n} sites is over {GRID_CELLS_PER_RECORD} "
                         f"cells per record for {cells.size} records")
-    # Keep the last record of each (site, cell) in stream order: the last of its
-    # run once sorted stably, and the keys are in order unless a stream's cells fall.
+    # Keep the last record of each (site, cell) in stream order. Keys that rise
+    # strictly (at most one record per site and step) are each their own last;
+    # otherwise a record is the last of its run once sorted stably.
     site_of = np.repeat(np.arange(n), counts)
     key = site_of * n_cells + (cells - first_cell)
-    order = np.argsort(key, kind="stable")
-    last = order[np.append(key[order][1:] != key[order][:-1], True)]
-    flat = (cells[last] - first_cell) * n + site_of[last]
+    if not np.all(key[1:] > key[:-1]):
+        order = np.argsort(key, kind="stable")
+        ranked = key[order]
+        last = order[np.append(ranked[1:] != ranked[:-1], True)]
+        cells, site_of, rate = cells[last], site_of[last], rate[last]
+    flat = (cells - first_cell) * n + site_of
+    # A gap of at most max_gap steps between two kept records of one site is
+    # filled with their average.
+    width = np.diff(cells) - 1
+    bridged = np.flatnonzero((width > 0) & (width <= max_gap) & (site_of[1:] == site_of[:-1]))
+    width = width[bridged]
+    step_in_gap = np.arange(1, width.sum() + 1) - np.repeat(np.cumsum(width) - width, width)
+    filled = np.repeat(flat[bridged], width) + n * step_in_gap
     occ = np.zeros((n_cells, n))
-    known = np.zeros((n_cells, n), dtype=bool)
-    occ.flat[flat] = rate[last]
-    known.flat[flat] = True
+    covered = np.zeros((n_cells, n), dtype=bool)
+    occ.ravel()[flat] = rate
+    occ.ravel()[filled] = np.repeat((rate[bridged] + rate[bridged + 1]) / 2.0, width)
+    covered.ravel()[flat] = True
+    covered.ravel()[filled] = True
 
-    # Fill interior gaps no wider than max_gap with the flanking average.
-    steps = np.arange(n_cells)[:, None]
-    left = np.maximum.accumulate(np.where(known, steps, -1), axis=0)
-    right = np.minimum.accumulate(np.where(known, steps, n_cells)[::-1], axis=0)[::-1]
-    fill = ~known & (left >= 0) & (right < n_cells) & (right - left - 1 <= max_gap)
-    cell, site = np.nonzero(fill)
-    occ[cell, site] = (occ[left[cell, site], site] + occ[right[cell, site], site]) / 2.0
-
-    times = (grid_start + c * step for c in range(n_cells))
-    calendar = np.array([[ts.isocalendar()[1], ts.weekday(), ts.hour] for ts in times],
-                        dtype=float)
+    calendar = step_calendar(grid_start, grid_step_min, n_cells)[:, 1:].astype(float)
     attributes = np.array([[s.travel_time, s.owner, s.amenity_count, s.capacity]
                            for s in sites], dtype=float)
     return FeatureGrid(start=grid_start, step_min=grid_step_min, occupancy=occ,
                        calendar=calendar, attributes=attributes,
-                       valid=np.all(known | fill, axis=1))
+                       valid=covered.all(axis=1))

@@ -1,4 +1,10 @@
-"""Sliding windows over the feature grid, week-based splits, and scaling."""
+"""Sliding windows over the feature grid, week-based splits, and scaling.
+
+Set-up counts time in grid steps. A window of a grid is its grid, first step,
+``k`` and horizons; its arrays, times and ISO weeks are worked out from the grid
+when read. ``split_by_weeks`` labels each step of a grid once by its ISO (year,
+week) and places that grid's windows by comparing the labels of their steps.
+"""
 
 from __future__ import annotations
 
@@ -8,7 +14,14 @@ from typing import Iterable, Sequence
 import numpy as np
 
 from ..errors import ConfigError, DataError
-from .frames import FEATURE_COLUMNS, GRID_STEP_MIN, OCCUPANCY_COL, SCALED_COLUMNS, FeatureGrid
+from .frames import (
+    FEATURE_COLUMNS,
+    GRID_STEP_MIN,
+    OCCUPANCY_COL,
+    SCALED_COLUMNS,
+    FeatureGrid,
+    step_calendar,
+)
 
 __all__ = [
     "WindowSample",
@@ -24,40 +37,48 @@ __all__ = [
 class WindowSample:
     """K input grid steps and the occupancy targets at each requested horizon.
 
-    A window from ``make_windows`` holds its ``grid`` and ``first_step`` and
-    no array: it builds its K x n x 8 ``inputs`` (``FeatureGrid.block``) and
-    its n x |horizons| ``targets`` from the grid each time they are read. A
-    sample made by hand, or by ``apply_scaling``, is given both arrays and
-    has no grid. Either way the arrays are read-only. ``weeks`` holds the
-    ISO (year, week) labels of every grid step the sample touches, inputs
-    and targets alike, so split logic can keep whole windows on one side of
-    a boundary.
+    A window from ``make_windows`` holds its ``grid``, ``first_step``, ``k``
+    and ``horizons`` and nothing else: it works out its K x n x 8 ``inputs``
+    (``FeatureGrid.block``), its n x |horizons| ``targets``, its
+    ``anchor_time``, its ``target_times`` and its ``weeks`` from the grid
+    each time they are read. A sample made by hand, or by ``apply_scaling``,
+    is given all of these and has no grid. Either way the arrays are
+    read-only. ``weeks`` holds the ISO (year, week) labels of every grid
+    step the sample touches, inputs and targets alike, so split logic can
+    keep whole windows on one side of a boundary.
     """
 
-    __slots__ = ("anchor_time", "target_times", "horizons", "weeks", "first_step", "grid",
-                 "k", "_inputs", "_targets")
+    __slots__ = ("horizons", "first_step", "grid", "k", "_inputs", "_targets", "_anchor_time",
+                 "_target_times", "_weeks")
 
     def __init__(self, inputs: np.ndarray | None = None, targets: np.ndarray | None = None,
-                 *, anchor_time: datetime, target_times: tuple[datetime, ...],
-                 horizons: tuple[int, ...], weeks: frozenset, first_step: int | None = None,
+                 *, horizons: tuple[int, ...], anchor_time: datetime | None = None,
+                 target_times: tuple[datetime, ...] | None = None,
+                 weeks: frozenset | None = None, first_step: int | None = None,
                  grid: FeatureGrid | None = None, k: int | None = None):
         if grid is None:
-            if inputs is None or targets is None:
-                raise TypeError("a sample without a grid takes inputs and targets")
+            if any(v is None for v in (inputs, targets, anchor_time, target_times, weeks)):
+                raise TypeError("a sample without a grid takes inputs and targets, its "
+                                "anchor time, target times and weeks")
             inputs.flags.writeable = False
             targets.flags.writeable = False
             k = len(inputs)
-        elif inputs is not None or targets is not None or first_step is None or k is None:
-            raise TypeError("a grid window takes its first step and k, and no arrays")
-        self.anchor_time = anchor_time
-        self.target_times = target_times
+        elif (first_step is None or k is None or inputs is not None or targets is not None
+              or anchor_time is not None or target_times is not None or weeks is not None):
+            raise TypeError("a grid window takes its first step and k, and no arrays, "
+                            "times or weeks")
         self.horizons = horizons
-        self.weeks = weeks
         self.first_step = first_step
         self.grid = grid
         self.k = k
         self._inputs = inputs
         self._targets = targets
+        self._anchor_time = anchor_time
+        self._target_times = target_times
+        self._weeks = weeks
+
+    def _target_steps(self) -> np.ndarray:
+        return np.add(self.first_step + self.k - 1, self.horizons)
 
     @property
     def inputs(self) -> np.ndarray:  # K x n x 8
@@ -71,10 +92,29 @@ class WindowSample:
     def targets(self) -> np.ndarray:  # n x |horizons|
         if self.grid is None:
             return self._targets
-        cells = np.add(self.first_step + self.k - 1, self.horizons)
-        out = np.ascontiguousarray(self.grid.occupancy[cells].T)
+        out = np.ascontiguousarray(self.grid.occupancy[self._target_steps()].T)
         out.flags.writeable = False
         return out
+
+    @property
+    def anchor_time(self) -> datetime:
+        if self.grid is None:
+            return self._anchor_time
+        return self.grid.time(self.first_step + self.k - 1)
+
+    @property
+    def target_times(self) -> tuple[datetime, ...]:
+        if self.grid is None:
+            return self._target_times
+        return tuple(self.grid.time(c) for c in self._target_steps().tolist())
+
+    @property
+    def weeks(self) -> frozenset:
+        if self.grid is None:
+            return self._weeks
+        steps = [*range(self.first_step, self.first_step + self.k),
+                 *self._target_steps().tolist()]
+        return frozenset(self.grid.time(c).isocalendar()[:2] for c in steps)
 
 
 def make_windows(grid: FeatureGrid, k: int, horizons: Sequence[int],
@@ -82,9 +122,9 @@ def make_windows(grid: FeatureGrid, k: int, horizons: Sequence[int],
     """Stride-1 windows over maximal runs of valid grid steps.
 
     A run of F steps yields F - k - max(horizons) + 1 samples; no window
-    spans an invalid step. Each sample reads its arrays from ``grid``.
-    ``grid_step_min`` must equal the grid's own step. A grid that yields no
-    window is a ``DataError``.
+    spans an invalid step. Each sample reads its arrays, times and weeks
+    from ``grid``. ``grid_step_min`` must equal the grid's own step. A grid
+    that yields no window is a ``DataError``.
     """
     if k < 1:
         raise ConfigError(f"window length k must be >= 1, got {k}")
@@ -96,21 +136,11 @@ def make_windows(grid: FeatureGrid, k: int, horizons: Sequence[int],
                           f"but the grid has {grid.step_min}-minute steps")
     max_h = horizons[-1]
 
-    times = [grid.time(c) for c in range(len(grid.valid))]
-    weeks = [t.isocalendar()[:2] for t in times]
     edges = np.diff(grid.valid.astype(np.int8), prepend=0, append=0)
-    samples: list[WindowSample] = []
-    for first, stop in zip(np.flatnonzero(edges == 1), np.flatnonzero(edges == -1)):
-        for s in range(int(first), int(stop) - k - max_h + 1):
-            anchor = s + k - 1
-            target_cells = [anchor + h for h in horizons]
-            samples.append(WindowSample(
-                anchor_time=times[anchor],
-                target_times=tuple(times[c] for c in target_cells),
-                horizons=horizons,
-                weeks=frozenset(weeks[s:s + k]) | frozenset(weeks[c] for c in target_cells),
-                first_step=s, grid=grid, k=k,
-            ))
+    samples = [WindowSample(horizons=horizons, first_step=s, grid=grid, k=k)
+               for first, stop in zip(np.flatnonzero(edges == 1).tolist(),
+                                      np.flatnonzero(edges == -1).tolist())
+               for s in range(first, stop - k - max_h + 1)]
     if not samples:
         raise DataError(f"no usable windows: need at least {k + max_h} contiguous valid "
                         "grid steps")
@@ -153,6 +183,28 @@ def _matches(sample_week: tuple[int, int], entries: list[tuple[int | None, int]]
                for e in entries)
 
 
+def _window_buckets(grid: FeatureGrid, k: int, horizons: tuple[int, ...],
+                    groups: list[list[tuple[int | None, int]]]) -> list[int]:
+    """The split of the window at each first step of ``grid``, or -1 for none.
+
+    Each step is labelled once by its ISO (year, week); a window falls in a
+    split when every input step and target step carries that split's label.
+    """
+    calendar = step_calendar(grid.start, grid.step_min, len(grid.valid))
+    weeks, week_of_step = np.unique(calendar[:, 0] * 100 + calendar[:, 1], return_inverse=True)
+    labels = np.array([next((b for b, entries in enumerate(groups)
+                             if _matches(divmod(w, 100), entries)), -1)
+                       for w in weeks.tolist()])[week_of_step]
+    runs = np.concatenate([[0], np.cumsum(labels[1:] != labels[:-1])])
+    first = np.arange(len(labels) - k - max(horizons) + 1)
+    anchor = first + k - 1
+    label = labels[first]
+    same = (label >= 0) & (runs[first] == runs[anchor])
+    for h in horizons:
+        same &= labels[anchor + h] == label
+    return np.where(same, label, -1).tolist()
+
+
 def split_by_weeks(samples: Iterable[WindowSample],
                    train_weeks: Sequence, test_weeks: Sequence,
                    generality_weeks: Sequence = ()) -> tuple[
@@ -161,7 +213,9 @@ def split_by_weeks(samples: Iterable[WindowSample],
 
     A sample lands in a split only when every week it touches belongs to
     that split, so windows never straddle a boundary; straddlers are
-    dropped. Week sets must not overlap.
+    dropped. Week sets must not overlap. The windows of one grid, ``k`` and
+    horizons are placed by one pass over the grid's step labels; every
+    bucket keeps input order.
     """
     groups = [[_normalize_week(w) for w in ws]
               for ws in (train_weeks, test_weeks, generality_weeks)]
@@ -176,11 +230,21 @@ def split_by_weeks(samples: Iterable[WindowSample],
         raise ConfigError("train_weeks and test_weeks must both be non-empty")
 
     out: tuple[list[WindowSample], ...] = ([], [], [])
+    placed: dict[tuple, tuple[FeatureGrid, list[int]]] = {}  # holds each grid for its id
     for sample in samples:
-        for bucket, entries in zip(out, groups):
-            if entries and all(_matches(w, entries) for w in sample.weeks):
-                bucket.append(sample)
-                break
+        if sample.grid is None:
+            for bucket, entries in zip(out, groups):
+                if entries and all(_matches(w, entries) for w in sample.weeks):
+                    bucket.append(sample)
+                    break
+            continue
+        key = (id(sample.grid), sample.k, sample.horizons)
+        if key not in placed:
+            placed[key] = (sample.grid, _window_buckets(sample.grid, sample.k,
+                                                        sample.horizons, groups))
+        b = placed[key][1][sample.first_step]
+        if b >= 0:
+            out[b].append(sample)
     return out
 
 

@@ -193,9 +193,9 @@ def write_timeseries(path, samples, report: EvalReport) -> None:
     table: dict[tuple, dict[int, float]] = {}
     truth_at: dict[tuple, float] = {}
     for s_idx, s in enumerate(samples):
-        targets = s.targets  # a grid window builds them on each read
+        targets, times = s.targets, s.target_times  # a grid window builds both on each read
         for j, h in enumerate(horizons):
-            t = s.target_times[j]
+            t = times[j]
             for i, sid in enumerate(site_ids):
                 key = (sid, t)
                 truth_at[key] = float(targets[i, j])

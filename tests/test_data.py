@@ -118,6 +118,44 @@ def test_too_few_records_rejected():
         interpolate_to_grid({"s": stream((0, 1))}, [meta()])
 
 
+@pytest.mark.parametrize("step_min", [5, 7, 60])
+def test_grid_calendar_ids_follow_each_step_across_a_year_end(step_min):
+    first = datetime(2024, 12, 29, 13, 37)
+    records = {"s": np.array([(us(first + timedelta(minutes=m)), 5)
+                              for m in range(0, 4 * 24 * 60, step_min)], RECORD_DTYPE)}
+    grid = interpolate_to_grid(records, [meta()], grid_step_min=step_min)
+    times = [grid.time(c) for c in range(len(grid.valid))]
+    assert times[0].date() == first.date() and times[0].hour == 13
+    assert times[-1].year == 2025
+    assert grid.calendar.tolist() == [[t.isocalendar()[1], t.weekday(), t.hour] for t in times]
+
+
+def test_grid_takes_the_same_arrays_with_or_without_the_sort(monkeypatch):
+    sorts, argsort = [], np.argsort
+    monkeypatch.setattr(np, "argsort", lambda *a, **kw: sorts.append(1) or argsort(*a, **kw))
+
+    def grid_and_sorts(streams):
+        sorts.clear()
+        return interpolate_to_grid(streams, sites, max_gap=2), len(sorts)
+
+    sites = [meta("a"), meta("b", capacity=20)]
+    rising = {"a": stream((0, 1), (10, 2), (20, 3), (50, 4), (60, 5)),
+              "b": stream((0, 9), (10, 8), (30, 7), (40, 6), (60, 5))}
+    # 00:10 and 00:14 share a step, and the later record wins
+    twice = {"a": stream((0, 1), (10, 9), (14, 2), (20, 3), (50, 4), (60, 5)), "b": rising["b"]}
+    shuffled = {"a": rising["a"][[3, 0, 4, 2, 1]], "b": rising["b"][::-1]}
+    sorted_grid, count = grid_and_sorts(rising)
+    assert count == 0
+    occ, valid = per_step_reference(rising, sites, 2)
+    assert sorted_grid.occupancy.tobytes() == occ.tobytes()
+    np.testing.assert_array_equal(sorted_grid.valid, valid)
+    for streams in (twice, shuffled):
+        grid, count = grid_and_sorts(streams)
+        assert count == 1 and grid.start == sorted_grid.start
+        for name in ("occupancy", "calendar", "attributes", "valid"):
+            assert getattr(grid, name).tobytes() == getattr(sorted_grid, name).tobytes()
+
+
 def test_calendar_and_static_columns():
     site = meta(capacity=10)
     records = {"s": stream((0, 5), (10, 5), (20, 5))}
@@ -328,6 +366,70 @@ def test_split_requires_train_and_test():
     samples = make_windows(grid, k=6, horizons=[1], grid_step_min=60)
     with pytest.raises(ConfigError):
         split_by_weeks(samples, [], [2])
+
+
+def reference_weeks(sample):
+    """The ISO (year, week) of every step a sample touches, one datetime at a time."""
+    if sample.grid is None:
+        return sample.weeks
+    anchor = sample.first_step + sample.k - 1
+    cells = [*range(sample.first_step, anchor + 1), *(anchor + h for h in sample.horizons)]
+    return {sample.grid.time(c).isocalendar()[:2] for c in cells}
+
+
+def reference_split(samples, groups):
+    """Buckets filled sample by sample: the first split that holds every week touched."""
+    def holds(specs, week):
+        return any(number == week[1] and year in (None, week[0]) for year, number in specs)
+    out = ([], [], [])
+    for s in samples:
+        weeks = reference_weeks(s)
+        bucket = next((b for b, specs in zip(out, groups)
+                       if specs and all(holds(specs, w) for w in weeks)), None)
+        if bucket is not None:
+            bucket.append(s)
+    return out
+
+
+# Each call: the week specs, and the (year or None, week) pairs they name.
+YEAR_END_SPLITS = [
+    (([52], [1], [2]), [[(None, 52)], [(None, 1)], [(None, 2)]]),
+    (([(2025, 1)], ["2024-W52"], ["2025-W02"]), [[(2025, 1)], [(2024, 52)], [(2025, 2)]]),
+    ((["2024-W01"], [(2025, 2)], [(2024, 52)]), [[(2024, 1)], [(2025, 2)], [(2024, 52)]]),
+]
+
+
+def test_windows_and_splits_across_an_iso_year_end():
+    # 2024-12-27 is a Friday of 2024-W52, and 2024-12-30 opens 2025-W01
+    start = datetime(2024, 12, 27)
+    grid = make_grid(np.arange(12 * 24 + 1) / 300.0, start=start, step_min=60, invalid=(150,))
+    samples = make_windows(grid, k=6, horizons=[1, 3, 12], grid_step_min=60)
+    for s in samples:
+        anchor = s.first_step + 5
+        assert s.anchor_time == grid.time(anchor)
+        assert s.target_times == tuple(grid.time(anchor + h) for h in (1, 3, 12))
+        assert s.weeks == reference_weeks(s)
+    assert set().union(*map(reference_weeks, samples)) == {(2024, 52), (2025, 1), (2025, 2)}
+
+    # a second grid on another step, k and horizons; hand-made samples, one a straddler
+    other = make_grid(np.zeros(400), start=datetime(2024, 12, 28, 13, 30), step_min=30)
+    second = make_windows(other, k=4, horizons=[2], grid_step_min=30)
+    loose = [apply_scaling(s, np.zeros(8), np.ones(8)) for s in samples[::60] + second[::90]]
+    loose.append(WindowSample(np.zeros((1, 2, 8)), np.zeros((2, 1)), horizons=(1,),
+                              anchor_time=start, target_times=(start,),
+                              weeks=frozenset({(2024, 52), (2025, 1)})))
+    mixed = samples[40:90] + loose[:3] + second[::7] + loose[3:] + samples[::11] + second[:5]
+
+    ids = [[[id(s) for s in bucket] for bucket in buckets] for buckets in (
+        split_by_weeks(samples, *specs) for specs, _ in YEAR_END_SPLITS)]
+    for (specs, groups), got in zip(YEAR_END_SPLITS, ids):
+        assert got == [[id(s) for s in b] for b in reference_split(samples, groups)]
+        split = split_by_weeks(mixed, *specs)
+        assert [[id(s) for s in b] for b in split] == [
+            [id(s) for s in b] for b in reference_split(mixed, groups)]
+    # every split of the first two calls holds windows; 2024-W01 is not 2025-W01
+    assert all(ids[0]) and all(ids[1])
+    assert ids[2][0] == [] and all(ids[2][1:])
 
 
 # ----------------------------------------------------------------- scaling
@@ -725,11 +827,10 @@ def test_a_grid_and_its_windows_hold_little_more_than_the_occupancy(tmp_path):
     finally:
         tracemalloc.stop()
     steps, n = len(grid.valid), len(sites)
-    # the float occupancy of every (step, site) cell; per step its calendar ids,
-    # its flag and its datetime; per site its attributes; per window the slotted
-    # object (104 B), its target-times tuple (72 B), its week set (216 B) and its
-    # list entry; and a fixed allowance
-    bound = (8 * steps * n + 100 * steps + 32 * n + 400 * len(samples) + 64 * 1024)
+    # the float occupancy of every (step, site) cell; per step its three calendar
+    # ids and its flag; per site its attributes; per window the slotted object
+    # (104 B) and its list entry; and a fixed allowance
+    bound = (8 * steps * n + 32 * steps + 32 * n + 112 * len(samples) + 8 * 1024)
     assert (steps, n, len(samples)) == (288, 60, 247)
     assert held < bound, f"{held} bytes held, bound {bound}"
 
