@@ -1,9 +1,11 @@
 """Sliding windows over the feature grid, week-based splits, and scaling.
 
-Set-up counts time in grid steps. A window of a grid is its grid, first step,
-``k`` and horizons; its arrays, times and ISO weeks are worked out from the grid
-when read. ``split_by_weeks`` labels each step of a grid once by its ISO (year,
+Set-up counts time in grid steps. A window is its grid, first step, ``k`` and
+horizons; its arrays, times and ISO weeks are worked out from the grid when
+read. ``split_by_weeks`` labels each step of a grid once by its ISO (year,
 week) and places that grid's windows by comparing the labels of their steps.
+``apply_scaling`` returns a window of a small grid over the steps a window
+reads, with its calendar rows and site attributes scaled.
 """
 
 from __future__ import annotations
@@ -17,7 +19,6 @@ from ..errors import ConfigError, DataError
 from .frames import (
     FEATURE_COLUMNS,
     GRID_STEP_MIN,
-    OCCUPANCY_COL,
     SCALED_COLUMNS,
     FeatureGrid,
     step_calendar,
@@ -37,81 +38,49 @@ __all__ = [
 class WindowSample:
     """K input grid steps and the occupancy targets at each requested horizon.
 
-    A window from ``make_windows`` holds its ``grid``, ``first_step``, ``k``
-    and ``horizons`` and nothing else: it works out its K x n x 8 ``inputs``
+    A window holds its ``grid``, ``first_step``, ``k`` and ``horizons`` and
+    nothing else: it works out its K x n x 8 ``inputs``
     (``FeatureGrid.block``), its n x |horizons| ``targets``, its
     ``anchor_time``, its ``target_times`` and its ``weeks`` from the grid
-    each time they are read. A sample made by hand, or by ``apply_scaling``,
-    is given all of these and has no grid. Either way the arrays are
-    read-only. ``weeks`` holds the ISO (year, week) labels of every grid
-    step the sample touches, inputs and targets alike, so split logic can
-    keep whole windows on one side of a boundary.
+    each time they are read, as read-only arrays. ``weeks`` holds the ISO
+    (year, week) labels of every grid step the window touches, inputs and
+    targets alike, so split logic can keep whole windows on one side of a
+    boundary.
     """
 
-    __slots__ = ("horizons", "first_step", "grid", "k", "_inputs", "_targets", "_anchor_time",
-                 "_target_times", "_weeks")
+    __slots__ = ("grid", "first_step", "k", "horizons")
 
-    def __init__(self, inputs: np.ndarray | None = None, targets: np.ndarray | None = None,
-                 *, horizons: tuple[int, ...], anchor_time: datetime | None = None,
-                 target_times: tuple[datetime, ...] | None = None,
-                 weeks: frozenset | None = None, first_step: int | None = None,
-                 grid: FeatureGrid | None = None, k: int | None = None):
-        if grid is None:
-            if any(v is None for v in (inputs, targets, anchor_time, target_times, weeks)):
-                raise TypeError("a sample without a grid takes inputs and targets, its "
-                                "anchor time, target times and weeks")
-            inputs.flags.writeable = False
-            targets.flags.writeable = False
-            k = len(inputs)
-        elif (first_step is None or k is None or inputs is not None or targets is not None
-              or anchor_time is not None or target_times is not None or weeks is not None):
-            raise TypeError("a grid window takes its first step and k, and no arrays, "
-                            "times or weeks")
-        self.horizons = horizons
-        self.first_step = first_step
+    def __init__(self, grid: FeatureGrid, first_step: int, k: int, horizons: tuple[int, ...]):
         self.grid = grid
+        self.first_step = first_step
         self.k = k
-        self._inputs = inputs
-        self._targets = targets
-        self._anchor_time = anchor_time
-        self._target_times = target_times
-        self._weeks = weeks
+        self.horizons = horizons
 
     def _target_steps(self) -> np.ndarray:
         return np.add(self.first_step + self.k - 1, self.horizons)
 
     @property
     def inputs(self) -> np.ndarray:  # K x n x 8
-        if self.grid is None:
-            return self._inputs
         out = self.grid.block(self.first_step, self.k)
         out.flags.writeable = False
         return out
 
     @property
     def targets(self) -> np.ndarray:  # n x |horizons|
-        if self.grid is None:
-            return self._targets
         out = np.ascontiguousarray(self.grid.occupancy[self._target_steps()].T)
         out.flags.writeable = False
         return out
 
     @property
     def anchor_time(self) -> datetime:
-        if self.grid is None:
-            return self._anchor_time
         return self.grid.time(self.first_step + self.k - 1)
 
     @property
     def target_times(self) -> tuple[datetime, ...]:
-        if self.grid is None:
-            return self._target_times
         return tuple(self.grid.time(c) for c in self._target_steps().tolist())
 
     @property
     def weeks(self) -> frozenset:
-        if self.grid is None:
-            return self._weeks
         steps = [*range(self.first_step, self.first_step + self.k),
                  *self._target_steps().tolist()]
         return frozenset(self.grid.time(c).isocalendar()[:2] for c in steps)
@@ -122,9 +91,8 @@ def make_windows(grid: FeatureGrid, k: int, horizons: Sequence[int],
     """Stride-1 windows over maximal runs of valid grid steps.
 
     A run of F steps yields F - k - max(horizons) + 1 samples; no window
-    spans an invalid step. Each sample reads its arrays, times and weeks
-    from ``grid``. ``grid_step_min`` must equal the grid's own step. A grid
-    that yields no window is a ``DataError``.
+    spans an invalid step. ``grid_step_min`` must equal the grid's own
+    step. A grid that yields no window is a ``DataError``.
     """
     if k < 1:
         raise ConfigError(f"window length k must be >= 1, got {k}")
@@ -137,7 +105,7 @@ def make_windows(grid: FeatureGrid, k: int, horizons: Sequence[int],
     max_h = horizons[-1]
 
     edges = np.diff(grid.valid.astype(np.int8), prepend=0, append=0)
-    samples = [WindowSample(horizons=horizons, first_step=s, grid=grid, k=k)
+    samples = [WindowSample(grid, s, k, horizons)
                for first, stop in zip(np.flatnonzero(edges == 1).tolist(),
                                       np.flatnonzero(edges == -1).tolist())
                for s in range(first, stop - k - max_h + 1)]
@@ -232,12 +200,6 @@ def split_by_weeks(samples: Iterable[WindowSample],
     out: tuple[list[WindowSample], ...] = ([], [], [])
     placed: dict[tuple, tuple[FeatureGrid, list[int]]] = {}  # holds each grid for its id
     for sample in samples:
-        if sample.grid is None:
-            for bucket, entries in zip(out, groups):
-                if entries and all(_matches(w, entries) for w in sample.weeks):
-                    bucket.append(sample)
-                    break
-            continue
         key = (id(sample.grid), sample.k, sample.horizons)
         if key not in placed:
             placed[key] = (sample.grid, _window_buckets(sample.grid, sample.k,
@@ -252,8 +214,7 @@ def step_positions(samples: Sequence[WindowSample]) -> np.ndarray:
     """Number each sample's K input steps so that shared steps share a number.
 
     Two samples share a step exactly when both are windows of the same grid
-    holding the same grid step; every other sample's steps are its own.
-    Numbers rise with the grid step, and grids (and samples of their own)
+    holding the same grid step. Numbers rise with the grid step, and grids
     take disjoint ranges in order of first appearance, so visiting steps by
     increasing number takes every sample's lags in order. Returns a B x K
     int array.
@@ -262,14 +223,10 @@ def step_positions(samples: Sequence[WindowSample]) -> np.ndarray:
     end = 0
     out = []
     for s in samples:
-        if s.grid is None:
-            offset, end = end, end + s.k
-        else:
-            if id(s.grid) not in offsets:
-                offsets[id(s.grid)] = end
-                end += len(s.grid.valid)
-            offset = offsets[id(s.grid)] + s.first_step
-        out.append(offset + np.arange(s.k))
+        if id(s.grid) not in offsets:
+            offsets[id(s.grid)] = end
+            end += len(s.grid.valid)
+        out.append(offsets[id(s.grid)] + s.first_step + np.arange(s.k))
     return np.array(out, dtype=np.int64) if out else np.zeros((0, 0), dtype=np.int64)
 
 
@@ -285,15 +242,10 @@ def compute_scaling(samples: Sequence[WindowSample]) -> tuple[np.ndarray, np.nda
     if not samples:
         raise DataError("compute_scaling: no samples")
     covered: dict[int, tuple[FeatureGrid, np.ndarray]] = {}
-    lows, highs = [], []  # min and max of the columns before occupancy, per source
     for s in samples:
-        if s.grid is None:
-            values = s.inputs[..., :OCCUPANCY_COL]
-            lows.append(values.min(axis=(0, 1)))
-            highs.append(values.max(axis=(0, 1)))
-        else:
-            steps = covered.setdefault(id(s.grid), (s.grid, np.zeros(len(s.grid.valid), bool)))[1]
-            steps[s.first_step:s.first_step + s.k] = True
+        steps = covered.setdefault(id(s.grid), (s.grid, np.zeros(len(s.grid.valid), bool)))[1]
+        steps[s.first_step:s.first_step + s.k] = True
+    lows, highs = [], []  # min and max of the columns before occupancy, per grid
     for grid, steps in covered.values():
         calendar = grid.calendar[steps]
         lows.append(np.concatenate([calendar.min(axis=0), grid.attributes.min(axis=0)]))
@@ -307,17 +259,22 @@ def compute_scaling(samples: Sequence[WindowSample]) -> tuple[np.ndarray, np.nda
 
 
 def apply_scaling(sample: WindowSample, lo: np.ndarray, hi: np.ndarray) -> WindowSample:
-    """Min-max scale the input features of one sample into a new array.
+    """The same window over a scaled copy of the grid steps it reads.
 
-    Targets stay raw; the new sample holds them, read-only.
+    The new grid starts at the window's first step and holds its k + max(h)
+    steps: occupancy and validity as views, and those steps' calendar rows
+    and every site's attributes copied and min-max scaled column by column
+    (a zero span gives 0.0). Occupancy, and so the targets, stay raw.
     """
-    scaled = np.array(sample.inputs, copy=True)
+    grid, first = sample.grid, sample.first_step
+    stop = first + sample.k + max(sample.horizons)
+    calendar, attributes = np.array(grid.calendar[first:stop]), np.array(grid.attributes)
+    width = calendar.shape[1]  # feature columns hold the calendar ids, then the attributes
     for c in SCALED_COLUMNS:
+        column = calendar[:, c] if c < width else attributes[:, c - width]
         span = hi[c] - lo[c]
-        if span > 0:
-            scaled[..., c] = (scaled[..., c] - lo[c]) / span
-        else:
-            scaled[..., c] = 0.0
-    return WindowSample(scaled, sample.targets, anchor_time=sample.anchor_time,
-                        target_times=sample.target_times, horizons=sample.horizons,
-                        weeks=sample.weeks, first_step=sample.first_step)
+        column[:] = (column - lo[c]) / span if span > 0 else 0.0
+    scaled = FeatureGrid(start=grid.time(first), step_min=grid.step_min,
+                         occupancy=grid.occupancy[first:stop], calendar=calendar,
+                         attributes=attributes, valid=grid.valid[first:stop])
+    return WindowSample(scaled, 0, sample.k, sample.horizons)

@@ -34,7 +34,7 @@ from ..graph.build import (
     _edge_columns,
     _partition,
 )
-from .architectures import ForecastModel, ModelSpec, build_model
+from .architectures import IN_WIDTH, ForecastModel, ModelSpec, build_model
 
 __all__ = ["CheckpointBundle", "FORMAT_VERSION", "load_checkpoint", "restore_model",
            "save_checkpoint"]
@@ -57,6 +57,17 @@ def _typed(value, kinds, what: str):
     if isinstance(value, bool) or not isinstance(value, kinds):
         raise TypeError(f"{what} {value!r} is not {' or '.join(k.__name__ for k in kinds)}")
     return value
+
+
+def _scaling_row(values, what: str) -> np.ndarray:
+    """A stored row of per-column scaling bounds: one finite number per input column."""
+    if len(_typed(values, (list,), what)) != IN_WIDTH:
+        raise DataError(f"{what} holds {len(values)} entries, not one per input column "
+                        f"({IN_WIDTH})")
+    row = np.array([_typed(x, (int, float), what) for x in values], dtype=float)
+    if not np.isfinite(row).all():
+        raise DataError(f"{what} {values} is not finite")
+    return row
 
 
 def _site_from_row(row) -> SiteMeta:
@@ -261,12 +272,15 @@ def load_checkpoint(path: str | Path) -> CheckpointBundle:
         if offset != len(raw):
             raise DataError(f"{path}: {len(raw) - offset} trailing bytes after weights")
 
+        train_weeks = _typed(header["train_weeks"], (list,), "train_weeks")
+        for week in train_weeks:
+            _typed(week, (str, int), "train week")
         return CheckpointBundle(
             spec=spec,
             weights=weights,
-            scaling_lo=np.array(header["scaling"]["lo"]),
-            scaling_hi=np.array(header["scaling"]["hi"]),
-            train_weeks=header["train_weeks"],
+            scaling_lo=_scaling_row(header["scaling"]["lo"], "scaling lo"),
+            scaling_hi=_scaling_row(header["scaling"]["hi"], "scaling hi"),
+            train_weeks=train_weeks,
             graph=graph,
             partition=partition,
         )

@@ -196,10 +196,9 @@ def train(model, samples, cfg: TrainConfig, out_dir):
     if model.spec.k != k:
         raise ConfigError(
             f"model expects {model.spec.k} input steps, samples carry {k}")
-    grid = samples[0].grid
-    if grid is not None and grid.step_min != model.spec.grid_step_min:
+    if samples[0].grid.step_min != model.spec.grid_step_min:
         raise ConfigError(f"model reads a {model.spec.grid_step_min}-minute grid, "
-                          f"samples carry {grid.step_min}-minute steps")
+                          f"samples carry {samples[0].grid.step_min}-minute steps")
     if tuple(model.spec.horizons) != tuple(samples[0].horizons):
         raise ConfigError(
             f"model horizons {model.spec.horizons} do not match "

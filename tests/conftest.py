@@ -1,9 +1,34 @@
+from datetime import datetime, timedelta
+
+import numpy as np
 import pytest
 
+from regraph.data import FeatureGrid, make_windows
 from regraph.numerics import clear_tape
 
 # filled by test_acceptance; echoed at the end of the terminal report
 ACCEPTANCE_LINES: list[str] = []
+
+
+WEEK_STEPS = 7 * 24 * 6  # 10-minute steps in a week
+
+
+def sample(k=3, n=4, horizons=(1, 2), week=(2024, 1), seed=0):
+    """The one window of a small 10-minute grid of seeded random features.
+
+    Occupancy is uniform in [0.1, 0.9), calendar ids and site attributes in
+    [0, 1). The window starts ``seed`` steps into ISO ``week`` (a (year,
+    week) pair), wrapped so that every step it reads lies in that week.
+    """
+    steps = k + max(horizons)
+    rng = np.random.default_rng(seed)
+    start = datetime.fromisocalendar(*week, 1) + timedelta(
+        minutes=10 * (seed % (WEEK_STEPS - steps + 1)))
+    grid = FeatureGrid(start=start, step_min=10, occupancy=rng.uniform(0.1, 0.9, (steps, n)),
+                       calendar=rng.uniform(0.0, 1.0, (steps, 3)),
+                       attributes=rng.uniform(0.0, 1.0, (n, 4)), valid=np.ones(steps, dtype=bool))
+    [window] = make_windows(grid, k, horizons)
+    return window
 
 
 @pytest.fixture(autouse=True)

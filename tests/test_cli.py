@@ -677,6 +677,27 @@ def test_tampered_columns_and_labels_exit_3_naming_the_cause(tmp_path, capsys,
     assert "data error:" in err and re.search(message, err), err
 
 
+@pytest.mark.parametrize("edit,message", [
+    (lambda h: h["scaling"].update(lo=h["scaling"]["lo"][:3]), "scaling lo holds 3 entries"),
+    (lambda h: h["scaling"].update(hi=None), "scaling hi None is not list"),
+    (lambda h: h["scaling"].update(lo=[[0.0]] * 8), r"scaling lo \[0\.0\] is not int or float"),
+    (lambda h: h.update(train_weeks="2024-W01"), "train_weeks '2024-W01' is not list"),
+    (lambda h: h.update(train_weeks=[[1]]), r"train week \[1\] is not str or int"),
+], ids=["short_lo", "null_hi", "nested_lo", "string_train_weeks", "nested_train_weeks"])
+def test_a_checkpoint_with_malformed_scaling_or_weeks_exits_3(tmp_path, capsys,
+                                                            stored_random_graph, edit, message):
+    _, ckpt = stored_random_graph
+    header, weights = read_checkpoint_columns(ckpt)
+    edit(header)
+    path = tmp_path / "model.ckpt"
+    write_checkpoint_columns(path, header, weights)
+    capsys.readouterr()
+    assert main(["predict", "--checkpoint", str(path), "--data", str(tmp_path / "none"),
+                 "--out", str(tmp_path / "p.csv")]) == 3
+    err = capsys.readouterr().err
+    assert "data error:" in err and re.search(message, err) and "Traceback" not in err, err
+
+
 def test_the_tamper_helpers_alone_change_nothing_that_loads(tmp_path, stored_random_graph):
     _, ckpt = stored_random_graph
     header, weights = read_checkpoint_columns(ckpt)

@@ -370,8 +370,6 @@ def test_split_requires_train_and_test():
 
 def reference_weeks(sample):
     """The ISO (year, week) of every step a sample touches, one datetime at a time."""
-    if sample.grid is None:
-        return sample.weeks
     anchor = sample.first_step + sample.k - 1
     cells = [*range(sample.first_step, anchor + 1), *(anchor + h for h in sample.horizons)]
     return {sample.grid.time(c).isocalendar()[:2] for c in cells}
@@ -411,13 +409,14 @@ def test_windows_and_splits_across_an_iso_year_end():
         assert s.weeks == reference_weeks(s)
     assert set().union(*map(reference_weeks, samples)) == {(2024, 52), (2025, 1), (2025, 2)}
 
-    # a second grid on another step, k and horizons; hand-made samples, one a straddler
+    # a second grid on another step, k and horizons, and scaled windows of both, each
+    # on a grid of its own; samples[68] reads 2024-12-29 20:00 to 2024-12-30 13:00
     other = make_grid(np.zeros(400), start=datetime(2024, 12, 28, 13, 30), step_min=30)
     second = make_windows(other, k=4, horizons=[2], grid_step_min=30)
-    loose = [apply_scaling(s, np.zeros(8), np.ones(8)) for s in samples[::60] + second[::90]]
-    loose.append(WindowSample(np.zeros((1, 2, 8)), np.zeros((2, 1)), horizons=(1,),
-                              anchor_time=start, target_times=(start,),
-                              weeks=frozenset({(2024, 52), (2025, 1)})))
+    sources = samples[::60] + second[::90] + [samples[68]]
+    loose = [apply_scaling(s, np.zeros(8), np.ones(8)) for s in sources]
+    assert [s.weeks for s in loose] == [reference_weeks(s) for s in sources]
+    assert loose[-1].weeks == {(2024, 52), (2025, 1)}
     mixed = samples[40:90] + loose[:3] + second[::7] + loose[3:] + samples[::11] + second[:5]
 
     ids = [[[id(s) for s in bucket] for bucket in buckets] for buckets in (
@@ -489,7 +488,7 @@ def test_compute_scaling_equals_per_window_reference(name):
     ref_hi[cols] = np.max([s.inputs.max(axis=(0, 1)) for s in samples], axis=0)[cols]
     np.testing.assert_array_equal(lo, ref_lo)
     np.testing.assert_array_equal(hi, ref_hi)
-    # a scaled copy or a hand-made window is reduced over its own values
+    # a scaled window is reduced over its own grid's values
     own = [apply_scaling(s, ref_lo, ref_hi) for s in samples]
     ref = [np.min([s.inputs.min(axis=(0, 1)) for s in own], axis=0)[cols],
            np.max([s.inputs.max(axis=(0, 1)) for s in own], axis=0)[cols]]
@@ -511,13 +510,11 @@ def test_step_positions_share_exactly_the_same_grid_rows():
     np.testing.assert_array_equal(np.diff(pos[0::2, 0]), 1)
     np.testing.assert_array_equal(np.diff(pos, axis=1), 1)
 
-    # scaled copies and hand-made windows share nothing, even with a first_step
-    scaled = [apply_scaling(w, np.zeros(8), np.ones(8)) for w in first[:2]]
-    assert scaled[0].first_step == 0
-    loose = WindowSample(inputs=np.array(first[0].inputs), targets=first[0].targets,
-                         anchor_time=T0, target_times=(T0,), horizons=(1,),
-                         weeks=frozenset(), first_step=0)
-    pos = step_positions(scaled + [loose, first[0]])
+    # a scaled window is the first window of a grid of its own, so it shares nothing,
+    # not even with another scaling of the same window
+    scaled = [apply_scaling(w, np.zeros(8), np.ones(8)) for w in first[:2] + first[:1]]
+    assert [w.first_step for w in scaled] == [0, 0, 0]
+    pos = step_positions(scaled + [first[0]])
     assert len(set(pos.ravel())) == 4 * 4
     assert step_positions([]).shape == (0, 0)
 
@@ -551,26 +548,43 @@ def test_windows_of_two_grids_equal_the_dense_construction():
         assert w.inputs.tobytes() == inputs.tobytes()
         assert w.targets.tobytes() == targets.tobytes()
         scaled = apply_scaling(w, lo, hi)
-        assert scaled.grid is None and scaled.inputs.flags.c_contiguous
+        assert scaled.first_step == 0 and scaled.inputs.flags.c_contiguous
         assert scaled.inputs.tobytes() == scaled_whole(inputs, lo, hi).tobytes()
         assert scaled.targets.tobytes() == targets.tobytes()
         again = apply_scaling(scaled, np.zeros(8), np.ones(8))
         assert again.inputs.tobytes() == scaled.inputs.tobytes()
 
 
-def test_scaling_and_positions_over_grid_scaled_and_hand_made_samples():
+@pytest.mark.parametrize("seed", [3, 4, 5])
+def test_apply_scaling_maps_each_scaled_column_of_the_raw_window(seed):
+    rng = np.random.default_rng(seed)
+    grid = random_grid(int(rng.integers(12, 40)), seed, invalid=(7,), n=int(rng.integers(1, 6)))
+    samples = make_windows(grid, k=int(rng.integers(1, 5)), horizons=[1, 3])
+    lo, hi = compute_scaling(samples[::2])
+    lo[5] = hi[5]  # the amenity column has a zero span
+    for w in samples:
+        scaled = apply_scaling(w, lo, hi)
+        assert scaled.inputs.tobytes() == scaled_whole(w.inputs, lo, hi).tobytes()
+        assert not scaled.inputs[..., 5].any()
+        for raw in (4, OCCUPANCY_COL):  # owner and occupancy
+            assert scaled.inputs[..., raw].tobytes() == w.inputs[..., raw].tobytes()
+        assert scaled.targets.tobytes() == w.targets.tobytes()
+        assert np.shares_memory(scaled.grid.occupancy, w.grid.occupancy)
+        assert (scaled.anchor_time, scaled.target_times) == (w.anchor_time, w.target_times)
+
+
+def test_scaling_and_positions_over_grid_and_scaled_samples():
     first = make_windows(random_grid(30, 1), k=4, horizons=[1, 2])
     second = make_windows(random_grid(16, 2), k=4, horizons=[1, 2])
     scaled = apply_scaling(first[1], *compute_scaling(first[9:12]))
-    loose = WindowSample(inputs=np.random.default_rng(3).uniform(-9.0, 60.0, (4, 3, 8)),
-                         targets=np.zeros((3, 2)), anchor_time=T0, target_times=(T0, T0),
-                         horizons=(1, 2), weeks=frozenset(), first_step=2)
-    mixed = first[:3] + [scaled] + second[:2] + [loose] + first[5:6]
+    # bounds that take every scaled column below the grids' ranges
+    stretched = apply_scaling(second[7], np.full(8, 40.0), np.full(8, 40.5))
+    mixed = first[:3] + [scaled] + second[:2] + [stretched] + first[5:6]
     np.testing.assert_array_equal(step_positions(mixed), [
         [0, 1, 2, 3], [1, 2, 3, 4], [2, 3, 4, 5],  # the first grid, 30 steps
-        [30, 31, 32, 33],                          # a scaled copy is its own
-        [34, 35, 36, 37], [35, 36, 37, 38],        # the second grid, 16 steps
-        [50, 51, 52, 53],                          # and so is a hand-made sample
+        [30, 31, 32, 33],                          # a scaled window's grid, 6 steps
+        [36, 37, 38, 39], [37, 38, 39, 40],        # the second grid, 16 steps
+        [52, 53, 54, 55],                          # another scaled window's grid
         [5, 6, 7, 8]])
     lo, hi = compute_scaling(mixed)
     cols = list(SCALED_COLUMNS)
@@ -1165,18 +1179,16 @@ def test_window_sample_arrays_read_only():
     for array in (grid.occupancy, grid.calendar, grid.attributes, grid.valid):
         with pytest.raises(ValueError):
             array[0] = 5.0
-    loose = WindowSample(inputs=np.zeros((2, 2, 8)), targets=np.zeros((2, 1)), anchor_time=T0,
-                         target_times=(T0,), horizons=(1,), weeks=frozenset())
-    assert (loose.grid, loose.k) == (None, 2) and loose.inputs is loose.inputs
+    # a window is only its grid, first step, k and horizons
+    assert WindowSample(grid, 0, 6, (1,)).inputs.tobytes() == sample.inputs.tobytes()
+    # a scaled window is a window of a grid, and as read-only
+    scaled = apply_scaling(sample, np.zeros(8), np.ones(8))
+    assert (scaled.first_step, scaled.k, scaled.horizons) == (0, 6, (1,))
     with pytest.raises(ValueError):
-        loose.inputs[0, 0, 0] = 5.0
-    with pytest.raises(TypeError, match="takes inputs and targets"):
-        WindowSample(inputs=np.zeros((2, 2, 8)), anchor_time=T0, target_times=(T0,),
-                     horizons=(1,), weeks=frozenset())
-    with pytest.raises(TypeError, match="no arrays"):
-        WindowSample(inputs=np.zeros((2, 2, 8)), targets=np.zeros((2, 1)), anchor_time=T0,
-                     target_times=(T0,), horizons=(1,), weeks=frozenset(), grid=grid,
-                     first_step=0, k=2)
+        scaled.inputs[0, 0, 0] = 5.0
+    for array in (scaled.grid.occupancy, scaled.grid.calendar, scaled.grid.attributes):
+        with pytest.raises(ValueError):
+            array[0] = 5.0
 
 
 def test_feature_grid_checks_its_shapes_and_block_range():

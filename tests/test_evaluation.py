@@ -8,9 +8,9 @@ from datetime import datetime, timedelta
 import numpy as np
 import pytest
 
+from conftest import sample
 from regraph.data import (
     FeatureGrid,
-    WindowSample,
     apply_scaling,
     compute_scaling,
     make_windows,
@@ -73,18 +73,6 @@ def toy_model(hidden=8, k=3, horizons=(1, 2), seed=0):
     g = toy_graph()
     return build_model(ModelSpec("RegTGCN", hidden, k, horizons, "regional",
                                  seed=seed), g, decompose_regional(g))
-
-
-def sample(k=3, n=4, horizons=(1, 2), week=(2024, 1), seed=0):
-    rng = RNG(seed)
-    anchor = datetime(2024, 1, 1) + timedelta(days=7 * (week[1] - 1),
-                                              minutes=10 * seed)
-    return WindowSample(
-        inputs=rng.uniform(0.0, 1.0, size=(k, n, 8)),
-        targets=rng.uniform(0.1, 0.9, size=(n, len(horizons))),
-        anchor_time=anchor,
-        target_times=tuple(anchor + timedelta(minutes=10 * h) for h in horizons),
-        horizons=tuple(horizons), weeks=frozenset([week]))
 
 
 # ------------------------------------------------------------------- q95
@@ -480,13 +468,13 @@ def test_timeseries_alignment(tmp_path):
     write_timeseries(path, samples, report)
     lines = path.read_text().strip().split("\n")
     assert lines[0] == "site_id,time,truth,pred_h10,pred_h20"
-    # sample 0 anchor 2024-01-01T00:00, horizon 1 target at 00:10
-    row = next(l for l in lines[1:] if l.startswith("w1,2024-01-01T00:10:00"))
+    # sample 0 reads steps from 2024-01-01T00:00: anchor 00:20, horizon 1 target at 00:30
+    row = next(l for l in lines[1:] if l.startswith("w1,2024-01-01T00:30:00"))
     cells = row.split(",")
     assert float(cells[2]) == samples[0].targets[0, 0]
     assert float(cells[3]) == preds[0, 0, 0]
-    # later target times can carry both horizons: anchor 00:10 + 10 == 00:20
-    both = next(l for l in lines[1:] if l.startswith("w1,2024-01-01T00:20:00"))
+    # later target times can carry both horizons: anchor 00:30 + 10 == 00:40
+    both = next(l for l in lines[1:] if l.startswith("w1,2024-01-01T00:40:00"))
     assert both.split(",")[3] != "" and both.split(",")[4] != ""
 
 

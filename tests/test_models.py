@@ -372,6 +372,22 @@ def test_build_model_partition_rules():
         build_model(spec, g, rand)  # strategy mismatch
 
 
+
+def test_model_construction_refuses_a_partition_that_does_not_fit():
+    g = two_region_graph()
+    # a partition of a 3-site graph covers rows 0 to 2 of a 4-site graph
+    other = build_connected([site("a", "WI"), site("b", "WI"), site("c", "IA")],
+                            FakeProvider({("a", "b"): 10.0}))
+    with pytest.raises(ConfigError, match="partition does not cover the graph's nodes exactly"):
+        GraphContext(g, RegTGcn.operator_kind, decompose_regional(other))
+    # built directly, around build_model's own connectivity check
+    spec = ModelSpec("RegTGCN", 6, 3, (1,), "regional")
+    ctx = GraphContext(g, RegTGcn.operator_kind, decompose_random(g, r=2, seed=0))
+    with pytest.raises(ConfigError,
+                       match="RegTGCN needs a regional partition in its graph context"):
+        RegTGcn(spec, ctx)
+
+
 # ------------------------------------------------------------ architectures
 
 @pytest.mark.parametrize("arch,conn", [
@@ -1244,10 +1260,23 @@ def _rewrite_header(path, edit):
     lambda h: h["weights"][0].update(shape=[-6, -8]),
     lambda h: h["hyperparams"].update(dropout=0.5),
     lambda h: h["hyperparams"].pop("seed"),
+    lambda h: h["scaling"].update(lo=h["scaling"]["lo"][:3]),
+    lambda h: h["scaling"].update(lo=["0"] * 8),
+    lambda h: h["scaling"].update(hi=None),
+    lambda h: h["scaling"].update(lo=[[0.0]] * 8),
+    lambda h: h["scaling"].update(lo=[False] * 8),
+    lambda h: h["scaling"].update(hi=[float("inf")] * 8),
+    lambda h: h["scaling"].update(lo=[10 ** 400] * 8),
+    lambda h: h.update(train_weeks=5),
+    lambda h: h.update(train_weeks=[[1]]),
+    lambda h: h.update(train_weeks="2024-W01"),
+    lambda h: h.update(train_weeks=[True]),
 ], ids=["no_hyperparams", "short_site_row", "regional_edge_dropped", "unknown_site_label",
         "zero_sigma", "string_threshold", "bool_owner", "float_capacity",
         "overflowing_shape", "bool_shape", "negative_shape", "extra_hyperparam",
-        "no_seed"])
+        "no_seed", "short_scaling", "string_scaling", "null_scaling", "nested_scaling",
+        "bool_scaling", "infinite_scaling", "overflowing_scaling", "number_train_weeks",
+        "nested_train_weeks", "string_train_weeks", "bool_train_week"])
 def test_checkpoint_malformed_header_is_data_error(tmp_path, edit):
     g = two_region_graph()
     spec = ModelSpec("RegTGCN", 6, 3, (1,), "regional", seed=1)

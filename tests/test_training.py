@@ -1,14 +1,12 @@
 """Tests for the loss, validation split, and training loop."""
 
-from datetime import datetime, timedelta
-
 import numpy as np
 import pytest
 
+from conftest import sample
 from regraph import heap
 from regraph.data import (
     SyntheticConfig,
-    WindowSample,
     generate_synthetic,
     interpolate_to_grid,
     load_records,
@@ -49,17 +47,6 @@ def toy_graph():
     sites = [site("w1"), site("w2"), site("i1", "IA"), site("i2", "IA")]
     return build_connected(sites, FakeProvider({("w1", "w2"): 10.0,
                                                 ("i1", "i2"): 15.0}))
-
-
-def sample(k=3, n=4, horizons=(1, 2), week=(2024, 1), seed=0):
-    rng = RNG(seed)
-    inputs = rng.uniform(0.0, 1.0, size=(k, n, 8))
-    targets = rng.uniform(0.0, 1.0, size=(n, len(horizons)))
-    anchor = datetime(2024, 1, 1) + timedelta(days=7 * (week[1] - 1), hours=seed % 24)
-    return WindowSample(
-        inputs=inputs, targets=targets, anchor_time=anchor,
-        target_times=tuple(anchor + timedelta(minutes=10 * h) for h in horizons),
-        horizons=tuple(horizons), weeks=frozenset([week]))
 
 
 def toy_model(hidden=8, k=3, horizons=(1, 2), seed=0):
