@@ -229,14 +229,18 @@ def _cmd_evaluate(args) -> int:
     rows = []
     summaries = {}
     overlap_costs = {}
-    grid_key = grid = None  # consecutive runs over the same grid read records.csv once
-    for run in (Path(r) for r in args.runs):
+    runs = {}  # a run's entry and timeseries file are named after its directory
+    for run in map(Path, args.runs):
         name = _run_name(run)
+        if name in runs:
+            raise ConfigError(f"runs {runs[name]} and {run} share the name {name!r}, "
+                              "which names their output")
+        runs[name] = run
+    grid_key = grid = None  # consecutive runs over the same grid read records.csv once
+    for name, run in runs.items():
         ckpt_path = run / BEST_CHECKPOINT
-        cfg_path = run / RESOLVED_CONFIG
-        if not ckpt_path.exists() or not cfg_path.exists():
-            print(f"warning: skipping {run}: missing checkpoint or config",
-                  file=sys.stderr)
+        if not ckpt_path.exists():
+            print(f"warning: skipping {run}: no {BEST_CHECKPOINT}", file=sys.stderr)
             summaries[name] = {"status": "absent"}
             continue
         data_dir, resolved, val_reported = _read_run(run)
@@ -283,11 +287,12 @@ def _cmd_evaluate(args) -> int:
             overlap_costs.setdefault(
                 bundle.partition.strategy, overlap_cost(bundle.partition, l_avg))
 
-    if rows:
-        write_metrics_csv(out / "metrics.csv", rows)
-        write_comparison_json(out / "comparison.json", rows,
-                              overlap_costs=overlap_costs,
-                              literal_headline=args.literal_eq14)
+    if not rows:
+        raise DataError(f"no run was scored: none of {', '.join(args.runs)} "
+                        f"holds a {BEST_CHECKPOINT}")
+    write_metrics_csv(out / "metrics.csv", rows)
+    write_comparison_json(out / "comparison.json", rows, overlap_costs=overlap_costs,
+                          literal_headline=args.literal_eq14)
     write_json(out / "evaluation.json", summaries)
     _write_meta(out, "evaluate", started)
     return 0

@@ -32,6 +32,8 @@ __all__ = [
     "split_by_weeks",
     "step_positions",
     "week_label",
+    "week_spec",
+    "weeks_conflict",
 ]
 
 
@@ -115,8 +117,9 @@ def make_windows(grid: FeatureGrid, k: int, horizons: Sequence[int],
     return samples
 
 
-def _normalize_week(spec) -> tuple[int | None, int]:
-    """Accept an ISO week number, a (year, week) pair, or 'YYYY-Www'; weeks run 1..53."""
+def week_spec(spec) -> tuple[int | None, int]:
+    """Read an ISO week number, a (year, week) pair, or 'YYYY-Www' as (year or
+    None, week); weeks run 1..53."""
     week = None
     try:
         if isinstance(spec, int) and not isinstance(spec, bool):
@@ -140,15 +143,11 @@ def week_label(week: tuple[int, int]) -> str:
     return f"{year}-W{number:02d}"
 
 
-def _weeks_conflict(a: tuple[int | None, int], b: tuple[int | None, int]) -> bool:
+def weeks_conflict(a: tuple[int | None, int], b: tuple[int | None, int]) -> bool:
+    """Whether two read week specs (``week_spec``) can name the same ISO week."""
     if a[1] != b[1]:
         return False
     return a[0] is None or b[0] is None or a[0] == b[0]
-
-
-def _matches(sample_week: tuple[int, int], entries: list[tuple[int | None, int]]) -> bool:
-    return any(e[1] == sample_week[1] and (e[0] is None or e[0] == sample_week[0])
-               for e in entries)
 
 
 def _window_buckets(grid: FeatureGrid, k: int, horizons: tuple[int, ...],
@@ -161,7 +160,7 @@ def _window_buckets(grid: FeatureGrid, k: int, horizons: tuple[int, ...],
     calendar = step_calendar(grid.start, grid.step_min, len(grid.valid))
     weeks, week_of_step = np.unique(calendar[:, 0] * 100 + calendar[:, 1], return_inverse=True)
     labels = np.array([next((b for b, entries in enumerate(groups)
-                             if _matches(divmod(w, 100), entries)), -1)
+                             if any(weeks_conflict(divmod(w, 100), e) for e in entries)), -1)
                        for w in weeks.tolist()])[week_of_step]
     runs = np.concatenate([[0], np.cumsum(labels[1:] != labels[:-1])])
     first = np.arange(len(labels) - k - max(horizons) + 1)
@@ -185,13 +184,13 @@ def split_by_weeks(samples: Iterable[WindowSample],
     horizons are placed by one pass over the grid's step labels; every
     bucket keeps input order.
     """
-    groups = [[_normalize_week(w) for w in ws]
+    groups = [[week_spec(w) for w in ws]
               for ws in (train_weeks, test_weeks, generality_weeks)]
     for gi in range(3):
         for gj in range(gi + 1, 3):
             for a in groups[gi]:
                 for b in groups[gj]:
-                    if _weeks_conflict(a, b):
+                    if weeks_conflict(a, b):
                         raise ConfigError(
                             f"week {b[1]} assigned to more than one split")
     if not groups[0] or not groups[1]:

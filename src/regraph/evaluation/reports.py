@@ -8,7 +8,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from regraph.data import apply_scaling, step_positions, week_label
+from regraph.data import apply_scaling, step_positions, week_label, week_spec, weeks_conflict
 from regraph.errors import ConfigError, ShapeError
 from regraph.evaluation.metrics import MetricSet, compute_metrics, q95_table
 from regraph.files import write_json, write_lines
@@ -82,10 +82,7 @@ def evaluate_model(model, samples, scaling_lo, scaling_hi,
     samples = list(samples)
     if not samples:
         raise ConfigError("evaluation requires at least one sample")
-    if tuple(samples[0].horizons) != tuple(model.spec.horizons):
-        raise ConfigError(
-            f"sample horizons {tuple(samples[0].horizons)} do not match "
-            f"model horizons {model.spec.horizons}")
+    model.check_windows(samples)
     preds, truths = predict_samples(model, samples, scaling_lo, scaling_hi)
     n_sites = truths.shape[1]
     # reference capacity from every truth entry of the split, per site
@@ -94,7 +91,7 @@ def evaluate_model(model, samples, scaling_lo, scaling_hi,
     for j, h in enumerate(model.spec.horizons):
         metrics[h] = compute_metrics(preds[:, :, j].T, truths[:, :, j].T, q95)
     site_ids = tuple(s.site_id for s in model.ctx.graph.nodes)
-    return EvalReport(horizons=tuple(model.spec.horizons),
+    return EvalReport(horizons=model.spec.horizons,
                       grid_step_min=step, metrics=metrics, q95=q95,
                       site_ids=site_ids, n_samples=len(samples), predictions=preds)
 
@@ -107,9 +104,10 @@ def generality_inference(model, bundle, samples) -> EvalReport:
     training week, since that would silently turn a transfer experiment
     into a recall experiment.
     """
-    trained = set(bundle.train_weeks)
-    touched = sorted({week_label(w) for s in samples for w in s.weeks})
-    overlap = [w for w in touched if w in trained]
+    trained = [week_spec(w) for w in bundle.train_weeks]
+    touched = sorted({w for s in samples for w in s.weeks})
+    overlap = [week_label(w) for w in touched
+               if any(weeks_conflict(w, t) for t in trained)]
     if overlap:
         raise ConfigError(
             f"held-out weeks overlap training weeks: {', '.join(overlap)}")

@@ -35,6 +35,11 @@ reads all lags at once, keeps the steps as they are. Training encodes a
 window's K steps as one stack, so each of those layers is one wide product
 on the tape; frozen inference over windows that share steps
 (``predict_windows``) encodes each step once, on its own.
+
+A model is the one judge of what it accepts: built, it refuses a partition
+other than its class's ``connectivity`` (``"connected"``: none), and
+``check_windows``, which training and evaluation call on every window before
+reading one, refuses a window whose k, grid step or horizons are not its spec's.
 """
 
 from __future__ import annotations
@@ -184,6 +189,10 @@ class ForecastModel:
     connectivity = "connected"  # the partition it needs: none, "regional" or "random"
 
     def __init__(self, spec: ModelSpec, ctx: GraphContext, weights=None):
+        kind = "connected" if ctx.partition is None else ctx.partition.strategy
+        if kind != self.connectivity:
+            raise ConfigError(f"{spec.architecture} needs a {self.connectivity} partition in "
+                              f"its graph context, got a {kind} one")
         self.spec = spec
         self.ctx = ctx
         self._named: list[tuple[str, DiffTensor]] = []
@@ -230,6 +239,18 @@ class ForecastModel:
                     f"weight {name}: stored shape {shape} != model shape {p.values.shape}")
         for name, p in self._named:
             p.values[...] = arrays[name]
+
+    def check_windows(self, samples) -> None:
+        """Refuse any window whose k, grid step or horizons are not the spec's."""
+        want = (self.spec.k, self.spec.grid_step_min, self.spec.horizons)
+        for i, s in enumerate(samples):
+            got = (s.k, s.grid.step_min, tuple(s.horizons))
+            if got != want:
+                j = next(j for j in range(3) if got[j] != want[j])
+                raise ConfigError(f"window {i}: " + (
+                    f"model expects {want[0]} input steps, samples carry {got[0]}",
+                    f"model reads a {want[1]}-minute grid, samples carry {got[1]}-minute steps",
+                    f"model horizons {want[2]} do not match sample horizons {got[2]}")[j])
 
     def _check_window(self, inputs: np.ndarray) -> np.ndarray:
         inputs = np.asarray(inputs, dtype=np.float64)
@@ -468,9 +489,6 @@ class PartitionedTGcn(_GruAttention):
 
     def _input_layers(self, rng: np.random.Generator | None) -> int:
         ctx, h = self.ctx, self.spec.hidden
-        if ctx.partition is None or ctx.partition.strategy != self.connectivity:
-            raise ConfigError(f"{self.spec.architecture} needs a {self.connectivity} "
-                              f"partition in its graph context")
         self.structural = StructuralConv(rng, IN_WIDTH, h)
         self.region_layers: dict[str, GcnLayer] = {
             label: GcnLayer(rng, IN_WIDTH, h) for label in ctx.region_order}
@@ -525,14 +543,5 @@ def build_model(spec: ModelSpec, graph: SiteGraph,
                 partition: RegionalPartition | None = None, weights=None) -> ForecastModel:
     """Construct the architecture named by the spec over the given graph,
     with weights drawn from ``spec.seed`` or read from ``weights``."""
-    needs_partition = spec.connectivity != "connected"
-    if needs_partition and partition is None:
-        raise ConfigError(f"{spec.architecture} requires a partition")
-    if not needs_partition and partition is not None:
-        raise ConfigError(f"{spec.architecture} does not take a partition")
-    if partition is not None and partition.strategy != spec.connectivity:
-        raise ConfigError(
-            f"partition strategy {partition.strategy!r} does not match "
-            f"connectivity {spec.connectivity!r}")
     cls = _MODEL_CLASSES[spec.architecture]
     return cls(spec, GraphContext(graph, cls.operator_kind, partition), weights)

@@ -24,6 +24,7 @@ from typing import Callable
 
 import numpy as np
 
+from ..data.windows import week_spec
 from ..errors import ConfigError, DataError
 from ..files import atomic_open, json_object, stored
 from ..graph.build import (
@@ -273,8 +274,8 @@ def load_checkpoint(path: str | Path) -> CheckpointBundle:
             raise DataError(f"{path}: {len(raw) - offset} trailing bytes after weights")
 
         train_weeks = _typed(header["train_weeks"], (list,), "train_weeks")
-        for week in train_weeks:
-            _typed(week, (str, int), "train week")
+        for week in train_weeks:  # each a week split_by_weeks reads, as generality compares
+            week_spec(_typed(week, (str, int), "train week"))
         return CheckpointBundle(
             spec=spec,
             weights=weights,

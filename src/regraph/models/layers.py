@@ -3,6 +3,10 @@
 Node features are rows, so every transform right-multiplies by its weight
 matrix. Biases are stored as 1 x out rows and added to every row by the
 tensor core's ``add_row`` op.
+
+Layers do not re-check widths: ``ModelSpec`` bounds them, and ``matmul`` and
+``gru_update`` raise a ``ShapeError`` on a block of the wrong width. Only
+``attention_aggregate`` counts its states, since no op would catch a short list.
 """
 
 from __future__ import annotations
@@ -63,8 +67,6 @@ class GcnLayer:
     """Graph convolution: sigmoid(N @ H @ W + b) over a normalized operator N."""
 
     def __init__(self, rng: np.random.Generator | None, in_width: int, out_width: int):
-        if out_width < 1:
-            raise ShapeError(f"gcn layer: out_width must be >= 1, got {out_width}")
         self.w = uniform_init(rng, (in_width, out_width), in_width)
         self.b = uniform_init(rng, (1, out_width), in_width)
 
@@ -73,9 +75,6 @@ class GcnLayer:
 
 
 def gcn_forward(layer: GcnLayer, normalized: DiffTensor, h: DiffTensor) -> DiffTensor:
-    if h.shape[1] != layer.w.shape[0]:
-        raise ShapeError(
-            f"gcn_forward: features {h.shape} do not match weight {layer.w.shape}")
     return sigmoid(affine(matmul(normalized, h), layer.w, layer.b))
 
 
@@ -103,9 +102,6 @@ def structural_conv(layer: StructuralConv, binary_adjacency,
     taped features; the 1-hop models instead take ``eta + A eta`` of their
     constant input as a NumPy feature (``GraphContext.neighbor_features``).
     """
-    if eta.shape[1] != layer.w.shape[0]:
-        raise ShapeError(
-            f"structural_conv: features {eta.shape} do not match weight {layer.w.shape}")
     gathered = add(eta, propagate(binary_adjacency, eta))
     return sigmoid(matmul(gathered, layer.w))
 
@@ -121,7 +117,6 @@ class GcnGruCell:
 
     def __init__(self, rng: np.random.Generator | None, in_width: int, hidden: int):
         width = in_width + hidden
-        self.hidden = hidden
         self.in_width = in_width
         self.w_z = uniform_init(rng, (width, hidden), width)
         self.w_r = uniform_init(rng, (width, hidden), width)
@@ -155,11 +150,6 @@ def gru_step(cell: GcnGruCell, conv_out: DiffTensor, h_prev: DiffTensor | None) 
     ``sigmoid(x_z) * tanh(x_c)``. The models take the same update with the
     weights split once per call (``split_gates``, ``gate_inputs``).
     """
-    if conv_out.shape[1] != cell.in_width or \
-            (h_prev is not None and h_prev.shape[1] != cell.hidden):
-        raise ShapeError(
-            f"gru_step: got input {conv_out.shape}, hidden {getattr(h_prev, 'shape', None)}, "
-            f"cell expects widths ({cell.in_width}, {cell.hidden})")
     gates = split_gates(cell)
     return gru_update(gate_inputs(gates, conv_out), slice(None), h_prev, gates[1])
 
@@ -168,8 +158,6 @@ class AttentionAggregator:
     """Learnable per-lag scores softmaxed into mixture weights."""
 
     def __init__(self, rng: np.random.Generator | None, k: int):
-        if k < 1:
-            raise ShapeError(f"attention: need k >= 1, got {k}")
         self.k = k
         self.scores = uniform_init(rng, (k,), k)
 
@@ -207,8 +195,6 @@ class Decoder:
 
     def __init__(self, rng: np.random.Generator | None, in_width: int, hidden: int,
                  out_width: int):
-        if out_width < 1:
-            raise ShapeError(f"decoder: out_width must be >= 1, got {out_width}")
         self.w0 = uniform_init(rng, (in_width, hidden), in_width)
         self.b0 = uniform_init(rng, (1, hidden), in_width)
         self.w1 = uniform_init(rng, (hidden, out_width), hidden)

@@ -2,7 +2,9 @@
 
 One optimizer step per window (the full graph is processed inside each step).
 Validation is the most recent tenth of the samples by anchor time, held out
-whenever at least two samples are present.
+whenever at least two samples are present. Before any file is written the
+model checks every window (``ForecastModel.check_windows``), and the config's
+horizons must be the model's, which ``ModelSpec`` bounds.
 """
 
 import time
@@ -83,12 +85,6 @@ class TrainConfig:
             raise ConfigError("grad_clip_norm must be positive or None")
         if not (0.0 < self.val_fraction < 1.0):
             raise ConfigError("val_fraction must lie in (0, 1)")
-        horizons = tuple(int(h) for h in self.horizons)
-        if not horizons or any(h < 1 for h in horizons):
-            raise ConfigError("horizons must be a nonempty list of positive steps")
-        if tuple(sorted(set(horizons))) != horizons:
-            raise ConfigError("horizons must be strictly increasing")
-        object.__setattr__(self, "horizons", horizons)
 
 
 @dataclass(frozen=True)
@@ -192,20 +188,10 @@ def train(model, samples, cfg: TrainConfig, out_dir):
     samples = list(samples)
     if not samples:
         raise ConfigError("training requires at least one sample")
-    k = samples[0].k
-    if model.spec.k != k:
+    model.check_windows(samples)
+    if tuple(cfg.horizons) != model.spec.horizons:
         raise ConfigError(
-            f"model expects {model.spec.k} input steps, samples carry {k}")
-    if samples[0].grid.step_min != model.spec.grid_step_min:
-        raise ConfigError(f"model reads a {model.spec.grid_step_min}-minute grid, "
-                          f"samples carry {samples[0].grid.step_min}-minute steps")
-    if tuple(model.spec.horizons) != tuple(samples[0].horizons):
-        raise ConfigError(
-            f"model horizons {model.spec.horizons} do not match "
-            f"sample horizons {tuple(samples[0].horizons)}")
-    if tuple(cfg.horizons) != tuple(model.spec.horizons):
-        raise ConfigError(
-            f"config horizons {cfg.horizons} do not match model "
+            f"config horizons {tuple(cfg.horizons)} do not match model "
             f"horizons {model.spec.horizons}")
 
     out_dir = Path(out_dir)
@@ -289,7 +275,7 @@ def train(model, samples, cfg: TrainConfig, out_dir):
     report = TrainReport(
         train_loss=tuple(losses),
         val_rmse=tuple(val_curve),
-        horizons=cfg.horizons,
+        horizons=model.spec.horizons,
         epoch_seconds=tuple(seconds),
         epoch_minor_faults=tuple(faults),
         best_epoch=best_epoch,

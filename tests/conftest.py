@@ -1,3 +1,4 @@
+import dataclasses
 from datetime import datetime, timedelta
 
 import numpy as np
@@ -29,6 +30,18 @@ def sample(k=3, n=4, horizons=(1, 2), week=(2024, 1), seed=0):
                        attributes=rng.uniform(0.0, 1.0, (n, 4)), valid=np.ones(steps, dtype=bool))
     [window] = make_windows(grid, k, horizons)
     return window
+
+
+# Windows that differ from ``sample()``'s defaults in one setting, with what a
+# model of those defaults (k 3, horizons (1, 2), a 10-minute grid) says of them.
+MISFITS = {
+    "k": (lambda: sample(k=4, seed=9), "model expects 3 input steps, samples carry 4"),
+    "horizons": (lambda: sample(horizons=(1, 3), seed=9),
+                 r"model horizons \(1, 2\) do not match sample horizons \(1, 3\)"),
+    "grid step": (lambda: make_windows(dataclasses.replace(sample(seed=9).grid, step_min=5),
+                                       3, (1, 2), 5)[0],
+                  "model reads a 10-minute grid, samples carry 5-minute steps"),
+}
 
 
 @pytest.fixture(autouse=True)

@@ -683,7 +683,10 @@ def test_tampered_columns_and_labels_exit_3_naming_the_cause(tmp_path, capsys,
     (lambda h: h["scaling"].update(lo=[[0.0]] * 8), r"scaling lo \[0\.0\] is not int or float"),
     (lambda h: h.update(train_weeks="2024-W01"), "train_weeks '2024-W01' is not list"),
     (lambda h: h.update(train_weeks=[[1]]), r"train week \[1\] is not str or int"),
-], ids=["short_lo", "null_hi", "nested_lo", "string_train_weeks", "nested_train_weeks"])
+    (lambda h: h.update(train_weeks=["2024-W54"]), "ConfigError: week number 54 outside 1..53"),
+    (lambda h: h.update(train_weeks=["2024-01"]), "ConfigError: bad week spec '2024-01'"),
+], ids=["short_lo", "null_hi", "nested_lo", "string_train_weeks", "nested_train_weeks",
+        "train_week_54", "unlabelled_train_week"])
 def test_a_checkpoint_with_malformed_scaling_or_weeks_exits_3(tmp_path, capsys,
                                                             stored_random_graph, edit, message):
     _, ckpt = stored_random_graph
@@ -1171,6 +1174,41 @@ def test_evaluate_skips_missing_run(pipeline, capsys):
     summary = json.loads((report_dir / "evaluation.json").read_text())
     assert summary["not_a_run"]["status"] == "absent"
     assert summary["run"]["status"] == "ok"
+
+
+def test_evaluate_with_no_run_scored_exits_3_and_writes_nothing(tmp_path, capsys):
+    empty = tmp_path / "not_a_run"
+    empty.mkdir()
+    out = tmp_path / "out"
+    assert main(["evaluate", "--runs", str(empty), "--out", str(out)]) == 3
+    err = capsys.readouterr().err
+    assert f"warning: skipping {empty}: no checkpoint_best.ckpt" in err
+    assert f"data error: no run was scored: none of {empty} holds a checkpoint_best.ckpt" in err
+    assert not out.exists()
+
+
+def test_evaluate_a_checkpoint_without_its_config_echo_exits_3(pipeline, tmp_path, capsys):
+    run = tmp_path / "run"
+    shutil.copytree(pipeline["run"], run)
+    (run / "resolved_config.json").unlink()
+    capsys.readouterr()
+    assert main(["evaluate", "--runs", str(run), "--out", str(tmp_path / "out")]) == 3
+    err = capsys.readouterr().err
+    assert err.startswith(f"data error: cannot read run config {run / 'resolved_config.json'}")
+    assert "skipping" not in err
+
+
+def test_evaluate_refuses_two_runs_of_one_name_before_reading_either(pipeline, tmp_path,
+                                                                    capsys, monkeypatch):
+    first, second = pipeline["run"], tmp_path / "b" / "run"
+    shutil.copytree(first, second)
+    monkeypatch.setattr(cli, "_read_run", lambda run: pytest.fail(f"{run} was read"))
+    out = tmp_path / "out"
+    capsys.readouterr()
+    assert main(["evaluate", "--runs", str(first), str(second), "--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert f"config error: runs {first} and {second} share the name 'run'" in err
+    assert not out.exists()
 
 
 def test_evaluate_with_no_samples_in_test_weeks_exits_3(pipeline, tmp_path, capsys):

@@ -8,7 +8,7 @@ from datetime import datetime, timedelta
 import numpy as np
 import pytest
 
-from conftest import sample
+from conftest import MISFITS, sample
 from regraph.data import (
     FeatureGrid,
     apply_scaling,
@@ -252,6 +252,14 @@ def test_evaluate_model_pins_the_heap_before_predicting(monkeypatch):
     assert calls == ["pin", "predict"]
 
 
+@pytest.mark.parametrize("setting", MISFITS)
+def test_evaluate_model_refuses_a_later_window_that_does_not_fit_naming_both(setting):
+    later, named = MISFITS[setting]
+    samples = [sample(seed=i) for i in range(10)] + [later()]
+    with pytest.raises(ConfigError, match=f"window 10: {named}"):
+        evaluate_model(toy_model(), samples, np.zeros(8), np.ones(8))
+
+
 def test_evaluate_model_horizon_mismatch():
     model = toy_model()
     with pytest.raises(ConfigError):
@@ -386,6 +394,18 @@ def test_generality_refuses_overlapping_weeks(tmp_path):
     with pytest.raises(ConfigError, match="2024-W02"):
         generality_inference(restore_model(bundle), bundle,
                              [sample(week=(2024, 2), seed=99)])
+
+
+@pytest.mark.parametrize("stored", [1, "2024-W01", "2024-w1"])
+def test_generality_reads_stored_weeks_as_the_split_does(tmp_path, stored):
+    # a week number names that week of every year, as in split_by_weeks
+    model = toy_model(seed=2)
+    save_checkpoint(tmp_path / "model.ckpt", model, np.zeros(8), np.ones(8), [stored])
+    bundle = load_checkpoint(tmp_path / "model.ckpt")
+    with pytest.raises(ConfigError, match="overlap training weeks: 2024-W01$"):
+        generality_inference(model, bundle, [sample(week=(2024, 1), seed=i) for i in range(3)])
+    assert generality_inference(model, bundle, [sample(week=(2024, 2), seed=i)
+                                                for i in range(10)]).n_samples == 10
 
 
 def test_generality_runs_on_disjoint_weeks(tmp_path):

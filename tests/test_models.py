@@ -145,6 +145,13 @@ def test_gcn_shape_error():
 
 # --------------------------------------------------------- structural_conv
 
+def test_structural_conv_shape_error():
+    # the product through the weight refuses features of another width
+    layer = StructuralConv(RNG(0), 3, 2)
+    with pytest.raises(ShapeError, match="matmul"):
+        structural_conv(layer, constant(np.zeros((4, 4))), constant(np.zeros((4, 5))))
+
+
 def test_structural_conv_no_neighbors():
     layer = StructuralConv(RNG(3), 4, 3)
     eta = RNG(4).normal(size=(5, 4))
@@ -342,6 +349,8 @@ def test_model_spec_connectivity_consistency():
     with pytest.raises(ConfigError):
         ModelSpec("TGCN", 8, 3, (3, 1), "connected")
     with pytest.raises(ConfigError):
+        ModelSpec("TGCN", 8, 3, (), "connected")
+    with pytest.raises(ConfigError):
         ModelSpec("Transformer", 8, 3, (1,), "connected")
 
 
@@ -386,6 +395,32 @@ def test_model_construction_refuses_a_partition_that_does_not_fit():
     with pytest.raises(ConfigError,
                        match="RegTGCN needs a regional partition in its graph context"):
         RegTGcn(spec, ctx)
+
+
+_MODEL_CLASSES = {"StackedGRU": StackedGru, "StackedGCN": StackedGcn, "TGCN": TGcn,
+                  "CSTGCN": CstGcn, "RanTGCN": RanTGcn, "RegTGCN": RegTGcn}
+
+
+@pytest.mark.parametrize("via", ["build_model", "direct"])
+@pytest.mark.parametrize("kind", ["connected", "regional", "random"])
+@pytest.mark.parametrize("arch", ARCHITECTURES)
+def test_a_model_takes_exactly_the_partition_of_its_connectivity(arch, kind, via):
+    g = two_region_graph()
+    partition = {"connected": None, "regional": decompose_regional(g),
+                 "random": decompose_random(g, r=2, seed=0)}[kind]
+    spec = ModelSpec(arch, 4, 2, (1,), CONNECTIVITY_OF[arch])
+    cls = _MODEL_CLASSES[arch]
+
+    def make():
+        if via == "build_model":
+            return build_model(spec, g, partition)
+        return cls(spec, GraphContext(g, cls.operator_kind, partition))
+    if kind == cls.connectivity:
+        assert make().predict(window(2, 4)).shape == (4, 1)
+    else:
+        with pytest.raises(ConfigError, match=f"{arch} needs a {cls.connectivity} partition "
+                                              f"in its graph context, got a {kind} one"):
+            make()
 
 
 # ------------------------------------------------------------ architectures
@@ -1271,12 +1306,16 @@ def _rewrite_header(path, edit):
     lambda h: h.update(train_weeks=[[1]]),
     lambda h: h.update(train_weeks="2024-W01"),
     lambda h: h.update(train_weeks=[True]),
+    lambda h: h.update(train_weeks=[54]),
+    lambda h: h.update(train_weeks=["2024-W00"]),
+    lambda h: h.update(train_weeks=["W01"]),
 ], ids=["no_hyperparams", "short_site_row", "regional_edge_dropped", "unknown_site_label",
         "zero_sigma", "string_threshold", "bool_owner", "float_capacity",
         "overflowing_shape", "bool_shape", "negative_shape", "extra_hyperparam",
         "no_seed", "short_scaling", "string_scaling", "null_scaling", "nested_scaling",
         "bool_scaling", "infinite_scaling", "overflowing_scaling", "number_train_weeks",
-        "nested_train_weeks", "string_train_weeks", "bool_train_week"])
+        "nested_train_weeks", "string_train_weeks", "bool_train_week",
+        "train_week_54", "train_week_0", "unlabelled_train_week"])
 def test_checkpoint_malformed_header_is_data_error(tmp_path, edit):
     g = two_region_graph()
     spec = ModelSpec("RegTGCN", 6, 3, (1,), "regional", seed=1)

@@ -1,9 +1,11 @@
 """Tests for the loss, validation split, and training loop."""
 
+import re
+
 import numpy as np
 import pytest
 
-from conftest import sample
+from conftest import MISFITS, sample
 from regraph import heap
 from regraph.data import (
     SyntheticConfig,
@@ -127,10 +129,6 @@ def test_train_config_validation():
         TrainConfig(epochs=0, horizons=(1,))
     with pytest.raises(ConfigError):
         TrainConfig(epochs=1, horizons=(1,), learning_rate=-1e-3)
-    with pytest.raises(ConfigError):
-        TrainConfig(epochs=1, horizons=())
-    with pytest.raises(ConfigError):
-        TrainConfig(epochs=1, horizons=(2, 1))
     with pytest.raises(ConfigError):
         TrainConfig(epochs=1, horizons=(1,), grad_clip_norm=0.0)
     with pytest.raises(ConfigError):
@@ -325,8 +323,10 @@ def test_train_input_validation(tmp_path):
         train(model, [sample(k=4)], cfg, tmp_path)
     with pytest.raises(ConfigError):
         train(model, [sample(horizons=(1, 3))], cfg, tmp_path)
-    with pytest.raises(ConfigError):
-        train(model, [sample()], TrainConfig(epochs=1, horizons=(1,)), tmp_path)
+    for horizons in ((1,), (), (2, 1)):  # ModelSpec's rules refuse the last two for a model
+        with pytest.raises(ConfigError, match=f"config horizons {re.escape(str(horizons))} "
+                                              r"do not match model horizons \(1, 2\)"):
+            train(model, [sample()], TrainConfig(epochs=1, horizons=horizons), tmp_path)
 
 
 def test_gradient_clipping_rescales_global_norm():
@@ -372,6 +372,15 @@ def test_one_lag_models_train_with_a_zero_gradient_for_the_reset_gate(tmp_path, 
     assert np.all(np.isfinite(report.train_loss))
     for p, values in zip(r_gates, before):
         np.testing.assert_array_equal(p.values, values)
+
+
+@pytest.mark.parametrize("setting", MISFITS)
+def test_train_refuses_a_later_window_that_does_not_fit_naming_both(tmp_path, setting):
+    later, named = MISFITS[setting]
+    samples = [sample(seed=i) for i in range(9)] + [later()]
+    with pytest.raises(ConfigError, match=f"window 9: {named}"):
+        train(toy_model(), samples, TrainConfig(epochs=1, horizons=(1, 2)), tmp_path / "run")
+    assert not (tmp_path / "run").exists()
 
 
 def test_train_refuses_windows_of_another_grid_step_naming_both(tmp_path):
